@@ -12,8 +12,7 @@ from .errors import (ConfigError, ContractError, DataError, GraphError,
 __version__ = "0.1.0"
 
 _LAZY = {
-    "DegreeProfile": "graph", "RelGraph": "graph", "degree_profile": "graph",
-    "rel_aggregate": "graph",
+    "RelGraph": "graph", "rel_aggregate": "graph",
     "OpCounter": "tensor", "Tensor": "tensor", "count_flops": "tensor",
     "counting_paused": "tensor", "default_dtype": "tensor",
 }

@@ -7,7 +7,7 @@ arrays: graph topology is not differentiable and is never FLOP-counted.
 
 Feature-space nearest-neighbor edges use unnormalized Euclidean distance on
 the raw features (whether to normalize first is left open by the reference
-description; this build does not, and the flag below records the choice).
+description; this build does not).
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .graph import RelGraph
-
-# Medium-range similarity is plain Euclidean distance on raw features.
-# Exposed as a module-level default so the choice is visible and overridable.
-NORMALIZE_MEDIUM_FEATURES = False
 
 SHORT_RELATIONS = ("up", "down", "left", "right")
 LONG_RELATIONS = ("long_global", "long_context")
@@ -119,10 +115,8 @@ def image_medium_edges(grid: PatchGrid, k: int,
     p = grid.height * grid.width
     if k == 0 or p == 1:
         return []
+    # medium-range similarity is plain Euclidean distance on raw features
     feats = grid.features.astype(np.float64)
-    if NORMALIZE_MEDIUM_FEATURES:
-        norms = np.linalg.norm(feats, axis=1, keepdims=True)
-        feats = feats / np.maximum(norms, 1e-12)
     sq = (feats * feats).sum(axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (feats @ feats.T)
     np.maximum(d2, 0.0, out=d2)
@@ -143,46 +137,16 @@ def image_medium_edges(grid: PatchGrid, k: int,
     return edges
 
 
-@dataclass
-class LongRangeSpec:
-    """Virtual-edge plan for a patch grid: not materialized rows.
-
-    One global node fans out to every patch on the first long relation; one
-    context node per patch feeds that patch on the second. Features of both
-    kinds are recomputed at every layer call, so only the topology is fixed.
-    """
-    height: int
-    width: int
-    relations: tuple[str, str] = LONG_RELATIONS
-
-    @property
-    def num_patches(self) -> int:
-        return self.height * self.width
-
-    @property
-    def num_virtual_nodes(self) -> int:
-        return 1 + self.num_patches
-
-    def global_edges(self, global_node: int, relation: int):
-        return [(global_node, v, relation) for v in range(self.num_patches)]
-
-    def context_edges(self, first_context_node: int, relation: int):
-        return [(first_context_node + v, v, relation) for v in range(self.num_patches)]
-
-
-def image_long_edge_spec(height: int, width: int) -> LongRangeSpec:
-    if height < 1 or width < 1:
-        raise ConfigError("grid sides must be positive")
-    return LongRangeSpec(height, width)
-
-
 def build_image_graph(grid: PatchGrid, k_medium: int,
                       include_medium: bool) -> tuple[RelGraph, list[str]]:
     """Full per-stage graph: patches plus the long-range virtual nodes.
 
     Node layout: patches 0..P-1, the global node at P, context node for patch
     v at P+1+v. Relation order: the four short directions, the medium relation
-    when enabled, then the two long relations.
+    when enabled, then the two long relations: the global node fans out to
+    every patch on the first, and each context node feeds its patch on the
+    second. Virtual-node features are recomputed at every layer call, so only
+    this topology is fixed.
     """
     p = grid.height * grid.width
     names = list(SHORT_RELATIONS)
@@ -191,13 +155,12 @@ def build_image_graph(grid: PatchGrid, k_medium: int,
         rel_medium = len(names)
         names.append(MEDIUM_RELATION)
         edges += image_medium_edges(grid, k_medium, relation=rel_medium)
-    spec = image_long_edge_spec(grid.height, grid.width)
     rel_global = len(names)
     rel_context = len(names) + 1
-    names += list(spec.relations)
-    edges += spec.global_edges(p, rel_global)
-    edges += spec.context_edges(p + 1, rel_context)
-    graph = RelGraph(p + spec.num_virtual_nodes, len(names), edges)
+    names += list(LONG_RELATIONS)
+    edges += [(p, v, rel_global) for v in range(p)]
+    edges += [(p + 1 + v, v, rel_context) for v in range(p)]
+    graph = RelGraph(2 * p + 1, len(names), edges)
     return graph, names
 
 

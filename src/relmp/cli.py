@@ -27,6 +27,7 @@ import configparser
 import json
 import os
 import sys
+from typing import NamedTuple
 
 from .errors import (ConfigError, ContractError, DataError, GraphError,
                      NumericError, ShapeError)
@@ -42,43 +43,91 @@ _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 _TRUE_STATES = {"1": True, "yes": True, "true": True, "on": True,
                 "0": False, "no": False, "false": False, "off": False}
 
-# Per-command option registry: key -> (type, default). `path` is a string
-# that may stay None. Flags parse with default None so a missing flag falls
-# through to the config file and then to these defaults.
+
+class _Opt(NamedTuple):
+    """One option: its INI/`resolved` key is the `_SPECS` key, its flag the
+    key with dashes. `kind` is int, float, str, bool, or "path" (a string
+    that may stay None). A bool option is a store-const flag that flips its
+    default: `--key` when the default is False, `--no-key` when it is True."""
+    kind: object
+    default: object
+    help: str
+    choices: tuple | None = None
+
+
+_COMMON = {
+    "seed": _Opt(int, 0, "random seed"),
+    "threads": _Opt(int, None,
+                    "BLAS thread cap; 1 guarantees bit-identical reruns"),
+    "f64": _Opt(bool, False, "run tensors in float64"),
+    "out": _Opt("path", None, "output directory"),
+}
+
+_KG_DATA = {
+    "train": _Opt("path", None,
+                  "training triplet TSV (default: bundled toy dataset)"),
+    "valid": _Opt("path", None, "validation triplet TSV"),
+    "test": _Opt("path", None, "test triplet TSV"),
+    "people": _Opt(int, 100, "bundled toy dataset size"),
+    "data_seed": _Opt(int, 0, "bundled toy dataset seed"),
+}
+
+# Per-command option registry, the single declaration of every option: the
+# parser below is generated from it. Flags parse with default None so a
+# missing flag falls through to the config file and then to these defaults.
+# The suite names repeat `verify.SUITES` because importing `verify` here
+# would load numpy before `--threads` can take effect.
 _SPECS = {
     "build-graph": {
-        "domain": (str, None), "input": ("path", None), "k_medium": (int, 0),
-        "seed": (int, 0), "threads": (int, None), "f64": (bool, False),
-        "out": ("path", None),
+        "domain": _Opt(str, None, "input domain", ("image", "protein", "kg")),
+        "input": _Opt("path", None, "input file for the domain"),
+        "k_medium": _Opt(int, 0,
+                         "K for image medium-range neighbors; 0 adds none"),
+        **_COMMON,
     },
     "bench-flops": {
-        "k_max": (int, 24),
-        "seed": (int, 0), "threads": (int, None), "f64": (bool, False),
-        "out": ("path", None),
+        "k_max": _Opt(int, 24, "sweep K = 1..k_max"),
+        **_COMMON,
     },
     "verify": {
-        "suite": (str, "all"), "transforms": (int, 100),
-        "inject_fault": (bool, False),
-        "seed": (int, 0), "threads": (int, None), "f64": (bool, False),
-        "out": ("path", None),
+        "suite": _Opt(str, "all", "suite to run",
+                      ("all", "flops-exact", "gradcheck", "e3", "oracles")),
+        "transforms": _Opt(int, 100, "rigid motions for the e3 suite"),
+        "inject_fault": _Opt(bool, False,
+                             "test hook: perturb the per-relation linear "
+                             "cost constant so flops-exact must fail"),
+        **_COMMON,
     },
     "train-kg": {
-        "epochs": (int, 30), "lr": (float, 5e-3), "batch_size": (int, 16),
-        "num_layers": (int, 6), "channels": (int, 32),
-        "scorer_hidden": (int, 64), "negatives": (int, 32),
-        "scorer_features": (str, "concat_product"), "anneal": (bool, True),
-        "train": ("path", None), "valid": ("path", None),
-        "test": ("path", None), "people": (int, 100), "data_seed": (int, 0),
-        "seed": (int, 0), "threads": (int, None), "f64": (bool, False),
-        "out": ("path", None),
+        "epochs": _Opt(int, 30, "training epochs"),
+        "lr": _Opt(float, 5e-3, "base learning rate"),
+        "batch_size": _Opt(int, 16, "positive triplets per step"),
+        "num_layers": _Opt(int, 6, "message-passing layers"),
+        "channels": _Opt(int, 32, "hidden channels"),
+        "scorer_hidden": _Opt(int, 64, "scorer hidden width"),
+        "negatives": _Opt(int, 32, "corrupted triplets per positive"),
+        "scorer_features": _Opt(str, "concat_product", "scorer input features",
+                                ("concat_product", "concat")),
+        "anneal": _Opt(bool, True, "hold the learning rate constant instead "
+                                   "of annealing"),
+        **_KG_DATA,
+        **_COMMON,
     },
     "eval": {
-        "model_dir": ("path", None), "split": (str, "test"),
-        "train": ("path", None), "valid": ("path", None),
-        "test": ("path", None), "people": (int, 100), "data_seed": (int, 0),
-        "seed": (int, 0), "threads": (int, None), "f64": (bool, False),
-        "out": ("path", None),
+        "model_dir": _Opt("path", None,
+                          "directory holding model.ckpt + model_config.json"),
+        "split": _Opt(str, "test", "split to evaluate", ("valid", "test")),
+        **_KG_DATA,
+        **_COMMON,
     },
+}
+
+_COMMAND_HELP = {
+    "build-graph": "build an edge list + relation registry from an input file",
+    "bench-flops": "sweep analytic layer costs over relation counts",
+    "verify": "run verification suites",
+    "train-kg": "train link prediction on a KG",
+    "eval": "evaluate a trained KG model checkpoint",
 }
 
 
@@ -88,77 +137,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multi-relational graphs, gated message passing, and an "
                     "exact FLOPs cost model.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed (default 0)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="BLAS thread cap; 1 guarantees bit-identical reruns")
-        p.add_argument("--f64", action="store_const", const=True, default=None,
-                       help="run tensors in float64")
-        p.add_argument("--out", default=None, help="output directory")
+    for command, spec in _SPECS.items():
+        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+        for key, opt in spec.items():
+            flag = key.replace("_", "-")
+            if opt.kind is bool:
+                p.add_argument(f"--no-{flag}" if opt.default else f"--{flag}",
+                               dest=key, action="store_const",
+                               const=not opt.default, default=None,
+                               help=opt.help)
+                continue
+            text = opt.help
+            if opt.default is not None:
+                text += f" (default {opt.default})"
+            p.add_argument(f"--{flag}", dest=key, default=None,
+                           type=opt.kind if opt.kind in (int, float) else None,
+                           choices=opt.choices, help=text)
         p.add_argument("--config", default=None,
                        help="INI config file; flags override its values")
-
-    p = sub.add_parser("build-graph",
-                       help="build an edge list + relation registry from an input file")
-    p.add_argument("--domain", choices=("image", "protein", "kg"), default=None)
-    p.add_argument("--input", default=None, help="input file for the domain")
-    p.add_argument("--k-medium", dest="k_medium", type=int, default=None,
-                   help="K for image medium-range neighbors (default 0: none)")
-    common(p)
-
-    p = sub.add_parser("bench-flops",
-                       help="sweep analytic layer costs over relation counts")
-    p.add_argument("--k-max", dest="k_max", type=int, default=None,
-                   help="sweep K = 1..k_max (default 24)")
-    common(p)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", default=None,
-                   choices=("all", "flops-exact", "gradcheck", "e3", "oracles"))
-    p.add_argument("--transforms", type=int, default=None,
-                   help="rigid motions for the e3 suite (default 100)")
-    p.add_argument("--inject-fault", dest="inject_fault", action="store_const",
-                   const=True, default=None,
-                   help="test hook: perturb the per-relation linear cost "
-                        "constant so flops-exact must fail")
-    common(p)
-
-    p = sub.add_parser("train-kg", help="train link prediction on a KG")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--num-layers", dest="num_layers", type=int, default=None)
-    p.add_argument("--channels", type=int, default=None)
-    p.add_argument("--scorer-hidden", dest="scorer_hidden", type=int, default=None)
-    p.add_argument("--negatives", type=int, default=None)
-    p.add_argument("--scorer-features", dest="scorer_features", default=None,
-                   choices=("concat_product", "concat"))
-    p.add_argument("--no-anneal", dest="anneal", action="store_const",
-                   const=False, default=None,
-                   help="hold the learning rate constant instead of annealing")
-    p.add_argument("--train", default=None,
-                   help="training triplet TSV (default: bundled toy dataset)")
-    p.add_argument("--valid", default=None, help="validation triplet TSV")
-    p.add_argument("--test", default=None, help="test triplet TSV")
-    p.add_argument("--people", type=int, default=None,
-                   help="bundled toy dataset size (default 100)")
-    p.add_argument("--data-seed", dest="data_seed", type=int, default=None,
-                   help="bundled toy dataset seed (default 0)")
-    common(p)
-
-    p = sub.add_parser("eval", help="evaluate a trained KG model checkpoint")
-    p.add_argument("--model-dir", dest="model_dir", default=None,
-                   help="directory holding model.ckpt + model_config.json")
-    p.add_argument("--split", default=None, choices=("valid", "test"))
-    p.add_argument("--train", default=None,
-                   help="training triplet TSV (default: bundled toy dataset)")
-    p.add_argument("--valid", default=None, help="validation triplet TSV")
-    p.add_argument("--test", default=None, help="test triplet TSV")
-    p.add_argument("--people", type=int, default=None)
-    p.add_argument("--data-seed", dest="data_seed", type=int, default=None)
-    common(p)
     return parser
 
 
@@ -192,16 +188,16 @@ def _resolve_config(command: str, args) -> dict:
                 f"{args.config}: unknown keys in [{command}]: {sorted(unknown)}")
     resolved = {}
     explicit = set()
-    for key, (kind, default) in spec.items():
+    for key, opt in spec.items():
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
             explicit.add(key)
         elif key in from_file:
-            resolved[key] = _coerce(key, kind, from_file[key])
+            resolved[key] = _coerce(key, opt.kind, from_file[key])
             explicit.add(key)
         else:
-            resolved[key] = default
+            resolved[key] = opt.default
     resolved["_explicit"] = explicit
     return resolved
 
@@ -319,11 +315,15 @@ def cmd_bench_flops(resolved: dict) -> int:
 def cmd_verify(resolved: dict) -> int:
     from . import costmodel, verify
 
-    if resolved["inject_fault"]:
-        costmodel.GRMP_PER_RELATION_LINEAR = 8
     names = verify.SUITES if resolved["suite"] == "all" else (resolved["suite"],)
-    report = verify.run_suites(names, seed=resolved["seed"],
-                               transforms=resolved["transforms"])
+    linear = costmodel.GRMP_PER_RELATION_LINEAR
+    if resolved["inject_fault"]:
+        costmodel.GRMP_PER_RELATION_LINEAR = linear + 1
+    try:
+        report = verify.run_suites(names, seed=resolved["seed"],
+                                   transforms=resolved["transforms"])
+    finally:
+        costmodel.GRMP_PER_RELATION_LINEAR = linear
     report["inject_fault"] = bool(resolved["inject_fault"])
     text = json.dumps(report, indent=2)
     print(text)
@@ -408,11 +408,15 @@ def cmd_eval(resolved: dict) -> int:
             stored = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise DataError(f"{config_path}: cannot read model config ({e})")
-    cfg = KGModelConfig(num_layers=stored["num_layers"],
-                        channels=stored["channels"],
-                        scorer_hidden=stored["scorer_hidden"],
-                        negatives=stored["negatives"],
-                        scorer_features=stored["scorer_features"])
+    try:
+        cfg = KGModelConfig(num_layers=stored["num_layers"],
+                            channels=stored["channels"],
+                            scorer_hidden=stored["scorer_hidden"],
+                            negatives=stored["negatives"],
+                            scorer_features=stored["scorer_features"])
+        trained_on = (stored["num_entities"], stored["num_relations"])
+    except KeyError as e:
+        raise DataError(f"{config_path}: model config lacks key {e}") from e
     # when no data source is named, evaluate against the dataset the
     # checkpoint was trained on, as recorded next to it
     data_keys = ("train", "valid", "test", "people", "data_seed")
@@ -426,12 +430,11 @@ def cmd_eval(resolved: dict) -> int:
                 resolved[key] = recorded.get(key)
     out = _prepare_out(resolved, "eval")
     data, _ = _load_kg_data(resolved)
-    if (data.num_entities != stored["num_entities"]
-            or data.num_relations != stored["num_relations"]):
+    if (data.num_entities, data.num_relations) != trained_on:
         raise DataError(
             f"dataset has {data.num_entities} entities / "
             f"{data.num_relations} relations but the checkpoint was trained "
-            f"on {stored['num_entities']} / {stored['num_relations']}")
+            f"on {trained_on[0]} / {trained_on[1]}")
     params = KGModelParams.init(np.random.default_rng(0), data.num_entities,
                                 data.num_relations, cfg)
     weights = load_checkpoint(ckpt_path)

@@ -5,10 +5,9 @@ each node v and relation r, the ascending list of source nodes N_r(v). That
 layout fixes the summation order (ascending source index), which makes the
 aggregation deterministic bit-for-bit across runs.
 
-Normalization is the in-neighborhood mean. The normalizing weight for a slot
-is the exact rational 1/|N_r(v)|; the implementation divides the neighbor sum
-by the integer degree rather than multiplying by a rounded float reciprocal,
-so `norm_weight(v, r) * degree == 1` holds exactly in rational arithmetic.
+Normalization is the in-neighborhood mean. The implementation divides the
+neighbor sum by the integer degree rather than multiplying by a rounded float
+reciprocal.
 
 The aggregation output packs one slot per (relation, node) pair in node-major
 row order: row v*R + r holds the mean over N_r(v). Node-major order makes the
@@ -16,9 +15,6 @@ downstream "concatenate a node's relation slots" reshape a zero-copy view.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -85,29 +81,9 @@ class RelGraph:
             raise IndexError(f"relation {r} out of range")
         return int(self._degrees[r, v])
 
-    def norm_weight(self, v: int, r: int) -> Fraction:
-        """Exact mean-normalization weight 1/|N_r(v)| (0 for empty slots)."""
-        deg = self.in_degree(v, r)
-        return Fraction(0) if deg == 0 else Fraction(1, deg)
-
     def __repr__(self):
         return (f"RelGraph(nodes={self.num_nodes}, relations={self.num_relations}, "
                 f"edges={self.num_edges})")
-
-
-@dataclass
-class DegreeProfile:
-    """Mean in-degree per relation and the overall average degree."""
-    per_relation: list[float]
-    overall: float
-
-
-def degree_profile(graph: RelGraph) -> DegreeProfile:
-    if graph.num_nodes == 0 or graph.num_relations == 0:
-        return DegreeProfile(per_relation=[0.0] * graph.num_relations, overall=0.0)
-    per_rel = graph._degrees.mean(axis=1)
-    overall = graph.num_edges / (graph.num_relations * graph.num_nodes)
-    return DegreeProfile(per_relation=[float(x) for x in per_rel], overall=float(overall))
 
 
 def rel_aggregate(graph: RelGraph, z: Tensor) -> Tensor:

@@ -278,7 +278,6 @@ class ProteinEncoderConfig:
     num_layers: int = 6
     hidden: int = 512
     num_tasks: int = 2
-    vocab: str = AMINO_ACIDS
 
     def validate(self) -> "ProteinEncoderConfig":
         if self.num_layers < 1:
@@ -309,7 +308,7 @@ class ProteinEncoderParams:
         head = [( _param(trunc_normal(rng, (dims[i], dims[i + 1]), std), dtype),
                   _param(np.zeros(dims[i + 1]), dtype)) for i in range(3)]
         return cls(
-            embed_w=_param(trunc_normal(rng, (len(cfg.vocab), cfg.hidden), std),
+            embed_w=_param(trunc_normal(rng, (len(AMINO_ACIDS), cfg.hidden), std),
                            dtype),
             embed_b=_param(np.zeros(cfg.hidden), dtype),
             layers=[(GRMPParams.init(rng, num_relations, cfg.hidden, std, dtype),
@@ -345,10 +344,8 @@ def protein_forward(chain: ProteinChain, params: ProteinEncoderParams,
     if chain.length < 1:
         raise ContractError("empty chain")
     graph, _ = protein_edges(chain)
-    onehot = np.zeros((chain.length, len(cfg.vocab)))
-    for i, ch in enumerate(chain.sequence):
-        onehot[i, cfg.vocab.index(ch)] = 1.0
-    h = _bias_add(matmul(Tensor(onehot), params.embed_w), params.embed_b)
+    h = _bias_add(matmul(Tensor(chain.one_hot()), params.embed_w),
+                  params.embed_b)
     length = chain.length
     pools = []
     for grmp_p, norm_p in params.layers:

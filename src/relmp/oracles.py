@@ -3,7 +3,9 @@
 Everything here is deliberately naive: explicit Python loops and dense numpy
 arrays, no shared code with the package internals. Each oracle recomputes a
 quantity the library produces through a different route (sparse structures,
-stacked matmuls, recorded ops), so agreement is meaningful evidence.
+stacked matmuls, recorded ops), so agreement is meaningful evidence. This
+module imports numpy and nothing from relmp; both `relmp verify` and the test
+suite check the library against it.
 """
 
 import numpy as np

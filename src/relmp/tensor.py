@@ -36,7 +36,8 @@ from contextlib import contextmanager
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .errors import (ConfigError, ContractError, DataError, NumericError,
+                     ShapeError)
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -819,19 +820,37 @@ def save_checkpoint(path, named_tensors: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint written by save_checkpoint; returns name -> ndarray."""
-    from .errors import DataError
+    """Read a checkpoint written by save_checkpoint; returns name -> ndarray.
 
+    Raises DataError when the header is short or not JSON, when an entry's
+    dtype is not float32/float64, or when its bytes disagree with its shape
+    or reach past the payload.
+    """
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _CKPT_MAGIC:
-            raise DataError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        body = f.read()
+        blob = f.read()
+    if blob[:4] != _CKPT_MAGIC:
+        raise DataError(f"{path}: not a checkpoint file")
+    if len(blob) < 8:
+        raise DataError(f"{path}: truncated checkpoint header")
+    (hlen,) = struct.unpack_from("<I", blob, 4)
+    if len(blob) < 8 + hlen:
+        raise DataError(f"{path}: truncated checkpoint header")
+    body = blob[8 + hlen:]
     out = {}
-    for e in header["tensors"]:
-        raw = body[e["offset"]:e["offset"] + e["nbytes"]]
-        arr = np.frombuffer(raw, dtype=np.dtype(e["dtype"]).newbyteorder("<"))
-        out[e["name"]] = arr.reshape(e["shape"]).astype(e["dtype"])
+    try:
+        for e in json.loads(blob[8:8 + hlen].decode("utf-8"))["tensors"]:
+            name, shape = e["name"], tuple(int(n) for n in e["shape"])
+            offset, nbytes = int(e["offset"]), int(e["nbytes"])
+            if e["dtype"] not in ("float32", "float64"):
+                raise DataError(f"{path}: {name}: unsupported dtype {e['dtype']!r}")
+            dtype = np.dtype(e["dtype"])
+            if (min(shape, default=0) < 0 or offset < 0
+                    or nbytes != dtype.itemsize * int(np.prod(shape))
+                    or offset + nbytes > len(body)):
+                raise DataError(f"{path}: {name}: entry does not fit the payload")
+            raw = body[offset:offset + nbytes]
+            out[name] = np.frombuffer(raw, dtype=dtype.newbyteorder("<")
+                                      ).reshape(shape).astype(dtype)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: malformed checkpoint header ({exc})") from exc
     return out

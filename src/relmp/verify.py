@@ -11,11 +11,8 @@ Four suites, each a list of named checks:
 - ``e3``: protein graphs and encoder representations are unchanged under
   random rigid motions and reflections of the input coordinates.
 - ``oracles``: sparse aggregation, both layer forwards, the medium-range
-  edge builders, and the line-graph builder match independent brute-force
-  reference implementations.
-
-Every reference here is written as a literal loop over the defining formula,
-deliberately sharing no code with the library implementation it checks.
+  edge builders, and the line-graph builder match the brute-force references
+  in `relmp.oracles`, which share no code with the implementations they check.
 """
 
 from __future__ import annotations
@@ -31,6 +28,8 @@ from .errors import ContractError
 from .graph import RelGraph, build_line_graph, rel_aggregate
 from .layers import (GRMPParams, RGConvParams, grmp_forward, rgconv_forward)
 from .models import ProteinEncoderConfig, ProteinEncoderParams, protein_forward
+from .oracles import (aggregate_oracle, grmp_oracle, knn_oracle,
+                      line_graph_oracle, protein_edges_oracle, rgconv_oracle)
 from .tensor import Tensor, count_flops, default_dtype, finite_difference_check, sum_all
 
 SUITES = ("flops-exact", "gradcheck", "e3", "oracles")
@@ -243,110 +242,17 @@ def suite_e3(seed: int = 0, transforms: int = 100,
 # -- oracles ---------------------------------------------------------------------------
 
 
-def _dense_aggregate_reference(graph: RelGraph, z: np.ndarray) -> np.ndarray:
-    v_count, r_count = graph.num_nodes, graph.num_relations
-    adjacency = np.zeros((v_count * r_count, v_count))
-    degree = np.zeros(v_count * r_count, dtype=np.int64)
-    for src, dst, rel in graph.edge_list():
-        degree[dst * r_count + rel] += 1
-    for src, dst, rel in graph.edge_list():
-        slot = dst * r_count + rel
-        adjacency[slot, src] = 1.0 / degree[slot]
-    return adjacency @ z
+def _rgconv_reference(graph: RelGraph, z: np.ndarray, p) -> np.ndarray:
+    return rgconv_oracle(graph.num_nodes, graph.num_relations,
+                         graph.edge_list(), z, p.w_stack.data, p.b_stack.data,
+                         p.w_self.data, p.b_self.data)
 
 
-def _loop_rgconv_reference(graph, z, p) -> np.ndarray:
-    v_count, c = z.shape
-    out = np.zeros_like(z)
-    edges = graph.edge_list()
-    for v in range(v_count):
-        acc = z[v] @ p.w_self.data + p.b_self.data
-        for r in range(graph.num_relations):
-            w_r = p.w_stack.data[r * c:(r + 1) * c]
-            sources = [s for s, d, k in edges if d == v and k == r]
-            term = np.zeros(c)
-            for u in sources:
-                term = term + z[u] @ w_r / len(sources)
-            acc = acc + term + p.b_stack.data[r]
-        out[v] = acc
-    return out
-
-
-def _loop_grmp_reference(graph, z, p) -> np.ndarray:
-    v_count, c = z.shape
-    out = np.zeros_like(z)
-    edges = graph.edge_list()
-    for v in range(v_count):
-        alpha = z[v] @ p.w_alpha.data + p.b_alpha.data
-        pooled = np.zeros(c)
-        for r in range(graph.num_relations):
-            w_r = p.w_channel.data[0, r * c:(r + 1) * c]
-            sources = [s for s, d, k in edges if d == v and k == r]
-            term = np.zeros(c)
-            for u in sources:
-                term = term + w_r * (
-                    z[u] @ p.w_in.data + p.b_in.data) / len(sources)
-            pooled = pooled + alpha[r] * term
-        out[v] = (z[v] @ p.w_self.data) * (pooled @ p.w_out.data + p.b_out.data)
-    return out
-
-
-def _knn_reference(grid: PatchGrid, k: int) -> set:
-    height, width = grid.height, grid.width
-    feats = grid.features.astype(np.float64)
-    half_w = (width + 1) // 2
-    edges = set()
-    for v in range(height * width):
-        home = ((v // width) // 2) * half_w + (v % width) // 2
-        candidates = []
-        for u in range(height * width):
-            if u == v:
-                continue
-            if ((u // width) // 2) * half_w + (u % width) // 2 == home:
-                continue
-            candidates.append((float(((feats[u] - feats[v]) ** 2).sum()), u))
-        candidates.sort()
-        for _, u in candidates[:k]:
-            edges.add((u, v))
-    return edges
-
-
-def _protein_medium_reference(coords: np.ndarray, seq_cutoff: int = 5,
-                              dist_cutoff: float = 10.0,
-                              ranks=(5, 10)) -> tuple[set, set]:
-    length = len(coords)
-    near, far = set(), set()
-    for v in range(length):
-        candidates = []
-        for u in range(length):
-            dist = float(np.linalg.norm(coords[u] - coords[v]))
-            if abs(u - v) > seq_cutoff and dist > dist_cutoff:
-                candidates.append((dist, u))
-        candidates.sort()
-        for rank, (_, u) in enumerate(candidates, start=1):
-            if rank <= ranks[0]:
-                near.add((u, v))
-            elif rank <= ranks[1]:
-                far.add((u, v))
-    return near, far
-
-
-def _line_graph_reference(graph: RelGraph, coords: np.ndarray,
-                          num_bins: int) -> set:
-    edges = graph.edge_list()
-    out = set()
-    for i, (a, b, _) in enumerate(edges):
-        for j, (s, d, _) in enumerate(edges):
-            if i == j or s != b:
-                continue
-            u, w = coords[b] - coords[a], coords[d] - coords[s]
-            nu, nw = np.linalg.norm(u), np.linalg.norm(w)
-            if nu == 0.0 or nw == 0.0:
-                out.add((i, j, 0))
-                continue
-            theta = np.arccos(np.clip(u @ w / (nu * nw), -1.0, 1.0))
-            out.add((i, j, min(int(theta / (np.pi / num_bins)), num_bins - 1)))
-    return out
+def _grmp_reference(graph: RelGraph, z: np.ndarray, p) -> np.ndarray:
+    return grmp_oracle(graph.num_nodes, graph.num_relations, graph.edge_list(),
+                       z, p.w_self.data, p.w_channel.data, p.w_in.data,
+                       p.b_in.data, p.w_out.data, p.b_out.data,
+                       p.w_alpha.data, p.b_alpha.data)
 
 
 def suite_oracles(seed: int = 0) -> list[Check]:
@@ -359,14 +265,15 @@ def suite_oracles(seed: int = 0) -> list[Check]:
         z = rng.normal(size=(graph.num_nodes, 5))
         with default_dtype(np.float64):
             got = rel_aggregate(graph, Tensor(z, dtype=np.float64))
-        want = _dense_aggregate_reference(graph, z)
+        want = aggregate_oracle(graph.num_nodes, graph.num_relations,
+                                graph.edge_list(), z)
         worst = max(worst, float(np.abs(got.data - want).max()))
     checks.append(Check("aggregation-matches-dense-adjacency", worst < 1e-12,
                         f"worst absolute deviation {worst:.3e} (1e-12)"))
 
     for layer, forward, make_params, reference in (
-            ("rgconv", rgconv_forward, RGConvParams.init, _loop_rgconv_reference),
-            ("grmp", grmp_forward, GRMPParams.init, _loop_grmp_reference)):
+            ("rgconv", rgconv_forward, RGConvParams.init, _rgconv_reference),
+            ("grmp", grmp_forward, GRMPParams.init, _grmp_reference)):
         worst = 0.0
         for _ in range(3):
             graph = _random_graph(rng, 7, 3, 22)
@@ -385,10 +292,10 @@ def suite_oracles(seed: int = 0) -> list[Check]:
         feats = rng.normal(size=(height * width, 6)).astype(np.float32)
         grid = PatchGrid(height, width, feats)
         got = {(s, d) for s, d, _ in image_medium_edges(grid, k)}
-        knn_ok = knn_ok and got == _knn_reference(grid, k)
+        knn_ok = knn_ok and got == set(knn_oracle(feats, height, width, k))
     flat = PatchGrid(2, 4, np.ones((8, 3), dtype=np.float32))
     tie_got = {(s, d) for s, d, _ in image_medium_edges(flat, 3)}
-    knn_ok = knn_ok and tie_got == _knn_reference(flat, 3)
+    knn_ok = knn_ok and tie_got == set(knn_oracle(flat.features, 2, 4, 3))
     checks.append(Check("image-medium-edges-match-brute-force", knn_ok,
                         "3 random grids + constant-feature tie grid, exact"))
 
@@ -397,7 +304,8 @@ def suite_oracles(seed: int = 0) -> list[Check]:
     rel = {"medium_near": 6, "medium_far": 7}
     got_near = {(s, d) for s, d, r in graph.edge_list() if r == rel["medium_near"]}
     got_far = {(s, d) for s, d, r in graph.edge_list() if r == rel["medium_far"]}
-    want_near, want_far = _protein_medium_reference(coords)
+    want = protein_edges_oracle(coords)
+    want_near, want_far = set(want["medium_a"]), set(want["medium_b"])
     checks.append(Check("protein-medium-edges-match-brute-force",
                         got_near == want_near and got_far == want_far,
                         f"{len(want_near)} near + {len(want_far)} far edges, exact"))
@@ -405,7 +313,7 @@ def suite_oracles(seed: int = 0) -> list[Check]:
     base = _random_graph(rng, 8, 2, 14)
     pts = rng.normal(scale=3.0, size=(8, 3))
     got = set(build_line_graph(base, pts, num_bins=8).edge_list())
-    want = _line_graph_reference(base, pts, 8)
+    want = set(line_graph_oracle(base.edge_list(), pts, num_bins=8))
     checks.append(Check("line-graph-matches-pair-enumeration", got == want,
                         f"{len(want)} chained pairs, exact"))
     return checks

@@ -3,7 +3,7 @@
 Each test states a package-level contract and checks it at its stated
 tolerance, preferring verification routes that are independent of the
 implementation: closed-form arithmetic recomputed inline, brute-force loop
-oracles from tests/oracles.py, frozen worked values, and subprocess
+oracles from relmp.oracles, frozen worked values, and subprocess
 command-line runs. `pytest -v tests/test_acceptance.py` therefore emits one
 pass/fail line per criterion.
 """
@@ -17,8 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from oracles import (aggregate_oracle, grmp_oracle, knn_oracle,
-                     line_graph_oracle, protein_edges_oracle, rgconv_oracle)
 from relmp import cli
 from relmp.builders import (AMINO_ACIDS, PatchGrid, ProteinChain,
                             image_medium_edges, load_triplets, protein_edges)
@@ -31,6 +29,9 @@ from relmp.layers import (GRMPParams, GRMPVariant, RGConvParams, grmp_forward,
 from relmp.models import (ImageModelConfig, ImageModelParams,
                           ProteinEncoderConfig, ProteinEncoderParams,
                           image_forward, protein_forward)
+from relmp.oracles import (aggregate_oracle, grmp_oracle, knn_oracle,
+                           line_graph_oracle, protein_edges_oracle,
+                           rgconv_oracle)
 from relmp.tensor import (Tensor, count_flops, default_dtype,
                           finite_difference_check, sum_all)
 from relmp.training import toy_kinship_kg

@@ -7,13 +7,11 @@ from relmp.builders import (
     AMINO_ACIDS,
     PROTEIN_RELATIONS,
     KGDataset,
-    LongRangeSpec,
     PatchGrid,
     ProteinChain,
     TripletStore,
     build_image_graph,
     fact_graph,
-    image_long_edge_spec,
     image_medium_edges,
     image_short_edges,
     load_patch_grid,
@@ -25,8 +23,7 @@ from relmp.builders import (
     save_triplets,
 )
 from relmp.errors import ConfigError, DataError
-
-from oracles import knn_oracle, protein_edges_oracle
+from relmp.oracles import knn_oracle, protein_edges_oracle
 
 
 # -- patch grids and their binary format ---------------------------------------------
@@ -146,15 +143,7 @@ def test_medium_edges_k_larger_than_candidates():
         assert len(by_dst[v]) == 4  # 8 patches minus the 4 in v's own window
 
 
-# -- long-range spec and the combined image graph -------------------------------------
-
-
-def test_long_spec_counts():
-    spec = image_long_edge_spec(4, 7)
-    assert spec.num_patches == 28
-    assert spec.num_virtual_nodes == 29
-    assert len(spec.global_edges(28, 0)) == 28
-    assert len(spec.context_edges(29, 1)) == 28
+# -- the combined image graph --------------------------------------------------------
 
 
 def test_build_image_graph_stage_one_layout():

@@ -1,21 +1,26 @@
 """Command-line contract tests: artifacts, exit codes, precedence, determinism.
 
-Fast paths call main() in-process; the fault-injection and bit-identical-rerun
-checks run fresh interpreters, because the first mutates a module constant for
-the lifetime of its process and the second is a statement about whole runs.
+Fast paths call main() in-process; one fault-injection check and the
+bit-identical-rerun check run fresh interpreters, because the first is about
+the exit code of the installed entry point and the second is a statement
+about whole runs.
 """
 
 import csv
 import json
+import re
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from relmp import cli, verify
 from relmp.builders import (PatchGrid, ProteinChain, save_patch_grid,
                             save_protein_chain)
 from relmp.cli import main
+from relmp.costmodel import grmp_flops
 
 TINY_TRAIN = ["--people", "30", "--num-layers", "2", "--channels", "8",
               "--scorer-hidden", "16", "--negatives", "4"]
@@ -193,6 +198,12 @@ def test_verify_fault_injection_fails_flops_exact():
     assert "grmp-instrumented-count-grid" in failing
 
 
+def test_fault_injection_is_undone_when_verify_returns(capsys):
+    assert main(["verify", "--suite", "flops-exact", "--inject-fault"]) == 1
+    capsys.readouterr()
+    assert grmp_flops(2, 3, 10, 4) == 2000
+
+
 # -- train-kg / eval -----------------------------------------------------------------------
 
 
@@ -255,6 +266,48 @@ def test_eval_rejects_a_mismatched_dataset(tmp_path):
                  "--out", str(tmp_path / "out")]) == 3
 
 
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    run = tmp_path_factory.mktemp("trained")
+    assert main(["train-kg", "--epochs", "0", *TINY_TRAIN,
+                 "--out", str(run)]) == 0
+    return run
+
+
+def _damaged_copy(run, tmp_path):
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    return copy
+
+
+def test_eval_of_a_checkpoint_cut_in_half_is_a_data_error(trained_run, tmp_path):
+    run = _damaged_copy(trained_run, tmp_path)
+    blob = (run / "model.ckpt").read_bytes()
+    (run / "model.ckpt").write_bytes(blob[:len(blob) // 2])
+    assert main(["eval", "--model-dir", str(run),
+                 "--out", str(tmp_path / "out")]) == 3
+
+
+def test_eval_of_a_checkpoint_cut_inside_its_header_is_a_data_error(
+        trained_run, tmp_path):
+    run = _damaged_copy(trained_run, tmp_path)
+    blob = (run / "model.ckpt").read_bytes()
+    (run / "model.ckpt").write_bytes(blob[:6])
+    assert main(["eval", "--model-dir", str(run),
+                 "--out", str(tmp_path / "out")]) == 3
+
+
+def test_eval_with_a_model_config_key_missing_is_a_data_error(
+        trained_run, tmp_path, capsys):
+    run = _damaged_copy(trained_run, tmp_path)
+    stored = json.loads((run / "model_config.json").read_text())
+    del stored["channels"]
+    (run / "model_config.json").write_text(json.dumps(stored))
+    assert main(["eval", "--model-dir", str(run),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "channels" in capsys.readouterr().err
+
+
 def test_same_seed_same_threads_gives_byte_identical_runs(tmp_path):
     outputs = []
     for name in ("first", "second"):
@@ -298,3 +351,21 @@ def test_unknown_config_key_is_a_usage_error(tmp_path):
 def test_missing_config_file_is_a_data_error(tmp_path):
     assert main(["train-kg", "--config", str(tmp_path / "absent.ini"),
                  "--out", str(tmp_path / "out")]) == 3
+
+
+# -- the option table ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", sorted(cli._SPECS))
+def test_help_lists_every_option_of_the_command(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+    for key in cli._SPECS[command]:
+        name = key.replace("_", "-")
+        assert {f"--{name}", f"--no-{name}"} & flags, key
+
+
+def test_suite_choices_follow_the_verify_module():
+    assert cli._SPECS["verify"]["suite"].choices == ("all",) + verify.SUITES

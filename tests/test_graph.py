@@ -1,14 +1,12 @@
 """Relational graph structure, aggregation, line graphs, edge-list files."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
-from oracles import aggregate_oracle, line_graph_oracle
 from relmp.errors import DataError, GraphError, ShapeError
-from relmp.graph import (RelGraph, build_line_graph, degree_profile,
-                         load_edge_list, rel_aggregate, save_edge_list)
+from relmp.graph import (RelGraph, build_line_graph, load_edge_list,
+                         rel_aggregate, save_edge_list)
+from relmp.oracles import aggregate_oracle, line_graph_oracle
 from relmp.tensor import Tensor, count_flops
 
 
@@ -46,30 +44,6 @@ class TestRelGraphConstruction:
         g1 = RelGraph(4, 2, edges)
         g2 = RelGraph(4, 2, list(reversed(edges)))
         assert g1.edge_list() == g2.edge_list()
-
-    def test_norm_weight_exact_rational(self):
-        # degrees that break float reciprocal roundtrips (e.g. 49) stay exact
-        for deg in (1, 3, 7, 49, 103):
-            g = RelGraph(deg + 1, 1, [(u, deg, 0) for u in range(deg)])
-            w = g.norm_weight(deg, 0)
-            assert w * deg == 1
-            assert isinstance(w, Fraction)
-
-    def test_norm_weight_zero_for_empty(self):
-        g = RelGraph(2, 1, [(0, 1, 0)])
-        assert g.norm_weight(0, 0) == 0
-
-
-class TestDegreeProfile:
-    def test_known_graph(self):
-        g = RelGraph(4, 2, [(0, 1, 0), (2, 1, 0), (1, 0, 0), (3, 2, 1)])
-        prof = degree_profile(g)
-        assert prof.per_relation == [3 / 4, 1 / 4]
-        assert prof.overall == 4 / (2 * 4)
-
-    def test_empty_graph(self):
-        prof = degree_profile(RelGraph(3, 2, []))
-        assert prof.per_relation == [0.0, 0.0] and prof.overall == 0.0
 
 
 class TestRelAggregate:

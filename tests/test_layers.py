@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from oracles import grmp_oracle, layer_norm_oracle, rgconv_oracle
 from relmp.costmodel import grmp_flops, rgconv_flops
 from relmp.errors import ContractError, ShapeError
 from relmp.graph import RelGraph, rel_aggregate
@@ -11,6 +10,7 @@ from relmp.layers import (ContextStackParams, FFNParams, GRMPParams, GRMPVariant
                           LayerNormParams, PatchMergeParams, RGConvParams,
                           context_stack_features, ffn_forward, global_virtual_feature,
                           grmp_forward, layer_norm, patch_merging, rgconv_forward)
+from relmp.oracles import grmp_oracle, layer_norm_oracle, rgconv_oracle
 from relmp.tensor import (Tensor, count_flops, finite_difference_check, hadamard,
                           sum_all)
 

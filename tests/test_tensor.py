@@ -1,11 +1,15 @@
 """Tensor core: op semantics, FLOP accounting, gradients, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from oracles import depthwise_conv_oracle, matmul_oracle
 from relmp import tensor as T
-from relmp.errors import ConfigError, ContractError, NumericError, ShapeError
+from relmp.errors import (ConfigError, ContractError, DataError, NumericError,
+                          ShapeError)
+from relmp.oracles import depthwise_conv_oracle, matmul_oracle
 from relmp.tensor import (OpCounter, Tensor, bce_with_logits, concat_cols,
                           concat_rows, count_flops, counting_paused,
                           cross_entropy_with_logits, default_dtype,
@@ -311,5 +315,31 @@ class TestCheckpoint:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         from relmp.errors import DataError
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    def test_every_truncation_is_a_data_error(self, tmp_path):
+        path = tmp_path / "params.bin"
+        save_checkpoint(path, {"w": Tensor(np.ones((2, 3))), "b": Tensor([1.0])})
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(DataError):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("dtype", "int64"), ("dtype", "object"), ("offset", -4),
+        ("nbytes", 4), ("shape", [3, 2]), ("shape", "wide")])
+    def test_inconsistent_header_entry_is_a_data_error(self, tmp_path, field,
+                                                        value):
+        path = tmp_path / "params.bin"
+        save_checkpoint(path, {"w": Tensor(np.ones((2, 2)))})
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 4)
+        header = json.loads(blob[8:8 + hlen])
+        header["tensors"][0][field] = value
+        raw = json.dumps(header).encode()
+        path.write_bytes(blob[:4] + struct.pack("<I", len(raw)) + raw
+                         + blob[8 + hlen:])
         with pytest.raises(DataError):
             load_checkpoint(path)
