@@ -28,6 +28,11 @@ MEDIUM_RELATION = "medium"
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWYUO"
 PROTEIN_RELATIONS = ("seq-2", "seq-1", "seq+0", "seq+1", "seq+2",
                      "radius", "medium_near", "medium_far", "virtual")
+# protein_edges rules; the relation names above fix SEQ_WINDOW at 2
+RADIUS = 10.0                   # contact shell, angstrom
+SEQ_WINDOW = 2                  # sequence offsets -2..+2
+MEDIUM_SEQ_CUTOFF = 5           # medium candidates are > 5 apart in sequence
+MEDIUM_RANK_BOUNDS = (5, 10)    # near band ranks 1..5, far band 6..10
 
 
 # -- image patch grids ---------------------------------------------------------------
@@ -232,52 +237,39 @@ def load_protein_chain(path) -> ProteinChain:
         raise DataError(f"{path}: {e}") from e
 
 
-def protein_edges(chain: ProteinChain, radius: float = 10.0, seq_window: int = 2,
-                  medium_seq_cutoff: int = 5,
-                  medium_rank_bounds: tuple[int, int] = (5, 10)
-                  ) -> tuple[RelGraph, list[str]]:
+def protein_edges(chain: ProteinChain) -> tuple[RelGraph, list[str]]:
     """Nine-relation residue graph plus one virtual node at index L.
 
-    Relations, in registry order: sequence offsets -2..+2 (offset 0 is the
-    self-loop), radius contacts within `radius` angstrom (self excluded), two
-    medium bands over candidates that survive the sequence/radius filter
-    (ranks 1..5 and 6..10 by ascending distance, index tie-break), and the
-    virtual relation from the summary node to every residue. All rules depend
-    on distances and indices only, so any rigid motion or reflection of the
-    coordinates that stays clear of threshold ties leaves the graph unchanged.
+    Relations, in registry order: sequence offsets -SEQ_WINDOW..+SEQ_WINDOW
+    (offset 0 is the self-loop), radius contacts within RADIUS angstrom (self
+    excluded), two medium bands over candidates more than MEDIUM_SEQ_CUTOFF
+    apart in sequence and beyond RADIUS (ranks 1..5 and 6..10 by ascending
+    distance, index tie-break; MEDIUM_RANK_BOUNDS), and the virtual relation
+    from the summary node to every residue. All rules depend on distances and
+    indices only, so any rigid motion or reflection of the coordinates that
+    stays clear of threshold ties leaves the graph unchanged.
     """
     length = chain.length
-    coords = chain.coords
-    edges = []
-    offsets = list(range(-seq_window, seq_window + 1))
-    for v in range(length):
-        for rel, off in enumerate(offsets):
-            u = v + off
-            if 0 <= u < length:
-                edges.append((u, v, rel))
+    idx = np.arange(length)
+    offsets = np.arange(-SEQ_WINDOW, SEQ_WINDOW + 1)
+    src = idx[:, None] + offsets            # column j holds relation j
+    v, rel = np.nonzero((src >= 0) & (src < length))
+    parts = [np.stack([src[v, rel], v, rel], axis=1)]
     rel_radius = len(offsets)
-    rel_med_near = rel_radius + 1
-    rel_med_far = rel_radius + 2
-    rel_virtual = rel_radius + 3
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    for v in range(length):
-        ranked = []
-        for u in range(length):
-            if u == v:
-                continue
-            if dist[u, v] <= radius:
-                edges.append((u, v, rel_radius))
-            if abs(u - v) > medium_seq_cutoff and dist[u, v] > radius:
-                ranked.append((dist[u, v], u))
-        ranked.sort()
-        near, far = medium_rank_bounds
-        for rank, (_, u) in enumerate(ranked[:far], start=1):
-            edges.append((u, v, rel_med_near if rank <= near else rel_med_far))
-    virtual = length
-    for v in range(length):
-        edges.append((virtual, v, rel_virtual))
-    graph = RelGraph(length + 1, len(PROTEIN_RELATIONS), edges)
+    diff = chain.coords[:, None, :] - chain.coords[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))  # dist[u, v]: column v ranks sources u
+    u, v = np.nonzero((dist <= RADIUS) & (idx[:, None] != idx))
+    parts.append(np.stack([u, v, np.full_like(u, rel_radius)], axis=1))
+    near, far = MEDIUM_RANK_BOUNDS
+    candidate = (np.abs(idx[:, None] - idx) > MEDIUM_SEQ_CUTOFF) & (dist > RADIUS)
+    # lexsort is stable: candidates first, nearest first, ties by ascending index
+    ranked = np.lexsort((dist, ~candidate), axis=0)[:far]
+    rank, v = np.nonzero(np.take_along_axis(candidate, ranked, axis=0))
+    band = np.where(rank < near, rel_radius + 1, rel_radius + 2)
+    parts.append(np.stack([ranked[rank, v], v, band], axis=1))
+    parts.append(np.stack([np.full_like(idx, length), idx,
+                           np.full_like(idx, rel_radius + 3)], axis=1))
+    graph = RelGraph(length + 1, len(PROTEIN_RELATIONS), np.concatenate(parts))
     return graph, list(PROTEIN_RELATIONS)
 
 
@@ -374,11 +366,11 @@ def fact_graph(train: TripletStore) -> RelGraph:
     already present leaves the graph unchanged.
     """
     half = train.num_relations // 2
-    edge_set = set()
-    for h, r, t in train.triplets:
-        edge_set.add((h, t, r))
-        edge_set.add((t, h, r + half))
-    return RelGraph(train.num_entities, train.num_relations, sorted(edge_set))
+    h, r, t = np.asarray(train.triplets, dtype=np.int64).reshape(-1, 3).T
+    edges = np.concatenate([np.stack([h, t, r], axis=1),
+                            np.stack([t, h, r + half], axis=1)])
+    return RelGraph(train.num_entities, train.num_relations,
+                    np.unique(edges, axis=0))
 
 
 def save_triplets(path, store: TripletStore, entities, relations) -> None:

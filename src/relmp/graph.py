@@ -1,9 +1,12 @@
 """Multi-relational directed graphs and the mean-normalized aggregation op.
 
-A RelGraph stores, for every relation, a destination-grouped adjacency: for
-each node v and relation r, the ascending list of source nodes N_r(v). That
-layout fixes the summation order (ascending source index), which makes the
-aggregation deterministic bit-for-bit across runs.
+A RelGraph is built from an (E, 3) int array of (src, dst, rel) rows or from a
+list of such triples. It stores the edges sorted by (rel, dst, src), which is
+the CSR form of the relation-major [R*V, V] slot matrix: row r*V + v lists the
+ascending sources N_r(v). Aggregation is one sparse product with that matrix
+and its backward one product with the transpose, so the summation order
+(ascending source index forward, edge storage order backward) is fixed and
+the aggregation is deterministic bit-for-bit across runs.
 
 Normalization is the in-neighborhood mean. The implementation divides the
 neighbor sum by the integer degree rather than multiplying by a rounded float
@@ -17,6 +20,7 @@ downstream "concatenate a node's relation slots" reshape a zero-copy view.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import DataError, GraphError, ShapeError
 from .tensor import Tensor, _charge, _result
@@ -26,6 +30,7 @@ class RelGraph:
     """Immutable multi-relational directed graph.
 
     Edges are triples (src, dst, rel); src is an in-neighbor of dst under rel.
+    They may be given as an (E, 3) int array or as any sequence of triples.
     Duplicate triples are rejected. Canonical edge order is (rel, dst, src)
     ascending, which is also the storage order.
     """
@@ -33,26 +38,29 @@ class RelGraph:
     def __init__(self, num_nodes: int, num_relations: int, edges):
         if num_nodes < 0 or num_relations < 0:
             raise GraphError("node and relation counts must be non-negative")
-        triples = [(int(s), int(d), int(r)) for (s, d, r) in edges]
-        for s, d, r in triples:
-            if not (0 <= s < num_nodes and 0 <= d < num_nodes):
-                raise GraphError(f"edge ({s},{d},{r}) references a node out of range")
-            if not (0 <= r < num_relations):
-                raise GraphError(f"edge ({s},{d},{r}) references relation out of range")
-        triples.sort(key=lambda e: (e[2], e[1], e[0]))
-        for a, b in zip(triples, triples[1:]):
-            if a == b:
-                raise GraphError(f"duplicate edge {a}")
+        try:
+            edges = np.asarray(edges, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise GraphError(f"edges must be (src, dst, rel) triples: {e}") from e
+        if edges.shape == (0,):
+            edges = edges.reshape(0, 3)
+        if edges.ndim != 2 or edges.shape[1] != 3:
+            raise GraphError(f"edges must have shape (E, 3), not {edges.shape}")
+        bad = ((edges < 0) | (edges >= [num_nodes, num_nodes, num_relations])).any(axis=1)
+        if bad.any():
+            edge = tuple(edges[bad.argmax()].tolist())
+            raise GraphError(f"edge {edge} references a node or relation out of range")
+        edges = edges[np.lexsort(edges.T)]   # last key primary: (rel, dst, src)
+        repeated = (edges[1:] == edges[:-1]).all(axis=1)
+        if repeated.any():
+            raise GraphError(f"duplicate edge {tuple(edges[repeated.argmax()].tolist())}")
         self.num_nodes = num_nodes
         self.num_relations = num_relations
-        self._src = np.array([t[0] for t in triples], dtype=np.int64)
-        self._dst = np.array([t[1] for t in triples], dtype=np.int64)
-        self._rel = np.array([t[2] for t in triples], dtype=np.int64)
+        self._src, self._dst, self._rel = np.ascontiguousarray(edges.T)
+        # rows r*V + v of the relation-major [R*V, V] slot matrix in CSR form:
         # indptr[r*V + v] bounds the sources of slot (r, v) in storage order
-        counts = np.zeros(num_relations * num_nodes, dtype=np.int64)
-        if triples:
-            slot_of_edge = self._rel * num_nodes + self._dst
-            np.add.at(counts, slot_of_edge, 1)
+        counts = np.bincount(self._rel * num_nodes + self._dst,
+                             minlength=num_relations * num_nodes)
         self._indptr = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=self._indptr[1:])
         self._degrees = counts.reshape(num_relations, num_nodes)
@@ -99,15 +107,13 @@ def rel_aggregate(graph: RelGraph, z: Tensor) -> Tensor:
     if z.shape[0] != graph.num_nodes:
         raise ShapeError(f"feature rows {z.shape[0]} != num_nodes {graph.num_nodes}")
     v_count, r_count, c = graph.num_nodes, graph.num_relations, z.shape[1]
-    sums = np.zeros((r_count * v_count, c), dtype=z.data.dtype)
-    if graph.num_edges:
-        slot_of_edge = graph._rel * v_count + graph._dst
-        np.add.at(sums, slot_of_edge, z.data[graph._src])
-    deg = graph._degrees.reshape(-1, 1).astype(z.data.dtype)
-    nonzero = graph._degrees.reshape(-1) > 0
-    out = np.zeros_like(sums)
-    if nonzero.any():
-        out[nonzero] = sums[nonzero] / deg[nonzero]
+    # unit weights in z's dtype keep float32 features float32; every product
+    # with 1 is exact, so each slot sums its sources in storage order
+    adj = csr_matrix((np.ones(graph.num_edges, dtype=z.data.dtype), graph._src,
+                      graph._indptr), shape=(r_count * v_count, v_count))
+    # empty slots sum to zero, so dividing them by 1 leaves zero rows
+    deg = np.maximum(graph._degrees, 1).reshape(-1, 1).astype(z.data.dtype)
+    out = (adj @ z.data) / deg
     # rows are stored (r, v)-major in `out`; emit node-major order v*R + r
     out_nodemajor = out.reshape(r_count, v_count, c).transpose(1, 0, 2).reshape(-1, c)
     out_nodemajor = np.ascontiguousarray(out_nodemajor)
@@ -115,13 +121,8 @@ def rel_aggregate(graph: RelGraph, z: Tensor) -> Tensor:
 
     def backward(g):
         g_rv = g.reshape(v_count, r_count, c).transpose(1, 0, 2).reshape(-1, c)
-        scaled = np.zeros_like(g_rv)
-        if nonzero.any():
-            scaled[nonzero] = g_rv[nonzero] / deg[nonzero]
-        gz = np.zeros_like(z.data)
-        if graph.num_edges:
-            np.add.at(gz, graph._src, scaled[graph._rel * v_count + graph._dst])
-        z._accumulate(gz)
+        # the CSC transpose visits slots in (rel, dst) order, i.e. edge storage order
+        z._accumulate(adj.T @ (g_rv / deg))
 
     return _result(out_nodemajor, "rel_aggregate", (z,), backward)
 

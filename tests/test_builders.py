@@ -233,13 +233,18 @@ def test_protein_edges_single_residue():
 
 def test_protein_edges_match_bruteforce_oracle():
     rng = np.random.default_rng(21)
+    chains = []
     for trial in range(5):
         length = int(rng.integers(8, 31))
         coords = rng.normal(size=(length, 3)) * 9.0
-        chain = ProteinChain("".join(rng.choice(list(AMINO_ACIDS), size=length)),
-                             coords)
+        chains.append(ProteinChain("".join(rng.choice(list(AMINO_ACIDS), size=length)),
+                                   coords))
+    # integer spacing puts residues v-k and v+k at exactly the same distance
+    # from v, so the medium bands fall back on the index tie-break
+    chains.append(_collinear_chain(length=24, spacing=4.0))
+    for chain in chains:
         graph, _ = protein_edges(chain)
-        want = protein_edges_oracle(coords)
+        want = protein_edges_oracle(chain.coords)
         key_for = {0: "seq-2", 1: "seq-1", 2: "seq+0", 3: "seq+1", 4: "seq+2",
                    5: "radius", 6: "medium_a", 7: "medium_b", 8: "virtual"}
         for rel, key in key_for.items():

@@ -20,16 +20,31 @@ def random_graph(rng, num_nodes, num_relations, num_edges):
 
 class TestRelGraphConstruction:
     def test_rejects_out_of_range_node(self):
-        with pytest.raises(GraphError):
-            RelGraph(2, 1, [(0, 2, 0)])
+        for edges in ([(0, 2, 0)], np.array([[0, 2, 0]]), [(2**70, 0, 0)]):
+            with pytest.raises(GraphError):
+                RelGraph(2, 1, edges)
 
     def test_rejects_out_of_range_relation(self):
-        with pytest.raises(GraphError):
-            RelGraph(2, 1, [(0, 1, 1)])
+        for edges in ([(0, 1, 1)], np.array([[0, 1, 1]])):
+            with pytest.raises(GraphError):
+                RelGraph(2, 1, edges)
 
     def test_rejects_duplicate_edge(self):
-        with pytest.raises(GraphError):
-            RelGraph(2, 1, [(0, 1, 0), (0, 1, 0)])
+        for edges in ([(0, 1, 0), (0, 1, 0)], np.array([[0, 1, 0], [0, 1, 0]])):
+            with pytest.raises(GraphError):
+                RelGraph(2, 1, edges)
+
+    def test_rejects_edges_not_shaped_e_by_3(self):
+        # three pairs hold six numbers but must not be re-read as two triples
+        for edges in ([(0, 1)], [(0, 1), (1, 0), (0, 0)], np.zeros((2, 2), int),
+                      [(0, 1, 0), (1, 0)]):
+            with pytest.raises(GraphError):
+                RelGraph(2, 1, edges)
+
+    def test_empty_array_gives_edgeless_graph(self):
+        g = RelGraph(3, 2, np.zeros((0, 3), dtype=np.int64))
+        assert g.num_edges == 0 and g.edge_list() == []
+        assert g.in_degree(2, 1) == 0
 
     def test_allows_self_loop(self):
         g = RelGraph(2, 1, [(0, 0, 0)])
@@ -43,7 +58,9 @@ class TestRelGraphConstruction:
         edges = [(3, 0, 0), (1, 2, 1), (0, 1, 0), (2, 2, 1)]
         g1 = RelGraph(4, 2, edges)
         g2 = RelGraph(4, 2, list(reversed(edges)))
-        assert g1.edge_list() == g2.edge_list()
+        g3 = RelGraph(4, 2, np.array(edges[::2] + edges[1::2]))
+        assert g1.edge_list() == g2.edge_list() == g3.edge_list()
+        assert g1.edge_list() == sorted(edges, key=lambda e: (e[2], e[1], e[0]))
 
 
 class TestRelAggregate:
@@ -121,6 +138,32 @@ class TestRelAggregate:
             g = RelGraph(30, 3, shuffled)
             outs.append(rel_aggregate(g, Tensor(z)).data.tobytes())
         assert outs[0] == outs[1]
+
+    def test_summation_order_pinned_bitwise(self):
+        # float32 sums depend on their order: the forward adds each slot's
+        # sources in ascending index order and divides by the degree; the
+        # backward adds edge contributions in (rel, dst, src) order
+        from relmp.tensor import hadamard, sum_all
+        rng = np.random.default_rng(17)
+        v_count, r_count, c = 12, 3, 6
+        g = random_graph(rng, v_count, r_count, 90)
+        z = Tensor(rng.normal(size=(v_count, c)).astype(np.float32), requires_grad=True)
+        gy = rng.normal(size=(v_count * r_count, c)).astype(np.float32)
+        y = rel_aggregate(g, z)
+        sum_all(hadamard(y, Tensor(gy))).backward()
+        want_y = np.zeros((v_count * r_count, c), dtype=np.float32)
+        for v in range(v_count):
+            for r in range(r_count):
+                for u in g.in_neighbors(v, r):
+                    want_y[v * r_count + r] += z.data[u]
+                if g.in_degree(v, r):
+                    want_y[v * r_count + r] /= np.float32(g.in_degree(v, r))
+        want_grad = np.zeros((v_count, c), dtype=np.float32)
+        for s, d, r in sorted(g.edge_list(), key=lambda e: (e[2], e[1], e[0])):
+            want_grad[s] += gy[d * r_count + r] / np.float32(g.in_degree(d, r))
+        assert y.data.dtype == z.grad.dtype == np.float32
+        assert y.data.tobytes() == want_y.tobytes()
+        assert z.grad.tobytes() == want_grad.tobytes()
 
     def test_row_count_mismatch(self):
         g = RelGraph(3, 1, [(0, 1, 0)])
