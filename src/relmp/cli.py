@@ -17,7 +17,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 data error.
 must be set before numpy first loads, so this module imports the numeric
 stack lazily inside the command bodies; the pin is only effective for a fresh
 process (the normal CLI case), not when `main` is called in-process after
-numpy is already imported. ``--threads 1`` makes reruns bit-identical.
+numpy is already imported, which prints a warning to stderr and runs with the
+pools as they are. ``--threads 1`` makes reruns bit-identical.
 """
 
 from __future__ import annotations
@@ -228,6 +229,9 @@ def _apply_threads(count) -> None:
         return
     if count < 1:
         raise ConfigError("--threads must be a positive integer")
+    if "numpy" in sys.modules:
+        print(f"warning: --threads {count} cannot take effect: numpy is already "
+              "loaded in this process", file=sys.stderr)
     for var in _THREAD_ENV:
         os.environ[var] = str(count)
 

@@ -1,12 +1,13 @@
 """Multi-relational directed graphs and the mean-normalized aggregation op.
 
 A RelGraph is built from an (E, 3) int array of (src, dst, rel) rows or from a
-list of such triples. It stores the edges sorted by (rel, dst, src), which is
-the CSR form of the relation-major [R*V, V] slot matrix: row r*V + v lists the
-ascending sources N_r(v). Aggregation is one sparse product with that matrix
-and its backward one product with the transpose, so the summation order
-(ascending source index forward, edge storage order backward) is fixed and
-the aggregation is deterministic bit-for-bit across runs.
+list of such triples; a value that int64 conversion would change (0.5, NaN,
+2**63) is rejected, not truncated. It stores the edges sorted by (rel, dst,
+src), which is the CSR form of the relation-major [R*V, V] slot matrix: row
+r*V + v lists the ascending sources N_r(v). Aggregation is one sparse product
+with that matrix and its backward one product with the transpose, so the
+summation order (ascending source index forward, edge storage order backward)
+is fixed and the aggregation is deterministic bit-for-bit across runs.
 
 Normalization is the in-neighborhood mean. The implementation divides the
 neighbor sum by the integer degree rather than multiplying by a rounded float
@@ -39,9 +40,15 @@ class RelGraph:
         if num_nodes < 0 or num_relations < 0:
             raise GraphError("node and relation counts must be non-negative")
         try:
-            edges = np.asarray(edges, dtype=np.int64)
+            given = np.asarray(edges)
+            with np.errstate(invalid="ignore"):
+                edges = given.astype(np.int64, copy=False)
         except (TypeError, ValueError, OverflowError) as e:
             raise GraphError(f"edges must be (src, dst, rel) triples: {e}") from e
+        inexact = edges != given
+        if inexact.any():
+            value = given[inexact][0].item()
+            raise GraphError(f"edge value {value!r} is not an integer in int64 range")
         if edges.shape == (0,):
             edges = edges.reshape(0, 3)
         if edges.ndim != 2 or edges.shape[1] != 3:

@@ -16,9 +16,13 @@ Two layers share the aggregation substrate:
 The forward paths are staged exactly as the cost model's step decomposition so
 an OpCounter wrapped around a call reproduces the closed-form totals digit for
 digit. Two bookkeeping rules make that work: bias additions run inside
-`counting_paused()` (the analytic counts exclude biases), and broadcasts are
-materialized by the tile ops, which charge 1 FLOP per output element just as
-the formulas assume.
+`counting_paused()` (the analytic counts exclude biases), and every broadcast
+is charged 1 FLOP per output element, just as the formulas assume. The tile
+ops materialize the broadcasts of layer norm and of the gated layer's
+channel weights (step 2). Step 3 of the gated layer, the per-node relation
+weighting and sum, is one `relation_weighted_sum` op: it never materializes
+the score broadcast and charges its tile, hadamard and add amounts from its
+operand shapes.
 
 Parameters are plain dataclasses of Tensors. Weight matrices right-multiply
 row-vector features: a math-convention map W acting on column vectors appears
@@ -35,8 +39,8 @@ from .errors import ConfigError, ContractError, ShapeError
 from .graph import RelGraph, rel_aggregate
 from .tensor import (Tensor, add, add_scalar, concat_cols, counting_paused,
                      depthwise_conv2d, div, gather_rows, gelu, hadamard, matmul,
-                     mean_cols, mean_rows, mul_scalar, reshape, slice_cols, sqrt,
-                     sub, tile_cols, tile_rows)
+                     mean_cols, mean_rows, mul_scalar, relation_weighted_sum,
+                     reshape, sqrt, sub, tile_cols, tile_rows)
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -259,18 +263,9 @@ def grmp_forward(graph: RelGraph, z: Tensor, params: GRMPParams) -> Tensor:
         scores = matmul(z, params.w_alpha)
         with counting_paused():
             scores = add(scores, params.b_alpha)
-        acc = None
-        for r in range(r_count):
-            slot_r = slice_cols(weighted, r * c, (r + 1) * c)
-            score_col = slice_cols(scores, r, r + 1)
-            term = hadamard(slot_r, tile_cols(score_col, c))
-            acc = term if acc is None else add(acc, term)
+        acc = relation_weighted_sum(weighted, scores, r_count)
     else:
-        acc = None
-        for r in range(r_count):
-            slot_r = slice_cols(weighted, r * c, (r + 1) * c)
-            acc = slot_r if acc is None else add(acc, slot_r)
-        acc = mul_scalar(acc, 1.0 / r_count)
+        acc = mul_scalar(relation_weighted_sum(weighted, None, r_count), 1.0 / r_count)
 
     # step 4: shared output transform
     if variant.use_w_out:

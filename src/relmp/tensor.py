@@ -12,6 +12,9 @@ expressions to the last digit:
   1 FLOP per output element
 * tile_rows / tile_cols (broadcast materialized as an outer product with a
   ones vector): 1 FLOP per output element
+* relation_weighted_sum of [V, R*C] slots and [V, R] scores: the charges of
+  the unfused chain it replaces, read from its operand shapes: tile R*V*C and
+  hadamard R*V*C (only when scores are given), add (R-1)*V*C
 * sum over k elements: k-1 FLOPs per output element; mean: k FLOPs
 * depthwise 2D convolution with a k x k kernel on [H,W,C]: 2*H*W*C*k*k
 * reshape / slice / gather / concat: 0 FLOPs (memory movement)
@@ -434,6 +437,49 @@ def tile_cols(col: Tensor, num_cols: int) -> Tensor:
         col._accumulate(g.sum(axis=1, keepdims=True))
 
     return _result(out_data, "tile_cols", (col,), backward)
+
+
+def relation_weighted_sum(wide: Tensor, scores: Tensor | None,
+                          num_relations: int) -> Tensor:
+    """Per-node score-weighted sum of relation slots: [V, R*C] -> [V, C].
+
+    Relation r occupies columns r*C..(r+1)*C of `wide`; `scores` is [V, R],
+    or None for a plain sum over relations. Terms are added in relation order
+    0..R-1, so the result rounds like a chain of `add`s over the R products
+    `hadamard(slot_r, tile_cols(score_r, C))`, and the op charges what that
+    chain would: tile and hadamard R*V*C each (scored only), add (R-1)*V*C.
+    """
+    if wide.data.ndim != 2 or num_relations < 1 or wide.shape[1] % num_relations:
+        raise ShapeError(f"relation_weighted_sum: {wide.shape} is not "
+                         f"[V, {num_relations}*C]")
+    v, r = wide.shape[0], num_relations
+    c = wide.shape[1] // r
+    slots = wide.data.reshape(v, r, c)
+    if scores is None:
+        terms = slots
+    else:
+        if scores.shape != (v, r):
+            raise ShapeError(f"relation_weighted_sum: scores {scores.shape} "
+                             f"are not [{v}, {r}]")
+        terms = slots * scores.data[:, :, None]
+        _charge("tile", r * v * c)
+        _charge("hadamard", r * v * c)
+    out_data = terms[:, 0].copy()
+    for k in range(1, r):
+        out_data += terms[:, k]
+    if r > 1:
+        _charge("add", (r - 1) * v * c)
+
+    def backward(g):
+        if wide.requires_grad:
+            gw = np.tile(g, r) if scores is None else \
+                (g[:, None, :] * scores.data[:, :, None]).reshape(v, r * c)
+            wide._accumulate(gw)
+        if scores is not None and scores.requires_grad:
+            scores._accumulate((slots * g[:, None, :]).sum(axis=2))
+
+    parents = (wide,) if scores is None else (wide, scores)
+    return _result(out_data, "relation_weighted_sum", parents, backward)
 
 
 # -- reductions ------------------------------------------------------------------

@@ -325,6 +325,25 @@ def test_same_seed_same_threads_gives_byte_identical_runs(tmp_path):
         (second / "model.ckpt").read_bytes()
 
 
+def test_threads_warns_in_process_once_numpy_is_loaded(tmp_path, chain_file,
+                                                      capsys):
+    assert "numpy" in sys.modules
+    assert main(["build-graph", "--domain", "protein", "--input",
+                 str(chain_file), "--threads", "1",
+                 "--out", str(tmp_path / "out")]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == 1 and "--threads 1" in warnings[0]
+    # a fresh process pins the pools before numpy loads: no warning
+    proc = subprocess.run(
+        [sys.executable, "-m", "relmp", "build-graph", "--domain", "protein",
+         "--input", str(chain_file), "--threads", "1",
+         "--out", str(tmp_path / "fresh")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "warning" not in proc.stderr
+
+
 # -- configuration -------------------------------------------------------------------------
 
 

@@ -41,6 +41,14 @@ class TestRelGraphConstruction:
             with pytest.raises(GraphError):
                 RelGraph(2, 1, edges)
 
+    def test_rejects_non_integer_values(self):
+        # int64 conversion would truncate both to the edge (0, 1, 0)
+        for edges in ([(0.5, 1, 0)], np.array([[0.9, 1, 0]])):
+            with pytest.raises(GraphError, match="not an integer"):
+                RelGraph(2, 1, edges)
+        # integral floats convert exactly and stay accepted
+        assert RelGraph(2, 1, np.array([[0.0, 1.0, 0.0]])).edge_list() == [(0, 1, 0)]
+
     def test_empty_array_gives_edgeless_graph(self):
         g = RelGraph(3, 2, np.zeros((0, 3), dtype=np.int64))
         assert g.num_edges == 0 and g.edge_list() == []

@@ -6,13 +6,15 @@ import pytest
 from relmp.costmodel import grmp_flops, rgconv_flops
 from relmp.errors import ContractError, ShapeError
 from relmp.graph import RelGraph, rel_aggregate
+from relmp import layers
 from relmp.layers import (ContextStackParams, FFNParams, GRMPParams, GRMPVariant,
                           LayerNormParams, PatchMergeParams, RGConvParams,
                           context_stack_features, ffn_forward, global_virtual_feature,
                           grmp_forward, layer_norm, patch_merging, rgconv_forward)
 from relmp.oracles import grmp_oracle, layer_norm_oracle, rgconv_oracle
-from relmp.tensor import (Tensor, count_flops, finite_difference_check, hadamard,
-                          sum_all)
+from relmp.tensor import (Tensor, add, count_flops, finite_difference_check,
+                          hadamard, relation_weighted_sum, slice_cols, sum_all,
+                          tile_cols)
 
 
 def random_graph(rng, num_nodes, num_relations, num_edges):
@@ -240,6 +242,98 @@ class TestLayerGradients:
 
             worst = max(worst, finite_difference_check(loss_fn_q, tensors_q))
         assert worst < 1e-5, f"worst relative gradient error {worst}"
+
+
+def chained_weighted_sum(wide, scores, num_relations):
+    """Step 3 of the gated layer as 4 recorded ops per relation: the
+    slice/tile/hadamard/add chain that `relation_weighted_sum` replaces."""
+    c = wide.shape[1] // num_relations
+    acc = None
+    for r in range(num_relations):
+        term = slice_cols(wide, r * c, (r + 1) * c)
+        if scores is not None:
+            term = hadamard(term, tile_cols(slice_cols(scores, r, r + 1), c))
+        acc = term if acc is None else add(acc, term)
+    return acc
+
+
+def recorded_ops(out):
+    """Number of distinct recorded (non-leaf) tensors on the tape of `out`."""
+    seen, stack, count = set(), [out], 0
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        count += t._op != "leaf"
+        stack.extend(t._parents)
+    return count
+
+
+class TestRelationWeighting:
+    def run_layer(self, g, z, p, upstream):
+        """Forward output, per-kind FLOPs and every gradient of one call."""
+        for t in [z, *p.tensors().values()]:
+            t.zero_grad()
+        with count_flops() as counter:
+            out = grmp_forward(g, z, p)
+        sum_all(hadamard(out, Tensor(upstream))).backward()
+        grads = {name: t.grad for name, t in p.tensors().items()}
+        return out.data, counter.per_op, {"z": z.grad, **grads}
+
+    def test_matches_unfused_chain_bitwise_float32(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        for r, c in [(1, 5), (3, 40), (12, 16), (12, 136)]:
+            for alpha in ("learned", "uniform"):
+                g = random_graph(rng, 9, r, 6 * r)
+                p = GRMPParams.init(rng, r, c, variant=GRMPVariant(alpha=alpha))
+                randomize(p, rng)
+                z = Tensor(rng.normal(size=(9, c)), requires_grad=True)
+                upstream = rng.normal(size=(9, c)).astype(np.float32)
+                fused = self.run_layer(g, z, p, upstream)
+                with monkeypatch.context() as m:
+                    m.setattr(layers, "relation_weighted_sum", chained_weighted_sum)
+                    chained = self.run_layer(g, z, p, upstream)
+                case = f"R={r} C={c} alpha={alpha}"
+                assert fused[0].dtype == np.float32
+                assert np.array_equal(fused[0], chained[0]), case
+                assert fused[1] == chained[1], case
+                assert fused[2].keys() == chained[2].keys()
+                for name, grad in fused[2].items():
+                    assert grad.dtype == np.float32
+                    assert np.array_equal(grad, chained[2][name]), f"{case} {name}"
+
+    def test_finite_difference_float64(self):
+        rng = np.random.default_rng(41)
+        wide = Tensor(rng.normal(size=(4, 3 * 2)), requires_grad=True,
+                      dtype=np.float64)
+        scores = Tensor(rng.normal(size=(4, 3)), requires_grad=True,
+                        dtype=np.float64)
+        upstream = Tensor(rng.normal(size=(4, 2)), dtype=np.float64)
+        for given in (scores, None):
+            def loss_fn():
+                out = relation_weighted_sum(wide, given, 3)
+                return sum_all(hadamard(out, hadamard(out, upstream)))
+
+            tensors = [wide] if given is None else [wide, scores]
+            assert finite_difference_check(loss_fn, tensors) < 1e-7
+
+    def test_rejects_mismatched_shapes(self):
+        wide = Tensor(np.ones((4, 6)))
+        for scores, r in [(None, 4), (Tensor(np.ones((4, 2))), 3),
+                          (Tensor(np.ones((3, 3))), 3)]:
+            with pytest.raises(ShapeError):
+                relation_weighted_sum(wide, scores, r)
+
+    def test_recorded_op_count_does_not_grow_with_relations(self):
+        rng = np.random.default_rng(42)
+        for alpha in ("learned", "uniform"):
+            counts = []
+            for r in (2, 12):
+                g = random_graph(rng, 8, r, 4 * r)
+                p = GRMPParams.init(rng, r, 4, variant=GRMPVariant(alpha=alpha))
+                counts.append(recorded_ops(grmp_forward(g, Tensor(np.ones((8, 4))), p)))
+            assert counts[0] == counts[1], alpha
 
 
 class TestBlocksAndPooling:
