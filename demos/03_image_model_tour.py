@@ -15,7 +15,8 @@ import time
 
 import numpy as np
 
-from relmp.builders import image_medium_edges, image_short_edges
+from relmp.builders import (LONG_RELATIONS, SHORT_RELATIONS, image_medium_edges,
+                            image_short_edges)
 from relmp.models import (ImageModelConfig, ImageModelParams, image_forward,
                           pixels_to_patches)
 
@@ -52,15 +53,18 @@ def main():
     small_params = ImageModelParams.init(rng, small_cfg)
     print(f"parameters: {small_params.param_count():,}")
     image = rng.normal(size=(64, 64, 3)).astype(np.float32)
-    trace = {}
     start = time.monotonic()
-    logits = image_forward(image, small_params, small_cfg, trace=trace)
+    logits = image_forward(image, small_params, small_cfg)
     elapsed = time.monotonic() - start
     print(f"64x64x3 image -> logits {logits.data.shape} "
           f"in {elapsed:.2f}s")
-    print(f"patch counts through the stages: {trace['stage_patch_counts']}")
-    print(f"relations per stage: "
-          f"{[len(r) for r in trace['stage_relations']]} "
+    # each stage halves both grid sides; the medium relation joins after stage 1
+    side = image.shape[0] // small_cfg.patch_size
+    stages = range(len(small_cfg.depths))
+    print(f"patch counts through the stages: {[(side >> s) ** 2 for s in stages]}")
+    relations = [len(SHORT_RELATIONS) + int(s > 0) + len(LONG_RELATIONS)
+                 for s in stages]
+    print(f"relations per stage: {relations} "
           f"(medium range joins after stage 1)")
     top = int(np.argmax(logits.data))
     print(f"argmax class (untrained, arbitrary): {top}")

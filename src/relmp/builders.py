@@ -1,9 +1,10 @@
 """Domain graph constructors: image patch grids, protein chains, triplet stores.
 
-Three edge families, one registry convention. Every builder returns plain edge
-triples or a RelGraph together with the ordered relation names, so callers can
-persist a stable name -> id registry. Construction is pure numpy on raw
-arrays: graph topology is not differentiable and is never FLOP-counted.
+Three edge families, one registry convention. Every builder returns an (E, 3)
+int64 array of (src, dst, rel) rows or a RelGraph together with the ordered
+relation names, so callers can persist a stable name -> id registry.
+Construction is pure numpy on raw arrays: graph topology is not
+differentiable and is never FLOP-counted.
 
 Feature-space nearest-neighbor edges use unnormalized Euclidean distance on
 the raw features (whether to normalize first is left open by the reference
@@ -84,42 +85,49 @@ def load_patch_grid(path) -> PatchGrid:
     return PatchGrid(h, w, feats)
 
 
-def image_short_edges(height: int, width: int) -> list[tuple[int, int, int]]:
+def image_short_edges(height: int, width: int) -> np.ndarray:
     """One incoming edge per existing 4-neighbor; relation picks the direction.
 
     Relation ids follow SHORT_RELATIONS: the "up" relation carries the message
-    from the patch above. Totals 2H(W-1) + 2W(H-1) directed edges.
+    from the patch above. Returns 2H(W-1) + 2W(H-1) (src, dst, rel) rows.
     """
     if height < 1 or width < 1:
         raise ConfigError("grid sides must be positive")
-    edges = []
-    for i in range(height):
-        for j in range(width):
-            dst = i * width + j
-            if i > 0:
-                edges.append(((i - 1) * width + j, dst, 0))   # up
-            if i < height - 1:
-                edges.append(((i + 1) * width + j, dst, 1))   # down
-            if j > 0:
-                edges.append((i * width + j - 1, dst, 2))     # left
-            if j < width - 1:
-                edges.append((i * width + j + 1, dst, 3))     # right
-    return edges
+    cell = np.arange(height * width).reshape(height, width)
+    # (source cells, destination cells) for up, down, left, right
+    shifts = ((cell[:-1], cell[1:]), (cell[1:], cell[:-1]),
+              (cell[:, :-1], cell[:, 1:]), (cell[:, 1:], cell[:, :-1]))
+    return np.concatenate([np.stack([src.ravel(), dst.ravel(),
+                                     np.full(src.size, rel)], axis=1)
+                           for rel, (src, dst) in enumerate(shifts)])
 
 
-def image_medium_edges(grid: PatchGrid, k: int,
-                       relation: int = 0) -> list[tuple[int, int, int]]:
+def _nearest_sources(dist: np.ndarray, allowed: np.ndarray, count: int):
+    """Rank each column's allowed rows nearest first, ties by ascending index.
+
+    dist[u, v] and allowed[u, v] describe source u for destination v. Returns
+    (rank, src, dst) arrays over the top min(count, allowed) sources of every
+    destination, destination-major and nearest first within a destination.
+    """
+    # lexsort is stable: allowed first, nearest first, ties by ascending index
+    ranked = np.lexsort((dist, ~allowed), axis=0)[:count]
+    dst, rank = np.nonzero(np.take_along_axis(allowed, ranked, axis=0).T)
+    return rank, ranked[rank, dst], dst
+
+
+def image_medium_edges(grid: PatchGrid, k: int, relation: int = 0) -> np.ndarray:
     """K nearest patches by feature distance, excluding the 2x2 home window.
 
     Windows partition the grid into non-overlapping 2x2 blocks (smaller at odd
     boundaries). Candidates are ranked nearest first with ascending-index tie
-    breaks; the top min(K, available) become incoming edges on one relation.
+    breaks; the top min(K, available) become incoming (src, dst, rel) rows on
+    one relation, grouped by destination in rank order.
     """
     if k < 0:
         raise ConfigError("K must be non-negative")
     p = grid.height * grid.width
     if k == 0 or p == 1:
-        return []
+        return np.empty((0, 3), dtype=np.int64)
     # medium-range similarity is plain Euclidean distance on raw features
     feats = grid.features.astype(np.float64)
     sq = (feats * feats).sum(axis=1)
@@ -128,18 +136,8 @@ def image_medium_edges(grid: PatchGrid, k: int,
     rows = np.arange(p) // grid.width
     cols = np.arange(p) % grid.width
     window = (rows // 2) * ((grid.width + 1) // 2) + cols // 2
-    edges = []
-    order_base = np.arange(p)
-    for v in range(p):
-        allowed = window != window[v]
-        cand = order_base[allowed]
-        if cand.size == 0:
-            continue
-        # stable sort on distance keeps ascending-index ties
-        ranked = cand[np.argsort(d2[cand, v], kind="stable")]
-        for u in ranked[:k]:
-            edges.append((int(u), v, relation))
-    return edges
+    _, src, dst = _nearest_sources(d2, window[:, None] != window, k)
+    return np.stack([src, dst, np.full_like(src, relation)], axis=1)
 
 
 def build_image_graph(grid: PatchGrid, k_medium: int,
@@ -155,17 +153,16 @@ def build_image_graph(grid: PatchGrid, k_medium: int,
     """
     p = grid.height * grid.width
     names = list(SHORT_RELATIONS)
-    edges = image_short_edges(grid.height, grid.width)
+    parts = [image_short_edges(grid.height, grid.width)]
     if include_medium:
-        rel_medium = len(names)
+        parts.append(image_medium_edges(grid, k_medium, relation=len(names)))
         names.append(MEDIUM_RELATION)
-        edges += image_medium_edges(grid, k_medium, relation=rel_medium)
-    rel_global = len(names)
-    rel_context = len(names) + 1
+    patch = np.arange(p)
+    rel_global = np.full_like(patch, len(names))
     names += list(LONG_RELATIONS)
-    edges += [(p, v, rel_global) for v in range(p)]
-    edges += [(p + 1 + v, v, rel_context) for v in range(p)]
-    graph = RelGraph(2 * p + 1, len(names), edges)
+    parts.append(np.stack([np.full_like(patch, p), patch, rel_global], axis=1))
+    parts.append(np.stack([p + 1 + patch, patch, rel_global + 1], axis=1))
+    graph = RelGraph(2 * p + 1, len(names), np.concatenate(parts))
     return graph, names
 
 
@@ -262,11 +259,9 @@ def protein_edges(chain: ProteinChain) -> tuple[RelGraph, list[str]]:
     parts.append(np.stack([u, v, np.full_like(u, rel_radius)], axis=1))
     near, far = MEDIUM_RANK_BOUNDS
     candidate = (np.abs(idx[:, None] - idx) > MEDIUM_SEQ_CUTOFF) & (dist > RADIUS)
-    # lexsort is stable: candidates first, nearest first, ties by ascending index
-    ranked = np.lexsort((dist, ~candidate), axis=0)[:far]
-    rank, v = np.nonzero(np.take_along_axis(candidate, ranked, axis=0))
+    rank, u, v = _nearest_sources(dist, candidate, far)
     band = np.where(rank < near, rel_radius + 1, rel_radius + 2)
-    parts.append(np.stack([ranked[rank, v], v, band], axis=1))
+    parts.append(np.stack([u, v, band], axis=1))
     parts.append(np.stack([np.full_like(idx, length), idx,
                            np.full_like(idx, rel_radius + 3)], axis=1))
     graph = RelGraph(length + 1, len(PROTEIN_RELATIONS), np.concatenate(parts))

@@ -242,10 +242,12 @@ def _apply_threads(count) -> None:
 def cmd_build_graph(resolved: dict) -> int:
     _require(resolved, "build-graph", "domain", "input")
     out = _prepare_out(resolved, "build-graph")
-    from .builders import (LONG_RELATIONS, MEDIUM_RELATION, PROTEIN_RELATIONS,
-                           SHORT_RELATIONS, fact_graph, image_medium_edges,
-                           image_short_edges, load_patch_grid,
-                           load_protein_chain, load_triplets, protein_edges)
+    import numpy as np
+
+    from .builders import (LONG_RELATIONS, MEDIUM_RELATION, SHORT_RELATIONS,
+                           fact_graph, image_medium_edges, image_short_edges,
+                           load_patch_grid, load_protein_chain, load_triplets,
+                           protein_edges)
     from .graph import RelGraph, save_edge_list
 
     domain, path = resolved["domain"], resolved["input"]
@@ -255,7 +257,8 @@ def cmd_build_graph(resolved: dict) -> int:
         names = list(SHORT_RELATIONS)
         rows = image_short_edges(grid.height, grid.width)
         if k > 0:
-            rows = rows + image_medium_edges(grid, k, relation=len(names))
+            medium = image_medium_edges(grid, k, relation=len(names))
+            rows = np.concatenate([rows, medium])
             names.append(MEDIUM_RELATION)
         patches = grid.height * grid.width
         graph = RelGraph(patches, len(names), rows)

@@ -137,16 +137,9 @@ def rel_aggregate(graph: RelGraph, z: Tensor) -> Tensor:
 # -- line graphs --------------------------------------------------------------------
 
 
-def angle_bin(u: np.ndarray, v: np.ndarray, num_bins: int) -> int:
-    """Bin the angle between two displacement vectors into equal slices of
-    [0, pi]. A zero-length displacement gets bin 0 by convention."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0
-    cosang = float(np.dot(u, v)) / (nu * nv)
-    theta = float(np.arccos(np.clip(cosang, -1.0, 1.0)))
-    return min(int(theta / (np.pi / num_bins)), num_bins - 1)
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each rounded exactly as np.dot on the two rows."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def build_line_graph(graph: RelGraph, coords: np.ndarray, num_bins: int = 8,
@@ -154,33 +147,41 @@ def build_line_graph(graph: RelGraph, coords: np.ndarray, num_bins: int = 8,
     """Directed line graph with angle-bin relations.
 
     Nodes are the edges of `graph` in canonical order. For every chained pair
-    e1 = (a, b), e2 = (b, c) a line edge e1 -> e2 is added; its relation is the
-    bin of the angle between displacements (b - a) and (c - b). The degenerate
-    pair of an edge with itself is skipped. Reverse pairs (a -> b followed by
-    b -> a), whose angle is pi, are included when `include_reverse` is set and
-    skipped otherwise.
+    e1 = (a, b), e2 = (b, c) a line edge e1 -> e2 is added; its relation bins
+    the angle between displacements (b - a) and (c - b) into num_bins equal
+    slices of [0, pi], with bin 0 when either displacement has zero length.
+    The degenerate pair of an edge with itself is skipped. Reverse pairs
+    (a -> b followed by b -> a), whose angle is pi, are included when
+    `include_reverse` is set and skipped otherwise.
     """
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[0] != graph.num_nodes:
         raise ShapeError("coords must be [num_nodes, dim]")
     if num_bins < 1:
         raise GraphError("num_bins must be positive")
-    edges = graph.edge_list()
-    by_tail: dict[int, list[int]] = {}
-    for j, (s, _, _) in enumerate(edges):
-        by_tail.setdefault(s, []).append(j)
-    line_edges = []
-    for i, (a, b, _) in enumerate(edges):
-        u = coords[b] - coords[a]
-        for j in by_tail.get(b, ()):
-            if j == i:
-                continue
-            s2, d2, _ = edges[j]
-            if not include_reverse and (s2, d2) == (b, a):
-                continue
-            v = coords[d2] - coords[s2]
-            line_edges.append((i, j, angle_bin(u, v, num_bins)))
-    return RelGraph(len(edges), num_bins, line_edges)
+    src, dst = graph._src, graph._dst
+    # edges sorted by tail: e2 follows e1 exactly when src[e2] == dst[e1]
+    by_tail = np.argsort(src, kind="stable")
+    tails = src[by_tail]
+    first = np.searchsorted(tails, dst, side="left")
+    count = np.searchsorted(tails, dst, side="right") - first
+    e1 = np.repeat(np.arange(graph.num_edges), count)
+    start = np.repeat(first - (np.cumsum(count) - count), count)
+    e2 = by_tail[start + np.arange(e1.size)]
+    keep = e1 != e2
+    if not include_reverse:
+        keep &= dst[e2] != src[e1]
+    e1, e2 = e1[keep], e2[keep]
+    u = coords[dst[e1]] - coords[src[e1]]
+    v = coords[dst[e2]] - coords[src[e2]]
+    nu, nv = np.sqrt(_row_dot(u, u)), np.sqrt(_row_dot(v, v))
+    moving = (nu != 0.0) & (nv != 0.0)
+    cos = _row_dot(u[moving], v[moving]) / (nu[moving] * nv[moving])
+    theta = np.arccos(np.clip(cos, -1.0, 1.0))
+    bins = np.zeros(e1.size, dtype=np.int64)
+    bins[moving] = np.minimum((theta / (np.pi / num_bins)).astype(np.int64),
+                              num_bins - 1)
+    return RelGraph(graph.num_edges, num_bins, np.stack([e1, e2, bins], axis=1))
 
 
 # -- edge-list files -----------------------------------------------------------------

@@ -57,6 +57,12 @@ def _param(data, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=True, dtype=dtype)
 
 
+def _bias_add(x: Tensor, b: Tensor) -> Tensor:
+    """x + b, left out of the FLOP count (the analytic costs exclude biases)."""
+    with counting_paused():
+        return add(x, b)
+
+
 def _named(obj, names) -> dict[str, Tensor]:
     out = {}
     for n in names:
@@ -245,9 +251,7 @@ def grmp_forward(graph: RelGraph, z: Tensor, params: GRMPParams) -> Tensor:
 
     # step 1: shared input transform
     if variant.use_w_in:
-        z_in = matmul(z, params.w_in)
-        with counting_paused():
-            z_in = add(z_in, params.b_in)
+        z_in = _bias_add(matmul(z, params.w_in), params.b_in)
     else:
         z_in = z
 
@@ -260,18 +264,14 @@ def grmp_forward(graph: RelGraph, z: Tensor, params: GRMPParams) -> Tensor:
 
     # step 3: relation scores weight each slot; slots are then summed
     if variant.alpha == "learned":
-        scores = matmul(z, params.w_alpha)
-        with counting_paused():
-            scores = add(scores, params.b_alpha)
+        scores = _bias_add(matmul(z, params.w_alpha), params.b_alpha)
         acc = relation_weighted_sum(weighted, scores, r_count)
     else:
         acc = mul_scalar(relation_weighted_sum(weighted, None, r_count), 1.0 / r_count)
 
     # step 4: shared output transform
     if variant.use_w_out:
-        aggregated = matmul(acc, params.w_out)
-        with counting_paused():
-            aggregated = add(aggregated, params.b_out)
+        aggregated = _bias_add(matmul(acc, params.w_out), params.b_out)
     else:
         aggregated = acc
 
@@ -312,10 +312,7 @@ def layer_norm(x: Tensor, params: LayerNormParams, eps: float = 1e-5) -> Tensor:
     var = mean_cols(hadamard(centered, centered))
     std = sqrt(add_scalar(var, eps))
     normed = div(centered, tile_cols(std, c))
-    out = hadamard(normed, params.gamma)
-    with counting_paused():
-        out = add(out, params.beta)
-    return out
+    return _bias_add(hadamard(normed, params.gamma), params.beta)
 
 
 # -- feed-forward block -----------------------------------------------------------------
@@ -350,14 +347,8 @@ class FFNParams:
 
 
 def ffn_forward(x: Tensor, params: FFNParams) -> Tensor:
-    h = matmul(x, params.w1)
-    with counting_paused():
-        h = add(h, params.b1)
-    h = gelu(h)
-    out = matmul(h, params.w2)
-    with counting_paused():
-        out = add(out, params.b2)
-    return out
+    h = gelu(_bias_add(matmul(x, params.w1), params.b1))
+    return _bias_add(matmul(h, params.w2), params.b2)
 
 
 # -- virtual-node features ------------------------------------------------------------

@@ -57,6 +57,7 @@ from .layers import (
     GRMPParams,
     LayerNormParams,
     PatchMergeParams,
+    _bias_add,
     _param,
     context_stack_features,
     ffn_forward,
@@ -71,7 +72,6 @@ from .tensor import (
     add,
     concat_cols,
     concat_rows,
-    counting_paused,
     gather_rows,
     hadamard,
     matmul,
@@ -80,11 +80,6 @@ from .tensor import (
     relu,
     slice_rows,
 )
-
-
-def _bias_add(x: Tensor, b: Tensor) -> Tensor:
-    with counting_paused():
-        return add(x, b)
 
 
 def _collect(prefix: str, tensors: dict) -> dict:
@@ -218,8 +213,7 @@ def pixels_to_patches(pixels: np.ndarray, patch_size: int = 4) -> PatchGrid:
     return PatchGrid(gh, gw, feats)
 
 
-def image_forward(x, params: ImageModelParams, cfg: ImageModelConfig,
-                  trace: dict | None = None) -> Tensor:
+def image_forward(x, params: ImageModelParams, cfg: ImageModelConfig) -> Tensor:
     """Class logits [1, num_classes] from raw pixels or pre-cut patches.
 
     x is either an [H, W, C] pixel array or a PatchGrid whose rows already
@@ -242,18 +236,12 @@ def image_forward(x, params: ImageModelParams, cfg: ImageModelConfig,
     z = _bias_add(matmul(z, params.stem_w), params.stem_b)
     z = layer_norm(z, params.stem_norm)
     height, width = x.height, x.width
-    if trace is not None:
-        trace["stage_patch_counts"] = []
-        trace["stage_relations"] = []
 
     for s, blocks in enumerate(params.stages):
         p = height * width
-        graph, names = build_image_graph(
+        graph, _ = build_image_graph(
             PatchGrid(height, width, z.data), cfg.k_medium,
             include_medium=(s > 0))
-        if trace is not None:
-            trace["stage_patch_counts"].append(p)
-            trace["stage_relations"].append(names)
         for block in blocks:
             xin = layer_norm(z, block.norm1)
             ctx = context_stack_features(xin, height, width, block.context)

@@ -17,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from relmp import cli
+from relmp import cli, models
 from relmp.builders import (AMINO_ACIDS, PatchGrid, ProteinChain,
-                            image_medium_edges, load_triplets, protein_edges)
+                            build_image_graph, image_medium_edges,
+                            load_triplets, protein_edges)
 from relmp.costmodel import (IMAGE_MODEL_STAGES, grmp_flops, grmp_step_flops,
                              rgconv_flops, rgconv_step_flops,
                              sweep_relation_counts)
@@ -484,7 +485,7 @@ def test_criterion_09_toy_kg_training_deterministic_and_beats_chance(tmp_path):
 # -- criterion 10: the image model has the advertised size and shape -----------------
 
 
-def test_criterion_10_image_model_size_and_full_resolution_forward():
+def test_criterion_10_image_model_size_and_full_resolution_forward(monkeypatch):
     cfg = ImageModelConfig()
     rng = np.random.default_rng(0)
     params = ImageModelParams.init(rng, cfg)
@@ -493,14 +494,20 @@ def test_criterion_10_image_model_size_and_full_resolution_forward():
     assert abs(count - target) <= 0.10 * target, count
     assert count == 26_280_410  # frozen regression value
     x = rng.normal(size=(224, 224, 3)).astype(np.float32)
-    trace: dict = {}
-    logits = image_forward(x, params, cfg, trace=trace)
+    stage_patch_counts = []
+
+    def recording_build(grid, k_medium, include_medium):
+        stage_patch_counts.append(grid.height * grid.width)
+        return build_image_graph(grid, k_medium, include_medium)
+
+    monkeypatch.setattr(models, "build_image_graph", recording_build)
+    logits = image_forward(x, params, cfg)
     assert logits.data.shape == (1, 1000)
     assert np.all(np.isfinite(logits.data))
     side = 224 // cfg.patch_size
-    assert trace["stage_patch_counts"] == [side ** 2, (side // 2) ** 2,
-                                           (side // 4) ** 2, (side // 8) ** 2]
-    assert trace["stage_patch_counts"] == [3136, 784, 196, 49]
+    assert stage_patch_counts == [side ** 2, (side // 2) ** 2,
+                                  (side // 4) ** 2, (side // 8) ** 2]
+    assert stage_patch_counts == [3136, 784, 196, 49]
 
 
 # -- criterion 11: reference-scale results are documented, not reproduced ------------

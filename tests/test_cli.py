@@ -89,6 +89,21 @@ def test_image_medium_flag_adds_k_edges_per_patch(tmp_path, grid_file):
     assert registry["relations"] == ["up", "down", "left", "right", "medium"]
 
 
+def test_image_medium_edges_are_appended_not_added(tmp_path, grid_file):
+    # with K=3 on a 4x4 grid the short and medium edge arrays have equal
+    # shapes, so adding them elementwise would go unnoticed by a count alone
+    out = tmp_path / "out"
+    assert main(["build-graph", "--domain", "image", "--input",
+                 str(grid_file), "--k-medium", "3", "--out", str(out)]) == 0
+    rows = [tuple(map(int, line.split("\t"))) for line in _data_rows(out / "edges.tsv")]
+    assert len(rows) == 96
+    medium = [(s, d) for s, d, r in rows if r == 4]
+    assert len(medium) == 48
+    assert len([r for _, _, r in rows if r < 4]) == 48
+    for v in range(16):
+        assert len([s for s, d in medium if d == v]) == 3
+
+
 def test_kg_file_builds_doubled_fact_graph(tmp_path):
     kg = tmp_path / "kg.tsv"
     kg.write_text("a\tlikes\tb\nb\tlikes\tc\nc\tknows\ta\n")

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from relmp import models
 from relmp.builders import (
     ProteinChain,
     TripletStore,
+    build_image_graph,
     fact_graph,
     protein_edges,
 )
@@ -81,14 +83,21 @@ def test_image_default_parameter_count_near_reference():
     assert n == want
 
 
-def test_image_tiny_forward_shape_and_stage_layout():
+def test_image_tiny_forward_shape_and_stage_layout(monkeypatch):
     cfg, params, pixels = tiny_image_setup()
-    trace = {}
-    logits = image_forward(pixels, params, cfg, trace=trace)
+    stages = []
+
+    def recording_build(grid, k_medium, include_medium):
+        graph, names = build_image_graph(grid, k_medium, include_medium)
+        stages.append((grid.height * grid.width, names))
+        return graph, names
+
+    monkeypatch.setattr(models, "build_image_graph", recording_build)
+    logits = image_forward(pixels, params, cfg)
     assert logits.shape == (1, cfg.num_classes)
     # 32x32 pixels -> 8x8 patches, halved between stages
-    assert trace["stage_patch_counts"] == [64, 16, 4, 1]
-    rels = trace["stage_relations"]
+    assert [p for p, _ in stages] == [64, 16, 4, 1]
+    rels = [names for _, names in stages]
     assert len(rels[0]) == 6 and "medium" not in rels[0]
     for names in rels[1:]:
         assert len(names) == 7 and "medium" in names
