@@ -232,7 +232,7 @@ def image_forward(x, params: ImageModelParams, cfg: ImageModelConfig) -> Tensor:
     if x.channels != patch_dim:
         raise ShapeError(f"expected {patch_dim} features per patch")
 
-    z = Tensor(x.features.astype(np.float64))
+    z = Tensor(x.features)
     z = _bias_add(matmul(z, params.stem_w), params.stem_b)
     z = layer_norm(z, params.stem_norm)
     height, width = x.height, x.width

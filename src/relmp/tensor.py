@@ -27,6 +27,13 @@ exact.
 Default element type is float32. Verification paths (finite-difference
 checks, dense oracles) switch to float64 via `default_dtype`. Every op result
 is checked for NaN/Inf and raises NumericError on the first non-finite value.
+
+The backward sweep frees the tape as it consumes it: each recorded node drops
+its closure, its parents and its gradient once the closure has run, so a
+node's forward data can be released before the sweep ends. Read gradients
+from leaves, which accumulate across sweeps. An interior (recorded) tensor's
+`.grad` is None after `backward()` and holds that sweep's gradient only under
+`backward(retain_graph=True)`, which also keeps the graph for another sweep.
 """
 
 from __future__ import annotations
@@ -137,7 +144,7 @@ def active_dtype():
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite value produced by {op}")
 
 
@@ -203,12 +210,22 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
+            # A leaf's gradient is its own buffer, since clip_global_norm scales
+            # it in place. An interior gradient is only read by the node's own
+            # closure and never written, so it may alias g.
+            self.grad = g.astype(self.data.dtype, copy=self._backward is None)
         else:
             self.grad = self.grad + g
 
     def backward(self, retain_graph: bool = False) -> None:
-        """Reverse sweep from a scalar. Frees the recorded graph unless retained."""
+        """Reverse sweep from a scalar, adding d(self)/d(leaf) to each leaf's grad.
+
+        Unless `retain_graph` is set, every recorded node drops its closure,
+        parents and gradient as soon as its closure has run, so the tape is
+        released during the sweep and interior `.grad` (the root's included)
+        is None afterwards. With `retain_graph=True` interior gradients of
+        this sweep are kept and the graph can be swept again.
+        """
         if self.size != 1:
             raise ContractError("backward requires a scalar (size-1) tensor")
         if not self.requires_grad:
@@ -235,11 +252,16 @@ class Tensor:
         for node in order:
             if node._backward is not None:
                 node.grad = None
-        self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node.grad)
+        self._accumulate(np.ones_like(self.data))
+        # Popping drops the list's reference, so a consumed node and the
+        # forward data its consumers captured are freed during the sweep.
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue
+            node._backward(node.grad)
             if not retain_graph:
+                node.grad = None
                 node._backward = None
                 node._parents = ()
 

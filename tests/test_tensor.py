@@ -2,6 +2,7 @@
 
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from relmp import tensor as T
 from relmp.errors import (ConfigError, ContractError, DataError, NumericError,
                           ShapeError)
 from relmp.oracles import depthwise_conv_oracle, matmul_oracle
-from relmp.tensor import (OpCounter, Tensor, bce_with_logits, concat_cols,
+from relmp.tensor import (OpCounter, Tensor, add, bce_with_logits, concat_cols,
                           concat_rows, count_flops, counting_paused,
                           cross_entropy_with_logits, default_dtype,
                           depthwise_conv2d, finite_difference_check, gather_rows,
@@ -220,6 +221,52 @@ class TestBackward:
         loss = sum_all(hadamard(x, x))  # d/dx x^2 = 2x
         loss.backward()
         assert np.allclose(x.grad, [[4.0]])
+
+    def test_leaf_root_accumulates_across_calls(self):
+        x = Tensor([[3.0]], requires_grad=True)
+        x.backward()
+        x.backward()
+        assert np.array_equal(x.grad, [[2.0]])
+
+    def test_consumed_nodes_are_released_during_the_sweep(self):
+        x = Tensor(np.ones((4, 4)), requires_grad=True)
+
+        def probe_backward(g):
+            # runs last: every node recorded after the probe is consumed by now
+            assert released() is None, "a consumed node's data is still alive"
+            x._accumulate(g)
+
+        probe = T._result(x.data * 1.0, "probe", (x,), probe_backward)
+        mid = relu(T.mul_scalar(probe, 2.0))
+        released = weakref.ref(mid.data)
+        loss = sum_all(mid)
+        del mid, probe
+        loss.backward()
+        assert released() is None
+        assert np.array_equal(x.grad, np.full((4, 4), 2.0, np.float32))
+
+    @pytest.mark.parametrize("retain", [False, True])
+    def test_interior_grads_kept_only_when_retained(self, retain):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        sq = hadamard(x, x)
+        loss = sum_all(sq)
+        loss.backward(retain_graph=retain)
+        assert np.array_equal(x.grad, np.full((2, 2), 2.0, np.float32))
+        if not retain:
+            assert sq.grad is None and loss.grad is None
+            return
+        assert np.array_equal(sq.grad, np.ones((2, 2)))
+        assert np.array_equal(loss.grad, np.ones(()))
+        loss.backward(retain_graph=True)
+        assert np.array_equal(sq.grad, np.ones((2, 2)))
+        assert np.array_equal(x.grad, np.full((2, 2), 4.0, np.float32))
+
+    def test_leaves_of_one_add_own_their_grad_buffers(self):
+        # clip_global_norm scales leaf gradients in place
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        sum_all(add(a, b)).backward()
+        assert not np.shares_memory(a.grad, b.grad)
 
     def test_finite_difference_composite(self):
         # chains matmul, hadamard, tile, slice, activation, reductions
