@@ -4,6 +4,9 @@ Ranking uses the mid-rank convention for ties: a candidate tied with t others
 gets the average of the best and worst positions it could occupy, so a query
 whose candidates all tie scores (1 + N) / 2. Filtering removes known-true
 candidates (other than the query's own answer) before ranking.
+`query_ranks` ranks one block of queries; `rank_summary` turns ranks into
+MR, MRR and Hits@k, so a caller may rank in blocks and summarize once, and
+`ranking_metrics` does both for one dense [Q, N] score matrix.
 """
 
 from __future__ import annotations
@@ -51,7 +54,16 @@ def ranking_metrics(scores: np.ndarray, true_idx: np.ndarray,
                     filter_mask: np.ndarray | None = None,
                     cutoffs=HITS_CUTOFFS) -> dict:
     """MR, MRR and Hits@k over a batch of ranking queries."""
-    ranks = query_ranks(scores, true_idx, filter_mask)
+    return rank_summary(query_ranks(scores, true_idx, filter_mask), cutoffs)
+
+
+def rank_summary(ranks: np.ndarray, cutoffs=HITS_CUTOFFS) -> dict:
+    """MR, MRR and Hits@k from per-query ranks (as `query_ranks` returns).
+
+    Callers that rank queries block by block concatenate the blocks' ranks
+    and summarize once, which gives the same floats as one dense call.
+    """
+    ranks = np.asarray(ranks, dtype=np.float64)
     out = {"mr": float(ranks.mean()), "mrr": float((1.0 / ranks).mean())}
     for k in cutoffs:
         out[f"hits@{k}"] = float((ranks <= k).mean())

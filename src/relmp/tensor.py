@@ -34,6 +34,11 @@ node's forward data can be released before the sweep ends. Read gradients
 from leaves, which accumulate across sweeps. An interior (recorded) tensor's
 `.grad` is None after `backward()` and holds that sweep's gradient only under
 `backward(retain_graph=True)`, which also keeps the graph for another sweep.
+
+Inside a `no_grad()` scope ops record nothing: a result has no parents, no
+closure and `requires_grad=False`, so a forward-only pass (evaluation, the
+end-of-epoch probe loss) keeps no tape alive. Charges and finiteness checks
+are the same inside and outside the scope.
 """
 
 from __future__ import annotations
@@ -141,6 +146,21 @@ def default_dtype(dtype):
 
 def active_dtype():
     return _dtype_stack()[-1]
+
+
+@contextmanager
+def no_grad():
+    """Record no gradient tape inside the scope (per thread; nests)."""
+    previous = grad_enabled()
+    _state.grad_enabled = False
+    try:
+        yield
+    finally:
+        _state.grad_enabled = previous
+
+
+def grad_enabled() -> bool:
+    return getattr(_state, "grad_enabled", True)
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -291,7 +311,7 @@ class Tensor:
 
 def _result(data, op, parents, backward):
     _check_finite(data, op)
-    req = any(p.requires_grad for p in parents)
+    req = grad_enabled() and any(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = req
@@ -734,22 +754,31 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     if kernel.shape[2] != c:
         raise ShapeError("depthwise_conv2d: channel counts differ")
     pad = k // 2
-    xp = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=x.data.dtype)
-    xp[pad:pad + h, pad:pad + w] = x.data
+    padded_shape = (h + 2 * pad, w + 2 * pad, c)
+
+    def padded(arr):
+        out = np.zeros(padded_shape, dtype=arr.dtype)
+        out[pad:pad + h, pad:pad + w] = arr
+        return out
+
+    xp = padded(x.data)
     out_data = np.zeros((h, w, c), dtype=x.data.dtype)
     for di in range(k):
         for dj in range(k):
             out_data += xp[di:di + h, dj:dj + w] * kernel.data[di, dj]
     _charge("depthwise_conv2d", 2 * h * w * c * k * k)
 
+    # The closure re-pads x.data instead of capturing xp, so the tape does
+    # not keep a second, padded copy of every convolution input alive.
     def backward(g):
         if x.requires_grad:
-            gp = np.zeros_like(xp)
+            gp = np.zeros(padded_shape, dtype=x.data.dtype)
             for di in range(k):
                 for dj in range(k):
                     gp[di:di + h, dj:dj + w] += g * kernel.data[di, dj]
             x._accumulate(gp[pad:pad + h, pad:pad + w])
         if kernel.requires_grad:
+            xp = padded(x.data)
             gk = np.zeros_like(kernel.data)
             for di in range(k):
                 for dj in range(k):

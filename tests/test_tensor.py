@@ -2,6 +2,7 @@
 
 import json
 import struct
+import threading
 import weakref
 
 import numpy as np
@@ -15,9 +16,10 @@ from relmp.tensor import (OpCounter, Tensor, add, bce_with_logits, concat_cols,
                           concat_rows, count_flops, counting_paused,
                           cross_entropy_with_logits, default_dtype,
                           depthwise_conv2d, finite_difference_check, gather_rows,
-                          gelu, hadamard, load_checkpoint, matmul, mean_cols,
-                          mean_rows, relu, reshape, save_checkpoint, sigmoid,
-                          slice_cols, slice_rows, sum_all, tile_cols, tile_rows)
+                          gelu, grad_enabled, hadamard, load_checkpoint, matmul,
+                          mean_cols, mean_rows, no_grad, relation_weighted_sum,
+                          relu, reshape, save_checkpoint, sigmoid, slice_cols,
+                          slice_rows, sum_all, tile_cols, tile_rows)
 
 
 class TestTensorBasics:
@@ -191,6 +193,110 @@ class TestDepthwiseConv:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             depthwise_conv2d(Tensor(np.ones((4, 4, 2))), Tensor(np.ones((3, 3, 3))))
+
+
+    def test_backward_keeps_no_padded_copy(self):
+        x = Tensor(np.ones((4, 5, 2)), requires_grad=True)
+        out = depthwise_conv2d(x, Tensor(np.ones((3, 3, 2)), requires_grad=True))
+        held = [c.cell_contents for c in out._backward.__closure__]
+        assert not any(isinstance(v, np.ndarray) and v.shape == (6, 7, 2)
+                       for v in held)
+
+
+def _mixed_ops(x, w, img, kernel, scores):
+    """One result per recorded-op family, all fed by grad-requiring leaves."""
+    y = matmul(x, w)
+    return [y, hadamard(y, x), relu(y), gelu(y), sum_all(y), mean_cols(y),
+            gather_rows(y, [2, 0, 2]), concat_cols([y, x]), slice_rows(y, 1, 3),
+            tile_rows(slice_rows(y, 0, 1), 3), reshape(y, (6, 2)),
+            relation_weighted_sum(y, scores, 2),
+            depthwise_conv2d(img, kernel)]
+
+
+def _mixed_leaves():
+    r = np.random.default_rng(11)
+    return (Tensor(r.normal(size=(3, 4)), requires_grad=True),
+            Tensor(r.normal(size=(4, 4)), requires_grad=True),
+            Tensor(r.normal(size=(4, 5, 2)), requires_grad=True),
+            Tensor(r.normal(size=(3, 3, 2)), requires_grad=True),
+            Tensor(r.normal(size=(3, 2)), requires_grad=True))
+
+
+class TestNoGrad:
+    def test_results_record_no_tape(self):
+        leaves = _mixed_leaves()
+        with no_grad():
+            results = _mixed_ops(*leaves)
+        for out in results:
+            assert not out.requires_grad, out
+            assert out._parents == () and out._backward is None, out
+        assert all(out.requires_grad for out in _mixed_ops(*leaves))
+
+    def test_charges_and_values_match_recorded_ops(self):
+        leaves = _mixed_leaves()
+        with count_flops() as taped:
+            want = _mixed_ops(*leaves)
+        with no_grad(), count_flops() as untaped:
+            got = _mixed_ops(*leaves)
+        assert untaped.per_op == taped.per_op
+        for a, b in zip(got, want):
+            assert np.array_equal(a.data, b.data)
+
+    def test_nonfinite_results_still_raise(self):
+        with no_grad(), np.errstate(divide="ignore"), \
+                pytest.raises(NumericError):
+            T.div(Tensor([[1.0]], requires_grad=True), Tensor([[0.0]]))
+
+    def test_mode_restored_after_exception(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside the scope")
+        assert grad_enabled() and hadamard(x, x).requires_grad
+
+    def test_nested_scopes_restore_the_outer_mode(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert not grad_enabled()
+            assert not grad_enabled()
+            assert not hadamard(x, x).requires_grad
+        assert grad_enabled() and hadamard(x, x).requires_grad
+
+    def test_mode_is_per_thread(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        entered, checked = threading.Event(), threading.Event()
+        seen = {}
+
+        def worker():
+            with no_grad():
+                entered.set()
+                checked.wait(timeout=10)
+                seen["worker"] = hadamard(x, x).requires_grad
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        assert entered.wait(timeout=10)
+        seen["main"] = hadamard(x, x).requires_grad
+        checked.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == {"main": True, "worker": False}
+
+        with no_grad():
+            thread = threading.Thread(
+                target=lambda: seen.update(fresh=hadamard(x, x).requires_grad))
+            thread.start()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and seen["fresh"] is True
+
+    def test_backward_on_a_no_grad_result_raises(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        with no_grad():
+            loss = sum_all(hadamard(x, x))
+        with pytest.raises(ContractError):
+            loss.backward()
+        assert x.grad is None
 
 
 class TestBackward:
