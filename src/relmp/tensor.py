@@ -28,6 +28,13 @@ Default element type is float32. Verification paths (finite-difference
 checks, dense oracles) switch to float64 via `default_dtype`. Every op result
 is checked for NaN/Inf and raises NumericError on the first non-finite value.
 
+Dtype contract: an op result has the dtype of one of its inputs, so float32
+in gives float32 out and a float32 x float64 operand pair gives float64.
+`_result` raises ContractError, naming the op and the dtypes, for a result
+that matches none of them. Constants that ops multiply by are Python floats:
+under NumPy 2's scalar promotion (NEP 50) a NumPy float64 scalar turns a
+float32 array into float64, and a Python float does not.
+
 The backward sweep frees the tape as it consumes it: each recorded node drops
 its closure, its parents and its gradient once the closure has run, so a
 node's forward data can be released before the sweep ends. Read gradients
@@ -44,6 +51,7 @@ are the same inside and outside the scope.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import threading
 from contextlib import contextmanager
@@ -55,8 +63,9 @@ from .errors import (ConfigError, ContractError, DataError, NumericError,
                      ShapeError)
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not NumPy scalars (see the dtype contract above)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _state = threading.local()
 
@@ -311,6 +320,11 @@ class Tensor:
 
 def _result(data, op, parents, backward):
     _check_finite(data, op)
+    if data.dtype != parents[0].data.dtype:
+        dtypes = sorted({str(p.data.dtype) for p in parents})
+        if str(data.dtype) not in dtypes:
+            raise ContractError(f"{op}: result dtype {data.dtype} matches none "
+                                f"of its input dtypes ({', '.join(dtypes)})")
     req = grad_enabled() and any(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
     out.data = data

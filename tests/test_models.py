@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from relmp import graph as graph_module
 from relmp import models
+from relmp import tensor as tensor_module
 from relmp.builders import (
     ProteinChain,
     TripletStore,
@@ -38,6 +40,7 @@ from relmp.tensor import (
     relu,
     slice_rows,
 )
+from relmp.training import toy_kinship_kg
 
 TINY = dict(channels=(8, 16, 32, 64), depths=(1, 1, 1, 1), num_classes=10,
             k_medium=3)
@@ -120,12 +123,15 @@ def test_image_rejects_unsupported_resolutions():
 
 
 def test_image_head_permutation_permutes_logits():
-    cfg, params, pixels = tiny_image_setup()
-    base = image_forward(pixels, params, cfg).data[0]
-    perm = np.random.default_rng(3).permutation(cfg.num_classes)
-    params.head_w.data = params.head_w.data[:, perm]
-    params.head_b.data = params.head_b.data[perm]
-    permuted = image_forward(pixels, params, cfg).data[0]
+    # float64: in float32 BLAS may round a logit differently by the position
+    # of its column (a few ulp), which is not what this test is about
+    with default_dtype(np.float64):
+        cfg, params, pixels = tiny_image_setup()
+        base = image_forward(pixels, params, cfg).data[0]
+        perm = np.random.default_rng(3).permutation(cfg.num_classes)
+        params.head_w.data = params.head_w.data[:, perm]
+        params.head_b.data = params.head_b.data[perm]
+        permuted = image_forward(pixels, params, cfg).data[0]
     assert np.allclose(permuted, base[perm], rtol=0, atol=1e-12)
 
 
@@ -307,3 +313,55 @@ def test_line_graph_edge_forward_smoke():
     out = grmp_forward(line, feats, params)
     assert out.shape == (line.num_nodes, 4)
     assert np.all(np.isfinite(out.data))
+
+
+# -- dtype: float32 models stay float32 --------------------------------------------------------
+
+
+def _image_loss():
+    cfg, params, pixels = tiny_image_setup()
+    return cross_entropy_with_logits(image_forward(pixels, params, cfg), [3]), params
+
+
+def _protein_loss():
+    rng = np.random.default_rng(21)
+    cfg = ProteinEncoderConfig(num_layers=2, hidden=6, num_tasks=3)
+    params = ProteinEncoderParams.init(rng, cfg)
+    _, logits = protein_forward(_random_chain(rng, 24), params, cfg)
+    return bce_with_logits(logits, [[1.0, 0.0, 1.0]]), params
+
+
+def _kg_loss():
+    data = toy_kinship_kg(24)
+    cfg = KGModelConfig(num_layers=2, channels=8, scorer_hidden=6)
+    params = KGModelParams.init(np.random.default_rng(22), data.num_entities,
+                                data.num_relations, cfg)
+    h, r, t = zip(*data.train.triplets[:16])
+    scores = kg_score(kg_encode(fact_graph(data.train), params), params, h, r, t)
+    targets = np.zeros((len(h), 1))
+    targets[::2] = 1.0
+    return bce_with_logits(scores, targets), params
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("build_loss", [_image_loss, _protein_loss, _kg_loss],
+                         ids=["image", "protein", "kg"])
+def test_model_ops_and_gradients_keep_the_active_dtype(build_loss, dtype,
+                                                       monkeypatch):
+    recorded = []
+    real_result = tensor_module._result
+
+    def spy(data, op, parents, backward):
+        recorded.append((op, data.dtype))
+        return real_result(data, op, parents, backward)
+
+    monkeypatch.setattr(tensor_module, "_result", spy)
+    monkeypatch.setattr(graph_module, "_result", spy)
+    with default_dtype(dtype):
+        loss, params = build_loss()
+        loss.backward()
+    assert recorded and all(d == dtype for _, d in recorded), \
+        sorted({op for op, d in recorded if d != dtype})
+    wrong = sorted(name for name, t in params.tensors().items()
+                   if t.grad is None or t.grad.dtype != dtype)
+    assert not wrong, wrong

@@ -1,5 +1,6 @@
 """Tensor core: op semantics, FLOP accounting, gradients, checkpoints."""
 
+import inspect
 import json
 import struct
 import threading
@@ -11,6 +12,7 @@ import pytest
 from relmp import tensor as T
 from relmp.errors import (ConfigError, ContractError, DataError, NumericError,
                           ShapeError)
+from relmp.graph import RelGraph, rel_aggregate
 from relmp.oracles import depthwise_conv_oracle, matmul_oracle
 from relmp.tensor import (OpCounter, Tensor, add, bce_with_logits, concat_cols,
                           concat_rows, count_flops, counting_paused,
@@ -19,7 +21,7 @@ from relmp.tensor import (OpCounter, Tensor, add, bce_with_logits, concat_cols,
                           gelu, grad_enabled, hadamard, load_checkpoint, matmul,
                           mean_cols, mean_rows, no_grad, relation_weighted_sum,
                           relu, reshape, save_checkpoint, sigmoid, slice_cols,
-                          slice_rows, sum_all, tile_cols, tile_rows)
+                          slice_rows, sqrt, sub, sum_all, tile_cols, tile_rows)
 
 
 class TestTensorBasics:
@@ -447,6 +449,129 @@ class TestLossValues:
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
             cross_entropy_with_logits(Tensor(np.zeros((1, 3))), [3])
+
+
+# -- dtype contract ----------------------------------------------------------------
+
+_DTYPE_GRAPH = RelGraph(4, 2, [(0, 1, 0), (1, 2, 0), (2, 1, 1), (3, 0, 1),
+                               (0, 3, 0)])
+
+# (op, input shapes, call); every public op of tensor.py plus rel_aggregate,
+# with the row-broadcast and unscored forms as extra cases
+_DTYPE_CASES = [
+    ("add", [(3, 4), (3, 4)], add),
+    ("add", [(3, 4), (4,)], add),
+    ("sub", [(3, 4), (3, 4)], sub),
+    ("sub", [(3, 4), (4,)], sub),
+    ("hadamard", [(3, 4), (3, 4)], hadamard),
+    ("hadamard", [(3, 4), (4,)], hadamard),
+    ("div", [(3, 4), (3, 4)], T.div),
+    ("div", [(3, 4), (4,)], T.div),
+    ("add_scalar", [(3, 4)], lambda a: T.add_scalar(a, 0.5)),
+    ("mul_scalar", [(3, 4)], lambda a: T.mul_scalar(a, 1.5)),
+    ("matmul", [(3, 4), (4, 2)], matmul),
+    ("tile_rows", [(4,)], lambda a: tile_rows(a, 3)),
+    ("tile_cols", [(3, 1)], lambda a: tile_cols(a, 4)),
+    ("relation_weighted_sum", [(3, 6), (3, 2)],
+     lambda w, s: relation_weighted_sum(w, s, 2)),
+    ("relation_weighted_sum", [(3, 6)],
+     lambda w: relation_weighted_sum(w, None, 2)),
+    ("sum_all", [(3, 4)], sum_all),
+    ("mean_rows", [(3, 4)], mean_rows),
+    ("mean_cols", [(3, 4)], mean_cols),
+    ("relu", [(3, 4)], relu),
+    ("gelu", [(3, 4)], gelu),
+    ("sigmoid", [(3, 4)], sigmoid),
+    ("exp", [(3, 4)], T.exp),
+    ("log", [(3, 4)], T.log),
+    ("sqrt", [(3, 4)], sqrt),
+    ("reshape", [(3, 4)], lambda a: reshape(a, (4, 3))),
+    ("slice_rows", [(3, 4)], lambda a: slice_rows(a, 1, 3)),
+    ("slice_cols", [(3, 4)], lambda a: slice_cols(a, 1, 3)),
+    ("gather_rows", [(3, 4)], lambda a: gather_rows(a, [2, 0, 2])),
+    ("concat_rows", [(2, 4), (3, 4)], lambda a, b: concat_rows([a, b])),
+    ("concat_cols", [(3, 2), (3, 4)], lambda a, b: concat_cols([a, b])),
+    ("depthwise_conv2d", [(4, 5, 2), (3, 3, 2)], depthwise_conv2d),
+    ("cross_entropy_with_logits", [(3, 4)],
+     lambda a: cross_entropy_with_logits(a, [0, 3, 1])),
+    ("bce_with_logits", [(3, 1)],
+     lambda a: bce_with_logits(a, [[1.0], [0.0], [1.0]])),
+    ("rel_aggregate", [(4, 3)], lambda z: rel_aggregate(_DTYPE_GRAPH, z)),
+]
+_POSITIVE_INPUTS = {"div", "log", "sqrt"}
+_NOT_OPS = {"active_dtype", "count_flops", "counting_paused", "default_dtype",
+            "finite_difference_check", "grad_enabled", "load_checkpoint",
+            "no_grad", "save_checkpoint"}
+
+
+def _dtype_case_id(case):
+    op, shapes, _ = case
+    return f"{op}-" + "-".join("x".join(map(str, s)) for s in shapes)
+
+
+class TestDtypeContract:
+    def test_every_public_op_has_a_case(self):
+        public = {name for name, f in vars(T).items()
+                  if inspect.isfunction(f) and f.__module__ == T.__name__
+                  and not name.startswith("_")}
+        assert public - _NOT_OPS == {op for op, _, _ in _DTYPE_CASES} - {
+            "rel_aggregate"}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", _DTYPE_CASES, ids=_dtype_case_id)
+    def test_result_and_gradients_keep_the_input_dtype(self, case, dtype,
+                                                       monkeypatch):
+        op, shapes, call = case
+        rng = np.random.default_rng(0)
+        low = 0.5 if op in _POSITIVE_INPUTS else -2.0
+        inputs = [Tensor(rng.uniform(low, 2.0, size=s), requires_grad=True,
+                         dtype=dtype) for s in shapes]
+        out = call(*inputs)
+        assert out.dtype == dtype
+        handed = []
+        accumulate = Tensor._accumulate
+
+        def spy(node, g):
+            handed.append((node._op, g.dtype))
+            accumulate(node, g)
+
+        monkeypatch.setattr(Tensor, "_accumulate", spy)
+        sum_all(out).backward()
+        assert len(handed) >= 1 + len(inputs)
+        assert all(d == dtype for _, d in handed), handed
+        assert all(t.grad.dtype == dtype for t in inputs)
+
+    def test_widening_op_is_a_contract_error(self, monkeypatch):
+        monkeypatch.setattr(T, "_INV_SQRT2", np.float64(T._INV_SQRT2))
+        x = Tensor(np.linspace(-2.0, 2.0, 6).reshape(2, 3), dtype=np.float32)
+        with pytest.raises(ContractError, match="gelu") as err:
+            gelu(x)
+        assert "float32" in str(err.value) and "float64" in str(err.value)
+
+    def test_mixed_operands_give_the_wider_dtype(self):
+        for first in (np.float32, np.float64):
+            second = np.float64 if first == np.float32 else np.float32
+            a = Tensor(np.ones((2, 3)), requires_grad=True, dtype=first)
+            b = Tensor(np.ones((3, 2)), requires_grad=True, dtype=second)
+            out = matmul(a, b)
+            assert out.dtype == np.float64
+            sum_all(out).backward()
+            assert a.grad.dtype == first and b.grad.dtype == second
+
+    def test_float32_gelu_tracks_float64(self):
+        # compared at the same float32-representable points
+        x = np.linspace(-8.0, 8.0, 4001).astype(np.float32).reshape(1, -1)
+        values, grads = {}, {}
+        for dtype in (np.float32, np.float64):
+            t = Tensor(x, requires_grad=True, dtype=dtype)
+            out = gelu(t)
+            sum_all(out).backward()
+            values[dtype], grads[dtype] = out.data, t.grad
+        bound = 2 * np.finfo(np.float32).eps * np.maximum(1.0, np.abs(x))
+        for got in (values, grads):
+            assert got[np.float32].dtype == np.float32
+            err = np.abs(got[np.float32].astype(np.float64) - got[np.float64])
+            assert np.all(err <= bound), (err / bound).max()
 
 
 class TestCheckpoint:
