@@ -14,7 +14,7 @@ description; this build does not).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,29 +140,41 @@ def image_medium_edges(grid: PatchGrid, k: int, relation: int = 0) -> np.ndarray
     return np.stack([src, dst, np.full_like(src, relation)], axis=1)
 
 
-def build_image_graph(grid: PatchGrid, k_medium: int,
-                      include_medium: bool) -> tuple[RelGraph, list[str]]:
-    """Full per-stage graph: patches plus the long-range virtual nodes.
+def image_patch_edges(grid: PatchGrid, k_medium: int,
+                      include_medium: bool) -> tuple[np.ndarray, list[str]]:
+    """Patch-to-patch (src, dst, rel) rows and their ordered relation names.
 
-    Node layout: patches 0..P-1, the global node at P, context node for patch
-    v at P+1+v. Relation order: the four short directions, the medium relation
-    when enabled, then the two long relations: the global node fans out to
-    every patch on the first, and each context node feeds its patch on the
-    second. Virtual-node features are recomputed at every layer call, so only
-    this topology is fixed.
+    Relation order: the four short directions, then the medium relation when
+    enabled. The long relations to virtual nodes follow these in
+    `build_image_graph`.
     """
-    p = grid.height * grid.width
     names = list(SHORT_RELATIONS)
     parts = [image_short_edges(grid.height, grid.width)]
     if include_medium:
         parts.append(image_medium_edges(grid, k_medium, relation=len(names)))
         names.append(MEDIUM_RELATION)
+    return np.concatenate(parts), names
+
+
+def build_image_graph(grid: PatchGrid, k_medium: int,
+                      include_medium: bool) -> tuple[RelGraph, list[str]]:
+    """Full per-stage graph: patches plus the long-range virtual nodes.
+
+    Node layout: patches 0..P-1, the global node at P, context node for patch
+    v at P+1+v. Relation order: the `image_patch_edges` relations, then the
+    two long relations: the global node fans out to every patch on the first,
+    and each context node feeds its patch on the second. Virtual-node features
+    are recomputed at every layer call, so only this topology is fixed.
+    """
+    p = grid.height * grid.width
+    rows, names = image_patch_edges(grid, k_medium, include_medium)
     patch = np.arange(p)
     rel_global = np.full_like(patch, len(names))
     names += list(LONG_RELATIONS)
-    parts.append(np.stack([np.full_like(patch, p), patch, rel_global], axis=1))
-    parts.append(np.stack([p + 1 + patch, patch, rel_global + 1], axis=1))
-    graph = RelGraph(2 * p + 1, len(names), np.concatenate(parts))
+    graph = RelGraph(2 * p + 1, len(names), np.concatenate([
+        rows,
+        np.stack([np.full_like(patch, p), patch, rel_global], axis=1),
+        np.stack([p + 1 + patch, patch, rel_global + 1], axis=1)]))
     return graph, names
 
 
@@ -287,9 +299,6 @@ class TripletStore:
             if not (0 <= r < half):
                 raise DataError(f"relation index out of range in ({h},{r},{t})")
 
-    def inverse_relation(self, r: int) -> int:
-        return r + self.num_relations // 2
-
 
 @dataclass
 class KGDataset:
@@ -298,8 +307,6 @@ class KGDataset:
     train: TripletStore
     valid: TripletStore
     test: TripletStore
-    entity_index: dict = field(repr=False, default_factory=dict)
-    relation_index: dict = field(repr=False, default_factory=dict)
 
     @property
     def num_entities(self) -> int:
@@ -349,8 +356,7 @@ def load_triplets(train_path, valid_path=None, test_path=None) -> KGDataset:
         stores[split] = TripletStore(len(entities), 2 * len(relations), trips, split)
     return KGDataset(entities=list(entities), relations=list(relations),
                      train=stores["train"], valid=stores["valid"],
-                     test=stores["test"], entity_index=entities,
-                     relation_index=relations)
+                     test=stores["test"])
 
 
 def fact_graph(train: TripletStore) -> RelGraph:

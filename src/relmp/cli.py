@@ -28,6 +28,7 @@ import configparser
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from typing import NamedTuple
 
 from .errors import (ConfigError, ContractError, DataError, GraphError,
@@ -242,10 +243,7 @@ def _apply_threads(count) -> None:
 def cmd_build_graph(resolved: dict) -> int:
     _require(resolved, "build-graph", "domain", "input")
     out = _prepare_out(resolved, "build-graph")
-    import numpy as np
-
-    from .builders import (LONG_RELATIONS, MEDIUM_RELATION, SHORT_RELATIONS,
-                           fact_graph, image_medium_edges, image_short_edges,
+    from .builders import (LONG_RELATIONS, fact_graph, image_patch_edges,
                            load_patch_grid, load_protein_chain, load_triplets,
                            protein_edges)
     from .graph import RelGraph, save_edge_list
@@ -254,12 +252,7 @@ def cmd_build_graph(resolved: dict) -> int:
     if domain == "image":
         grid = load_patch_grid(path)
         k = resolved["k_medium"]
-        names = list(SHORT_RELATIONS)
-        rows = image_short_edges(grid.height, grid.width)
-        if k > 0:
-            medium = image_medium_edges(grid, k, relation=len(names))
-            rows = np.concatenate([rows, medium])
-            names.append(MEDIUM_RELATION)
+        rows, names = image_patch_edges(grid, k, include_medium=k > 0)
         patches = grid.height * grid.width
         graph = RelGraph(patches, len(names), rows)
         registry = {
@@ -320,17 +313,12 @@ def cmd_bench_flops(resolved: dict) -> int:
 
 
 def cmd_verify(resolved: dict) -> int:
-    from . import costmodel, verify
+    from . import verify
 
     names = verify.SUITES if resolved["suite"] == "all" else (resolved["suite"],)
-    linear = costmodel.GRMP_PER_RELATION_LINEAR
-    if resolved["inject_fault"]:
-        costmodel.GRMP_PER_RELATION_LINEAR = linear + 1
-    try:
-        report = verify.run_suites(names, seed=resolved["seed"],
-                                   transforms=resolved["transforms"])
-    finally:
-        costmodel.GRMP_PER_RELATION_LINEAR = linear
+    report = verify.run_suites(names, seed=resolved["seed"],
+                               transforms=resolved["transforms"],
+                               inject_fault=resolved["inject_fault"])
     report["inject_fault"] = bool(resolved["inject_fault"])
     text = json.dumps(report, indent=2)
     print(text)
@@ -366,11 +354,7 @@ def cmd_train_kg(resolved: dict) -> int:
     from .training import save_metric_history, train_kg
 
     data, data_desc = _load_kg_data(resolved)
-    cfg = KGModelConfig(num_layers=resolved["num_layers"],
-                        channels=resolved["channels"],
-                        scorer_hidden=resolved["scorer_hidden"],
-                        negatives=resolved["negatives"],
-                        scorer_features=resolved["scorer_features"])
+    cfg = KGModelConfig(**{f.name: resolved[f.name] for f in fields(KGModelConfig)})
     params, history = train_kg(data, cfg, epochs=resolved["epochs"],
                                seed=resolved["seed"], lr=resolved["lr"],
                                batch_size=resolved["batch_size"],
@@ -381,11 +365,7 @@ def cmd_train_kg(resolved: dict) -> int:
     save_checkpoint(ckpt_path, params.tensors())
     model_cfg = {"num_entities": data.num_entities,
                  "num_relations": data.num_relations,
-                 "num_layers": cfg.num_layers, "channels": cfg.channels,
-                 "scorer_hidden": cfg.scorer_hidden,
-                 "negatives": cfg.negatives,
-                 "scorer_features": cfg.scorer_features,
-                 "data": data_desc}
+                 **asdict(cfg), "data": data_desc}
     config_path = os.path.join(out, "model_config.json")
     with open(config_path, "w", encoding="utf-8") as f:
         json.dump(model_cfg, f, indent=2, sort_keys=True)
@@ -416,11 +396,7 @@ def cmd_eval(resolved: dict) -> int:
     except (OSError, json.JSONDecodeError) as e:
         raise DataError(f"{config_path}: cannot read model config ({e})")
     try:
-        cfg = KGModelConfig(num_layers=stored["num_layers"],
-                            channels=stored["channels"],
-                            scorer_hidden=stored["scorer_hidden"],
-                            negatives=stored["negatives"],
-                            scorer_features=stored["scorer_features"])
+        cfg = KGModelConfig(**{f.name: stored[f.name] for f in fields(KGModelConfig)})
         trained_on = (stored["num_entities"], stored["num_relations"])
     except KeyError as e:
         raise DataError(f"{config_path}: model config lacks key {e}") from e

@@ -31,11 +31,6 @@ from fractions import Fraction
 
 from .errors import ContractError
 
-# Per-relation linear coefficient of the gated layer (the "+7" in the total).
-# Exposed as a module constant so verification fault-injection can perturb it.
-GRMP_PER_RELATION_LINEAR = 7
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -103,7 +98,7 @@ def grmp_flops(num_relations: int, dbar, num_nodes: int, channels: int) -> int:
     _validate(num_relations, dbar, num_nodes, channels, require_relations=True)
     r, v, c = num_relations, num_nodes, channels
     d = _as_fraction(dbar)
-    total = r * (2 * d + GRMP_PER_RELATION_LINEAR) * v * c + Fraction(6 * v * c * c)
+    total = r * (2 * d + 7) * v * c + Fraction(6 * v * c * c)
     return _round(total)
 
 

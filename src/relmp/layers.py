@@ -63,6 +63,14 @@ def _bias_add(x: Tensor, b: Tensor) -> Tensor:
         return add(x, b)
 
 
+class Params:
+    """Base of the parameter groups. Each group's `tensors()` fixes the
+    checkpoint names and order of its parameters."""
+
+    def param_count(self) -> int:
+        return sum(t.size for t in self.tensors().values())
+
+
 def _named(obj, names) -> dict[str, Tensor]:
     out = {}
     for n in names:
@@ -76,7 +84,7 @@ def _named(obj, names) -> dict[str, Tensor]:
 
 
 @dataclass
-class RGConvParams:
+class RGConvParams(Params):
     """Per-relation matrices stacked as [R*C, C] plus the self transform.
 
     `w_stack` rows r*C..(r+1)*C hold relation r's matrix. Each relation matrix
@@ -107,9 +115,6 @@ class RGConvParams:
 
     def tensors(self) -> dict[str, Tensor]:
         return _named(self, ("w_stack", "b_stack", "w_self", "b_self"))
-
-    def param_count(self) -> int:
-        return sum(t.size for t in self.tensors().values())
 
 
 def rgconv_forward(graph: RelGraph, z: Tensor, params: RGConvParams) -> Tensor:
@@ -167,7 +172,7 @@ class GRMPVariant:
 
 
 @dataclass
-class GRMPParams:
+class GRMPParams(Params):
     """Gated-layer parameters.
 
     w_channel is the concatenated per-relation channel-weight vector [1, R*C]
@@ -218,9 +223,6 @@ class GRMPParams:
     def tensors(self) -> dict[str, Tensor]:
         return _named(self, ("w_self", "w_channel", "w_in", "b_in",
                              "w_out", "b_out", "w_alpha", "b_alpha"))
-
-    def param_count(self) -> int:
-        return sum(t.size for t in self.tensors().values())
 
 
 def _check_features(graph: RelGraph, z: Tensor, channels: int):
@@ -286,7 +288,7 @@ def grmp_forward(graph: RelGraph, z: Tensor, params: GRMPParams) -> Tensor:
 
 
 @dataclass
-class LayerNormParams:
+class LayerNormParams(Params):
     gamma: Tensor
     beta: Tensor
 
@@ -297,9 +299,6 @@ class LayerNormParams:
 
     def tensors(self) -> dict[str, Tensor]:
         return _named(self, ("gamma", "beta"))
-
-    def param_count(self) -> int:
-        return self.gamma.size + self.beta.size
 
 
 def layer_norm(x: Tensor, params: LayerNormParams, eps: float = 1e-5) -> Tensor:
@@ -319,7 +318,7 @@ def layer_norm(x: Tensor, params: LayerNormParams, eps: float = 1e-5) -> Tensor:
 
 
 @dataclass
-class FFNParams:
+class FFNParams(Params):
     """Two-layer feed-forward with expansion factor gamma and GELU between."""
     w1: Tensor
     b1: Tensor
@@ -342,9 +341,6 @@ class FFNParams:
     def tensors(self) -> dict[str, Tensor]:
         return _named(self, ("w1", "b1", "w2", "b2"))
 
-    def param_count(self) -> int:
-        return sum(t.size for t in self.tensors().values())
-
 
 def ffn_forward(x: Tensor, params: FFNParams) -> Tensor:
     h = gelu(_bias_add(matmul(x, params.w1), params.b1))
@@ -354,13 +350,8 @@ def ffn_forward(x: Tensor, params: FFNParams) -> Tensor:
 # -- virtual-node features ------------------------------------------------------------
 
 
-def global_virtual_feature(z: Tensor) -> Tensor:
-    """Whole-graph summary node: the column mean of all rows, shape [1, C]."""
-    return mean_rows(z)
-
-
 @dataclass
-class ContextStackParams:
+class ContextStackParams(Params):
     """Depthwise kernels applied in sequence with GELU after each.
 
     The default is three 3x3 kernels, an accumulative receptive field of 7.
@@ -380,9 +371,6 @@ class ContextStackParams:
 
     def tensors(self) -> dict[str, Tensor]:
         return {f"kernel{i}": k for i, k in enumerate(self.kernels)}
-
-    def param_count(self) -> int:
-        return sum(t.size for t in self.kernels)
 
     def receptive_field(self) -> int:
         return 1 + sum(k.shape[0] - 1 for k in self.kernels)
@@ -409,7 +397,7 @@ def context_stack_features(z: Tensor, height: int, width: int,
 
 
 @dataclass
-class PatchMergeParams:
+class PatchMergeParams(Params):
     """2x2 window concat (4C) -> normalization -> linear to 2C, no bias."""
     norm: LayerNormParams | None
     w_reduce: Tensor
@@ -427,12 +415,6 @@ class PatchMergeParams:
         if self.norm is not None:
             out.update({f"norm.{k}": v for k, v in self.norm.tensors().items()})
         return out
-
-    def param_count(self) -> int:
-        n = self.w_reduce.size
-        if self.norm is not None:
-            n += self.norm.param_count()
-        return n
 
 
 def patch_merging(z: Tensor, height: int, width: int,

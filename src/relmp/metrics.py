@@ -11,11 +11,9 @@ MR, MRR and Hits@k, so a caller may rank in blocks and summarize once, and
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from .errors import ContractError, DataError
+from .errors import ContractError
 
 HITS_CUTOFFS = (1, 3, 10)
 
@@ -126,53 +124,3 @@ def fmax(scores: np.ndarray, labels: np.ndarray,
             if f > best_f:
                 best_f, best_t = f, float(t)
     return best_f, best_t
-
-
-# -- prediction tables -----------------------------------------------------------------
-
-
-def save_score_table(path, protein_ids, task_ids, matrix) -> None:
-    """Long-form CSV with header protein_id,task_id,score; one row per cell."""
-    matrix = np.asarray(matrix)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["protein_id", "task_id", "score"])
-        for i, pid in enumerate(protein_ids):
-            for j, tid in enumerate(task_ids):
-                writer.writerow([pid, tid, repr(float(matrix[i, j]))])
-
-
-def load_score_table(path) -> tuple[list, list, np.ndarray]:
-    """Read a protein_id,task_id,score CSV into a dense matrix.
-
-    Row and column orders follow first appearance; missing cells default to
-    zero and duplicate cells are a DataError.
-    """
-    proteins: dict = {}
-    tasks: dict = {}
-    cells = {}
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != \
-                ["protein_id", "task_id", "score"]:
-            raise DataError(f"{path}: expected header protein_id,task_id,score")
-        for lineno, row in enumerate(reader, 2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 columns")
-            pid, tid, score = row
-            try:
-                val = float(score)
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: bad score {score!r}") from e
-            pi = proteins.setdefault(pid, len(proteins))
-            ti = tasks.setdefault(tid, len(tasks))
-            if (pi, ti) in cells:
-                raise DataError(f"{path}:{lineno}: duplicate cell {pid},{tid}")
-            cells[(pi, ti)] = val
-    matrix = np.zeros((len(proteins), len(tasks)))
-    for (pi, ti), val in cells.items():
-        matrix[pi, ti] = val
-    return list(proteins), list(tasks), matrix

@@ -56,12 +56,12 @@ from .layers import (
     FFNParams,
     GRMPParams,
     LayerNormParams,
+    Params,
     PatchMergeParams,
     _bias_add,
     _param,
     context_stack_features,
     ffn_forward,
-    global_virtual_feature,
     grmp_forward,
     layer_norm,
     patch_merging,
@@ -139,7 +139,7 @@ class ImageBlockParams:
 
 
 @dataclass
-class ImageModelParams:
+class ImageModelParams(Params):
     stem_w: Tensor
     stem_b: Tensor
     stem_norm: LayerNormParams
@@ -193,9 +193,6 @@ class ImageModelParams:
             out.update(_collect(f"merge{s}", merge.tensors()))
         return out
 
-    def param_count(self) -> int:
-        return sum(t.size for t in self.tensors().values())
-
 
 def pixels_to_patches(pixels: np.ndarray, patch_size: int = 4) -> PatchGrid:
     """Flatten non-overlapping patches into rows: row-major cells, then the
@@ -245,7 +242,7 @@ def image_forward(x, params: ImageModelParams, cfg: ImageModelConfig) -> Tensor:
         for block in blocks:
             xin = layer_norm(z, block.norm1)
             ctx = context_stack_features(xin, height, width, block.context)
-            full = concat_rows([xin, global_virtual_feature(xin), ctx])
+            full = concat_rows([xin, mean_rows(xin), ctx])
             msg = slice_rows(grmp_forward(graph, full, block.grmp), 0, p)
             z = add(z, msg)
             z = add(z, ffn_forward(layer_norm(z, block.norm2), block.ffn))
@@ -280,7 +277,7 @@ class ProteinEncoderConfig:
 
 
 @dataclass
-class ProteinEncoderParams:
+class ProteinEncoderParams(Params):
     embed_w: Tensor
     embed_b: Tensor
     layers: list                    # (GRMPParams, LayerNormParams) pairs
@@ -314,9 +311,6 @@ class ProteinEncoderParams:
             out[f"head.w{i}"] = w
             out[f"head.b{i}"] = b
         return out
-
-    def param_count(self) -> int:
-        return sum(t.size for t in self.tensors().values())
 
 
 def protein_forward(chain: ProteinChain, params: ProteinEncoderParams,
@@ -376,7 +370,7 @@ class KGModelConfig:
 
 
 @dataclass
-class KGModelParams:
+class KGModelParams(Params):
     entity_emb: Tensor
     relation_emb: Tensor            # includes inverse relations
     layers: list                    # (GRMPParams, LayerNormParams) per layer
@@ -431,9 +425,6 @@ class KGModelParams:
             out.update(_collect(f"layer{i}.norm", ln.tensors()))
         out.update(_collect("out_norm", self.out_norm.tensors()))
         return out
-
-    def param_count(self) -> int:
-        return sum(t.size for t in self.tensors().values())
 
 
 def kg_encode(graph: RelGraph, params: KGModelParams) -> Tensor:

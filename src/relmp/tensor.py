@@ -198,20 +198,6 @@ class Tensor:
         self._backward = None
         self._op = "leaf"
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zeros(shape, requires_grad=False, dtype=None):
-        return Tensor(np.zeros(shape), requires_grad=requires_grad, dtype=dtype)
-
-    @staticmethod
-    def ones(shape, requires_grad=False, dtype=None):
-        return Tensor(np.ones(shape), requires_grad=requires_grad, dtype=dtype)
-
-    @staticmethod
-    def full(shape, value, requires_grad=False, dtype=None):
-        return Tensor(np.full(shape, value), requires_grad=requires_grad, dtype=dtype)
-
     # -- bookkeeping -----------------------------------------------------------
 
     @property
@@ -225,9 +211,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype.type)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -244,7 +227,8 @@ class Tensor:
             # closure and never written, so it may alias g.
             self.grad = g.astype(self.data.dtype, copy=self._backward is None)
         else:
-            self.grad = self.grad + g
+            # a float64 partner's gradient must not widen a float32 leaf
+            self.grad = self.grad + g.astype(self.data.dtype, copy=False)
 
     def backward(self, retain_graph: bool = False) -> None:
         """Reverse sweep from a scalar, adding d(self)/d(leaf) to each leaf's grad.
@@ -293,29 +277,6 @@ class Tensor:
                 node.grad = None
                 node._backward = None
                 node._parents = ()
-
-    # -- operator sugar ----------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return hadamard(self, other)
-        return mul_scalar(self, float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
 
 
 def _result(data, op, parents, backward):

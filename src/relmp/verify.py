@@ -97,7 +97,13 @@ def _expected_grmp_kinds(r, d, v, c):
     return kinds
 
 
-def suite_flops_exact(seed: int = 0) -> list[Check]:
+def suite_flops_exact(seed: int = 0, inject_fault: bool = False) -> list[Check]:
+    """With `inject_fault` every check expects the gated layer to cost one
+    R*V*C more than `costmodel.grmp_flops` (a per-relation coefficient of 8
+    instead of 7), so the grid, step-sum and frozen-value checks must fail."""
+    def grmp_total(r, d, v, c):
+        return costmodel.grmp_flops(r, d, v, c) + (r * v * c if inject_fault else 0)
+
     rng = np.random.default_rng(seed)
     checks = []
     combos = [(r, d, v, c)
@@ -109,7 +115,7 @@ def suite_flops_exact(seed: int = 0) -> list[Check]:
             ("rgconv", rgconv_forward, RGConvParams.init,
              costmodel.rgconv_flops, _expected_rgconv_kinds),
             ("grmp", grmp_forward, GRMPParams.init,
-             costmodel.grmp_flops, _expected_grmp_kinds)):
+             grmp_total, _expected_grmp_kinds)):
         exact = 0
         first_bad = ""
         for r, d, v, c in combos:
@@ -132,17 +138,16 @@ def suite_flops_exact(seed: int = 0) -> list[Check]:
     step_ok = all(
         sum(costmodel.rgconv_step_flops(r, d, v, c)) ==
         costmodel.rgconv_flops(r, d, v, c)
-        and sum(costmodel.grmp_step_flops(r, d, v, c)) ==
-        costmodel.grmp_flops(r, d, v, c)
+        and sum(costmodel.grmp_step_flops(r, d, v, c)) == grmp_total(r, d, v, c)
         for r, d, v, c in combos)
     checks.append(Check("per-step-formulas-sum-to-totals", step_ok,
                         f"{len(combos)} combos"))
     unit_ok = (costmodel.rgconv_flops(1, 0, 1, 1) == 5
                and costmodel.rgconv_step_flops(1, 0, 1, 1) == [0, 2, 3]
-               and costmodel.grmp_flops(1, 0, 1, 1) == 13
+               and grmp_total(1, 0, 1, 1) == 13
                and costmodel.grmp_step_flops(1, 0, 1, 1) == [2, 2, 4, 2, 3]
                and costmodel.rgconv_flops(2, 3, 10, 4) == 1480
-               and costmodel.grmp_flops(2, 3, 10, 4) == 2000)
+               and grmp_total(2, 3, 10, 4) == 2000)
     checks.append(Check("frozen-worked-values", unit_ok,
                         "unit case and 2-relation case"))
     return checks
@@ -322,9 +327,10 @@ def suite_oracles(seed: int = 0) -> list[Check]:
 # -- harness ---------------------------------------------------------------------------
 
 
-def run_suite(name: str, seed: int = 0, transforms: int = 100) -> dict:
+def run_suite(name: str, seed: int = 0, transforms: int = 100,
+              inject_fault: bool = False) -> dict:
     if name == "flops-exact":
-        checks = suite_flops_exact(seed)
+        checks = suite_flops_exact(seed, inject_fault=inject_fault)
     elif name == "gradcheck":
         checks = suite_gradcheck(seed)
     elif name == "e3":
@@ -338,7 +344,9 @@ def run_suite(name: str, seed: int = 0, transforms: int = 100) -> dict:
             "checks": [asdict(c) for c in checks]}
 
 
-def run_suites(names=SUITES, seed: int = 0, transforms: int = 100) -> dict:
-    suites = [run_suite(name, seed=seed, transforms=transforms)
+def run_suites(names=SUITES, seed: int = 0, transforms: int = 100,
+               inject_fault: bool = False) -> dict:
+    suites = [run_suite(name, seed=seed, transforms=transforms,
+                        inject_fault=inject_fault)
               for name in names]
     return {"passed": all(s["passed"] for s in suites), "suites": suites}

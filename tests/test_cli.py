@@ -7,6 +7,7 @@ about whole runs.
 """
 
 import csv
+import dataclasses
 import json
 import re
 import shutil
@@ -17,10 +18,12 @@ import numpy as np
 import pytest
 
 from relmp import cli, verify
-from relmp.builders import (PatchGrid, ProteinChain, save_patch_grid,
-                            save_protein_chain)
+from relmp.builders import (LONG_RELATIONS, PatchGrid, ProteinChain,
+                            build_image_graph, load_patch_grid,
+                            save_patch_grid, save_protein_chain)
 from relmp.cli import main
 from relmp.costmodel import grmp_flops
+from relmp.models import KGModelConfig
 
 TINY_TRAIN = ["--people", "30", "--num-layers", "2", "--channels", "8",
               "--scorer-hidden", "16", "--negatives", "4"]
@@ -102,6 +105,26 @@ def test_image_medium_edges_are_appended_not_added(tmp_path, grid_file):
     assert len([r for _, _, r in rows if r < 4]) == 48
     for v in range(16):
         assert len([s for s, d in medium if d == v]) == 3
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_image_build_graph_writes_the_patch_part_of_the_model_graph(
+        tmp_path, grid_file, k):
+    out = tmp_path / "out"
+    assert main(["build-graph", "--domain", "image", "--input",
+                 str(grid_file), "--k-medium", str(k), "--out", str(out)]) == 0
+    graph, names = build_image_graph(load_patch_grid(grid_file), k,
+                                     include_medium=k > 0)
+    patches = 16
+    patch_names = names[:-len(LONG_RELATIONS)]
+    want = [(s, d, r) for s, d, r in graph.edge_list()
+            if s < patches and d < patches]
+    rows = [tuple(map(int, line.split("\t")))
+            for line in _data_rows(out / "edges.tsv")]
+    assert sorted(rows) == sorted(want)
+    assert {r for _, _, r in want} == set(range(len(patch_names)))
+    registry = json.loads((out / "registry.json").read_text())
+    assert registry["relations"] == patch_names
 
 
 def test_kg_file_builds_doubled_fact_graph(tmp_path):
@@ -210,7 +233,8 @@ def test_verify_fault_injection_fails_flops_exact():
     assert report["inject_fault"] is True
     failing = {c["name"] for s in report["suites"] for c in s["checks"]
                if not c["passed"]}
-    assert "grmp-instrumented-count-grid" in failing
+    assert failing == {"grmp-instrumented-count-grid",
+                       "per-step-formulas-sum-to-totals", "frozen-worked-values"}
 
 
 def test_fault_injection_is_undone_when_verify_returns(capsys):
@@ -312,15 +336,16 @@ def test_eval_of_a_checkpoint_cut_inside_its_header_is_a_data_error(
                  "--out", str(tmp_path / "out")]) == 3
 
 
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(KGModelConfig)])
 def test_eval_with_a_model_config_key_missing_is_a_data_error(
-        trained_run, tmp_path, capsys):
+        trained_run, tmp_path, capsys, key):
     run = _damaged_copy(trained_run, tmp_path)
     stored = json.loads((run / "model_config.json").read_text())
-    del stored["channels"]
+    del stored[key]
     (run / "model_config.json").write_text(json.dumps(stored))
     assert main(["eval", "--model-dir", str(run),
                  "--out", str(tmp_path / "out")]) == 3
-    assert "channels" in capsys.readouterr().err
+    assert repr(key) in capsys.readouterr().err
 
 
 def test_same_seed_same_threads_gives_byte_identical_runs(tmp_path):

@@ -9,8 +9,8 @@ from relmp.graph import RelGraph, rel_aggregate
 from relmp import layers
 from relmp.layers import (ContextStackParams, FFNParams, GRMPParams, GRMPVariant,
                           LayerNormParams, PatchMergeParams, RGConvParams,
-                          context_stack_features, ffn_forward, global_virtual_feature,
-                          grmp_forward, layer_norm, patch_merging, rgconv_forward)
+                          context_stack_features, ffn_forward, grmp_forward,
+                          layer_norm, patch_merging, rgconv_forward)
 from relmp.oracles import grmp_oracle, layer_norm_oracle, rgconv_oracle
 from relmp.tensor import (Tensor, add, count_flops, finite_difference_check,
                           hadamard, relation_weighted_sum, slice_cols, sum_all,
@@ -359,11 +359,6 @@ class TestBlocksAndPooling:
             return sum_all(hadamard(ffn_forward(x, p), ffn_forward(x, p)))
 
         assert finite_difference_check(loss_fn, [x] + list(p.tensors().values())) < 1e-5
-
-    def test_global_feature_is_column_mean(self):
-        z = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), dtype=np.float64)
-        out = global_virtual_feature(z)
-        assert np.allclose(out.data, [[3.0, 4.0]])
 
     def test_context_stack_receptive_field_and_shape(self):
         rng = np.random.default_rng(17)

@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from relmp.errors import ContractError, DataError
+from relmp.errors import ContractError
 from relmp.metrics import (
     FMAX_THRESHOLDS,
     fmax,
-    load_score_table,
     query_ranks,
     random_mrr_baseline,
     ranking_metrics,
-    save_score_table,
 )
 
 
@@ -181,30 +179,3 @@ def test_fmax_rejects_out_of_range_scores():
         fmax(np.array([[-0.1, 0.2]]), labels)
     with pytest.raises(ContractError):
         fmax(np.zeros((1, 3)), labels)
-
-
-# -- score tables ------------------------------------------------------------------------
-
-
-def test_score_table_roundtrip(tmp_path):
-    rng = np.random.default_rng(2)
-    matrix = rng.random((3, 4))
-    path = tmp_path / "scores.csv"
-    save_score_table(path, ["p1", "p2", "p3"], ["t1", "t2", "t3", "t4"], matrix)
-    proteins, tasks, back = load_score_table(path)
-    assert proteins == ["p1", "p2", "p3"]
-    assert tasks == ["t1", "t2", "t3", "t4"]
-    assert np.array_equal(back, matrix)
-
-
-def test_score_table_rejects_bad_input(tmp_path):
-    path = tmp_path / "scores.csv"
-    path.write_text("wrong,header,here\n")
-    with pytest.raises(DataError):
-        load_score_table(path)
-    path.write_text("protein_id,task_id,score\np1,t1,0.5\np1,t1,0.7\n")
-    with pytest.raises(DataError):
-        load_score_table(path)
-    path.write_text("protein_id,task_id,score\np1,t1,abc\n")
-    with pytest.raises(DataError):
-        load_score_table(path)

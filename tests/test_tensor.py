@@ -558,6 +558,15 @@ class TestDtypeContract:
             sum_all(out).backward()
             assert a.grad.dtype == first and b.grad.dtype == second
 
+    def test_leaf_used_twice_with_a_wider_partner_keeps_its_dtype(self):
+        # the second gradient reaching `a` is float64; adding it must not
+        # widen the float32 gradient already stored
+        a = Tensor(np.ones((2, 2)), requires_grad=True, dtype=np.float32)
+        b = Tensor(np.full((2, 2), 0.5), dtype=np.float64)
+        sum_all(add(matmul(a, b), matmul(b, a))).backward()
+        assert a.grad.dtype == np.float32
+        np.testing.assert_array_equal(a.grad, np.full((2, 2), 2.0))
+
     def test_float32_gelu_tracks_float64(self):
         # compared at the same float32-representable points
         x = np.linspace(-8.0, 8.0, 4001).astype(np.float32).reshape(1, -1)
