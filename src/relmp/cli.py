@@ -379,38 +379,69 @@ def cmd_train_kg(resolved: dict) -> int:
     return EXIT_OK
 
 
-def cmd_eval(resolved: dict) -> int:
-    _require(resolved, "eval", "model_dir")
-    import numpy as np
+def _read_model_config(config_path: str):
+    """(KGModelConfig, (entities, relations) trained on, the resolved data
+    keys of the recorded training dataset) from a `model_config.json`
+    written by train-kg. Any content train-kg would not write is a
+    DataError naming the key."""
+    from .models import KGModelConfig
 
-    from .builders import fact_graph
-    from .models import KGModelConfig, KGModelParams
-    from .tensor import load_checkpoint
-    from .training import kg_evaluate, known_tails, save_metric_history
-
-    config_path = os.path.join(resolved["model_dir"], "model_config.json")
-    ckpt_path = os.path.join(resolved["model_dir"], "model.ckpt")
     try:
         with open(config_path, "r", encoding="utf-8") as f:
             stored = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise DataError(f"{config_path}: cannot read model config ({e})")
+    if not isinstance(stored, dict) or not isinstance(stored.get("data", {}), dict):
+        raise DataError(f"{config_path}: model config is not a JSON object "
+                        "with an object under 'data'")
+    # each key must hold its field's type (a JSON bool is not an int here)
+    kinds = {f.name: type(f.default) for f in fields(KGModelConfig)}
+    kinds.update(num_entities=int, num_relations=int)
+    for key, kind in kinds.items():
+        if key not in stored:
+            raise DataError(f"{config_path}: model config lacks key {key!r}")
+        if type(stored[key]) is not kind:
+            raise DataError(f"{config_path}: model config key {key!r} holds "
+                            f"{stored[key]!r}, not a {kind.__name__}")
     try:
-        cfg = KGModelConfig(**{f.name: stored[f.name] for f in fields(KGModelConfig)})
-        trained_on = (stored["num_entities"], stored["num_relations"])
-    except KeyError as e:
-        raise DataError(f"{config_path}: model config lacks key {e}") from e
+        cfg = KGModelConfig(**{f.name: stored[f.name]
+                               for f in fields(KGModelConfig)}).validate()
+    except ConfigError as e:
+        raise DataError(f"{config_path}: {e}") from e
+    recorded = stored.get("data", {})
+    if "bundled_toy" in recorded:
+        toy = recorded["bundled_toy"]
+        found = ({"people": toy.get("people"), "data_seed": toy.get("seed")}
+                 if isinstance(toy, dict) else {})
+        usable = bool(found) and all(type(v) is int for v in found.values())
+    elif "train" in recorded:
+        found = {key: recorded.get(key) for key in ("train", "valid", "test")}
+        usable = all(v is None or isinstance(v, str) for v in found.values())
+    else:
+        found, usable = {}, True
+    if not usable:
+        raise DataError(f"{config_path}: model config key 'data' holds "
+                        f"{recorded!r}, not a dataset description")
+    return cfg, (stored["num_entities"], stored["num_relations"]), found
+
+
+def cmd_eval(resolved: dict) -> int:
+    _require(resolved, "eval", "model_dir")
+    import numpy as np
+
+    from .builders import fact_graph
+    from .models import KGModelParams
+    from .tensor import load_checkpoint
+    from .training import kg_evaluate, known_tails, save_metric_history
+
+    config_path = os.path.join(resolved["model_dir"], "model_config.json")
+    ckpt_path = os.path.join(resolved["model_dir"], "model.ckpt")
+    cfg, trained_on, recorded = _read_model_config(config_path)
     # when no data source is named, evaluate against the dataset the
     # checkpoint was trained on, as recorded next to it
     data_keys = ("train", "valid", "test", "people", "data_seed")
     if not (resolved["_explicit"] & set(data_keys)):
-        recorded = stored.get("data", {})
-        if "bundled_toy" in recorded:
-            resolved["people"] = recorded["bundled_toy"]["people"]
-            resolved["data_seed"] = recorded["bundled_toy"]["seed"]
-        elif "train" in recorded:
-            for key in ("train", "valid", "test"):
-                resolved[key] = recorded.get(key)
+        resolved.update(recorded)
     out = _prepare_out(resolved, "eval")
     data, _ = _load_kg_data(resolved)
     if (data.num_entities, data.num_relations) != trained_on:

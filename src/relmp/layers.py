@@ -17,12 +17,12 @@ The forward paths are staged exactly as the cost model's step decomposition so
 an OpCounter wrapped around a call reproduces the closed-form totals digit for
 digit. Two bookkeeping rules make that work: bias additions run inside
 `counting_paused()` (the analytic counts exclude biases), and every broadcast
-is charged 1 FLOP per output element, just as the formulas assume. The tile
-ops materialize the broadcasts of layer norm and of the gated layer's
-channel weights (step 2). Step 3 of the gated layer, the per-node relation
-weighting and sum, is one `relation_weighted_sum` op: it never materializes
-the score broadcast and charges its tile, hadamard and add amounts from its
-operand shapes.
+is charged 1 FLOP per output element, just as the formulas assume. No
+broadcast is materialized: the gated layer's channel weights (step 2) and its
+per-node relation weighting and sum (step 3) are one `relation_weighted_sum`
+op, and layer norm is one `tensor.layer_norm` op. Each charges the tile,
+hadamard and other amounts of the op chain it replaces from its operand
+shapes.
 
 Parameters are plain dataclasses of Tensors. Weight matrices right-multiply
 row-vector features: a math-convention map W acting on column vectors appears
@@ -37,10 +37,10 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .graph import RelGraph, rel_aggregate
-from .tensor import (Tensor, add, add_scalar, concat_cols, counting_paused,
-                     depthwise_conv2d, div, gather_rows, gelu, hadamard, matmul,
-                     mean_cols, mean_rows, mul_scalar, relation_weighted_sum,
-                     reshape, sqrt, sub, tile_cols, tile_rows)
+from .tensor import (Tensor, add, concat_cols, counting_paused,
+                     depthwise_conv2d, gather_rows, gelu, hadamard, matmul,
+                     mean_rows, mul_scalar, relation_weighted_sum, reshape)
+from .tensor import layer_norm as _layer_norm
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -257,19 +257,18 @@ def grmp_forward(graph: RelGraph, z: Tensor, params: GRMPParams) -> Tensor:
     else:
         z_in = z
 
-    # step 2: mean aggregation, then per-relation channel weights on the
-    # node-major wide layout [V, R*C]
+    # step 2: mean aggregation on the node-major wide layout [V, R*C]
     slots = rel_aggregate(graph, z_in)
     wide = reshape(slots, (v_count, r_count * c))
-    weights = tile_rows(params.w_channel, v_count)
-    weighted = hadamard(wide, weights)
 
-    # step 3: relation scores weight each slot; slots are then summed
+    # steps 2-3, one op: per-relation channel weights, then relation scores
+    # weight each slot; slots are then summed
     if variant.alpha == "learned":
         scores = _bias_add(matmul(z, params.w_alpha), params.b_alpha)
-        acc = relation_weighted_sum(weighted, scores, r_count)
+        acc = relation_weighted_sum(wide, scores, r_count, params.w_channel)
     else:
-        acc = mul_scalar(relation_weighted_sum(weighted, None, r_count), 1.0 / r_count)
+        acc = mul_scalar(relation_weighted_sum(wide, None, r_count, params.w_channel),
+                         1.0 / r_count)
 
     # step 4: shared output transform
     if variant.use_w_out:
@@ -302,16 +301,11 @@ class LayerNormParams(Params):
 
 
 def layer_norm(x: Tensor, params: LayerNormParams, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization over the channel axis with learned scale/shift."""
-    if x.data.ndim != 2:
-        raise ShapeError("layer_norm expects [rows, C]")
-    c = x.shape[1]
-    mu = mean_cols(x)
-    centered = sub(x, tile_cols(mu, c))
-    var = mean_cols(hadamard(centered, centered))
-    std = sqrt(add_scalar(var, eps))
-    normed = div(centered, tile_cols(std, c))
-    return _bias_add(hadamard(normed, params.gamma), params.beta)
+    """Per-row normalization over the channel axis with learned scale/shift.
+
+    One recorded op; the shift is a bias and, as elsewhere, not charged.
+    """
+    return _layer_norm(x, params.gamma, params.beta, eps)
 
 
 # -- feed-forward block -----------------------------------------------------------------

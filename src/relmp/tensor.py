@@ -14,7 +14,12 @@ expressions to the last digit:
   ones vector): 1 FLOP per output element
 * relation_weighted_sum of [V, R*C] slots and [V, R] scores: the charges of
   the unfused chain it replaces, read from its operand shapes: tile R*V*C and
-  hadamard R*V*C (only when scores are given), add (R-1)*V*C
+  hadamard R*V*C (only when scores are given), add (R-1)*V*C; with a
+  [1, R*C] channel-weight row, tile R*V*C and hadamard R*V*C more
+* layer_norm of [n, c] with scale and shift: the charges of the 11-op chain
+  it replaces (2 mean_cols, 2 tile_cols, sub, 2 hadamard, add_scalar, sqrt,
+  div and a bias add), read from its input shape: mean 2nc, tile 2nc, sub nc,
+  hadamard 2nc, add n, sqrt n, div nc; the shift, a bias, is not charged
 * sum over k elements: k-1 FLOPs per output element; mean: k FLOPs
 * depthwise 2D convolution with a k x k kernel on [H,W,C]: 2*H*W*C*k*k
 * reshape / slice / gather / concat: 0 FLOPs (memory movement)
@@ -457,28 +462,41 @@ def tile_cols(col: Tensor, num_cols: int) -> Tensor:
 
 
 def relation_weighted_sum(wide: Tensor, scores: Tensor | None,
-                          num_relations: int) -> Tensor:
+                          num_relations: int,
+                          channel: Tensor | None = None) -> Tensor:
     """Per-node score-weighted sum of relation slots: [V, R*C] -> [V, C].
 
     Relation r occupies columns r*C..(r+1)*C of `wide`; `scores` is [V, R],
-    or None for a plain sum over relations. Terms are added in relation order
-    0..R-1, so the result rounds like a chain of `add`s over the R products
-    `hadamard(slot_r, tile_cols(score_r, C))`, and the op charges what that
-    chain would: tile and hadamard R*V*C each (scored only), add (R-1)*V*C.
+    or None for a plain sum over relations. `channel`, if given, is a
+    [1, R*C] row of per-relation channel weights that multiplies every row of
+    `wide` first, as `hadamard(wide, tile_rows(channel, V))` would. Terms are
+    added in relation order 0..R-1, so the result rounds like a chain of
+    `add`s over the R products `hadamard(slot_r, tile_cols(score_r, C))`, and
+    the op charges what that chain would: tile and hadamard R*V*C each for the
+    channel weights and again for the scores (each only when given), add
+    (R-1)*V*C. The weighted slots are not kept for backward; it multiplies
+    `wide` by `channel` again.
     """
     if wide.data.ndim != 2 or num_relations < 1 or wide.shape[1] % num_relations:
         raise ShapeError(f"relation_weighted_sum: {wide.shape} is not "
                          f"[V, {num_relations}*C]")
     v, r = wide.shape[0], num_relations
     c = wide.shape[1] // r
-    slots = wide.data.reshape(v, r, c)
-    if scores is None:
-        terms = slots
+    if channel is None:
+        weighted = wide.data
     else:
+        if channel.shape != (1, r * c):
+            raise ShapeError(f"relation_weighted_sum: channel weights "
+                             f"{channel.shape} are not [1, {r * c}]")
+        weighted = wide.data * channel.data
+        _charge("tile", r * v * c)
+        _charge("hadamard", r * v * c)
+    terms = weighted.reshape(v, r, c)
+    if scores is not None:
         if scores.shape != (v, r):
             raise ShapeError(f"relation_weighted_sum: scores {scores.shape} "
                              f"are not [{v}, {r}]")
-        terms = slots * scores.data[:, :, None]
+        terms = terms * scores.data[:, :, None]
         _charge("tile", r * v * c)
         _charge("hadamard", r * v * c)
     out_data = terms[:, 0].copy()
@@ -487,16 +505,77 @@ def relation_weighted_sum(wide: Tensor, scores: Tensor | None,
     if r > 1:
         _charge("add", (r - 1) * v * c)
 
+    # The closure names only the operand tensors: `weighted` and `terms`
+    # are [V, R*C] scratch and must not stay alive on the tape.
     def backward(g):
-        if wide.requires_grad:
-            gw = np.tile(g, r) if scores is None else \
-                (g[:, None, :] * scores.data[:, :, None]).reshape(v, r * c)
-            wide._accumulate(gw)
         if scores is not None and scores.requires_grad:
-            scores._accumulate((slots * g[:, None, :]).sum(axis=2))
+            slots = wide.data if channel is None else wide.data * channel.data
+            scores._accumulate((slots.reshape(v, r, c) * g[:, None, :]).sum(axis=2))
+        if not (wide.requires_grad or channel is not None and channel.requires_grad):
+            return
+        gw = np.tile(g, r) if scores is None else \
+            (g[:, None, :] * scores.data[:, :, None]).reshape(v, r * c)
+        if wide.requires_grad:
+            wide._accumulate(gw if channel is None else gw * channel.data)
+        if channel is not None and channel.requires_grad:
+            channel._accumulate((gw * wide.data).sum(axis=0).reshape(channel.shape))
 
-    parents = (wide,) if scores is None else (wide, scores)
+    parents = tuple(t for t in (wide, scores, channel) if t is not None)
     return _result(out_data, "relation_weighted_sum", parents, backward)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Per-row normalization with scale and shift: [n, c] -> [n, c].
+
+    One recorded op for the chain mean_cols, tile_cols, sub, hadamard,
+    mean_cols, add_scalar, sqrt, tile_cols, div, hadamard(gamma) and
+    add(beta). The forward does the chain's arithmetic; the backward replays
+    the chain's gradient steps in its order, so values and gradients round as
+    the chain's did. Only x, the row means and the row std stay on the tape;
+    the backward rebuilds the centered and normalized rows. `gamma` and `beta`
+    are [c].
+    """
+    if x.data.ndim != 2:
+        raise ShapeError("layer_norm expects [rows, C]")
+    n, c = x.shape
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError(f"layer_norm: scale {gamma.shape} and shift "
+                         f"{beta.shape} are not [{c}]")
+    gamma_row = gamma.data.reshape(1, c)
+    mu = x.data.mean(axis=1, keepdims=True)
+    centered = x.data - mu
+    std = np.sqrt((centered * centered).mean(axis=1, keepdims=True) + eps)
+    # std is non-finite exactly when the variance is (an overflowing square
+    # would otherwise normalize to zeros)
+    _check_finite(std, "layer_norm")
+    out_data = centered / std * gamma_row + beta.data.reshape(1, c)
+    _charge("mean", 2 * x.size)
+    _charge("tile", 2 * x.size)
+    _charge("sub", x.size)
+    _charge("hadamard", 2 * x.size)
+    _charge("add", n)
+    _charge("sqrt", n)
+    _charge("div", x.size)
+
+    def backward(g):
+        centered = x.data - mu
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=0))
+        if gamma.requires_grad:
+            gamma._accumulate((g * (centered / std)).sum(axis=0))
+        if not x.requires_grad:
+            return
+        gn = g * gamma_row
+        g_std = (-gn * centered / (std * std)).sum(axis=1, keepdims=True)
+        g_sq = g_std * 0.5 / std / c
+        # the square's two operands each pass a term into centered
+        sq_term = g_sq * centered
+        g_centered = gn / std + sq_term + sq_term
+        x._accumulate(g_centered)
+        g_mu = (-g_centered).sum(axis=1, keepdims=True)
+        x._accumulate(np.broadcast_to(g_mu / c, x.shape))
+
+    return _result(out_data, "layer_norm", (x, gamma, beta), backward)
 
 
 # -- reductions ------------------------------------------------------------------

@@ -348,6 +348,40 @@ def test_eval_with_a_model_config_key_missing_is_a_data_error(
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("channels", "abc"), ("num_layers", True), ("negatives", 2.5),
+    ("scorer_features", 4), ("num_entities", "30"), ("channels", 0)])
+def test_eval_with_a_model_config_value_of_the_wrong_kind_is_a_data_error(
+        trained_run, tmp_path, capsys, key, value):
+    run = _damaged_copy(trained_run, tmp_path)
+    stored = json.loads((run / "model_config.json").read_text())
+    stored[key] = value
+    (run / "model_config.json").write_text(json.dumps(stored))
+    assert main(["eval", "--model-dir", str(run),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "model_config.json" in err
+    if value != 0:
+        assert repr(key) in err
+
+
+@pytest.mark.parametrize("content", [
+    [], [{"channels": 32}], "32", {"data": []},
+    {"data": {"bundled_toy": {"people": 30}}},
+    {"data": {"bundled_toy": {"people": "abc", "seed": 0}}},
+    {"data": {"bundled_toy": [30, 0]}}, {"data": {"train": 5}}])
+def test_eval_of_a_model_config_of_the_wrong_structure_is_a_data_error(
+        trained_run, tmp_path, capsys, content):
+    run = _damaged_copy(trained_run, tmp_path)
+    if isinstance(content, dict):
+        content = {**json.loads((run / "model_config.json").read_text()),
+                   **content}
+    (run / "model_config.json").write_text(json.dumps(content))
+    assert main(["eval", "--model-dir", str(run),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "model_config.json" in capsys.readouterr().err
+
+
 def test_same_seed_same_threads_gives_byte_identical_runs(tmp_path):
     outputs = []
     for name in ("first", "second"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relmp.costmodel import grmp_flops, rgconv_flops
-from relmp.errors import ContractError, ShapeError
+from relmp.errors import ContractError, NumericError, ShapeError
 from relmp.graph import RelGraph, rel_aggregate
 from relmp import layers
 from relmp.layers import (ContextStackParams, FFNParams, GRMPParams, GRMPVariant,
@@ -12,9 +12,11 @@ from relmp.layers import (ContextStackParams, FFNParams, GRMPParams, GRMPVariant
                           context_stack_features, ffn_forward, grmp_forward,
                           layer_norm, patch_merging, rgconv_forward)
 from relmp.oracles import grmp_oracle, layer_norm_oracle, rgconv_oracle
-from relmp.tensor import (Tensor, add, count_flops, finite_difference_check,
-                          hadamard, relation_weighted_sum, slice_cols, sum_all,
-                          tile_cols)
+from relmp import tensor as T
+from relmp.tensor import (Tensor, add, count_flops, counting_paused,
+                          finite_difference_check, hadamard, matmul,
+                          relation_weighted_sum, slice_cols, sum_all, tile_cols,
+                          tile_rows)
 
 
 def random_graph(rng, num_nodes, num_relations, num_edges):
@@ -244,9 +246,12 @@ class TestLayerGradients:
         assert worst < 1e-5, f"worst relative gradient error {worst}"
 
 
-def chained_weighted_sum(wide, scores, num_relations):
-    """Step 3 of the gated layer as 4 recorded ops per relation: the
-    slice/tile/hadamard/add chain that `relation_weighted_sum` replaces."""
+def chained_weighted_sum(wide, scores, num_relations, channel=None):
+    """Steps 2 and 3 of the gated layer as the recorded-op chain that
+    `relation_weighted_sum` replaces: `tile_rows` + `hadamard` for the channel
+    row, then slice/tile/hadamard/add per relation."""
+    if channel is not None:
+        wide = hadamard(wide, tile_rows(channel, wide.shape[0]))
     c = wide.shape[1] // num_relations
     acc = None
     for r in range(num_relations):
@@ -309,14 +314,53 @@ class TestRelationWeighting:
                       dtype=np.float64)
         scores = Tensor(rng.normal(size=(4, 3)), requires_grad=True,
                         dtype=np.float64)
+        channel = Tensor(rng.normal(size=(1, 3 * 2)), requires_grad=True,
+                         dtype=np.float64)
         upstream = Tensor(rng.normal(size=(4, 2)), dtype=np.float64)
         for given in (scores, None):
-            def loss_fn():
-                out = relation_weighted_sum(wide, given, 3)
-                return sum_all(hadamard(out, hadamard(out, upstream)))
+            for weights in (channel, None):
+                def loss_fn():
+                    out = relation_weighted_sum(wide, given, 3, weights)
+                    return sum_all(hadamard(out, hadamard(out, upstream)))
 
-            tensors = [wide] if given is None else [wide, scores]
-            assert finite_difference_check(loss_fn, tensors) < 1e-7
+                tensors = [t for t in (wide, given, weights) if t is not None]
+                assert finite_difference_check(loss_fn, tensors) < 1e-7
+
+    def test_shared_input_matches_chain_bitwise_float32(self):
+        # `wide` also feeds a second op, so its gradient is a sum whose
+        # rounding depends on the order the terms arrive in
+        rng = np.random.default_rng(43)
+        v, r, c = 11, 5, 24
+        draws = [rng.normal(size=s).astype(np.float32)
+                 for s in [(v, c), (c, r * c), (v, r), (1, r * c), (v, c)]]
+        for scored in (True, False):
+            runs = []
+            for fn in (relation_weighted_sum, chained_weighted_sum):
+                a, w, scores, channel = (Tensor(d, requires_grad=True)
+                                         for d in draws[:4])
+                with count_flops() as counter:
+                    wide = matmul(a, w)
+                    out = fn(wide, scores if scored else None, r, channel)
+                    out = add(out, slice_cols(wide, c, 2 * c))
+                sum_all(hadamard(out, Tensor(draws[4]))).backward()
+                grads = [a.grad, w.grad, channel.grad]
+                runs.append((out.data, counter.per_op,
+                             grads + [scores.grad] if scored else grads))
+            fused, chained = runs
+            assert np.array_equal(fused[0], chained[0])
+            assert fused[1] == chained[1]
+            for got, want in zip(fused[2], chained[2]):
+                assert got.dtype == np.float32
+                assert np.array_equal(got, want)
+
+    def test_tape_keeps_no_weighted_slots(self):
+        rng = np.random.default_rng(44)
+        wide = Tensor(rng.normal(size=(6, 12)), requires_grad=True)
+        channel = Tensor(rng.normal(size=(1, 12)), requires_grad=True)
+        for scores in (Tensor(rng.normal(size=(6, 3)), requires_grad=True), None):
+            out = relation_weighted_sum(wide, scores, 3, channel)
+            held = [cell.cell_contents for cell in out._backward.__closure__]
+            assert not any(isinstance(v, np.ndarray) for v in held), held
 
     def test_rejects_mismatched_shapes(self):
         wide = Tensor(np.ones((4, 6)))
@@ -324,6 +368,10 @@ class TestRelationWeighting:
                           (Tensor(np.ones((3, 3))), 3)]:
             with pytest.raises(ShapeError):
                 relation_weighted_sum(wide, scores, r)
+        for channel in (Tensor(np.ones(6)), Tensor(np.ones((1, 4))),
+                        Tensor(np.ones((4, 6)))):
+            with pytest.raises(ShapeError):
+                relation_weighted_sum(wide, None, 3, channel)
 
     def test_recorded_op_count_does_not_grow_with_relations(self):
         rng = np.random.default_rng(42)
@@ -334,6 +382,112 @@ class TestRelationWeighting:
                 p = GRMPParams.init(rng, r, 4, variant=GRMPVariant(alpha=alpha))
                 counts.append(recorded_ops(grmp_forward(g, Tensor(np.ones((8, 4))), p)))
             assert counts[0] == counts[1], alpha
+
+
+def chained_layer_norm(x, gamma, beta, eps):
+    """Layer norm as the 11 recorded ops that `tensor.layer_norm` replaces."""
+    c = x.shape[1]
+    mu = T.mean_cols(x)
+    centered = T.sub(x, tile_cols(mu, c))
+    var = T.mean_cols(hadamard(centered, centered))
+    std = T.sqrt(T.add_scalar(var, eps))
+    normed = T.div(centered, tile_cols(std, c))
+    scaled = hadamard(normed, gamma)
+    with counting_paused():
+        return add(scaled, beta)
+
+
+class TestFusedLayerNorm:
+    def run_norm(self, draws, source):
+        """Output, per-kind FLOPs and gradients of one `layer_norm` call whose
+        input is a leaf, a matmul result, or a matmul result that a residual
+        add also consumes."""
+        a, w = Tensor(draws[0], requires_grad=True), Tensor(draws[1], requires_grad=True)
+        p = LayerNormParams.init(draws[0].shape[1])
+        p.gamma.data, p.beta.data = draws[2], draws[3]
+        with count_flops() as counter:
+            x = a if source == "leaf" else matmul(a, w)
+            out = layer_norm(x, p)
+            if source == "residual":
+                out = add(x, out)
+        sum_all(hadamard(out, Tensor(draws[4]))).backward()
+        grads = {"a": a.grad, "gamma": p.gamma.grad, "beta": p.beta.grad}
+        if source != "leaf":
+            grads["w"] = w.grad
+        return out.data, counter.per_op, grads
+
+    @pytest.mark.parametrize("source", ["leaf", "matmul", "residual"])
+    def test_matches_unfused_chain_bitwise_float32(self, monkeypatch, source):
+        rng = np.random.default_rng(50)
+        for n, c in [(1, 1), (1, 5), (7, 4), (33, 96), (64, 128)]:
+            draws = [(rng.normal(size=s) * 3 + 1).astype(np.float32)
+                     for s in [(n, c), (c, c), (c,), (c,), (n, c)]]
+            fused = self.run_norm(draws, source)
+            with monkeypatch.context() as m:
+                m.setattr(layers, "_layer_norm", chained_layer_norm)
+                chained = self.run_norm(draws, source)
+            case = f"n={n} c={c} {source}"
+            assert fused[0].dtype == np.float32
+            assert np.array_equal(fused[0], chained[0]), case
+            assert fused[1] == chained[1], case
+            assert fused[2].keys() == chained[2].keys()
+            for name, grad in fused[2].items():
+                assert grad.dtype == np.float32
+                assert np.array_equal(grad, chained[2][name]), f"{case} {name}"
+
+    def test_charges_the_chain_formula(self):
+        n, c = 5, 6
+        p = LayerNormParams.init(c)
+        with count_flops() as counter:
+            layer_norm(Tensor(np.arange(n * c, dtype=float).reshape(n, c)), p)
+        nc = n * c
+        assert counter.per_op == {"mean": 2 * nc, "tile": 2 * nc, "sub": nc,
+                                  "hadamard": 2 * nc, "add": n, "sqrt": n,
+                                  "div": nc}
+
+    def test_finite_difference_float64(self):
+        rng = np.random.default_rng(51)
+        x = Tensor(rng.normal(size=(4, 5)) * 2, requires_grad=True,
+                   dtype=np.float64)
+        gamma = Tensor(rng.normal(size=5), requires_grad=True, dtype=np.float64)
+        beta = Tensor(rng.normal(size=5), requires_grad=True, dtype=np.float64)
+        upstream = Tensor(rng.normal(size=(4, 5)), dtype=np.float64)
+
+        def loss_fn():
+            out = add(x, T.layer_norm(x, gamma, beta, 1e-5))
+            return sum_all(hadamard(out, hadamard(out, upstream)))
+
+        assert finite_difference_check(loss_fn, [x, gamma, beta]) < 1e-7
+
+    def test_overflowing_variance_raises_naming_the_op(self):
+        # the square of 1e20 overflows float32; normalizing by the infinite
+        # std would give finite zeros, so the op checks the std as well
+        x = np.array([[1e20, -1e20, 3.0, 4.0]], dtype=np.float32)
+        p = LayerNormParams.init(4)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="hadamard"):
+                chained_layer_norm(Tensor(x), p.gamma, p.beta, 1e-5)
+            with pytest.raises(NumericError, match="layer_norm"):
+                layer_norm(Tensor(x), p)
+
+    def test_tape_keeps_only_the_input_mean_and_std(self):
+        n, c = 6, 8
+        x = Tensor(np.random.default_rng(52).normal(size=(n, c)),
+                   requires_grad=True)
+        out = layer_norm(x, LayerNormParams.init(c))
+        held = [cell.cell_contents for cell in out._backward.__closure__]
+        arrays = [v for v in held if isinstance(v, np.ndarray)]
+        assert sorted(v.shape for v in arrays) == [(1, c), (n, 1), (n, 1)]
+
+    def test_rejects_bad_shapes(self):
+        p = LayerNormParams.init(4)
+        with pytest.raises(ShapeError):
+            layer_norm(Tensor(np.ones((2, 2, 4))), p)
+        with pytest.raises(ShapeError):
+            layer_norm(Tensor(np.ones((2, 5))), p)
+        with pytest.raises(ShapeError):
+            T.layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones((1, 4))),
+                         p.beta, 1e-5)
 
 
 class TestBlocksAndPooling:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relmp import graph as graph_module
-from relmp import models
+from relmp import layers, models
 from relmp import tensor as tensor_module
 from relmp.builders import (
     ProteinChain,
@@ -33,6 +33,7 @@ from relmp.tensor import (
     Tensor,
     bce_with_logits,
     concat_rows,
+    count_flops,
     cross_entropy_with_logits,
     default_dtype,
     finite_difference_check,
@@ -41,6 +42,7 @@ from relmp.tensor import (
     slice_rows,
 )
 from relmp.training import toy_kinship_kg
+from test_layers import chained_layer_norm, chained_weighted_sum
 
 TINY = dict(channels=(8, 16, 32, 64), depths=(1, 1, 1, 1), num_classes=10,
             k_medium=3)
@@ -365,3 +367,83 @@ def test_model_ops_and_gradients_keep_the_active_dtype(build_loss, dtype,
     wrong = sorted(name for name, t in params.tensors().items()
                    if t.grad is None or t.grad.dtype != dtype)
     assert not wrong, wrong
+
+
+# -- fused ops: the tape holds one node each, and the numbers of the chains -----------------
+
+
+@pytest.mark.parametrize("build_loss", [_image_loss, _protein_loss, _kg_loss],
+                         ids=["image", "protein", "kg"])
+def test_models_match_the_unfused_op_chains_bitwise(build_loss, monkeypatch):
+    # layer norm and the gated layer's steps 2-3 as the op chains the fused
+    # ops replace; the residual stream makes a normalized input feed two ops
+    runs = []
+    for chained in (False, True):
+        with monkeypatch.context() as m:
+            if chained:
+                m.setattr(layers, "_layer_norm", chained_layer_norm)
+                m.setattr(layers, "relation_weighted_sum", chained_weighted_sum)
+            with count_flops() as counter:
+                loss, params = build_loss()
+            loss.backward()
+        runs.append((loss.data, counter.per_op,
+                     {name: t.grad for name, t in params.tensors().items()}))
+    (loss, flops, grads), (want_loss, want_flops, want_grads) = runs
+    assert np.array_equal(loss, want_loss)
+    assert flops == want_flops
+    assert grads.keys() == want_grads.keys()
+    for name, grad in grads.items():
+        assert np.array_equal(grad, want_grads[name]), name
+
+
+def _tape(root, stop=None):
+    """Every recorded (non-leaf) tensor that `root` depends on, not looking
+    past `stop`."""
+    seen, stack, nodes = {id(stop)}, [root], []
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if t._op != "leaf":
+            nodes.append(t)
+        stack.extend(t._parents)
+    return nodes
+
+
+def test_tape_holds_one_node_per_norm_and_no_broadcast_copies(monkeypatch):
+    norms, gated = [], []
+    real_norm, real_grmp = layers.layer_norm, layers.grmp_forward
+
+    def norm_spy(x, p, *args):
+        out = real_norm(x, p, *args)
+        norms.append((x, out))
+        return out
+
+    def grmp_spy(graph, z, p):
+        out = real_grmp(graph, z, p)
+        gated.append((graph, z, out))
+        return out
+
+    for module in (models, layers):  # patch_merging calls the layers name
+        monkeypatch.setattr(module, "layer_norm", norm_spy)
+    monkeypatch.setattr(models, "grmp_forward", grmp_spy)
+    cfg, params, pixels = tiny_image_setup()
+    logits = image_forward(pixels, params, cfg)
+    data = toy_kinship_kg(24)
+    kg = KGModelParams.init(np.random.default_rng(23), data.num_entities,
+                            data.num_relations,
+                            KGModelConfig(num_layers=2, channels=8))
+    states = kg_encode(fact_graph(data.train), kg)
+
+    nodes = _tape(logits) + _tape(states)
+    ops = [t._op for t in nodes]
+    assert "tile_rows" not in ops and "tile_cols" not in ops
+    assert len(norms) == 13 + 3 and ops.count("layer_norm") == len(norms)
+    for x, out in norms:
+        assert out._op == "layer_norm" and out._parents[0] is x
+    assert len(gated) == 4 + 2
+    for graph, z, out in gated:
+        v, r, c = graph.num_nodes, graph.num_relations, z.shape[1]
+        wide = sorted(t._op for t in _tape(out, stop=z) if t.size == v * r * c)
+        assert wide == ["rel_aggregate", "reshape"], wide

@@ -212,6 +212,9 @@ def _mixed_ops(x, w, img, kernel, scores):
             gather_rows(y, [2, 0, 2]), concat_cols([y, x]), slice_rows(y, 1, 3),
             tile_rows(slice_rows(y, 0, 1), 3), reshape(y, (6, 2)),
             relation_weighted_sum(y, scores, 2),
+            relation_weighted_sum(y, scores, 2, slice_rows(w, 0, 1)),
+            T.layer_norm(y, reshape(slice_rows(w, 1, 2), (4,)),
+                         reshape(slice_rows(w, 2, 3), (4,)), 1e-5),
             depthwise_conv2d(img, kernel)]
 
 
@@ -476,6 +479,12 @@ _DTYPE_CASES = [
      lambda w, s: relation_weighted_sum(w, s, 2)),
     ("relation_weighted_sum", [(3, 6)],
      lambda w: relation_weighted_sum(w, None, 2)),
+    ("relation_weighted_sum", [(3, 6), (3, 2), (1, 6)],
+     lambda w, s, ch: relation_weighted_sum(w, s, 2, ch)),
+    ("relation_weighted_sum", [(3, 6), (1, 6)],
+     lambda w, ch: relation_weighted_sum(w, None, 2, ch)),
+    ("layer_norm", [(3, 4), (4,), (4,)],
+     lambda x, g, b: T.layer_norm(x, g, b, 1e-5)),
     ("sum_all", [(3, 4)], sum_all),
     ("mean_rows", [(3, 4)], mean_rows),
     ("mean_cols", [(3, 4)], mean_cols),
