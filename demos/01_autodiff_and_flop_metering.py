@@ -10,7 +10,7 @@ import numpy as np
 
 from relmp.tensor import (Tensor, add, bce_with_logits, count_flops,
                           counting_paused, finite_difference_check, hadamard,
-                          matmul, relu, sum_all)
+                          linear, matmul, relu, sum_all)
 
 
 def section(title):
@@ -54,9 +54,18 @@ def main():
     assert counter.total == 1024 + 32 + 32
     print("total  :", counter.total, "(= 2*8*16*4 + 8*4 + 8*4)")
 
+    section("biases are not metered")
+    # The cost model leaves biases out, so a linear map with a bias is one
+    # op that charges its matmul only.
+    bias = Tensor(np.ones(4))
+    with count_flops() as counter:
+        y = linear(a, b, bias)    # 2 * 8 * 16 * 4 = 1024; the bias is free
+    print("linear with a bias:", counter.snapshot())
+    assert counter.snapshot() == {"matmul": 1024}
+
     section("pausing the meter")
-    # Bias additions inside the layers are deliberately excluded from the
-    # cost model; counting_paused() is how that exclusion is implemented.
+    # counting_paused() leaves a whole scope unmetered; the relational
+    # convolution adds its per-relation biases inside one.
     with count_flops() as counter:
         y = matmul(a, b)
         with counting_paused():

@@ -11,7 +11,9 @@ flag names with underscores. Whatever wins is echoed into the output
 directory as ``resolved_config.ini`` so a run can be reproduced from its
 artifacts alone.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 data error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 data error
+(a malformed or unreadable input file, or an output path that cannot be
+written).
 
 ``--threads N`` pins the BLAS pool size through environment variables. They
 must be set before numpy first loads, so this module imports the numeric
@@ -180,7 +182,11 @@ def _resolve_config(command: str, args) -> dict:
     from_file = {}
     if args.config is not None:
         parser = configparser.ConfigParser()
-        if not parser.read(args.config):
+        try:
+            found = parser.read(args.config, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as e:
+            raise DataError(f"{args.config}: not a readable INI file: {e}") from e
+        if not found:
             raise DataError(f"{args.config}: cannot read config file")
         if parser.has_section(command):
             from_file = dict(parser[command])
@@ -495,10 +501,8 @@ def main(argv=None) -> int:
             with default_dtype(np.float64):
                 return _COMMANDS[args.command](resolved)
         return _COMMANDS[args.command](resolved)
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as e:
+    except (DataError, OSError, UnicodeDecodeError) as e:
+        # an unreadable or unwritable file is bad data, not a failed check
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, ContractError, GraphError, NumericError,

@@ -15,14 +15,15 @@ Two layers share the aggregation substrate:
 
 The forward paths are staged exactly as the cost model's step decomposition so
 an OpCounter wrapped around a call reproduces the closed-form totals digit for
-digit. Two bookkeeping rules make that work: bias additions run inside
-`counting_paused()` (the analytic counts exclude biases), and every broadcast
-is charged 1 FLOP per output element, just as the formulas assume. No
-broadcast is materialized: the gated layer's channel weights (step 2) and its
-per-node relation weighting and sum (step 3) are one `relation_weighted_sum`
-op, and layer norm is one `tensor.layer_norm` op. Each charges the tile,
-hadamard and other amounts of the op chain it replaces from its operand
-shapes.
+digit. Two bookkeeping rules make that work: biases are never charged (the
+analytic counts exclude them), and every broadcast is charged 1 FLOP per
+output element, just as the formulas assume. A linear map with a bias is one
+`tensor.linear` op, which charges only its matmul; the relational
+convolution adds its biases inside `counting_paused()`. No broadcast is
+materialized: the gated layer's channel weights (step 2) and its per-node
+relation weighting and sum (step 3) are one `relation_weighted_sum` op, and
+layer norm is one `tensor.layer_norm` op. Each charges the tile, hadamard and
+other amounts of the op chain it replaces from its operand shapes.
 
 Parameters are plain dataclasses of Tensors. Weight matrices right-multiply
 row-vector features: a math-convention map W acting on column vectors appears
@@ -38,8 +39,9 @@ import numpy as np
 from .errors import ConfigError, ContractError, ShapeError
 from .graph import RelGraph, rel_aggregate
 from .tensor import (Tensor, add, concat_cols, counting_paused,
-                     depthwise_conv2d, gather_rows, gelu, hadamard, matmul,
-                     mean_rows, mul_scalar, relation_weighted_sum, reshape)
+                     depthwise_conv2d, gather_rows, gelu, hadamard, linear,
+                     matmul, mean_rows, mul_scalar, relation_weighted_sum,
+                     reshape)
 from .tensor import layer_norm as _layer_norm
 
 
@@ -55,12 +57,6 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarr
 
 def _param(data, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=True, dtype=dtype)
-
-
-def _bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """x + b, left out of the FLOP count (the analytic costs exclude biases)."""
-    with counting_paused():
-        return add(x, b)
 
 
 class Params:
@@ -253,7 +249,7 @@ def grmp_forward(graph: RelGraph, z: Tensor, params: GRMPParams) -> Tensor:
 
     # step 1: shared input transform
     if variant.use_w_in:
-        z_in = _bias_add(matmul(z, params.w_in), params.b_in)
+        z_in = linear(z, params.w_in, params.b_in)
     else:
         z_in = z
 
@@ -264,7 +260,7 @@ def grmp_forward(graph: RelGraph, z: Tensor, params: GRMPParams) -> Tensor:
     # steps 2-3, one op: per-relation channel weights, then relation scores
     # weight each slot; slots are then summed
     if variant.alpha == "learned":
-        scores = _bias_add(matmul(z, params.w_alpha), params.b_alpha)
+        scores = linear(z, params.w_alpha, params.b_alpha)
         acc = relation_weighted_sum(wide, scores, r_count, params.w_channel)
     else:
         acc = mul_scalar(relation_weighted_sum(wide, None, r_count, params.w_channel),
@@ -272,7 +268,7 @@ def grmp_forward(graph: RelGraph, z: Tensor, params: GRMPParams) -> Tensor:
 
     # step 4: shared output transform
     if variant.use_w_out:
-        aggregated = _bias_add(matmul(acc, params.w_out), params.b_out)
+        aggregated = linear(acc, params.w_out, params.b_out)
     else:
         aggregated = acc
 
@@ -337,8 +333,8 @@ class FFNParams(Params):
 
 
 def ffn_forward(x: Tensor, params: FFNParams) -> Tensor:
-    h = gelu(_bias_add(matmul(x, params.w1), params.b1))
-    return _bias_add(matmul(h, params.w2), params.b2)
+    h = gelu(linear(x, params.w1, params.b1))
+    return linear(h, params.w2, params.b2)
 
 
 # -- virtual-node features ------------------------------------------------------------

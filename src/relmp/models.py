@@ -58,7 +58,6 @@ from .layers import (
     LayerNormParams,
     Params,
     PatchMergeParams,
-    _bias_add,
     _param,
     context_stack_features,
     ffn_forward,
@@ -74,7 +73,7 @@ from .tensor import (
     concat_rows,
     gather_rows,
     hadamard,
-    matmul,
+    linear,
     mean_rows,
     mul_scalar,
     relu,
@@ -230,7 +229,7 @@ def image_forward(x, params: ImageModelParams, cfg: ImageModelConfig) -> Tensor:
         raise ShapeError(f"expected {patch_dim} features per patch")
 
     z = Tensor(x.features)
-    z = _bias_add(matmul(z, params.stem_w), params.stem_b)
+    z = linear(z, params.stem_w, params.stem_b)
     z = layer_norm(z, params.stem_norm)
     height, width = x.height, x.width
 
@@ -252,7 +251,7 @@ def image_forward(x, params: ImageModelParams, cfg: ImageModelConfig) -> Tensor:
             width //= 2
 
     pooled = mean_rows(layer_norm(z, params.head_norm))
-    return _bias_add(matmul(pooled, params.head_w), params.head_b)
+    return linear(pooled, params.head_w, params.head_b)
 
 
 # -- protein encoder -------------------------------------------------------------------
@@ -326,8 +325,7 @@ def protein_forward(chain: ProteinChain, params: ProteinEncoderParams,
     if chain.length < 1:
         raise ContractError("empty chain")
     graph, _ = protein_edges(chain)
-    h = _bias_add(matmul(Tensor(chain.one_hot()), params.embed_w),
-                  params.embed_b)
+    h = linear(Tensor(chain.one_hot()), params.embed_w, params.embed_b)
     length = chain.length
     pools = []
     for grmp_p, norm_p in params.layers:
@@ -338,7 +336,7 @@ def protein_forward(chain: ProteinChain, params: ProteinEncoderParams,
     rep = concat_cols(pools) if len(pools) > 1 else pools[0]
     out = rep
     for i, (w, b) in enumerate(params.head):
-        out = _bias_add(matmul(out, w), b)
+        out = linear(out, w, b)
         if i < len(params.head) - 1:
             out = relu(out)
     return rep, out
@@ -467,5 +465,5 @@ def kg_score(entity_states: Tensor, params: KGModelParams,
     if params.scorer_features == "concat_product":
         parts.append(hadamard(hadamard(zh, er), zt))
     feats = concat_cols(parts)
-    hid = relu(_bias_add(matmul(feats, params.scorer_w1), params.scorer_b1))
-    return _bias_add(matmul(hid, params.scorer_w2), params.scorer_b2)
+    hid = relu(linear(feats, params.scorer_w1, params.scorer_b1))
+    return linear(hid, params.scorer_w2, params.scorer_b2)

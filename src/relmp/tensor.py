@@ -8,6 +8,8 @@ downstream cost-model tests compare instrumented totals against closed-form
 expressions to the last digit:
 
 * matmul of [m,k] by [k,n]: 2*m*n*k (one multiply-add = 2 FLOPs)
+* linear, [m,k] @ [k,n] plus a [n] bias: 2*m*n*k, charged as matmul; the
+  bias is not charged
 * elementwise add/sub/mul/div, scalar ops, relu/gelu/sigmoid/exp/log/sqrt:
   1 FLOP per output element
 * tile_rows / tile_cols (broadcast materialized as an outer product with a
@@ -25,9 +27,10 @@ expressions to the last digit:
 * reshape / slice / gather / concat: 0 FLOPs (memory movement)
 
 The counter sees recorded forward ops only; the backward sweep runs raw numpy
-and is not metered. Bias additions in the layer modules are wrapped in
-`counting_paused()` so analytic layer cost formulas that exclude biases stay
-exact.
+and is not metered. The analytic layer costs exclude biases: `linear` and
+`layer_norm` leave their bias uncharged, and `counting_paused()` serves the
+one bias sum that is not part of an op (`layers.rgconv_forward`'s
+per-relation biases).
 
 Default element type is float32. Verification paths (finite-difference
 checks, dense oracles) switch to float64 via `default_dtype`. Every op result
@@ -407,14 +410,18 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
     return _result(out_data, "mul_scalar", (a,), backward)
 
 
+def _matmul_dims(a: Tensor, b: Tensor, op: str):
+    """(m, k, n) of a strict 2-D product of [m,k] by [k,n]."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"{op} requires rank-2 operands")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"{op}: inner dims differ, {a.shape} @ {b.shape}")
+    return a.shape[0], a.shape[1], b.shape[1]
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Strict 2-D matrix product; charges 2*m*n*k."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("matmul requires rank-2 operands")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    m, k = a.shape
-    n = b.shape[1]
+    m, k, n = _matmul_dims(a, b, "matmul")
     out_data = a.data @ b.data
     _charge("matmul", 2 * m * n * k)
 
@@ -425,6 +432,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(a.data.T @ g)
 
     return _result(out_data, "matmul", (a, b), backward)
+
+
+def linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """a @ w + b for a [m,k] input, [k,n] weights and a [n] bias, as one
+    recorded op. Charges the matmul's 2*m*n*k and nothing for the bias. Values
+    and gradients round as matmul followed by a row-broadcast add would."""
+    m, k, n = _matmul_dims(a, w, "linear")
+    if b.shape != (n,):
+        raise ShapeError(f"linear: bias {b.shape} is not [{n}]")
+    out_data = a.data @ w.data + b.data
+    _charge("matmul", 2 * m * n * k)
+
+    def backward(g):
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+        if a.requires_grad:
+            a._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(a.data.T @ g)
+
+    return _result(out_data, "linear", (a, w, b), backward)
 
 
 # -- broadcast materialization ------------------------------------------------
@@ -645,12 +673,15 @@ def gelu(a: Tensor) -> Tensor:
     return _result(out_data, "gelu", (a,), backward)
 
 
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    # Split by sign so exp never overflows: exp(-|x|) is at most 1.
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # Split by sign to avoid exp overflow in float32.
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out_data = out_data.astype(x.dtype)
+    out_data = _stable_sigmoid(a.data)
     _charge("sigmoid", a.size)
 
     def backward(g):
@@ -890,9 +921,7 @@ def bce_with_logits(scores: Tensor, targets) -> Tensor:
     _charge("bce", 4 * scores.size)
 
     def backward(g):
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        scores._accumulate(g * (s - y) / scores.size)
+        scores._accumulate(g * (_stable_sigmoid(x) - y) / scores.size)
 
     return _result(out_data, "bce", (scores,), backward)
 

@@ -446,6 +446,35 @@ def test_missing_config_file_is_a_data_error(tmp_path):
                  "--out", str(tmp_path / "out")]) == 3
 
 
+@pytest.mark.parametrize("case", ["kg_not_utf8", "chain_not_utf8",
+                                  "config_without_section", "config_not_utf8",
+                                  "input_is_a_directory", "out_is_a_file"])
+def test_unreadable_file_is_a_data_error(case, tmp_path, capsys):
+    tsv = tmp_path / "facts.tsv"
+    tsv.write_bytes(b"alice\tparent\tbob\n")
+    args = {"domain": "kg", "input": tsv, "out": tmp_path / "out"}
+    if case == "kg_not_utf8":
+        tsv.write_bytes(b"alice\tparent\t\xff\xfe\n")
+    elif case == "chain_not_utf8":
+        chain = tmp_path / "chain.txt"
+        chain.write_bytes(b"0 A 0.0 0.0 \xff\n")
+        args.update(domain="protein", input=chain)
+    elif case.startswith("config"):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(b"seed = 3\n" if case == "config_without_section"
+                        else b"[build-graph]\nseed = \xff\n")
+        args["config"] = ini
+    elif case == "input_is_a_directory":
+        args["input"] = tmp_path
+    else:
+        args["out"] = tsv
+    argv = ["build-graph"] + [x for k, v in args.items()
+                              for x in (f"--{k}", str(v))]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # -- the option table ----------------------------------------------------------------------
 
 

@@ -43,6 +43,7 @@ from relmp.tensor import (
 )
 from relmp.training import toy_kinship_kg
 from test_layers import chained_layer_norm, chained_weighted_sum
+from test_tensor import chained_linear
 
 TINY = dict(channels=(8, 16, 32, 64), depths=(1, 1, 1, 1), num_classes=10,
             k_medium=3)
@@ -375,14 +376,17 @@ def test_model_ops_and_gradients_keep_the_active_dtype(build_loss, dtype,
 @pytest.mark.parametrize("build_loss", [_image_loss, _protein_loss, _kg_loss],
                          ids=["image", "protein", "kg"])
 def test_models_match_the_unfused_op_chains_bitwise(build_loss, monkeypatch):
-    # layer norm and the gated layer's steps 2-3 as the op chains the fused
-    # ops replace; the residual stream makes a normalized input feed two ops
+    # layer norm, the gated layer's steps 2-3 and every linear map as the op
+    # chains the fused ops replace; the residual stream makes a normalized
+    # input feed two ops
     runs = []
     for chained in (False, True):
         with monkeypatch.context() as m:
             if chained:
                 m.setattr(layers, "_layer_norm", chained_layer_norm)
                 m.setattr(layers, "relation_weighted_sum", chained_weighted_sum)
+                m.setattr(layers, "linear", chained_linear)
+                m.setattr(models, "linear", chained_linear)
             with count_flops() as counter:
                 loss, params = build_loss()
             loss.backward()
@@ -439,6 +443,11 @@ def test_tape_holds_one_node_per_norm_and_no_broadcast_copies(monkeypatch):
     nodes = _tape(logits) + _tape(states)
     ops = [t._op for t in nodes]
     assert "tile_rows" not in ops and "tile_cols" not in ops
+    # every bias rides inside its linear map: no add takes a [n] bias (a
+    # residual add may still take a patch-merging matmul)
+    assert "linear" in ops
+    assert not [t for t in nodes
+                if t._op == "add" and any(p.data.ndim == 1 for p in t._parents)]
     assert len(norms) == 13 + 3 and ops.count("layer_norm") == len(norms)
     for x, out in norms:
         assert out._op == "layer_norm" and out._parents[0] is x

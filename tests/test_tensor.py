@@ -18,7 +18,8 @@ from relmp.tensor import (OpCounter, Tensor, add, bce_with_logits, concat_cols,
                           concat_rows, count_flops, counting_paused,
                           cross_entropy_with_logits, default_dtype,
                           depthwise_conv2d, finite_difference_check, gather_rows,
-                          gelu, grad_enabled, hadamard, load_checkpoint, matmul,
+                          gelu, grad_enabled, hadamard, linear,
+                          load_checkpoint, matmul,
                           mean_cols, mean_rows, no_grad, relation_weighted_sum,
                           relu, reshape, save_checkpoint, sigmoid, slice_cols,
                           slice_rows, sqrt, sub, sum_all, tile_cols, tile_rows)
@@ -87,6 +88,58 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+
+
+def chained_linear(a, w, b):
+    """`tensor.linear` as the two recorded ops it replaces: a charged matmul,
+    then a row-broadcast bias add that is not charged."""
+    y = matmul(a, w)
+    with counting_paused():
+        return add(y, b)
+
+
+class TestLinear:
+    def run(self, op):
+        """Output, per-kind FLOPs and leaf gradients of `op` in float32, on an
+        input that a second matmul also consumes (the gated layer's input
+        feeds w_in, w_alpha and w_self)."""
+        r = np.random.default_rng(4)
+        z, w, b, w2 = (Tensor(r.normal(size=s), requires_grad=True,
+                              dtype=np.float32)
+                       for s in [(5, 4), (4, 3), (3,), (4, 3)])
+        with count_flops() as counter:
+            out = op(z, w, b)
+            loss = sum_all(hadamard(out, matmul(z, w2)))
+        loss.backward()
+        return out.data, counter.per_op, [t.grad for t in (z, w, b, w2)]
+
+    def test_matches_the_matmul_and_paused_add_chain_bitwise(self):
+        out, flops, grads = self.run(linear)
+        want_out, want_flops, want_grads = self.run(chained_linear)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, want_out)
+        assert flops == want_flops
+        assert flops["matmul"] == 2 * (2 * 5 * 3 * 4)
+        for got, want in zip(grads, want_grads):
+            assert got.dtype == np.float32 and np.array_equal(got, want)
+
+    def test_gradients_match_finite_differences(self):
+        r = np.random.default_rng(5)
+        a, w, b = (Tensor(r.normal(size=s), requires_grad=True, dtype=np.float64)
+                   for s in [(3, 4), (4, 2), (2,)])
+        g = Tensor(r.normal(size=(3, 2)), dtype=np.float64)
+
+        def loss_fn():
+            return sum_all(hadamard(gelu(linear(a, w, b)), g))
+
+        assert finite_difference_check(loss_fn, [a, w, b]) < 1e-6
+
+    @pytest.mark.parametrize("shapes", [
+        [(3, 4), (4, 2), (3,)], [(3, 4), (4, 2), (1, 2)],
+        [(3, 4), (3, 2), (2,)], [(4,), (4, 2), (2,)]])
+    def test_bad_shapes_are_shape_errors(self, shapes):
+        with pytest.raises(ShapeError):
+            linear(*(Tensor(np.ones(s)) for s in shapes))
 
 
 class TestElementwise:
@@ -208,7 +261,8 @@ class TestDepthwiseConv:
 def _mixed_ops(x, w, img, kernel, scores):
     """One result per recorded-op family, all fed by grad-requiring leaves."""
     y = matmul(x, w)
-    return [y, hadamard(y, x), relu(y), gelu(y), sum_all(y), mean_cols(y),
+    return [y, linear(x, w, reshape(slice_rows(w, 3, 4), (4,))),
+            hadamard(y, x), relu(y), gelu(y), sum_all(y), mean_cols(y),
             gather_rows(y, [2, 0, 2]), concat_cols([y, x]), slice_rows(y, 1, 3),
             tile_rows(slice_rows(y, 0, 1), 3), reshape(y, (6, 2)),
             relation_weighted_sum(y, scores, 2),
@@ -473,6 +527,7 @@ _DTYPE_CASES = [
     ("add_scalar", [(3, 4)], lambda a: T.add_scalar(a, 0.5)),
     ("mul_scalar", [(3, 4)], lambda a: T.mul_scalar(a, 1.5)),
     ("matmul", [(3, 4), (4, 2)], matmul),
+    ("linear", [(3, 4), (4, 2), (2,)], linear),
     ("tile_rows", [(4,)], lambda a: tile_rows(a, 3)),
     ("tile_cols", [(3, 1)], lambda a: tile_cols(a, 4)),
     ("relation_weighted_sum", [(3, 6), (3, 2)],
