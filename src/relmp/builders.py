@@ -13,6 +13,7 @@ description; this build does not).
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
 
@@ -218,26 +219,41 @@ def save_protein_chain(path, chain: ProteinChain) -> None:
             f.write(f"{i} {ch} {x:.6f} {y:.6f} {z:.6f}\n")
 
 
+def _text_lines(path):
+    """The lines of a UTF-8 text file, split as text-mode `open` splits them.
+
+    Bytes that are not UTF-8 raise DataError naming the file and the line.
+    """
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text (byte 0x{raw[e.start]:02x} "
+                        f"at offset {e.start}: {e.reason})") from e
+    return io.StringIO(text, newline=None)
+
+
 def load_protein_chain(path) -> ProteinChain:
     codes = []
     coords = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 5:
-                raise DataError(f"{path}:{lineno}: expected 5 fields")
-            try:
-                idx = int(fields[0])
-                xyz = [float(v) for v in fields[2:5]]
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: bad numeric field") from e
-            if idx != len(codes):
-                raise DataError(f"{path}:{lineno}: residue index {idx} out of order")
-            codes.append(fields[1])
-            coords.append(xyz)
+    for lineno, raw in enumerate(_text_lines(path), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 5:
+            raise DataError(f"{path}:{lineno}: expected 5 fields")
+        try:
+            idx = int(fields[0])
+            xyz = [float(v) for v in fields[2:5]]
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: bad numeric field") from e
+        if idx != len(codes):
+            raise DataError(f"{path}:{lineno}: residue index {idx} out of order")
+        codes.append(fields[1])
+        coords.append(xyz)
     if not codes:
         raise DataError(f"{path}: empty chain")
     try:
@@ -319,15 +335,14 @@ class KGDataset:
 
 def _read_triplet_file(path):
     rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
-            rows.append(tuple(fields))
+    for lineno, raw in enumerate(_text_lines(path), 1):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise DataError(f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
+        rows.append(tuple(fields))
     return rows
 
 

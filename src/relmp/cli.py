@@ -247,8 +247,7 @@ def _apply_threads(count) -> None:
 
 
 def cmd_build_graph(resolved: dict) -> int:
-    _require(resolved, "build-graph", "domain", "input")
-    out = _prepare_out(resolved, "build-graph")
+    _require(resolved, "build-graph", "domain", "input", "out")
     from .builders import (LONG_RELATIONS, fact_graph, image_patch_edges,
                            load_patch_grid, load_protein_chain, load_triplets,
                            protein_edges)
@@ -295,6 +294,8 @@ def cmd_build_graph(resolved: dict) -> int:
         comments = [f"domain=kg entities={data.num_entities} "
                     f"triplets={len(data.train.triplets)}"]
 
+    # only a graph that was built gets an output directory
+    out = _prepare_out(resolved, "build-graph")
     edges_path = os.path.join(out, "edges.tsv")
     registry_path = os.path.join(out, "registry.json")
     save_edge_list(edges_path, graph, comments=comments)

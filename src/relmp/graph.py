@@ -9,6 +9,10 @@ with that matrix and its backward one product with the transpose, so the
 summation order (ascending source index forward, edge storage order backward)
 is fixed and the aggregation is deterministic bit-for-bit across runs.
 
+A graph never changes after it is built, so its aggregation operators (the
+slot matrix, its transpose and the degree column) are built once per graph
+and dtype, on first use, and reused by every later forward and backward call.
+
 Normalization is the in-neighborhood mean. The implementation divides the
 neighbor sum by the integer degree rather than multiplying by a rounded float
 reciprocal.
@@ -34,6 +38,10 @@ class RelGraph:
     They may be given as an (E, 3) int array or as any sequence of triples.
     Duplicate triples are rejected. Canonical edge order is (rel, dst, src)
     ascending, which is also the storage order.
+
+    Nothing changes a graph after __init__, so the aggregation operators
+    built from its edges stay valid for its whole life: `_aggregation_ops`
+    builds them once per dtype (float32 and float64 at most) and keeps them.
     """
 
     def __init__(self, num_nodes: int, num_relations: int, edges):
@@ -71,6 +79,7 @@ class RelGraph:
         self._indptr = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=self._indptr[1:])
         self._degrees = counts.reshape(num_relations, num_nodes)
+        self._ops: dict = {}
 
     @property
     def num_edges(self) -> int:
@@ -96,6 +105,21 @@ class RelGraph:
             raise IndexError(f"relation {r} out of range")
         return int(self._degrees[r, v])
 
+    def _aggregation_ops(self, dtype):
+        """(slot matrix, its transpose, degree column) in `dtype`, built once."""
+        ops = self._ops.get(dtype)
+        if ops is None:
+            # unit weights in the features' dtype keep float32 features
+            # float32; every product with 1 is exact, so each slot sums its
+            # sources in storage order
+            size = self.num_relations * self.num_nodes
+            adj = csr_matrix((np.ones(self.num_edges, dtype=dtype), self._src,
+                              self._indptr), shape=(size, self.num_nodes))
+            # empty slots sum to zero, so dividing them by 1 leaves zero rows
+            deg = np.maximum(self._degrees, 1).reshape(-1, 1).astype(dtype)
+            ops = self._ops[dtype] = (adj, adj.T, deg)
+        return ops
+
     def __repr__(self):
         return (f"RelGraph(nodes={self.num_nodes}, relations={self.num_relations}, "
                 f"edges={self.num_edges})")
@@ -114,12 +138,7 @@ def rel_aggregate(graph: RelGraph, z: Tensor) -> Tensor:
     if z.shape[0] != graph.num_nodes:
         raise ShapeError(f"feature rows {z.shape[0]} != num_nodes {graph.num_nodes}")
     v_count, r_count, c = graph.num_nodes, graph.num_relations, z.shape[1]
-    # unit weights in z's dtype keep float32 features float32; every product
-    # with 1 is exact, so each slot sums its sources in storage order
-    adj = csr_matrix((np.ones(graph.num_edges, dtype=z.data.dtype), graph._src,
-                      graph._indptr), shape=(r_count * v_count, v_count))
-    # empty slots sum to zero, so dividing them by 1 leaves zero rows
-    deg = np.maximum(graph._degrees, 1).reshape(-1, 1).astype(z.data.dtype)
+    adj, adj_t, deg = graph._aggregation_ops(z.data.dtype)
     out = (adj @ z.data) / deg
     # rows are stored (r, v)-major in `out`; emit node-major order v*R + r
     out_nodemajor = out.reshape(r_count, v_count, c).transpose(1, 0, 2).reshape(-1, c)
@@ -129,7 +148,7 @@ def rel_aggregate(graph: RelGraph, z: Tensor) -> Tensor:
     def backward(g):
         g_rv = g.reshape(v_count, r_count, c).transpose(1, 0, 2).reshape(-1, c)
         # the CSC transpose visits slots in (rel, dst) order, i.e. edge storage order
-        z._accumulate(adj.T @ (g_rv / deg))
+        z._accumulate(adj_t @ (g_rv / deg))
 
     return _result(out_nodemajor, "rel_aggregate", (z,), backward)
 

@@ -65,6 +65,7 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
+from scipy.sparse import csc_matrix
 from scipy.special import erf
 
 from .errors import (ConfigError, ContractError, DataError, NumericError,
@@ -763,18 +764,25 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows by integer index (duplicates allowed); gradient scatter-adds."""
+    """Select rows by integer index (duplicates allowed); gradient scatter-adds.
+
+    The backward is one product with a [rows, len(idx)] CSC scatter matrix
+    whose column j holds a unit weight (in g's dtype) at row idx[j]. The
+    product starts from zero and adds g's rows in index order, the order of
+    `np.add.at`, and every product with 1 is exact, so each row's sum is
+    rounded as a sequential scatter-add would round it.
+    """
     idx = np.asarray(indices, dtype=np.int64)
-    if a.data.ndim != 2:
-        raise ShapeError("gather_rows expects a rank-2 tensor")
+    if a.data.ndim != 2 or idx.ndim != 1:
+        raise ShapeError("gather_rows expects a rank-2 tensor and a 1-D index")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError("gather_rows index out of range")
     out_data = a.data[idx]
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        a._accumulate(full)
+        scatter = csc_matrix((np.ones(idx.size, dtype=g.dtype), idx,
+                              np.arange(idx.size + 1)), shape=(a.shape[0], idx.size))
+        a._accumulate(scatter @ g)
 
     return _result(out_data, "gather_rows", (a,), backward)
 

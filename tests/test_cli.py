@@ -146,12 +146,14 @@ def test_empty_kg_file_is_a_data_error(tmp_path):
     kg.write_text("# no rows\n")
     assert main(["build-graph", "--domain", "kg", "--input", str(kg),
                  "--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_input_file_is_a_data_error(tmp_path):
     assert main(["build-graph", "--domain", "protein", "--input",
                  str(tmp_path / "absent.txt"), "--out",
                  str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_required_option_is_a_usage_error(tmp_path):
@@ -454,10 +456,10 @@ def test_unreadable_file_is_a_data_error(case, tmp_path, capsys):
     tsv.write_bytes(b"alice\tparent\tbob\n")
     args = {"domain": "kg", "input": tsv, "out": tmp_path / "out"}
     if case == "kg_not_utf8":
-        tsv.write_bytes(b"alice\tparent\t\xff\xfe\n")
+        tsv.write_bytes(b"alice\tparent\tbob\r\nbob\tparent\t\xff\xfe\n")
     elif case == "chain_not_utf8":
         chain = tmp_path / "chain.txt"
-        chain.write_bytes(b"0 A 0.0 0.0 \xff\n")
+        chain.write_bytes(b"# chain\n0 A 0.0 0.0 \xff\n")
         args.update(domain="protein", input=chain)
     elif case.startswith("config"):
         ini = tmp_path / "run.ini"
@@ -473,6 +475,11 @@ def test_unreadable_file_is_a_data_error(case, tmp_path, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    if case in ("kg_not_utf8", "chain_not_utf8"):
+        # the second line holds the byte that is not UTF-8
+        assert err.startswith(f"error: {args['input']}:2: not UTF-8 text")
+    if case != "out_is_a_file":
+        assert not (tmp_path / "out").exists()
 
 
 # -- the option table ----------------------------------------------------------------------

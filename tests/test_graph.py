@@ -173,6 +173,41 @@ class TestRelAggregate:
         assert y.data.tobytes() == want_y.tobytes()
         assert z.grad.tobytes() == want_grad.tobytes()
 
+    def test_operators_are_built_once_per_dtype(self, monkeypatch):
+        # float32 -> float64 -> float32 on one graph must give what a freshly
+        # built graph gives each time, and the repeat dtype builds nothing new
+        from relmp import graph as graph_module
+        from relmp.tensor import hadamard, sum_all
+        built = []
+        original = graph_module.csr_matrix
+
+        def counting_csr(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(graph_module, "csr_matrix", counting_csr)
+        rng = np.random.default_rng(18)
+        edges = random_graph(rng, 10, 3, 40).edge_list()
+        z = rng.normal(size=(10, 4))
+        gy = rng.normal(size=(30, 4))
+        shared = RelGraph(10, 3, edges)
+
+        def run(graph, dtype):
+            zt = Tensor(z, requires_grad=True, dtype=dtype)
+            y = rel_aggregate(graph, zt)
+            sum_all(hadamard(y, Tensor(gy, dtype=dtype))).backward()
+            return y.data, zt.grad
+
+        for dtype, builds in ((np.float32, 1), (np.float64, 1), (np.float32, 0)):
+            before = len(built)
+            got = run(shared, dtype)
+            assert len(built) - before == builds
+            want = run(RelGraph(10, 3, edges), dtype)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == dtype
+                assert a.tobytes() == b.tobytes()
+        assert set(shared._ops) == {np.dtype(np.float32), np.dtype(np.float64)}
+
     def test_row_count_mismatch(self):
         g = RelGraph(3, 1, [(0, 1, 0)])
         with pytest.raises(ShapeError):

@@ -491,6 +491,34 @@ class TestBackward:
 
         assert finite_difference_check(loss_fn, [x]) < 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("indices", [
+        [3, 0, 3, 3, 5, 0, 1],      # duplicates; rows 2 and 4 untouched
+        [],                         # empty: an all-zero gradient
+        list(range(7))[::-1],       # each row once, in reverse
+        [6] * 40,                   # one row summed forty times
+    ], ids=["duplicates", "empty", "permutation", "one_row"])
+    def test_gather_backward_equals_a_sequential_scatter_add(self, dtype, indices):
+        # the scatter product must round each row's sum exactly as np.add.at,
+        # which adds the incoming rows one by one in index order from zero
+        r = np.random.default_rng(len(indices))
+        x = Tensor(r.normal(size=(7, 5)), requires_grad=True, dtype=dtype)
+        g = r.normal(size=(len(indices), 5)).astype(dtype) * 1e3
+        picked = gather_rows(x, indices)
+        sum_all(hadamard(picked, Tensor(g, dtype=dtype))).backward()
+        want = np.zeros((7, 5), dtype=dtype)
+        np.add.at(want, np.asarray(indices, dtype=np.int64), g)
+        assert x.grad.dtype == dtype
+        assert x.grad.tobytes() == want.tobytes()
+
+    def test_gather_rejects_bad_indices(self):
+        x = Tensor(np.zeros((3, 2)), requires_grad=True)
+        with pytest.raises(IndexError):
+            gather_rows(x, [0, 3])
+        for indices in ([[0, 1]], 1):
+            with pytest.raises(ShapeError):
+                gather_rows(x, indices)
+
 
 class TestLossValues:
     def test_bce_saturated_logits_stay_finite(self):

@@ -2,18 +2,25 @@
 
 The optimizer is checked against a hand-stepped first update, a decoupling
 witness (zero gradient still shrinks the parameter, and only shrinks it), and
-a hundred-step independent reference implementation. The schedule endpoints
-are asserted exactly. The training loop is checked for determinism, history
-layout, and loss movement on a small family-forest dataset.
+a hundred-step independent reference implementation; its flat moments are
+checked bit for bit against the per-tensor loop they replaced. The schedule
+endpoints are asserted exactly. The training loop is checked for determinism,
+history layout, and loss movement on a small family-forest dataset, and bit
+for bit against a run with the old per-call forms of three hot spots.
 """
 
 import csv
 import math
+import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
+from relmp import graph as graph_module
+from relmp import tensor as tensor_module
 from relmp.builders import TripletStore, fact_graph
 from relmp.errors import ConfigError, ContractError, DataError, ShapeError
 from relmp.metrics import ranking_metrics
@@ -133,6 +140,79 @@ def test_gradient_shape_mismatch_is_rejected():
     p["w"].grad = np.zeros(3)
     with pytest.raises(ShapeError):
         opt.step()
+
+
+# calls of the old-form references below, by name
+_REFERENCE_CALLS: Counter = Counter()
+
+
+def _per_tensor_step(opt, lr=None):
+    """`AdamW.step` as one loop over the tensors, each with its own moment
+    arrays: the form that the flat moment buffers replaced."""
+    _REFERENCE_CALLS["step"] += 1
+    lr = opt.lr if lr is None else float(lr)
+    b1, b2 = opt.betas
+    opt.step_count += 1
+    t = opt.step_count
+    for name, p in opt.params.items():
+        g = p.grad
+        if g is None:
+            g = np.zeros_like(p.data, dtype=np.float64)
+        elif g.shape != p.data.shape:
+            raise ShapeError(f"gradient shape mismatch for {name}")
+        if opt.weight_decay:
+            p.data -= lr * opt.weight_decay * p.data
+        opt.m[name] = b1 * opt.m[name] + (1.0 - b1) * g
+        opt.v[name] = b2 * opt.v[name] + (1.0 - b2) * (g * g)
+        m_hat = opt.m[name] / (1.0 - b1 ** t)
+        v_hat = opt.v[name] / (1.0 - b2 ** t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+def test_flat_moments_equal_the_per_tensor_loop_bitwise():
+    rng = np.random.default_rng(21)
+    shapes = {"a": ((3, 4), np.float32), "b": ((5,), np.float64),
+              "c": ((2, 2, 2), np.float32), "idle": ((4,), np.float32),
+              "d": ((1, 6), np.float64), "e": ((7,), np.float32)}
+    start = {k: rng.normal(size=s).astype(d) for k, (s, d) in shapes.items()}
+
+    def fresh():
+        params = {k: Tensor(v.copy(), requires_grad=True, dtype=v.dtype)
+                  for k, v in start.items()}
+        return params, AdamW(params, lr=3e-3, weight_decay=0.05)
+
+    flat_params, flat = fresh()
+    loop_params, loop = fresh()
+    groups = {}
+    for names, _, m, v, _, _ in flat._groups:
+        assert m.dtype == v.dtype == np.float64 and m.ndim == v.ndim == 1
+        groups[flat_params[names[0]].data.dtype] = names
+        for name in names:
+            assert flat.m[name].base is m and flat.v[name].base is v
+    assert groups == {np.dtype(np.float32): ["a", "c", "idle", "e"],
+                      np.dtype(np.float64): ["b", "d"]}
+    views = ({k: flat.m[k] for k in shapes}, {k: flat.v[k] for k in shapes})
+    for step in range(50):
+        for name, (shape, dtype) in shapes.items():
+            if name == "idle" or (name == "c" and step % 5 == 0):
+                continue    # no gradient this step
+            g = (rng.normal(size=shape) * 10.0 ** rng.integers(-4, 2)).astype(dtype)
+            if name in ("a", "d") and step % 3 == 0:
+                # a gradient in the other float dtype, as a test may assign
+                g = g.astype(np.float64 if dtype == np.float32 else np.float32)
+            flat_params[name].grad, loop_params[name].grad = g.copy(), g.copy()
+        rate = None if step % 4 else 1e-3 / (1 + step)
+        flat.step(lr=rate)
+        _per_tensor_step(loop, lr=rate)
+        for name in shapes:
+            assert flat_params[name].data.dtype == loop_params[name].data.dtype
+            assert flat_params[name].data.tobytes() == loop_params[name].data.tobytes()
+            assert flat.m[name].tobytes() == loop.m[name].tobytes()
+            assert flat.v[name].tobytes() == loop.v[name].tobytes()
+        flat.zero_grad()
+        loop.zero_grad()
+    # the moments were updated in place, through the views handed out at init
+    assert all(flat.m[k] is views[0][k] and flat.v[k] is views[1][k] for k in shapes)
 
 
 def test_zero_grad_clears_every_parameter():
@@ -302,6 +382,64 @@ def test_training_is_bit_identical_under_a_fixed_seed():
                                       tensors[1][key].data)
 
 
+def _gather_rows_add_at(a, indices):
+    """`gather_rows` whose backward scatter-adds with np.add.at."""
+    idx = np.asarray(indices, dtype=np.int64)
+    _REFERENCE_CALLS["gather_rows"] += 1
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        a._accumulate(full)
+
+    return tensor_module._result(a.data[idx], "gather_rows", (a,), backward)
+
+
+def _rel_aggregate_rebuilt(graph, z):
+    """`rel_aggregate` that builds its CSR slot matrix, the transpose and the
+    degree column again on every call."""
+    _REFERENCE_CALLS["rel_aggregate"] += 1
+    v_count, r_count, c = graph.num_nodes, graph.num_relations, z.shape[1]
+    adj = csr_matrix((np.ones(graph.num_edges, dtype=z.data.dtype), graph._src,
+                      graph._indptr), shape=(r_count * v_count, v_count))
+    deg = np.maximum(graph._degrees, 1).reshape(-1, 1).astype(z.data.dtype)
+    out = (adj @ z.data) / deg
+    out = out.reshape(r_count, v_count, c).transpose(1, 0, 2).reshape(-1, c)
+    tensor_module._charge("rel_aggregate", 2 * graph.num_edges * c)
+
+    def backward(g):
+        g_rv = g.reshape(v_count, r_count, c).transpose(1, 0, 2).reshape(-1, c)
+        z._accumulate(adj.T @ (g_rv / deg))
+
+    return tensor_module._result(np.ascontiguousarray(out), "rel_aggregate",
+                                 (z,), backward)
+
+
+def test_training_equals_the_per_call_references_bitwise(monkeypatch):
+    # the cached aggregation operators, the flat AdamW moments and the
+    # scatter product each promise the old arithmetic bit for bit; a run with
+    # all three swapped back for their old forms must match byte for byte
+    data = toy_kinship_kg(24)
+    cfg = KGModelConfig(num_layers=2, channels=8, scorer_hidden=8, negatives=4)
+    params, history = train_kg(data, cfg, epochs=2, seed=0)
+    swaps = {tensor_module.gather_rows: _gather_rows_add_at,
+             graph_module.rel_aggregate: _rel_aggregate_rebuilt}
+    for module in [m for name, m in sys.modules.items() if name.startswith("relmp.")]:
+        for attr, value in list(vars(module).items()):
+            if callable(value) and value in swaps:
+                monkeypatch.setattr(module, attr, swaps[value])
+    monkeypatch.setattr(AdamW, "step", _per_tensor_step)
+    _REFERENCE_CALLS.clear()
+    ref_params, ref_history = train_kg(data, cfg, epochs=2, seed=0)
+    assert set(_REFERENCE_CALLS) == {"gather_rows", "rel_aggregate", "step"}
+    assert history == ref_history
+    got, want = params.tensors(), ref_params.tensors()
+    assert got.keys() == want.keys()
+    for name in got:
+        assert got[name].data.dtype == want[name].data.dtype
+        assert got[name].data.tobytes() == want[name].data.tobytes(), name
+
+
 def test_history_layout_and_loss_movement():
     data = _tiny_data()
     epochs = 4
@@ -388,6 +526,9 @@ def test_evaluation_memory_does_not_grow_with_queries():
     # 15k entities: the dense path's tape held 1.13 GB at 8 test triples and
     # grew with the queries; a streamed pass is bounded by one block of rows
     params, graph, test, known = _eval_setup(15000)
+    # the graph builds its aggregation operators once, on first use, and
+    # keeps them; build them first so that neither peak counts them
+    graph._aggregation_ops(params.entity_emb.data.dtype)
     peaks = []
     for triples in (8, 32):
         store = TripletStore(test.num_entities, test.num_relations,
