@@ -13,14 +13,13 @@ description; this build does not).
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph import RelGraph
+from .graph import RelGraph, _text_lines
 
 SHORT_RELATIONS = ("up", "down", "left", "right")
 LONG_RELATIONS = ("long_global", "long_context")
@@ -217,22 +216,6 @@ def save_protein_chain(path, chain: ProteinChain) -> None:
         for i, ch in enumerate(chain.sequence):
             x, y, z = chain.coords[i]
             f.write(f"{i} {ch} {x:.6f} {y:.6f} {z:.6f}\n")
-
-
-def _text_lines(path):
-    """The lines of a UTF-8 text file, split as text-mode `open` splits them.
-
-    Bytes that are not UTF-8 raise DataError naming the file and the line.
-    """
-    with open(path, "rb") as f:
-        raw = f.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        line = raw.count(b"\n", 0, e.start) + 1
-        raise DataError(f"{path}:{line}: not UTF-8 text (byte 0x{raw[e.start]:02x} "
-                        f"at offset {e.start}: {e.reason})") from e
-    return io.StringIO(text, newline=None)
 
 
 def load_protein_chain(path) -> ProteinChain:

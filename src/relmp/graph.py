@@ -24,6 +24,8 @@ downstream "concatenate a node's relation slots" reshape a zero-copy view.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 from scipy.sparse import csr_matrix
 
@@ -216,6 +218,22 @@ def save_edge_list(path, graph: RelGraph, comments=()) -> None:
             f.write(f"{s}\t{d}\t{r}\n")
 
 
+def _text_lines(path):
+    """The lines of a UTF-8 text file, split as text-mode `open` splits them.
+
+    Bytes that are not UTF-8 raise DataError naming the file and the line.
+    """
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text (byte 0x{raw[e.start]:02x} "
+                        f"at offset {e.start}: {e.reason})") from e
+    return io.StringIO(text, newline=None)
+
+
 def load_edge_list(path) -> RelGraph:
     """Read an edge-list file written by save_edge_list.
 
@@ -224,28 +242,27 @@ def load_edge_list(path) -> RelGraph:
     """
     num_nodes = num_relations = None
     triples = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("nodes="):
-                    try:
-                        parts = dict(p.split("=") for p in body.split())
-                        num_nodes = int(parts["nodes"])
-                        num_relations = int(parts["relations"])
-                    except (ValueError, KeyError) as e:
-                        raise DataError(f"{path}:{lineno}: bad count comment") from e
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            try:
-                triples.append((int(fields[0]), int(fields[1]), int(fields[2])))
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: non-integer field") from e
+    for lineno, raw in enumerate(_text_lines(path), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("nodes="):
+                try:
+                    parts = dict(p.split("=") for p in body.split())
+                    num_nodes = int(parts["nodes"])
+                    num_relations = int(parts["relations"])
+                except (ValueError, KeyError) as e:
+                    raise DataError(f"{path}:{lineno}: bad count comment") from e
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        try:
+            triples.append((int(fields[0]), int(fields[1]), int(fields[2])))
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: non-integer field") from e
     if num_nodes is None:
         num_nodes = 1 + max((max(s, d) for s, d, _ in triples), default=-1)
         num_relations = 1 + max((r for _, _, r in triples), default=-1)

@@ -282,6 +282,10 @@ def grmp_forward(graph: RelGraph, z: Tensor, params: GRMPParams) -> Tensor:
 # -- layer normalization --------------------------------------------------------------
 
 
+# added to each row's variance before the square root
+LAYER_NORM_EPS = 1e-5
+
+
 @dataclass
 class LayerNormParams(Params):
     gamma: Tensor
@@ -296,12 +300,12 @@ class LayerNormParams(Params):
         return _named(self, ("gamma", "beta"))
 
 
-def layer_norm(x: Tensor, params: LayerNormParams, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, params: LayerNormParams) -> Tensor:
     """Per-row normalization over the channel axis with learned scale/shift.
 
     One recorded op; the shift is a bias and, as elsewhere, not charged.
     """
-    return _layer_norm(x, params.gamma, params.beta, eps)
+    return _layer_norm(x, params.gamma, params.beta, LAYER_NORM_EPS)
 
 
 # -- feed-forward block -----------------------------------------------------------------
@@ -389,22 +393,20 @@ def context_stack_features(z: Tensor, height: int, width: int,
 @dataclass
 class PatchMergeParams(Params):
     """2x2 window concat (4C) -> normalization -> linear to 2C, no bias."""
-    norm: LayerNormParams | None
+    norm: LayerNormParams
     w_reduce: Tensor
 
     @classmethod
     def init(cls, rng: np.random.Generator, channels: int, std: float = 0.02,
-             dtype=None, use_norm: bool = True) -> "PatchMergeParams":
+             dtype=None) -> "PatchMergeParams":
         return cls(
-            norm=LayerNormParams.init(4 * channels, dtype) if use_norm else None,
+            norm=LayerNormParams.init(4 * channels, dtype),
             w_reduce=_param(trunc_normal(rng, (4 * channels, 2 * channels), std), dtype),
         )
 
     def tensors(self) -> dict[str, Tensor]:
-        out = {"w_reduce": self.w_reduce}
-        if self.norm is not None:
-            out.update({f"norm.{k}": v for k, v in self.norm.tensors().items()})
-        return out
+        return {"w_reduce": self.w_reduce,
+                **{f"norm.{k}": v for k, v in self.norm.tensors().items()}}
 
 
 def patch_merging(z: Tensor, height: int, width: int,
@@ -427,6 +429,4 @@ def patch_merging(z: Tensor, height: int, width: int,
     br = grid[1::2, 1::2].reshape(-1)
     gathered = concat_cols([gather_rows(z, tl), gather_rows(z, tr),
                             gather_rows(z, bl), gather_rows(z, br)])
-    if params.norm is not None:
-        gathered = layer_norm(gathered, params.norm)
-    return matmul(gathered, params.w_reduce)
+    return matmul(layer_norm(gathered, params.norm), params.w_reduce)

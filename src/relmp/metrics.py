@@ -49,13 +49,12 @@ def query_ranks(scores: np.ndarray, true_idx: np.ndarray,
 
 
 def ranking_metrics(scores: np.ndarray, true_idx: np.ndarray,
-                    filter_mask: np.ndarray | None = None,
-                    cutoffs=HITS_CUTOFFS) -> dict:
+                    filter_mask: np.ndarray | None = None) -> dict:
     """MR, MRR and Hits@k over a batch of ranking queries."""
-    return rank_summary(query_ranks(scores, true_idx, filter_mask), cutoffs)
+    return rank_summary(query_ranks(scores, true_idx, filter_mask))
 
 
-def rank_summary(ranks: np.ndarray, cutoffs=HITS_CUTOFFS) -> dict:
+def rank_summary(ranks: np.ndarray) -> dict:
     """MR, MRR and Hits@k from per-query ranks (as `query_ranks` returns).
 
     Callers that rank queries block by block concatenate the blocks' ranks
@@ -63,7 +62,7 @@ def rank_summary(ranks: np.ndarray, cutoffs=HITS_CUTOFFS) -> dict:
     """
     ranks = np.asarray(ranks, dtype=np.float64)
     out = {"mr": float(ranks.mean()), "mrr": float((1.0 / ranks).mean())}
-    for k in cutoffs:
+    for k in HITS_CUTOFFS:
         out[f"hits@{k}"] = float((ranks <= k).mean())
     return out
 
@@ -88,15 +87,14 @@ def random_mrr_baseline(candidate_counts) -> float:
 # -- protein-centric Fmax --------------------------------------------------------------
 
 
-def fmax(scores: np.ndarray, labels: np.ndarray,
-         thresholds: np.ndarray = FMAX_THRESHOLDS) -> tuple[float, float]:
+def fmax(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """Best harmonic mean of protein-centric precision and recall.
 
     scores and labels are [num_proteins, num_tasks]; scores must already be
-    probabilities in [0, 1]. At each threshold t a task is predicted when its
-    score is >= t; precision averages over proteins with at least one
-    prediction, recall averages over all proteins (a protein with no true
-    labels contributes recall 0). Returns (fmax, best_threshold).
+    probabilities in [0, 1]. At each threshold t of FMAX_THRESHOLDS a task is
+    predicted when its score is >= t; precision averages over proteins with at
+    least one prediction, recall averages over all proteins (a protein with no
+    true labels contributes recall 0). Returns (fmax, best_threshold).
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels).astype(bool)
@@ -106,9 +104,9 @@ def fmax(scores: np.ndarray, labels: np.ndarray,
         raise ContractError("scores must lie in [0, 1]; apply a sigmoid first")
     if scores.shape[0] == 0:
         raise ContractError("need at least one protein")
-    best_f, best_t = 0.0, float(thresholds[0])
+    best_f, best_t = 0.0, float(FMAX_THRESHOLDS[0])
     n_labels = labels.sum(axis=1)
-    for t in thresholds:
+    for t in FMAX_THRESHOLDS:
         pred = scores >= t
         n_pred = pred.sum(axis=1)
         tp = (pred & labels).sum(axis=1)

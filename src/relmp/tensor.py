@@ -14,10 +14,10 @@ expressions to the last digit:
   1 FLOP per output element
 * tile_rows / tile_cols (broadcast materialized as an outer product with a
   ones vector): 1 FLOP per output element
-* relation_weighted_sum of [V, R*C] slots and [V, R] scores: the charges of
-  the unfused chain it replaces, read from its operand shapes: tile R*V*C and
-  hadamard R*V*C (only when scores are given), add (R-1)*V*C; with a
-  [1, R*C] channel-weight row, tile R*V*C and hadamard R*V*C more
+* relation_weighted_sum of [V, R*C] slots, a [1, R*C] channel-weight row and
+  [V, R] scores: the charges of the unfused chain it replaces, read from its
+  operand shapes: tile R*V*C and hadamard R*V*C for the channel weights, the
+  same again for the scores (only when they are given), add (R-1)*V*C
 * layer_norm of [n, c] with scale and shift: the charges of the 11-op chain
   it replaces (2 mean_cols, 2 tile_cols, sub, 2 hadamard, add_scalar, sqrt,
   div and a bias add), read from its input shape: mean 2nc, tile 2nc, sub nc,
@@ -231,9 +231,10 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            # A leaf's gradient is its own buffer, since clip_global_norm scales
-            # it in place. An interior gradient is only read by the node's own
-            # closure and never written, so it may alias g.
+            # A leaf's gradient is its own buffer: its .grad is user-visible
+            # and must not alias another tensor's gradient. An interior
+            # gradient is only read by the node's own closure and never
+            # written, so it may alias g.
             self.grad = g.astype(self.data.dtype, copy=self._backward is None)
         else:
             # a float64 partner's gradient must not widen a float32 leaf
@@ -491,36 +492,31 @@ def tile_cols(col: Tensor, num_cols: int) -> Tensor:
 
 
 def relation_weighted_sum(wide: Tensor, scores: Tensor | None,
-                          num_relations: int,
-                          channel: Tensor | None = None) -> Tensor:
+                          num_relations: int, channel: Tensor) -> Tensor:
     """Per-node score-weighted sum of relation slots: [V, R*C] -> [V, C].
 
     Relation r occupies columns r*C..(r+1)*C of `wide`; `scores` is [V, R],
-    or None for a plain sum over relations. `channel`, if given, is a
-    [1, R*C] row of per-relation channel weights that multiplies every row of
-    `wide` first, as `hadamard(wide, tile_rows(channel, V))` would. Terms are
-    added in relation order 0..R-1, so the result rounds like a chain of
-    `add`s over the R products `hadamard(slot_r, tile_cols(score_r, C))`, and
-    the op charges what that chain would: tile and hadamard R*V*C each for the
-    channel weights and again for the scores (each only when given), add
-    (R-1)*V*C. The weighted slots are not kept for backward; it multiplies
-    `wide` by `channel` again.
+    or None for a plain sum over relations. `channel` is a [1, R*C] row of
+    per-relation channel weights that multiplies every row of `wide` first,
+    as `hadamard(wide, tile_rows(channel, V))` would. Terms are added in
+    relation order 0..R-1, so the result rounds like a chain of `add`s over
+    the R products `hadamard(slot_r, tile_cols(score_r, C))`, and the op
+    charges what that chain would: tile and hadamard R*V*C each for the
+    channel weights and again for the scores (when given), add (R-1)*V*C.
+    The weighted slots are not kept for backward; it multiplies `wide` by
+    `channel` again.
     """
     if wide.data.ndim != 2 or num_relations < 1 or wide.shape[1] % num_relations:
         raise ShapeError(f"relation_weighted_sum: {wide.shape} is not "
                          f"[V, {num_relations}*C]")
     v, r = wide.shape[0], num_relations
     c = wide.shape[1] // r
-    if channel is None:
-        weighted = wide.data
-    else:
-        if channel.shape != (1, r * c):
-            raise ShapeError(f"relation_weighted_sum: channel weights "
-                             f"{channel.shape} are not [1, {r * c}]")
-        weighted = wide.data * channel.data
-        _charge("tile", r * v * c)
-        _charge("hadamard", r * v * c)
-    terms = weighted.reshape(v, r, c)
+    if channel.shape != (1, r * c):
+        raise ShapeError(f"relation_weighted_sum: channel weights "
+                         f"{channel.shape} are not [1, {r * c}]")
+    terms = (wide.data * channel.data).reshape(v, r, c)
+    _charge("tile", r * v * c)
+    _charge("hadamard", r * v * c)
     if scores is not None:
         if scores.shape != (v, r):
             raise ShapeError(f"relation_weighted_sum: scores {scores.shape} "
@@ -534,22 +530,22 @@ def relation_weighted_sum(wide: Tensor, scores: Tensor | None,
     if r > 1:
         _charge("add", (r - 1) * v * c)
 
-    # The closure names only the operand tensors: `weighted` and `terms`
-    # are [V, R*C] scratch and must not stay alive on the tape.
+    # The closure names only the operand tensors: `terms` is [V, R*C]
+    # scratch and must not stay alive on the tape.
     def backward(g):
         if scores is not None and scores.requires_grad:
-            slots = wide.data if channel is None else wide.data * channel.data
+            slots = wide.data * channel.data
             scores._accumulate((slots.reshape(v, r, c) * g[:, None, :]).sum(axis=2))
-        if not (wide.requires_grad or channel is not None and channel.requires_grad):
+        if not (wide.requires_grad or channel.requires_grad):
             return
         gw = np.tile(g, r) if scores is None else \
             (g[:, None, :] * scores.data[:, :, None]).reshape(v, r * c)
         if wide.requires_grad:
-            wide._accumulate(gw if channel is None else gw * channel.data)
-        if channel is not None and channel.requires_grad:
+            wide._accumulate(gw * channel.data)
+        if channel.requires_grad:
             channel._accumulate((gw * wide.data).sum(axis=0).reshape(channel.shape))
 
-    parents = tuple(t for t in (wide, scores, channel) if t is not None)
+    parents = (wide, channel) if scores is None else (wide, scores, channel)
     return _result(out_data, "relation_weighted_sum", parents, backward)
 
 

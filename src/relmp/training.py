@@ -1,4 +1,4 @@
-"""Optimizers, learning-rate schedule, and the desk-scale KG training loop.
+"""The AdamW optimizer and the desk-scale KG training loop.
 
 The optimizer is AdamW with decoupled weight decay: the decay shrinks the
 parameter before the adaptive update, never through the moment estimates.
@@ -13,8 +13,9 @@ cast, a run of same-dtype gradients at a time, and every expression keeps the
 per-tensor operand order, so each element is rounded exactly as a loop over
 the tensors would round it.
 
-The schedule is a linear warmup into a half-cosine decay: the ramp ends at the
-base rate exactly and the cosine ends at the minimum rate exactly.
+With annealing on, `train_kg` runs epoch e of E at
+lr/50 + 0.5*(lr - lr/50)*(1 + cos(pi*f)), f = (e-1)/max(E-1, 1): a half-cosine
+from the base rate down to lr/50, which the last epoch meets exactly.
 
 `train_kg` is deterministic given its seed: initialization, shuffling, and
 negative sampling all draw from one generator, so reruns produce bit-identical
@@ -30,13 +31,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
 
 from .builders import KGDataset, TripletStore, fact_graph
-from .errors import ConfigError, ContractError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .metrics import query_ranks, rank_summary
 from .models import KGModelConfig, KGModelParams, kg_encode, kg_score
 from .tensor import bce_with_logits, no_grad
@@ -132,71 +132,6 @@ class AdamW:
                 p.data -= update[lo:hi].reshape(p.data.shape)
 
 
-def adam(params: dict, lr: float, betas=(0.9, 0.999), eps: float = 1e-8) -> AdamW:
-    """Plain Adam: the same update with weight decay zero."""
-    return AdamW(params, lr, betas, eps, weight_decay=0.0)
-
-
-def clip_global_norm(params: dict, max_norm: float = 5.0) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm.
-
-    Returns the pre-clip norm. Parameters without gradients are skipped.
-    """
-    if max_norm <= 0:
-        raise ConfigError("max_norm must be positive")
-    total = 0.0
-    grads = [t.grad for t in params.values() if t.grad is not None]
-    for g in grads:
-        total += float((g.astype(np.float64) ** 2).sum())
-    norm = math.sqrt(total)
-    if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads:
-            g *= scale
-    return norm
-
-
-# -- learning-rate schedule --------------------------------------------------------------
-
-
-@dataclass
-class ScheduleConfig:
-    base_lr: float
-    total_epochs: int
-    warmup_epochs: int = 0
-    min_lr: float = 0.0
-    warmup_start_lr: float = 0.0
-
-    def validate(self) -> "ScheduleConfig":
-        if self.total_epochs < 1 or self.warmup_epochs < 0:
-            raise ConfigError("bad epoch counts")
-        if self.warmup_epochs > self.total_epochs:
-            raise ConfigError("warmup cannot exceed the total schedule")
-        if self.base_lr < 0 or self.min_lr < 0 or self.warmup_start_lr < 0:
-            raise ConfigError("rates must be non-negative")
-        return self
-
-
-def lr_at(fraction: float, cfg: ScheduleConfig) -> float:
-    """Learning rate at a point of the run, given as a fraction in [0, 1].
-
-    Linear ramp from warmup_start_lr, hitting base_lr exactly at the end of
-    warmup; then half-cosine from base_lr, hitting min_lr exactly at 1.
-    """
-    cfg.validate()
-    if not 0.0 <= fraction <= 1.0:
-        raise ContractError("fraction must lie in [0, 1]")
-    warm = cfg.warmup_epochs / cfg.total_epochs
-    if warm > 0.0 and fraction < warm:
-        return cfg.warmup_start_lr + (cfg.base_lr - cfg.warmup_start_lr) * (
-            fraction / warm)
-    if warm >= 1.0:
-        return cfg.base_lr
-    progress = (fraction - warm) / (1.0 - warm)
-    return cfg.min_lr + 0.5 * (cfg.base_lr - cfg.min_lr) * (
-        1.0 + math.cos(math.pi * progress))
-
-
 # -- KG link-prediction training -----------------------------------------------------------
 
 
@@ -280,8 +215,7 @@ def _corrupt(rng, batch, negatives, num_entities):
 
 def train_kg(data: KGDataset, model_cfg: KGModelConfig, epochs: int, seed: int,
              lr: float = 5e-3, batch_size: int = 16,
-             clip_norm: float | None = None, anneal: bool = True,
-             params: KGModelParams | None = None) -> tuple[KGModelParams, list]:
+             anneal: bool = True) -> tuple[KGModelParams, list]:
     """Negative-sampling BCE training; returns the model and metric history.
 
     History rows are (epoch, split, metric, value): per-epoch training loss
@@ -301,21 +235,21 @@ def train_kg(data: KGDataset, model_cfg: KGModelConfig, epochs: int, seed: int,
         raise DataError("empty training split")
     rng = np.random.default_rng(seed)
     graph = fact_graph(data.train)
-    if params is None:
-        params = KGModelParams.init(rng, data.num_entities, data.num_relations,
-                                    model_cfg)
-    opt = adam(params.tensors(), lr=lr)
+    params = KGModelParams.init(rng, data.num_entities, data.num_relations,
+                                model_cfg)
+    opt = AdamW(params.tensors(), lr=lr, weight_decay=0.0)
     known = known_tails([data.train, data.valid, data.test])
     n = data.num_entities
     neg = model_cfg.negatives
     triples = np.array(data.train.triplets, dtype=np.int64)
     probe, probe_targets = _corrupt(rng, triples, neg, n)
-    schedule = ScheduleConfig(base_lr=lr, total_epochs=max(epochs, 1),
-                              min_lr=lr / 50.0)
+    min_lr = lr / 50.0
     history = []
     for epoch in range(1, epochs + 1):
-        epoch_lr = lr_at((epoch - 1) / max(epochs - 1, 1), schedule) \
-            if anneal else lr
+        epoch_lr = lr
+        if anneal:
+            f = (epoch - 1) / max(epochs - 1, 1)
+            epoch_lr = min_lr + 0.5 * (lr - min_lr) * (1.0 + math.cos(math.pi * f))
         order = rng.permutation(len(triples))
         for start in range(0, len(order), batch_size):
             batch = triples[order[start:start + batch_size]]
@@ -325,8 +259,6 @@ def train_kg(data: KGDataset, model_cfg: KGModelConfig, epochs: int, seed: int,
             logits = kg_score(z, params, full[:, 0], full[:, 1], full[:, 2])
             loss = bce_with_logits(logits, targets)
             loss.backward()
-            if clip_norm is not None:
-                clip_global_norm(params.tensors(), clip_norm)
             opt.step(lr=epoch_lr)
         with no_grad():
             z = kg_encode(graph, params)
@@ -357,11 +289,12 @@ def save_metric_history(path, rows) -> None:
 
 KINSHIP_RELATIONS = ("parent", "child", "sibling", "spouse",
                      "grandparent", "grandchild")
+# shares of the shuffled facts held out for validation and for test
+VALID_FRAC = 0.1
+TEST_FRAC = 0.1
 
 
-def toy_kinship_kg(num_people: int = 100, seed: int = 0,
-                   valid_frac: float = 0.1,
-                   test_frac: float = 0.1) -> KGDataset:
+def toy_kinship_kg(num_people: int = 100, seed: int = 0) -> KGDataset:
     """Seeded family-forest dataset with composable kinship relations.
 
     People form generations of couples with children; facts list parenthood
@@ -427,8 +360,8 @@ def toy_kinship_kg(num_people: int = 100, seed: int = 0,
 
     triples = sorted(facts)
     rng.shuffle(triples)
-    n_valid = int(len(triples) * valid_frac)
-    n_test = int(len(triples) * test_frac)
+    n_valid = int(len(triples) * VALID_FRAC)
+    n_test = int(len(triples) * TEST_FRAC)
     splits = {"valid": triples[:n_valid],
               "test": triples[n_valid:n_valid + n_test],
               "train": triples[n_valid + n_test:]}

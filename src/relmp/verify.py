@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import costmodel
-from .builders import (PatchGrid, ProteinChain, image_medium_edges,
-                       protein_edges)
+from .builders import (AMINO_ACIDS, RADIUS, PatchGrid, ProteinChain,
+                       image_medium_edges, protein_edges)
 from .errors import ContractError
 from .graph import RelGraph, build_line_graph, rel_aggregate
 from .layers import (GRMPParams, RGConvParams, grmp_forward, rgconv_forward)
@@ -187,15 +187,14 @@ def suite_gradcheck(seed: int = 0, num_seeds: int = 5,
 # -- e3 ----------------------------------------------------------------------------------
 
 
-def _margined_chain(rng, length: int, radius: float = 10.0,
-                    margin: float = 1e-3) -> np.ndarray:
+def _margined_chain(rng, length: int, margin: float = 1e-3) -> np.ndarray:
     """Random coordinates whose pairwise distances stay `margin` away from the
-    radius threshold and from per-node ranking ties."""
+    contact radius `builders.RADIUS` and from per-node ranking ties."""
     for _ in range(200):
         coords = rng.normal(scale=4.5, size=(length, 3))
         dist = np.linalg.norm(coords[:, None] - coords[None, :], axis=-1)
         off = dist[~np.eye(length, dtype=bool)]
-        if np.abs(off - radius).min() <= margin:
+        if np.abs(off - RADIUS).min() <= margin:
             continue
         sorted_rows = np.sort(dist, axis=1)[:, 1:]  # drop the self distance
         if np.diff(sorted_rows, axis=1).min() <= margin:
@@ -216,7 +215,8 @@ def suite_e3(seed: int = 0, transforms: int = 100,
              length: int = 40, tolerance: float = 1e-5) -> list[Check]:
     rng = np.random.default_rng(seed)
     coords = _margined_chain(rng, length)
-    sequence = "".join(rng.choice(list("ACDEFGHIKLMNPQRSTVWY"), size=length))
+    # the 20 standard amino acids
+    sequence = "".join(rng.choice(list(AMINO_ACIDS[:20]), size=length))
     chain = ProteinChain(sequence, coords)
     base_edges = set(protein_edges(chain)[0].edge_list())
     cfg = ProteinEncoderConfig(num_layers=3, hidden=64, num_tasks=8)

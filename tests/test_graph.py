@@ -283,3 +283,10 @@ class TestEdgeListFiles:
         path.write_text("0\tx\t0\n", encoding="utf-8")
         with pytest.raises(DataError):
             load_edge_list(path)
+
+    def test_non_utf8_byte_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"0\t1\t0\n\xff\n")
+        with pytest.raises(DataError, match="not UTF-8") as err:
+            load_edge_list(path)
+        assert str(err.value).startswith(f"{path}:2: ")

@@ -265,7 +265,7 @@ def _mixed_ops(x, w, img, kernel, scores):
             hadamard(y, x), relu(y), gelu(y), sum_all(y), mean_cols(y),
             gather_rows(y, [2, 0, 2]), concat_cols([y, x]), slice_rows(y, 1, 3),
             tile_rows(slice_rows(y, 0, 1), 3), reshape(y, (6, 2)),
-            relation_weighted_sum(y, scores, 2),
+            relation_weighted_sum(y, scores, 2, Tensor(np.ones((1, 4)))),
             relation_weighted_sum(y, scores, 2, slice_rows(w, 0, 1)),
             T.layer_norm(y, reshape(slice_rows(w, 1, 2), (4,)),
                          reshape(slice_rows(w, 2, 3), (4,)), 1e-5),
@@ -427,7 +427,8 @@ class TestBackward:
         assert np.array_equal(x.grad, np.full((2, 2), 4.0, np.float32))
 
     def test_leaves_of_one_add_own_their_grad_buffers(self):
-        # clip_global_norm scales leaf gradients in place
+        # a leaf's .grad is user-visible and must not alias another
+        # tensor's gradient
         a = Tensor(np.ones((2, 3)), requires_grad=True)
         b = Tensor(np.ones((2, 3)), requires_grad=True)
         sum_all(add(a, b)).backward()
@@ -538,11 +539,16 @@ class TestLossValues:
 
 # -- dtype contract ----------------------------------------------------------------
 
+def _ones_row(wide):
+    """A constant channel-weight row of ones in the dtype of `wide`."""
+    return Tensor(np.ones((1, wide.shape[1])), dtype=wide.dtype)
+
+
 _DTYPE_GRAPH = RelGraph(4, 2, [(0, 1, 0), (1, 2, 0), (2, 1, 1), (3, 0, 1),
                                (0, 3, 0)])
 
 # (op, input shapes, call); every public op of tensor.py plus rel_aggregate,
-# with the row-broadcast and unscored forms as extra cases
+# with the row-broadcast, unscored and constant-channel forms as extra cases
 _DTYPE_CASES = [
     ("add", [(3, 4), (3, 4)], add),
     ("add", [(3, 4), (4,)], add),
@@ -559,9 +565,9 @@ _DTYPE_CASES = [
     ("tile_rows", [(4,)], lambda a: tile_rows(a, 3)),
     ("tile_cols", [(3, 1)], lambda a: tile_cols(a, 4)),
     ("relation_weighted_sum", [(3, 6), (3, 2)],
-     lambda w, s: relation_weighted_sum(w, s, 2)),
+     lambda w, s: relation_weighted_sum(w, s, 2, _ones_row(w))),
     ("relation_weighted_sum", [(3, 6)],
-     lambda w: relation_weighted_sum(w, None, 2)),
+     lambda w: relation_weighted_sum(w, None, 2, _ones_row(w))),
     ("relation_weighted_sum", [(3, 6), (3, 2), (1, 6)],
      lambda w, s, ch: relation_weighted_sum(w, s, 2, ch)),
     ("relation_weighted_sum", [(3, 6), (1, 6)],

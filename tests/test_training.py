@@ -1,12 +1,13 @@
-"""Optimizer, schedule, and KG training-loop tests.
+"""Optimizer, learning-rate annealing, and KG training-loop tests.
 
 The optimizer is checked against a hand-stepped first update, a decoupling
 witness (zero gradient still shrinks the parameter, and only shrinks it), and
 a hundred-step independent reference implementation; its flat moments are
-checked bit for bit against the per-tensor loop they replaced. The schedule
-endpoints are asserted exactly. The training loop is checked for determinism,
-history layout, and loss movement on a small family-forest dataset, and bit
-for bit against a run with the old per-call forms of three hot spots.
+checked bit for bit against the per-tensor loop they replaced. The rate each
+optimizer step receives is checked against the annealing endpoints exactly.
+The training loop is checked for determinism, history layout, and loss
+movement on a small family-forest dataset, and bit for bit against a run with
+the old per-call forms of three hot spots.
 """
 
 import csv
@@ -21,8 +22,8 @@ from scipy.sparse import csr_matrix
 
 from relmp import graph as graph_module
 from relmp import tensor as tensor_module
-from relmp.builders import TripletStore, fact_graph
-from relmp.errors import ConfigError, ContractError, DataError, ShapeError
+from relmp.builders import KGDataset, TripletStore, fact_graph
+from relmp.errors import ConfigError, DataError, ShapeError
 from relmp.metrics import ranking_metrics
 from relmp.models import KGModelConfig, KGModelParams, kg_encode, kg_score
 from relmp.tensor import Tensor
@@ -30,12 +31,8 @@ from relmp.training import (
     KINSHIP_RELATIONS,
     RANK_BLOCK_ROWS,
     AdamW,
-    ScheduleConfig,
-    adam,
-    clip_global_norm,
     kg_evaluate,
     known_tails,
-    lr_at,
     save_metric_history,
     toy_kinship_kg,
     train_kg,
@@ -68,7 +65,7 @@ def test_first_step_matches_hand_computation():
     # One step from zero with unit gradient: bias correction makes the
     # update exactly lr * g / (|g| + eps).
     p = {"w": _param([0.0])}
-    opt = adam(p, lr=0.1)
+    opt = AdamW(p, lr=0.1, weight_decay=0.0)
     p["w"].grad = np.array([1.0])
     opt.step()
     expected = -0.1 * 1.0 / (1.0 + 1e-8)
@@ -115,7 +112,7 @@ def test_hundred_steps_match_reference_implementation():
 
 def test_step_accepts_a_rate_override():
     p = {"w": _param([1.0])}
-    opt = adam(p, lr=0.5)
+    opt = AdamW(p, lr=0.5, weight_decay=0.0)
     p["w"].grad = np.array([1.0])
     opt.step(lr=0.0)
     assert p["w"].data[0] == 1.0  # zero rate, zero decay: nothing moves
@@ -126,7 +123,7 @@ def test_step_accepts_a_rate_override():
 
 def test_missing_gradient_is_treated_as_zero():
     p = {"w": _param([2.0])}
-    opt = adam(p, lr=0.1)
+    opt = AdamW(p, lr=0.1, weight_decay=0.0)
     opt.step()
     assert p["w"].data[0] == 2.0
     decayed = AdamW({"w": _param([2.0])}, lr=0.1, weight_decay=0.5)
@@ -136,7 +133,7 @@ def test_missing_gradient_is_treated_as_zero():
 
 def test_gradient_shape_mismatch_is_rejected():
     p = {"w": _param([1.0, 2.0])}
-    opt = adam(p, lr=0.1)
+    opt = AdamW(p, lr=0.1, weight_decay=0.0)
     p["w"].grad = np.zeros(3)
     with pytest.raises(ShapeError):
         opt.step()
@@ -219,70 +216,8 @@ def test_zero_grad_clears_every_parameter():
     p = {"a": _param([1.0]), "b": _param([2.0])}
     for t in p.values():
         t.grad = np.ones(1)
-    adam(p, lr=0.1).zero_grad()
+    AdamW(p, lr=0.1, weight_decay=0.0).zero_grad()
     assert all(t.grad is None for t in p.values())
-
-
-def test_clip_global_norm_scales_jointly():
-    p = {"a": _param([0.0]), "b": _param([0.0])}
-    p["a"].grad = np.array([3.0])
-    p["b"].grad = np.array([4.0])
-    returned = clip_global_norm(p, max_norm=1.0)
-    assert returned == pytest.approx(5.0)
-    joint = math.sqrt(float(p["a"].grad[0] ** 2 + p["b"].grad[0] ** 2))
-    assert joint == pytest.approx(1.0)
-    np.testing.assert_allclose(p["a"].grad, [0.6])
-
-    q = {"a": _param([0.0])}
-    q["a"].grad = np.array([0.3])
-    assert clip_global_norm(q, max_norm=1.0) == pytest.approx(0.3)
-    np.testing.assert_allclose(q["a"].grad, [0.3])  # under the cap: untouched
-    with pytest.raises(ConfigError):
-        clip_global_norm(q, max_norm=0.0)
-
-
-# -- schedule ------------------------------------------------------------------------------
-
-
-def test_schedule_validation():
-    with pytest.raises(ConfigError):
-        ScheduleConfig(base_lr=1.0, total_epochs=0).validate()
-    with pytest.raises(ConfigError):
-        ScheduleConfig(base_lr=1.0, total_epochs=2, warmup_epochs=3).validate()
-    with pytest.raises(ConfigError):
-        ScheduleConfig(base_lr=-1.0, total_epochs=2).validate()
-    with pytest.raises(ConfigError):
-        ScheduleConfig(base_lr=1.0, total_epochs=2, min_lr=-0.1).validate()
-
-
-def test_schedule_endpoints_are_exact():
-    cfg = ScheduleConfig(base_lr=1.0, total_epochs=10, warmup_epochs=2,
-                         min_lr=0.1, warmup_start_lr=0.01)
-    assert lr_at(0.0, cfg) == 0.01
-    assert lr_at(0.2, cfg) == 1.0  # ramp ends exactly on the base rate
-    assert lr_at(1.0, cfg) == pytest.approx(0.1, rel=0, abs=1e-15)
-    assert lr_at(0.1, cfg) == pytest.approx(0.01 + (1.0 - 0.01) * 0.5)
-    # Halfway through the cosine: midpoint of base and min.
-    assert lr_at(0.6, cfg) == pytest.approx(0.1 + 0.5 * 0.9)
-    with pytest.raises(ContractError):
-        lr_at(-0.1, cfg)
-    with pytest.raises(ContractError):
-        lr_at(1.1, cfg)
-
-
-def test_schedule_without_warmup_starts_at_base():
-    cfg = ScheduleConfig(base_lr=2.0, total_epochs=4, min_lr=0.5)
-    assert lr_at(0.0, cfg) == 2.0
-    assert lr_at(1.0, cfg) == pytest.approx(0.5, rel=0, abs=1e-15)
-    mid = lr_at(0.5, cfg)
-    assert 0.5 < mid < 2.0
-
-
-def test_schedule_all_warmup_holds_base_at_the_end():
-    cfg = ScheduleConfig(base_lr=3.0, total_epochs=5, warmup_epochs=5)
-    assert lr_at(0.0, cfg) == 0.0
-    assert lr_at(0.5, cfg) == pytest.approx(1.5)
-    assert lr_at(1.0, cfg) == 3.0
 
 
 # -- bundled dataset -----------------------------------------------------------------------
@@ -355,8 +290,9 @@ def test_training_rejects_bad_arguments():
         train_kg(data, KGModelConfig(**_TINY), epochs=-1, seed=0)
     with pytest.raises(ConfigError):
         train_kg(data, KGModelConfig(**_TINY), epochs=1, seed=0, batch_size=0)
-    empty = toy_kinship_kg(num_people=30, seed=1, valid_frac=0.6,
-                           test_frac=0.6)
+    empty = KGDataset(data.entities, data.relations,
+                      TripletStore(data.num_entities, data.num_relations, []),
+                      data.valid, data.test)
     with pytest.raises(DataError):
         train_kg(empty, KGModelConfig(**_TINY), epochs=1, seed=0)
 
@@ -459,6 +395,34 @@ def test_anneal_flag_changes_the_trajectory():
     _, with_anneal = train_kg(data, cfg, epochs=3, seed=4)
     _, without = train_kg(data, cfg, epochs=3, seed=4, anneal=False)
     assert with_anneal != without
+
+
+def test_annealed_rate_runs_from_lr_to_lr_over_50(monkeypatch):
+    # the rate each optimizer step is handed: one per batch, constant within
+    # an epoch; with annealing the first epoch runs at exactly lr and the
+    # last at exactly lr/50, without it every step runs at lr
+    rates = []
+    step = AdamW.step
+
+    def recording_step(self, lr=None):
+        rates.append(lr)
+        step(self, lr)
+
+    monkeypatch.setattr(AdamW, "step", recording_step)
+    data = _tiny_data()
+    cfg = KGModelConfig(**_TINY)
+    lr, epochs = 5e-3, 3
+    steps = math.ceil(len(data.train.triplets) / 16)
+    train_kg(data, cfg, epochs=epochs, seed=4, lr=lr)
+    assert len(rates) == epochs * steps
+    first, middle, last = (set(rates[e * steps:(e + 1) * steps])
+                           for e in range(epochs))
+    assert first == {lr} and last == {lr / 50}
+    (mid,) = middle
+    assert mid == pytest.approx((lr + lr / 50) / 2, rel=1e-12)
+    rates.clear()
+    train_kg(data, cfg, epochs=epochs, seed=4, lr=lr, anneal=False)
+    assert rates == [lr] * (epochs * steps)
 
 
 def test_metric_history_roundtrips_through_csv(tmp_path):
