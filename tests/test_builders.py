@@ -303,6 +303,14 @@ def test_protein_chain_file_rejects_malformed(tmp_path):
         load_protein_chain(path)
 
 
+def test_protein_chain_file_rejects_non_utf8_with_its_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"0 A 1.0 2.0 3.0\n1 \xff 1.0 2.0 3.0\n")
+    with pytest.raises(DataError, match="not UTF-8") as err:
+        load_protein_chain(path)
+    assert str(err.value).startswith(f"{path}:2: ")
+
+
 # -- knowledge-graph triplet stores ----------------------------------------------------
 
 
@@ -341,6 +349,14 @@ def test_load_triplets_rejects_wrong_columns(tmp_path):
     with pytest.raises(DataError):
         load_triplets(tmp_path / "train.tsv", tmp_path / "valid.tsv",
                       tmp_path / "test.tsv")
+
+
+def test_load_triplets_rejects_non_utf8_with_its_line(tmp_path):
+    _write_tsv(tmp_path / "train.tsv", [("a", "r", "b")])
+    (tmp_path / "valid.tsv").write_bytes(b"# note\na\tr\tc\nb\tr\t\xff\n")
+    with pytest.raises(DataError, match="not UTF-8") as err:
+        load_triplets(tmp_path / "train.tsv", tmp_path / "valid.tsv")
+    assert str(err.value).startswith(f"{tmp_path / 'valid.tsv'}:3: ")
 
 
 def test_load_triplets_scales_to_thousands_of_rows(tmp_path):

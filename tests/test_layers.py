@@ -563,6 +563,22 @@ class TestBlocksAndPooling:
                                  p.norm.beta.data) @ p.w_reduce.data
         assert np.allclose(out.data, want, rtol=1e-9, atol=1e-9)
 
+    def test_patch_merging_identical_window_gives_normalized_prefix(self):
+        # identical rows + identity-like reduction (first 2C columns of the
+        # 4C identity), fresh normalization: the window [row]*4 has the mean
+        # and variance of row, so the output is the normalized row, twice
+        rng = np.random.default_rng(19)
+        c = 3
+        p = PatchMergeParams.init(rng, c, dtype=np.float64)
+        p.w_reduce.data = np.eye(4 * c)[:, :2 * c]
+        row = rng.normal(size=c)
+        z = Tensor(np.tile(row, (4, 1)), dtype=np.float64)
+        out = patch_merging(z, 2, 2, p)
+        assert out.shape == (1, 2 * c)
+        normed = layer_norm_oracle(row[None], np.ones(c), np.zeros(c))[0]
+        assert np.allclose(out.data[0], np.concatenate([normed, normed]),
+                           rtol=1e-9, atol=1e-9)
+
     def test_patch_merging_odd_grid_rejected(self):
         p = PatchMergeParams.init(np.random.default_rng(21), 2)
         with pytest.raises(ShapeError):

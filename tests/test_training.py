@@ -397,10 +397,8 @@ def test_anneal_flag_changes_the_trajectory():
     assert with_anneal != without
 
 
-def test_annealed_rate_runs_from_lr_to_lr_over_50(monkeypatch):
-    # the rate each optimizer step is handed: one per batch, constant within
-    # an epoch; with annealing the first epoch runs at exactly lr and the
-    # last at exactly lr/50, without it every step runs at lr
+def _recorded_rates(monkeypatch):
+    """The list that collects the rate each `AdamW.step` is handed."""
     rates = []
     step = AdamW.step
 
@@ -409,20 +407,42 @@ def test_annealed_rate_runs_from_lr_to_lr_over_50(monkeypatch):
         step(self, lr)
 
     monkeypatch.setattr(AdamW, "step", recording_step)
+    return rates
+
+
+def test_annealed_rate_runs_from_lr_to_lr_over_50(monkeypatch):
+    # one step per batch, constant within an epoch; the first epoch runs at
+    # exactly lr and the last at exactly lr/50
+    rates = _recorded_rates(monkeypatch)
     data = _tiny_data()
-    cfg = KGModelConfig(**_TINY)
     lr, epochs = 5e-3, 3
     steps = math.ceil(len(data.train.triplets) / 16)
-    train_kg(data, cfg, epochs=epochs, seed=4, lr=lr)
+    train_kg(data, KGModelConfig(**_TINY), epochs=epochs, seed=4, lr=lr)
     assert len(rates) == epochs * steps
     first, middle, last = (set(rates[e * steps:(e + 1) * steps])
                            for e in range(epochs))
     assert first == {lr} and last == {lr / 50}
     (mid,) = middle
     assert mid == pytest.approx((lr + lr / 50) / 2, rel=1e-12)
-    rates.clear()
-    train_kg(data, cfg, epochs=epochs, seed=4, lr=lr, anneal=False)
+
+
+def test_unannealed_rate_holds_lr_every_step(monkeypatch):
+    rates = _recorded_rates(monkeypatch)
+    data = _tiny_data()
+    lr, epochs = 5e-3, 3
+    steps = math.ceil(len(data.train.triplets) / 16)
+    train_kg(data, KGModelConfig(**_TINY), epochs=epochs, seed=4, lr=lr,
+             anneal=False)
     assert rates == [lr] * (epochs * steps)
+
+
+def test_single_epoch_anneal_runs_at_lr(monkeypatch):
+    # one epoch has no room to anneal: it runs at the base rate, not lr/50
+    rates = _recorded_rates(monkeypatch)
+    data = _tiny_data()
+    lr = 5e-3
+    train_kg(data, KGModelConfig(**_TINY), epochs=1, seed=4, lr=lr)
+    assert rates and set(rates) == {lr}
 
 
 def test_metric_history_roundtrips_through_csv(tmp_path):
