@@ -39,7 +39,7 @@ def main():
     print("== rigid motions leave the graph and encoding unchanged ==")
     cfg = ProteinEncoderConfig(num_layers=2, hidden=32, num_tasks=4)
     with default_dtype(np.float64):
-        params = ProteinEncoderParams.init(rng, cfg, dtype=np.float64)
+        params = ProteinEncoderParams.init(rng, cfg)
         base_rep, base_logits = protein_forward(chain, params, cfg)
         scale = np.abs(base_rep.data).max()
         print(f"representation: {base_rep.data.shape}, "

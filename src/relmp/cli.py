@@ -254,9 +254,11 @@ def cmd_build_graph(resolved: dict) -> int:
     from .graph import RelGraph, save_edge_list
 
     domain, path = resolved["domain"], resolved["input"]
+    k = resolved["k_medium"]
+    if k < 0:
+        raise ConfigError(f"--k-medium must be non-negative, not {k}")
     if domain == "image":
         grid = load_patch_grid(path)
-        k = resolved["k_medium"]
         rows, names = image_patch_edges(grid, k, include_medium=k > 0)
         patches = grid.height * grid.width
         graph = RelGraph(patches, len(names), rows)
@@ -308,10 +310,11 @@ def cmd_build_graph(resolved: dict) -> int:
 
 
 def cmd_bench_flops(resolved: dict) -> int:
-    out = _prepare_out(resolved, "bench-flops")
     from .costmodel import sweep_csv, sweep_relation_counts
 
     rows = sweep_relation_counts(resolved["k_max"])
+    # only a sweep that ran gets an output directory
+    out = _prepare_out(resolved, "bench-flops")
     csv_path = os.path.join(out, "bench.csv")
     with open(csv_path, "w", encoding="utf-8") as f:
         f.write(sweep_csv(rows))

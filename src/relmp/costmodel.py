@@ -102,26 +102,28 @@ def grmp_flops(num_relations: int, dbar, num_nodes: int, channels: int) -> int:
     return _round(total)
 
 
-def ffn_flops(num_nodes: int, channels: int, expansion: int = 4) -> int:
+def ffn_flops(num_nodes: int, channels: int) -> int:
     """Two-layer feed-forward cost: expand, nonlinearity (1/element), project."""
-    v, c, g = num_nodes, channels, expansion
+    v, c, g = num_nodes, channels, FFN_EXPANSION
     return 2 * v * c * (g * c) + v * (g * c) + 2 * v * (g * c) * c
 
 
 # Stage geometry of the reference image model on 224 x 224 inputs:
-# (nodes, channels, depth) after the 4x stem and each 2x merge.
+# (nodes, channels, depth) after the 4x stem and each 2x merge, and the
+# hidden width of its feed-forward blocks in multiples of their input.
 IMAGE_MODEL_STAGES = (
     (56 * 56, 96, 2),
     (28 * 28, 192, 2),
     (14 * 14, 384, 6),
     (7 * 7, 768, 2),
 )
+FFN_EXPANSION = 4
 
 
-def sweep_relation_counts(k_max: int = 24, stages=IMAGE_MODEL_STAGES):
+def sweep_relation_counts(k_max: int = 24):
     """Model-level totals as the relation count grows.
 
-    For K = 1..k_max, sums layer costs over the stage configuration with
+    For K = 1..k_max, sums layer costs over IMAGE_MODEL_STAGES with
     R = K relations of average degree 1 each, adding the feed-forward cost
     identically to both columns. Returns rows of (K, rgconv_total, grmp_total).
     """
@@ -131,7 +133,7 @@ def sweep_relation_counts(k_max: int = 24, stages=IMAGE_MODEL_STAGES):
     for k in range(1, k_max + 1):
         rg = 0
         gm = 0
-        for nodes, channels, depth in stages:
+        for nodes, channels, depth in IMAGE_MODEL_STAGES:
             ffn = ffn_flops(nodes, channels)
             rg += depth * (rgconv_flops(k, 1, nodes, channels) + ffn)
             gm += depth * (grmp_flops(k, 1, nodes, channels) + ffn)

@@ -27,7 +27,9 @@ other amounts of the op chain it replaces from its operand shapes.
 
 Parameters are plain dataclasses of Tensors. Weight matrices right-multiply
 row-vector features: a math-convention map W acting on column vectors appears
-here as its transpose.
+here as its transpose. Weights and kernels are drawn by `trunc_normal`, biases
+start at zero and scales at one, all in the dtype of the active
+`tensor.default_dtype` scope: float32 unless a caller switches to float64.
 """
 
 from __future__ import annotations
@@ -45,18 +47,21 @@ from .tensor import (Tensor, add, concat_cols, counting_paused,
 from .tensor import layer_norm as _layer_norm
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal draws with resampling outside two standard deviations."""
-    vals = rng.normal(0.0, std, size=shape)
-    bad = np.abs(vals) > 2 * std
+INIT_STD = 0.02     # std of every truncated-normal weight draw
+
+
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal draws at INIT_STD, redrawn outside two standard deviations."""
+    vals = rng.normal(0.0, INIT_STD, size=shape)
+    bad = np.abs(vals) > 2 * INIT_STD
     while bad.any():
-        vals[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(vals) > 2 * std
+        vals[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(vals) > 2 * INIT_STD
     return vals
 
 
-def _param(data, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=True, dtype=dtype)
+def _param(data) -> Tensor:
+    return Tensor(data, requires_grad=True)
 
 
 class Params:
@@ -96,17 +101,17 @@ class RGConvParams(Params):
     b_self: Tensor
 
     @classmethod
-    def init(cls, rng: np.random.Generator, num_relations: int, channels: int,
-             std: float = 0.02, dtype=None) -> "RGConvParams":
+    def init(cls, rng: np.random.Generator, num_relations: int,
+             channels: int) -> "RGConvParams":
         if num_relations < 0 or channels < 1:
             raise ConfigError("bad relation or channel count")
         return cls(
             num_relations=num_relations,
             channels=channels,
-            w_stack=_param(trunc_normal(rng, (num_relations * channels, channels), std), dtype),
-            b_stack=_param(np.zeros((num_relations, channels)), dtype),
-            w_self=_param(trunc_normal(rng, (channels, channels), std), dtype),
-            b_self=_param(np.zeros(channels), dtype),
+            w_stack=_param(trunc_normal(rng, (num_relations * channels, channels))),
+            b_stack=_param(np.zeros((num_relations, channels))),
+            w_self=_param(trunc_normal(rng, (channels, channels))),
+            b_self=_param(np.zeros(channels)),
         )
 
     def tensors(self) -> dict[str, Tensor]:
@@ -190,7 +195,6 @@ class GRMPParams(Params):
 
     @classmethod
     def init(cls, rng: np.random.Generator, num_relations: int, channels: int,
-             std: float = 0.02, dtype=None,
              variant: GRMPVariant | None = None) -> "GRMPParams":
         if num_relations < 1:
             raise ContractError("gated layer requires at least one relation")
@@ -201,19 +205,19 @@ class GRMPParams(Params):
         p = cls(
             num_relations=num_relations,
             channels=channels,
-            w_self=_param(trunc_normal(rng, (channels, channels), std), dtype),
-            w_channel=_param(np.ones((1, num_relations * channels)), dtype),
+            w_self=_param(trunc_normal(rng, (channels, channels))),
+            w_channel=_param(np.ones((1, num_relations * channels))),
             variant=variant,
         )
         if variant.use_w_in:
-            p.w_in = _param(trunc_normal(rng, (channels, channels), std), dtype)
-            p.b_in = _param(np.zeros(channels), dtype)
+            p.w_in = _param(trunc_normal(rng, (channels, channels)))
+            p.b_in = _param(np.zeros(channels))
         if variant.use_w_out:
-            p.w_out = _param(trunc_normal(rng, (channels, channels), std), dtype)
-            p.b_out = _param(np.zeros(channels), dtype)
+            p.w_out = _param(trunc_normal(rng, (channels, channels)))
+            p.b_out = _param(np.zeros(channels))
         if variant.alpha == "learned":
-            p.w_alpha = _param(trunc_normal(rng, (channels, num_relations), std), dtype)
-            p.b_alpha = _param(np.zeros(num_relations), dtype)
+            p.w_alpha = _param(trunc_normal(rng, (channels, num_relations)))
+            p.b_alpha = _param(np.zeros(num_relations))
         return p
 
     def tensors(self) -> dict[str, Tensor]:
@@ -292,9 +296,9 @@ class LayerNormParams(Params):
     beta: Tensor
 
     @classmethod
-    def init(cls, channels: int, dtype=None) -> "LayerNormParams":
-        return cls(gamma=_param(np.ones(channels), dtype),
-                   beta=_param(np.zeros(channels), dtype))
+    def init(cls, channels: int) -> "LayerNormParams":
+        return cls(gamma=_param(np.ones(channels)),
+                   beta=_param(np.zeros(channels)))
 
     def tensors(self) -> dict[str, Tensor]:
         return _named(self, ("gamma", "beta"))
@@ -320,16 +324,16 @@ class FFNParams(Params):
     b2: Tensor
 
     @classmethod
-    def init(cls, rng: np.random.Generator, channels: int, expansion: int = 4,
-             std: float = 0.02, dtype=None) -> "FFNParams":
+    def init(cls, rng: np.random.Generator, channels: int,
+             expansion: int = 4) -> "FFNParams":
         if expansion < 1:
             raise ConfigError("expansion factor must be positive")
         hidden = channels * expansion
         return cls(
-            w1=_param(trunc_normal(rng, (channels, hidden), std), dtype),
-            b1=_param(np.zeros(hidden), dtype),
-            w2=_param(trunc_normal(rng, (hidden, channels), std), dtype),
-            b2=_param(np.zeros(channels), dtype),
+            w1=_param(trunc_normal(rng, (channels, hidden))),
+            b1=_param(np.zeros(hidden)),
+            w2=_param(trunc_normal(rng, (hidden, channels))),
+            b2=_param(np.zeros(channels)),
         )
 
     def tensors(self) -> dict[str, Tensor]:
@@ -355,12 +359,12 @@ class ContextStackParams(Params):
     kernels: list[Tensor]
 
     @classmethod
-    def init(cls, rng: np.random.Generator, channels: int, sizes=(3, 3, 3),
-             std: float = 0.02, dtype=None) -> "ContextStackParams":
+    def init(cls, rng: np.random.Generator, channels: int,
+             sizes=(3, 3, 3)) -> "ContextStackParams":
         for k in sizes:
             if k % 2 == 0 or k < 1:
                 raise ConfigError("kernel sizes must be odd and positive")
-        return cls(kernels=[_param(trunc_normal(rng, (k, k, channels), std), dtype)
+        return cls(kernels=[_param(trunc_normal(rng, (k, k, channels)))
                             for k in sizes])
 
     def tensors(self) -> dict[str, Tensor]:
@@ -397,11 +401,10 @@ class PatchMergeParams(Params):
     w_reduce: Tensor
 
     @classmethod
-    def init(cls, rng: np.random.Generator, channels: int, std: float = 0.02,
-             dtype=None) -> "PatchMergeParams":
+    def init(cls, rng: np.random.Generator, channels: int) -> "PatchMergeParams":
         return cls(
-            norm=LayerNormParams.init(4 * channels, dtype),
-            w_reduce=_param(trunc_normal(rng, (4 * channels, 2 * channels), std), dtype),
+            norm=LayerNormParams.init(4 * channels),
+            w_reduce=_param(trunc_normal(rng, (4 * channels, 2 * channels))),
         )
 
     def tensors(self) -> dict[str, Tensor]:

@@ -6,7 +6,7 @@ whose candidates all tie scores (1 + N) / 2. Filtering removes known-true
 candidates (other than the query's own answer) before ranking.
 `query_ranks` ranks one block of queries; `rank_summary` turns ranks into
 MR, MRR and Hits@k, so a caller may rank in blocks and summarize once, and
-`ranking_metrics` does both for one dense [Q, N] score matrix.
+`ranking_metrics` does both, unfiltered, for one dense [Q, N] score matrix.
 """
 
 from __future__ import annotations
@@ -48,10 +48,9 @@ def query_ranks(scores: np.ndarray, true_idx: np.ndarray,
     return better + 1.0 + equal / 2.0
 
 
-def ranking_metrics(scores: np.ndarray, true_idx: np.ndarray,
-                    filter_mask: np.ndarray | None = None) -> dict:
-    """MR, MRR and Hits@k over a batch of ranking queries."""
-    return rank_summary(query_ranks(scores, true_idx, filter_mask))
+def ranking_metrics(scores: np.ndarray, true_idx: np.ndarray) -> dict:
+    """Unfiltered MR, MRR and Hits@k over a batch of ranking queries."""
+    return rank_summary(query_ranks(scores, true_idx))
 
 
 def rank_summary(ranks: np.ndarray) -> dict:

@@ -44,6 +44,7 @@ import numpy as np
 
 from .builders import (
     AMINO_ACIDS,
+    PROTEIN_RELATIONS,
     PatchGrid,
     ProteinChain,
     build_image_graph,
@@ -149,8 +150,7 @@ class ImageModelParams(Params):
     head_b: Tensor
 
     @classmethod
-    def init(cls, rng: np.random.Generator, cfg: ImageModelConfig,
-             std: float = 0.02, dtype=None) -> "ImageModelParams":
+    def init(cls, rng: np.random.Generator, cfg: ImageModelConfig) -> "ImageModelParams":
         cfg.validate()
         patch_dim = cfg.patch_size * cfg.patch_size * cfg.in_channels
         stages = []
@@ -158,26 +158,24 @@ class ImageModelParams(Params):
             blocks = []
             for _ in range(depth):
                 blocks.append(ImageBlockParams(
-                    norm1=LayerNormParams.init(c, dtype),
-                    grmp=GRMPParams.init(rng, cfg.stage_relations(s), c, std, dtype),
-                    context=ContextStackParams.init(rng, c, cfg.context_sizes,
-                                                    std, dtype),
-                    norm2=LayerNormParams.init(c, dtype),
-                    ffn=FFNParams.init(rng, c, cfg.ffn_expansion, std, dtype),
+                    norm1=LayerNormParams.init(c),
+                    grmp=GRMPParams.init(rng, cfg.stage_relations(s), c),
+                    context=ContextStackParams.init(rng, c, cfg.context_sizes),
+                    norm2=LayerNormParams.init(c),
+                    ffn=FFNParams.init(rng, c, cfg.ffn_expansion),
                 ))
             stages.append(blocks)
-        merges = [PatchMergeParams.init(rng, c, std, dtype)
-                  for c in cfg.channels[:-1]]
+        merges = [PatchMergeParams.init(rng, c) for c in cfg.channels[:-1]]
         c_last = cfg.channels[-1]
         return cls(
-            stem_w=_param(trunc_normal(rng, (patch_dim, cfg.channels[0]), std), dtype),
-            stem_b=_param(np.zeros(cfg.channels[0]), dtype),
-            stem_norm=LayerNormParams.init(cfg.channels[0], dtype),
+            stem_w=_param(trunc_normal(rng, (patch_dim, cfg.channels[0]))),
+            stem_b=_param(np.zeros(cfg.channels[0])),
+            stem_norm=LayerNormParams.init(cfg.channels[0]),
             stages=stages,
             merges=merges,
-            head_norm=LayerNormParams.init(c_last, dtype),
-            head_w=_param(trunc_normal(rng, (c_last, cfg.num_classes), std), dtype),
-            head_b=_param(np.zeros(cfg.num_classes), dtype),
+            head_norm=LayerNormParams.init(c_last),
+            head_w=_param(trunc_normal(rng, (c_last, cfg.num_classes))),
+            head_b=_param(np.zeros(cfg.num_classes)),
         )
 
     def tensors(self) -> dict:
@@ -283,20 +281,18 @@ class ProteinEncoderParams(Params):
     head: list                      # [(w, b), (w, b), (w, b)]
 
     @classmethod
-    def init(cls, rng: np.random.Generator, cfg: ProteinEncoderConfig,
-             num_relations: int = 9, std: float = 0.02,
-             dtype=None) -> "ProteinEncoderParams":
+    def init(cls, rng: np.random.Generator,
+             cfg: ProteinEncoderConfig) -> "ProteinEncoderParams":
         cfg.validate()
         rep = cfg.representation_dim
         dims = [rep, rep, rep, cfg.num_tasks]
-        head = [( _param(trunc_normal(rng, (dims[i], dims[i + 1]), std), dtype),
-                  _param(np.zeros(dims[i + 1]), dtype)) for i in range(3)]
+        head = [(_param(trunc_normal(rng, (dims[i], dims[i + 1]))),
+                 _param(np.zeros(dims[i + 1]))) for i in range(3)]
         return cls(
-            embed_w=_param(trunc_normal(rng, (len(AMINO_ACIDS), cfg.hidden), std),
-                           dtype),
-            embed_b=_param(np.zeros(cfg.hidden), dtype),
-            layers=[(GRMPParams.init(rng, num_relations, cfg.hidden, std, dtype),
-                     LayerNormParams.init(cfg.hidden, dtype))
+            embed_w=_param(trunc_normal(rng, (len(AMINO_ACIDS), cfg.hidden))),
+            embed_b=_param(np.zeros(cfg.hidden)),
+            layers=[(GRMPParams.init(rng, len(PROTEIN_RELATIONS), cfg.hidden),
+                     LayerNormParams.init(cfg.hidden))
                     for _ in range(cfg.num_layers)],
             head=head,
         )
@@ -381,36 +377,36 @@ class KGModelParams(Params):
 
     @classmethod
     def init(cls, rng: np.random.Generator, num_entities: int,
-             num_relations: int, cfg: KGModelConfig,
-             dtype=None) -> "KGModelParams":
+             num_relations: int, cfg: KGModelConfig) -> "KGModelParams":
         """Scale-preserving start: weights near 1/sqrt(C) and gate output
         biases at one, so each layer passes the self term through before
-        training shapes the messages."""
+        training shapes the messages. Every weight that `GRMPParams.init`
+        draws at INIT_STD is drawn again at 1/sqrt(C); the first draws are
+        kept only so that the generator's stream, and so a seeded
+        checkpoint, stays the same."""
         cfg.validate()
         c = cfg.channels
         w_std = float(1.0 / np.sqrt(c))
         layers = []
         for _ in range(cfg.num_layers):
-            p = GRMPParams.init(rng, num_relations, c, std=w_std, dtype=dtype)
+            p = GRMPParams.init(rng, num_relations, c)
             for name in ("w_self", "w_in", "w_out", "w_alpha"):
-                t = getattr(p, name)
-                t.data = rng.normal(0.0, w_std, size=t.data.shape).astype(
-                    t.data.dtype)
-            p.b_out = _param(np.ones(c), dtype)
-            layers.append((p, LayerNormParams.init(c, dtype)))
+                shape = getattr(p, name).shape
+                setattr(p, name, _param(rng.normal(0.0, w_std, size=shape)))
+            p.b_out = _param(np.ones(c))
+            layers.append((p, LayerNormParams.init(c)))
         in_dim = cfg.scorer_input_dim
         return cls(
-            entity_emb=_param(rng.normal(0.0, 0.5, size=(num_entities, c)), dtype),
-            relation_emb=_param(rng.normal(0.0, 0.5, size=(num_relations, c)),
-                                dtype),
+            entity_emb=_param(rng.normal(0.0, 0.5, size=(num_entities, c))),
+            relation_emb=_param(rng.normal(0.0, 0.5, size=(num_relations, c))),
             layers=layers,
-            out_norm=LayerNormParams.init(c, dtype),
+            out_norm=LayerNormParams.init(c),
             scorer_w1=_param(rng.normal(0.0, float(1.0 / np.sqrt(in_dim)),
-                                        size=(in_dim, cfg.scorer_hidden)), dtype),
-            scorer_b1=_param(np.zeros(cfg.scorer_hidden), dtype),
+                                        size=(in_dim, cfg.scorer_hidden))),
+            scorer_b1=_param(np.zeros(cfg.scorer_hidden)),
             scorer_w2=_param(rng.normal(0.0, float(1.0 / np.sqrt(cfg.scorer_hidden)),
-                                        size=(cfg.scorer_hidden, 1)), dtype),
-            scorer_b2=_param(np.zeros(1), dtype),
+                                        size=(cfg.scorer_hidden, 1))),
+            scorer_b2=_param(np.zeros(1)),
             scorer_features=cfg.scorer_features,
         )
 

@@ -42,6 +42,10 @@ from .models import KGModelConfig, KGModelParams, kg_encode, kg_score
 from .tensor import bce_with_logits, no_grad
 
 
+ADAM_BETAS = (0.9, 0.999)   # AdamW's moment decay rates
+ADAM_EPS = 1e-8             # keeps AdamW's update denominator positive
+
+
 class AdamW:
     """Decoupled-decay Adam over a named parameter dict.
 
@@ -51,16 +55,13 @@ class AdamW:
     parameter moves.
     """
 
-    def __init__(self, params: dict, lr: float, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.05):
-        if lr < 0 or eps <= 0 or weight_decay < 0:
-            raise ConfigError("bad optimizer hyperparameters")
-        if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
-            raise ConfigError("betas must lie in [0, 1)")
+    def __init__(self, params: dict, lr: float, weight_decay: float = 0.05):
+        for what, value in (("learning rate", lr), ("weight decay", weight_decay)):
+            if not 0 <= value < math.inf:   # false for NaN, unlike value < 0
+                raise ConfigError(f"{what} must be finite and non-negative, "
+                                  f"not {value!r}")
         self.params = dict(params)
         self.lr = float(lr)
-        self.betas = (float(betas[0]), float(betas[1]))
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
         # one flat float64 moment pair per parameter dtype, in parameter
@@ -88,7 +89,7 @@ class AdamW:
 
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else float(lr)
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         self.step_count += 1
         t = self.step_count
         grads = {}
@@ -125,7 +126,7 @@ class AdamW:
             np.multiply(lr, update, out=update)
             np.divide(v, 1.0 - b2 ** t, out=denom)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += ADAM_EPS
             update /= denom
             for name, lo, hi in zip(names, bounds[:-1], bounds[1:]):
                 p = self.params[name]
@@ -166,7 +167,7 @@ def kg_evaluate(params: KGModelParams, graph, eval_store: TripletStore,
     blocks of whole queries, about RANK_BLOCK_ROWS scored (query, candidate)
     rows each, building each block's filter rows from `known`. Memory is
     bounded by one block, not by the number of queries times entities, and
-    the ranks equal those of one dense [Q, N] `ranking_metrics` call.
+    the ranks equal those of one dense [Q, N] `query_ranks` call.
     """
     if not eval_store.triplets:
         raise DataError("empty evaluation split")

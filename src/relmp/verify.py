@@ -41,6 +41,13 @@ FLOPS_GRID = {
     "channels": (4, 16, 64),
 }
 
+GRADCHECK_SEEDS = 5
+GRADCHECK_TOLERANCE = 1e-5      # worst relative gradient error that passes
+E3_CHAIN_LENGTH = 40
+E3_TOLERANCE = 1e-5             # worst relative deviation that passes
+CHAIN_MARGIN = 1e-3             # least gap to the contact radius or a rank tie
+RANDOM_PARAM_STD = 0.6          # std of the random parameters the suites use
+
 
 @dataclass
 class Check:
@@ -73,9 +80,9 @@ def _random_graph(rng, num_nodes, num_relations, num_edges) -> RelGraph:
     return RelGraph(num_nodes, num_relations, sorted(triples))
 
 
-def _randomize(params, rng, std=0.6):
+def _randomize(params, rng):
     for t in params.tensors().values():
-        t.data = rng.normal(0.0, std, size=t.shape).astype(t.data.dtype)
+        t.data = rng.normal(0.0, RANDOM_PARAM_STD, size=t.shape).astype(t.data.dtype)
 
 
 # -- flops-exact -----------------------------------------------------------------------
@@ -156,21 +163,19 @@ def suite_flops_exact(seed: int = 0, inject_fault: bool = False) -> list[Check]:
 # -- gradcheck -------------------------------------------------------------------------
 
 
-def suite_gradcheck(seed: int = 0, num_seeds: int = 5,
-                    tolerance: float = 1e-5) -> list[Check]:
+def suite_gradcheck(seed: int = 0) -> list[Check]:
     checks = []
     for layer, forward, make_params in (
             ("rgconv", rgconv_forward, RGConvParams.init),
             ("grmp", grmp_forward, GRMPParams.init)):
         worst = 0.0
-        for trial in range(num_seeds):
+        for trial in range(GRADCHECK_SEEDS):
             rng = np.random.default_rng(seed + trial)
             graph = _random_graph(rng, 6, 3, 18)
             with default_dtype(np.float64):
-                params = make_params(rng, 3, 4, dtype=np.float64)
+                params = make_params(rng, 3, 4)
                 _randomize(params, rng)
-                z = Tensor(rng.normal(size=(6, 4)), requires_grad=True,
-                           dtype=np.float64)
+                z = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
 
                 def loss():
                     return sum_all(forward(graph, z, params))
@@ -178,26 +183,27 @@ def suite_gradcheck(seed: int = 0, num_seeds: int = 5,
                 tensors = list(params.tensors().values()) + [z]
                 worst = max(worst, finite_difference_check(loss, tensors))
         checks.append(Check(f"{layer}-gradients-match-finite-differences",
-                            worst < tolerance,
+                            worst < GRADCHECK_TOLERANCE,
                             f"worst relative error {worst:.3e} over "
-                            f"{num_seeds} seeds (tolerance {tolerance:g})"))
+                            f"{GRADCHECK_SEEDS} seeds "
+                            f"(tolerance {GRADCHECK_TOLERANCE:g})"))
     return checks
 
 
 # -- e3 ----------------------------------------------------------------------------------
 
 
-def _margined_chain(rng, length: int, margin: float = 1e-3) -> np.ndarray:
-    """Random coordinates whose pairwise distances stay `margin` away from the
-    contact radius `builders.RADIUS` and from per-node ranking ties."""
+def _margined_chain(rng, length: int) -> np.ndarray:
+    """Random coordinates whose pairwise distances stay CHAIN_MARGIN away from
+    the contact radius `builders.RADIUS` and from per-node ranking ties."""
     for _ in range(200):
         coords = rng.normal(scale=4.5, size=(length, 3))
         dist = np.linalg.norm(coords[:, None] - coords[None, :], axis=-1)
         off = dist[~np.eye(length, dtype=bool)]
-        if np.abs(off - RADIUS).min() <= margin:
+        if np.abs(off - RADIUS).min() <= CHAIN_MARGIN:
             continue
         sorted_rows = np.sort(dist, axis=1)[:, 1:]  # drop the self distance
-        if np.diff(sorted_rows, axis=1).min() <= margin:
+        if np.diff(sorted_rows, axis=1).min() <= CHAIN_MARGIN:
             continue
         return coords
     raise ContractError("could not sample a margin-respecting chain")
@@ -211,18 +217,16 @@ def _random_rigid_transform(rng, reflect: bool) -> tuple[np.ndarray, np.ndarray]
     return q, rng.uniform(-50.0, 50.0, size=3)
 
 
-def suite_e3(seed: int = 0, transforms: int = 100,
-             length: int = 40, tolerance: float = 1e-5) -> list[Check]:
+def suite_e3(seed: int = 0, transforms: int = 100) -> list[Check]:
     rng = np.random.default_rng(seed)
-    coords = _margined_chain(rng, length)
+    coords = _margined_chain(rng, E3_CHAIN_LENGTH)
     # the 20 standard amino acids
-    sequence = "".join(rng.choice(list(AMINO_ACIDS[:20]), size=length))
+    sequence = "".join(rng.choice(list(AMINO_ACIDS[:20]), size=E3_CHAIN_LENGTH))
     chain = ProteinChain(sequence, coords)
     base_edges = set(protein_edges(chain)[0].edge_list())
     cfg = ProteinEncoderConfig(num_layers=3, hidden=64, num_tasks=8)
     with default_dtype(np.float64):
-        params = ProteinEncoderParams.init(np.random.default_rng(seed), cfg,
-                                           dtype=np.float64)
+        params = ProteinEncoderParams.init(np.random.default_rng(seed), cfg)
         base_rep, _ = protein_forward(chain, params, cfg)
         scale = float(np.abs(base_rep.data).max())
         graphs_equal = 0
@@ -238,9 +242,9 @@ def suite_e3(seed: int = 0, transforms: int = 100,
               graphs_equal == transforms,
               f"{graphs_equal}/{transforms} transforms gave the same edge set"),
         Check("representation-invariant-under-rigid-motion",
-              worst < tolerance,
+              worst < E3_TOLERANCE,
               f"worst relative deviation {worst:.3e} over {transforms} "
-              f"transforms (tolerance {tolerance:g})"),
+              f"transforms (tolerance {E3_TOLERANCE:g})"),
     ]
 
 
@@ -269,7 +273,7 @@ def suite_oracles(seed: int = 0) -> list[Check]:
         graph = _random_graph(rng, int(rng.integers(4, 17)), 3, 20)
         z = rng.normal(size=(graph.num_nodes, 5))
         with default_dtype(np.float64):
-            got = rel_aggregate(graph, Tensor(z, dtype=np.float64))
+            got = rel_aggregate(graph, Tensor(z))
         want = aggregate_oracle(graph.num_nodes, graph.num_relations,
                                 graph.edge_list(), z)
         worst = max(worst, float(np.abs(got.data - want).max()))

@@ -25,8 +25,8 @@ from relmp.costmodel import (IMAGE_MODEL_STAGES, grmp_flops, grmp_step_flops,
                              rgconv_flops, rgconv_step_flops,
                              sweep_relation_counts)
 from relmp.graph import RelGraph, build_line_graph, rel_aggregate
-from relmp.layers import (GRMPParams, GRMPVariant, RGConvParams, grmp_forward,
-                          rgconv_forward)
+from relmp.layers import (INIT_STD, GRMPParams, GRMPVariant, RGConvParams,
+                          grmp_forward, rgconv_forward)
 from relmp.models import (ImageModelConfig, ImageModelParams,
                           ProteinEncoderConfig, ProteinEncoderParams,
                           image_forward, protein_forward)
@@ -180,7 +180,8 @@ def test_criterion_04_layer_gradients_match_finite_differences():
         graph = _random_graph(rng, v_count, r_count, 18)
         z = Tensor(rng.normal(size=(v_count, c)), requires_grad=True,
                    dtype=np.float64)
-        rg = RGConvParams.init(rng, r_count, c, dtype=np.float64)
+        with default_dtype(np.float64):
+            rg = RGConvParams.init(rng, r_count, c)
         rg.b_stack.data[:] = rng.normal(size=rg.b_stack.data.shape) * 0.1
         rg.b_self.data[:] = rng.normal(size=rg.b_self.data.shape) * 0.1
         worst = finite_difference_check(
@@ -190,7 +191,8 @@ def test_criterion_04_layer_gradients_match_finite_differences():
 
         z2 = Tensor(rng.normal(size=(v_count, c)), requires_grad=True,
                     dtype=np.float64)
-        gm = GRMPParams.init(rng, r_count, c, dtype=np.float64)
+        with default_dtype(np.float64):
+            gm = GRMPParams.init(rng, r_count, c)
         gm.w_channel.data[:] = 1.0 + rng.normal(size=gm.w_channel.data.shape) * 0.2
         gm.b_in.data[:] = rng.normal(size=gm.b_in.data.shape) * 0.1
         gm.b_out.data[:] = rng.normal(size=gm.b_out.data.shape) * 0.1
@@ -225,7 +227,9 @@ def test_criterion_05_vectorized_paths_match_bruteforce_oracles():
         v_count, r_count, c = 7, 3, 5
         graph = _random_graph(rng, v_count, r_count, 30)
         z = Tensor(rng.normal(size=(v_count, c)).astype(np.float32))
-        rg = RGConvParams.init(rng, r_count, c, std=0.3)
+        rg = RGConvParams.init(rng, r_count, c)
+        for t in (rg.w_stack, rg.w_self):
+            t.data = t.data * (0.3 / INIT_STD)
         rg.b_stack.data[:] = rng.normal(size=rg.b_stack.data.shape)
         rg.b_self.data[:] = rng.normal(size=rg.b_self.data.shape)
         got = rgconv_forward(graph, z, rg).data
@@ -234,7 +238,9 @@ def test_criterion_05_vectorized_paths_match_bruteforce_oracles():
                              rg.w_self.data, rg.b_self.data)
         assert np.abs(got - want).max() / max(np.abs(want).max(), 1e-12) < 1e-6
 
-        gm = GRMPParams.init(rng, r_count, c, std=0.3)
+        gm = GRMPParams.init(rng, r_count, c)
+        for t in (gm.w_self, gm.w_in, gm.w_out, gm.w_alpha):
+            t.data = t.data * (0.3 / INIT_STD)
         gm.w_channel.data[:] = rng.normal(size=gm.w_channel.data.shape)
         gm.b_in.data[:] = rng.normal(size=gm.b_in.data.shape)
         gm.b_out.data[:] = rng.normal(size=gm.b_out.data.shape)
@@ -312,7 +318,7 @@ def test_criterion_06_rigid_motion_invariance_of_protein_pipeline():
     sequence = "".join(rng.choice(list(AMINO_ACIDS), size=length))
     cfg = ProteinEncoderConfig(num_layers=3, hidden=64, num_tasks=8)
     with default_dtype(np.float64):
-        params = ProteinEncoderParams.init(rng, cfg, dtype=np.float64)
+        params = ProteinEncoderParams.init(rng, cfg)
         base_chain = ProteinChain(sequence, coords)
         base_graph, base_names = protein_edges(base_chain)
         base_rep, _ = protein_forward(base_chain, params, cfg)

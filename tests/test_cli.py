@@ -156,6 +156,14 @@ def test_missing_input_file_is_a_data_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_k_medium_is_a_usage_error(tmp_path, grid_file, capsys):
+    out = tmp_path / "out"
+    assert main(["build-graph", "--domain", "image", "--input", str(grid_file),
+                 "--k-medium", "-1", "--out", str(out)]) == 2
+    assert "--k-medium" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_required_option_is_a_usage_error(tmp_path):
     assert main(["build-graph", "--input", "x", "--out",
                  str(tmp_path / "out")]) == 2
@@ -189,6 +197,13 @@ def test_bench_emits_one_row_per_relation_count(tmp_path):
     gm_steps = {rows[i + 1][2] - rows[i][2] for i in range(len(rows) - 1)}
     assert len(rg_steps) == 1 and len(gm_steps) == 1  # marginals are constant
     assert min(gm_steps) < min(rg_steps)
+
+
+def test_bench_without_a_relation_count_is_a_usage_error(tmp_path):
+    # the sweep is checked before the output directory is made
+    out = tmp_path / "out"
+    assert main(["bench-flops", "--k-max", "0", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_bench_runs_are_deterministic(tmp_path):
@@ -257,6 +272,16 @@ def test_zero_epochs_writes_baseline_metrics_only(tmp_path):
     assert [r[0] for r in rows] == ["0"] * 5
     assert {r[1] for r in rows} == {"test"}
     assert [r[2] for r in rows] == ["mr", "mrr", "hits@1", "hits@3", "hits@10"]
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_non_finite_learning_rate_is_a_usage_error(tmp_path, capsys, rate):
+    # rejected when the optimizer is built, before the first epoch runs
+    out = tmp_path / "out"
+    assert main(["train-kg", "--epochs", "1", *TINY_TRAIN, "--lr", rate,
+                 "--out", str(out)]) == 2
+    assert "learning rate" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
 
 
 def test_train_then_eval_reproduces_the_test_metrics(tmp_path):

@@ -6,6 +6,7 @@ from relmp import costmodel
 from relmp.costmodel import (ffn_flops, grmp_flops, grmp_step_flops, rgconv_flops,
                              rgconv_step_flops, sweep_csv, sweep_relation_counts)
 from relmp.errors import ContractError
+from relmp.models import ImageModelConfig
 
 
 class TestWorkedValues:
@@ -110,3 +111,15 @@ class TestSweep:
         total_ffn = sum(d * ffn_flops(n, c) for n, c, d in costmodel.IMAGE_MODEL_STAGES)
         bare = [(rg - total_ffn, gm - total_ffn) for _, rg, gm in rows_with]
         assert [b[0] - b[1] for b in bare] == gap
+
+    def test_reference_stages_follow_the_default_image_model(self):
+        # the sweep's constants describe ImageModelConfig() on 224 x 224
+        # inputs: a 56 x 56 grid after the 4x stem, halved by each merge
+        cfg = ImageModelConfig()
+        side = 224 // cfg.patch_size
+        assert side == 56
+        want = tuple(((side // 2 ** s) ** 2, channels, depth)
+                     for s, (channels, depth)
+                     in enumerate(zip(cfg.channels, cfg.depths)))
+        assert costmodel.IMAGE_MODEL_STAGES == want
+        assert costmodel.FFN_EXPANSION == cfg.ffn_expansion

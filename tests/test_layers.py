@@ -14,9 +14,9 @@ from relmp.layers import (ContextStackParams, FFNParams, GRMPParams, GRMPVariant
 from relmp.oracles import grmp_oracle, layer_norm_oracle, rgconv_oracle
 from relmp import tensor as T
 from relmp.tensor import (Tensor, add, count_flops, counting_paused,
-                          finite_difference_check, hadamard, matmul,
-                          relation_weighted_sum, slice_cols, sum_all, tile_cols,
-                          tile_rows)
+                          default_dtype, finite_difference_check, hadamard,
+                          matmul, relation_weighted_sum, slice_cols, sum_all,
+                          tile_cols, tile_rows)
 
 
 def random_graph(rng, num_nodes, num_relations, num_edges):
@@ -48,7 +48,8 @@ class TestRGConv:
         # one neighbor u of v under one relation, identity maps, zero biases:
         # node v collects z_v + z_u
         g = RelGraph(2, 1, [(0, 1, 0)])
-        p = RGConvParams.init(np.random.default_rng(0), 1, 2, dtype=np.float64)
+        with default_dtype(np.float64):
+            p = RGConvParams.init(np.random.default_rng(0), 1, 2)
         p.w_stack.data = np.eye(2)
         p.w_self.data = np.eye(2)
         z = Tensor([[1.0, 2.0], [10.0, 20.0]], dtype=np.float64)
@@ -59,7 +60,8 @@ class TestRGConv:
     def test_empty_graph_degenerates_to_self(self):
         g = RelGraph(3, 2, [])
         rng = np.random.default_rng(1)
-        p = RGConvParams.init(rng, 2, 4, dtype=np.float64)
+        with default_dtype(np.float64):
+            p = RGConvParams.init(rng, 2, 4)
         randomize(p, rng)
         z = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
         out = rgconv_forward(g, z, p)
@@ -71,7 +73,8 @@ class TestRGConv:
         rng = np.random.default_rng(2)
         for trial in range(4):
             g = random_graph(rng, 7, 3, 25)
-            p = RGConvParams.init(rng, 3, 5, dtype=np.float64)
+            with default_dtype(np.float64):
+                p = RGConvParams.init(rng, 3, 5)
             randomize(p, rng)
             z = rng.normal(size=(7, 5))
             out = rgconv_forward(g, Tensor(z, dtype=np.float64), p)
@@ -121,7 +124,8 @@ class TestGRMP:
         rng = np.random.default_rng(7)
         for variant in self.variants():
             g = random_graph(rng, 6, 3, 20)
-            p = GRMPParams.init(rng, 3, 4, dtype=np.float64, variant=variant)
+            with default_dtype(np.float64):
+                p = GRMPParams.init(rng, 3, 4, variant=variant)
             randomize(p, rng)
             z = rng.normal(size=(6, 4))
             out = grmp_forward(g, Tensor(z, dtype=np.float64), p)
@@ -155,7 +159,8 @@ class TestGRMP:
         # so the update is (z W_self) * b_out elementwise
         rng = np.random.default_rng(9)
         g = RelGraph(2, 2, [])
-        p = GRMPParams.init(rng, 2, 3, dtype=np.float64)
+        with default_dtype(np.float64):
+            p = GRMPParams.init(rng, 2, 3)
         randomize(p, rng)
         z = rng.normal(size=(2, 3))
         out = grmp_forward(g, Tensor(z, dtype=np.float64), p)
@@ -184,14 +189,16 @@ class TestGRMP:
             g = random_graph(rng, 7, 3, 24)
             c = 5
             variant = GRMPVariant(gating="additive", alpha="uniform")
-            p = GRMPParams.init(rng, 3, c, dtype=np.float64, variant=variant)
+            with default_dtype(np.float64):
+                p = GRMPParams.init(rng, 3, c, variant=variant)
             p.w_self.data = rng.normal(size=(c, c))
             p.w_in.data = np.eye(c)
             p.b_in.data = np.zeros(c)
             p.w_out.data = np.eye(c)
             p.b_out.data = np.zeros(c)
             p.w_channel.data = np.ones((1, 3 * c))
-            q = RGConvParams.init(rng, 3, c, dtype=np.float64)
+            with default_dtype(np.float64):
+                q = RGConvParams.init(rng, 3, c)
             q.w_stack.data = np.vstack([np.eye(c) / 3 for _ in range(3)])
             q.b_stack.data = np.zeros((3, c))
             q.w_self.data = p.w_self.data.copy()
@@ -224,7 +231,8 @@ class TestLayerGradients:
             rng = np.random.default_rng(100 + seed)
             g = random_graph(rng, 5, 2, 12)
             z = Tensor(rng.normal(size=(5, 3)), requires_grad=True, dtype=np.float64)
-            p = GRMPParams.init(rng, 2, 3, dtype=np.float64)
+            with default_dtype(np.float64):
+                p = GRMPParams.init(rng, 2, 3)
             randomize(p, rng)
             tensors = [z] + list(p.tensors().values())
 
@@ -234,7 +242,8 @@ class TestLayerGradients:
 
             worst = max(worst, finite_difference_check(loss_fn, tensors))
 
-            q = RGConvParams.init(rng, 2, 3, dtype=np.float64)
+            with default_dtype(np.float64):
+                q = RGConvParams.init(rng, 2, 3)
             randomize(q, rng)
             tensors_q = [z] + list(q.tensors().values())
 
@@ -496,7 +505,8 @@ class TestBlocksAndPooling:
     def test_layer_norm_against_oracle(self):
         rng = np.random.default_rng(15)
         x = rng.normal(size=(6, 8)) * 3 + 1
-        p = LayerNormParams.init(8, dtype=np.float64)
+        with default_dtype(np.float64):
+            p = LayerNormParams.init(8)
         p.gamma.data = rng.normal(size=8)
         p.beta.data = rng.normal(size=8)
         out = layer_norm(Tensor(x, dtype=np.float64), p)
@@ -505,7 +515,8 @@ class TestBlocksAndPooling:
 
     def test_ffn_shape_and_gradient(self):
         rng = np.random.default_rng(16)
-        p = FFNParams.init(rng, 4, expansion=4, dtype=np.float64)
+        with default_dtype(np.float64):
+            p = FFNParams.init(rng, 4, expansion=4)
         randomize(p, rng, std=0.3)
         x = Tensor(rng.normal(size=(5, 4)), requires_grad=True, dtype=np.float64)
         out = ffn_forward(x, p)
@@ -528,7 +539,9 @@ class TestBlocksAndPooling:
         # with receptive field 7, a pixel farther than 3 steps away in any
         # direction cannot influence a cell
         rng = np.random.default_rng(18)
-        p = ContextStackParams.init(rng, 1, std=0.5)
+        p = ContextStackParams.init(rng, 1)
+        for k in p.kernels:
+            k.data = k.data * (0.5 / layers.INIT_STD)
         base = np.zeros((9, 9, 1))
         z0 = context_stack_features(Tensor(base.reshape(81, 1), dtype=np.float64),
                                     9, 9, p).data
@@ -543,7 +556,8 @@ class TestBlocksAndPooling:
     def test_patch_merging_against_gather_oracle(self):
         rng = np.random.default_rng(20)
         h, w, c = 4, 6, 3
-        p = PatchMergeParams.init(rng, c, dtype=np.float64)
+        with default_dtype(np.float64):
+            p = PatchMergeParams.init(rng, c)
         randomize(p, rng, std=0.4)
         p.norm.gamma.data = np.abs(p.norm.gamma.data) + 0.5
         z = rng.normal(size=(h * w, c))
@@ -569,7 +583,8 @@ class TestBlocksAndPooling:
         # and variance of row, so the output is the normalized row, twice
         rng = np.random.default_rng(19)
         c = 3
-        p = PatchMergeParams.init(rng, c, dtype=np.float64)
+        with default_dtype(np.float64):
+            p = PatchMergeParams.init(rng, c)
         p.w_reduce.data = np.eye(4 * c)[:, :2 * c]
         row = rng.normal(size=c)
         z = Tensor(np.tile(row, (4, 1)), dtype=np.float64)

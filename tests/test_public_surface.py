@@ -1,4 +1,4 @@
-"""Every public name in relmp has a caller outside its own definition.
+"""Every public name in relmp has a caller, and every option a setter.
 
 A public top-level function, public class or public method of a `relmp`
 module must be named somewhere in `src/relmp` outside the lines that define
@@ -7,6 +7,14 @@ own tests call is surface without a user. Names are matched as identifiers in
 code (names, attributes, imports) and as string constants, since `perfbench`
 wraps functions by their qualified names; docstrings and comments do not
 count. `relmp.oracles` is exempt: its references exist to be compared against.
+
+Likewise every defaulted parameter of a function or method in `src/relmp`
+must be passed, by keyword or by position, by some call in those places
+outside the function's own lines: an option that only tests set is a
+constant with extra steps. Calls are matched to definitions by name; a
+classmethod or static method only through its class (`GRMPParams.init(...)`),
+a constructor through its class name (`AdamW(...)`), and an instance method
+through any receiver (`opt.step(...)`).
 """
 
 import ast
@@ -135,4 +143,141 @@ def test_every_allowlist_entry_is_a_public_name_without_a_caller():
         if any(not (p == path and first <= line <= last)
                for p, line in callers.get(name, ())):
             stale.append(f"{key}: has a caller, so needs no entry")
+    assert not stale, stale
+
+
+# -- options ---------------------------------------------------------------------------
+
+# (module, qualified function name, parameter) -> why it keeps its default
+# although no call outside tests passes it
+ALLOWED_OPTIONS = {
+    ("cli", "main", "argv"):
+        "the console script passes nothing so argparse reads sys.argv; tests "
+        "and embedding programs pass their own argument list",
+    ("graph", "build_line_graph", "include_reverse"):
+        "documented contract of the line graph: reverse pairs, at angle pi, "
+        "can be left out",
+    ("layers", "GRMPParams.init", "variant"):
+        "the structural ablations that acceptance criteria 7 and 8 compare",
+    ("tensor", "Tensor.backward", "retain_graph"):
+        "documented contract of the tape: a second sweep over one graph",
+    ("tensor", "finite_difference_check", "h"):
+        "the difference step, which a caller scales to its function",
+}
+
+
+def _defaulted_options():
+    """(module, qualname, param, path, first, last, position, bound, match)
+    for every defaulted parameter. `position` is the parameter's index among
+    the positional parameters (None for keyword-only), `bound` how many
+    leading ones a call binds implicitly (self or cls), and `match` how calls
+    reach the function: ("function", name), ("class", class name) for a
+    constructor, ("classattr", class, name) or ("method", name)."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in EXEMPT_MODULES:
+            continue
+        tree = _parse(path)
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            names, up = [node.name], parent[node]
+            while up is not tree:
+                if isinstance(up, (ast.ClassDef, ast.FunctionDef)):
+                    names.insert(0, up.name)
+                up = parent[up]
+            owner = parent[node]
+            decorators = {d.id for d in node.decorator_list
+                          if isinstance(d, ast.Name)}
+            if not isinstance(owner, ast.ClassDef):
+                match, bound = ("function", node.name), 0
+            elif node.name == "__init__":
+                match, bound = ("class", owner.name), 1
+            elif decorators & {"classmethod", "staticmethod"}:
+                match = ("classattr", owner.name, node.name)
+                bound = 1 if "classmethod" in decorators else 0
+            else:
+                match, bound = ("method", node.name), 1
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first_default = len(positional) - len(args.defaults)
+            params = [(a.arg, i) for i, a in enumerate(positional)
+                      if i >= first_default]
+            params += [(a.arg, None) for a, d in zip(args.kwonlyargs,
+                                                     args.kw_defaults)
+                       if d is not None]
+            for name, position in params:
+                yield (path.stem, ".".join(names), name, path, node.lineno,
+                       node.end_lineno, position, bound, match)
+
+
+def _last_name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _calls():
+    """(path, line, keys, call) for every call in src/relmp, demos/ and
+    perfbench/; `keys` are the `match` values the call can reach."""
+    files = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+             + sorted((ROOT / "perfbench").glob("*.py")))
+    for path in files:
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            keys = set()
+            if isinstance(func, ast.Name):
+                keys = {("function", func.id), ("class", func.id)}
+            elif isinstance(func, ast.Attribute):
+                keys = {("function", func.attr), ("class", func.attr),
+                        ("method", func.attr)}
+                owner = _last_name(func.value)
+                if owner is not None:
+                    keys.add(("classattr", owner, func.attr))
+            yield path, node.lineno, keys, node
+
+
+def _sets(call, name, position, bound):
+    """Whether `call` passes the parameter, by keyword or by position."""
+    for kw in call.keywords:
+        if kw.arg is None or kw.arg == name:    # **kwargs may carry it
+            return True
+    if position is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or i + bound == position:
+            return True
+    return False
+
+
+def _unset_options():
+    """(module, qualname, param) of every defaulted parameter no call sets."""
+    calls = list(_calls())
+    unset = set()
+    for (module, qualname, name, path, first, last, position, bound,
+         match) in _defaulted_options():
+        if not any(match in keys and _sets(call, name, position, bound)
+                   and not (p == path and first <= line <= last)
+                   for p, line, keys, call in calls):
+            unset.add((module, qualname, name))
+    return unset
+
+
+def test_every_option_has_a_setter():
+    unset = _unset_options() - set(ALLOWED_OPTIONS)
+    assert not unset, f"defaulted parameters that no caller sets: {sorted(unset)}"
+
+
+def test_every_option_allowlist_entry_is_an_option_without_a_setter():
+    defined = {(module, qualname, name)
+               for module, qualname, name, *_ in _defaulted_options()}
+    unset = _unset_options()
+    stale = [f"{key}: not a defaulted parameter" if key not in defined
+             else f"{key}: has a setter, so needs no entry"
+             for key in ALLOWED_OPTIONS if key not in unset]
     assert not stale, stale
