@@ -9,8 +9,9 @@ small examples where the right answers can be checked by hand.
 import numpy as np
 
 from relmp.tensor import (Tensor, add, bce_with_logits, count_flops,
-                          counting_paused, finite_difference_check, hadamard,
-                          linear, matmul, relu, sum_all)
+                          counting_paused, default_dtype,
+                          finite_difference_check, hadamard, linear, matmul,
+                          relu, sum_all)
 
 
 def section(title):
@@ -19,28 +20,30 @@ def section(title):
 
 
 def main():
-    section("gradients of a tiny expression")
-    # loss = sum(relu(x @ w) * g): chosen so the hand derivation is short.
-    x = Tensor(np.array([[1.5, -2.0], [0.5, 3.0]]), requires_grad=True,
-               dtype=np.float64)
-    w = Tensor(np.array([[2.0, 0.0], [1.0, -1.0]]), requires_grad=True,
-               dtype=np.float64)
-    g = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), dtype=np.float64)
-    loss = sum_all(hadamard(relu(matmul(x, w)), g))
-    loss.backward()
-    print("loss          :", float(loss.data))
-    print("dloss/dx      :\n", x.grad)
-    # By hand: y = x@w = [[1, 2], [4, -3]], the relu keeps y[0,0], y[0,1],
-    # y[1,0]; dloss/dy = g * keep-mask = [[1, 2], [3, 0]]; dloss/dx = dldy @ w.T.
-    mask = np.array([[1.0, 2.0], [3.0, 0.0]])
-    print("hand-derived  :\n", mask @ w.data.T)
-    assert np.allclose(x.grad, mask @ w.data.T)
+    # tensors are float32 unless a default_dtype scope says otherwise; the
+    # gradient checks run in float64
+    with default_dtype(np.float64):
+        section("gradients of a tiny expression")
+        # loss = sum(relu(x @ w) * g): chosen so the hand derivation is short.
+        x = Tensor(np.array([[1.5, -2.0], [0.5, 3.0]]), requires_grad=True)
+        w = Tensor(np.array([[2.0, 0.0], [1.0, -1.0]]), requires_grad=True)
+        g = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        loss = sum_all(hadamard(relu(matmul(x, w)), g))
+        loss.backward()
+        print("loss          :", float(loss.data))
+        print("dloss/dx      :\n", x.grad)
+        # By hand: y = x@w = [[1, 2], [4, -3]], the relu keeps y[0,0], y[0,1],
+        # y[1,0]; dloss/dy = g * keep-mask = [[1, 2], [3, 0]];
+        # dloss/dx = dldy @ w.T.
+        mask = np.array([[1.0, 2.0], [3.0, 0.0]])
+        print("hand-derived  :\n", mask @ w.data.T)
+        assert np.allclose(x.grad, mask @ w.data.T)
 
-    section("the same check, automated with central differences")
-    worst = finite_difference_check(
-        lambda: sum_all(hadamard(relu(matmul(x, w)), g)), [x, w])
-    print(f"worst relative gradient error across x and w: {worst:.3e}")
-    assert worst < 1e-7
+        section("the same check, automated with central differences")
+        worst = finite_difference_check(
+            lambda: sum_all(hadamard(relu(matmul(x, w)), g)), [x, w])
+        print(f"worst relative gradient error across x and w: {worst:.3e}")
+        assert worst < 1e-7
 
     section("FLOP metering, by operation kind")
     a = Tensor(np.ones((8, 16)))

@@ -17,8 +17,8 @@ import numpy as np
 
 from relmp.builders import (LONG_RELATIONS, SHORT_RELATIONS, image_medium_edges,
                             image_short_edges)
-from relmp.models import (ImageModelConfig, ImageModelParams, image_forward,
-                          pixels_to_patches)
+from relmp.models import (PATCH_SIZE, ImageModelConfig, ImageModelParams,
+                          image_forward, pixels_to_patches)
 
 
 def main():
@@ -40,7 +40,7 @@ def main():
     # medium-range edges link each patch to its nearest feature-space
     # neighbors outside its own 2x2 window.
     short = image_short_edges(8, 8)
-    grid = pixels_to_patches(rng.normal(size=(32, 32, 3)).astype(np.float32), 4)
+    grid = pixels_to_patches(rng.normal(size=(32, 32, 3)).astype(np.float32))
     medium = image_medium_edges(grid, k=4, relation=4)
     print(f"8x8 grid: {len(short)} short-range edges "
           f"(2*H*(W-1) + 2*W*(H-1) = {2 * 8 * 7 + 2 * 8 * 7})")
@@ -59,7 +59,7 @@ def main():
     print(f"64x64x3 image -> logits {logits.data.shape} "
           f"in {elapsed:.2f}s")
     # each stage halves both grid sides; the medium relation joins after stage 1
-    side = image.shape[0] // small_cfg.patch_size
+    side = image.shape[0] // PATCH_SIZE
     stages = range(len(small_cfg.depths))
     print(f"patch counts through the stages: {[(side >> s) ** 2 for s in stages]}")
     relations = [len(SHORT_RELATIONS) + int(s > 0) + len(LONG_RELATIONS)

@@ -77,6 +77,9 @@ def load_patch_grid(path) -> PatchGrid:
         magic, h, w, c = struct.unpack("<IIII", head)
         if magic != _GRID_MAGIC:
             raise DataError(f"{path}: not a patch-grid file")
+        if min(h, w, c) < 1:
+            raise DataError(f"{path}: patch-grid sides and channels must be "
+                            f"positive, not {h}x{w}x{c}")
         body = f.read()
     want = h * w * c * 4
     if len(body) != want:
@@ -288,7 +291,7 @@ class TripletStore:
     num_entities: int
     num_relations: int          # after doubling
     triplets: list[tuple[int, int, int]]
-    split: str = "train"
+    split: str
 
     def __post_init__(self):
         half = self.num_relations // 2

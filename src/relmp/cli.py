@@ -110,8 +110,6 @@ _SPECS = {
         "channels": _Opt(int, 32, "hidden channels"),
         "scorer_hidden": _Opt(int, 64, "scorer hidden width"),
         "negatives": _Opt(int, 32, "corrupted triplets per positive"),
-        "scorer_features": _Opt(str, "concat_product", "scorer input features",
-                                ("concat_product", "concat")),
         "anneal": _Opt(bool, True, "hold the learning rate constant instead "
                                    "of annealing"),
         **_KG_DATA,
@@ -323,12 +321,14 @@ def cmd_bench_flops(resolved: dict) -> int:
 
 
 def cmd_verify(resolved: dict) -> int:
+    if resolved["transforms"] < 1:
+        raise ConfigError(
+            f"--transforms must be positive, not {resolved['transforms']}")
     from . import verify
 
     names = verify.SUITES if resolved["suite"] == "all" else (resolved["suite"],)
-    report = verify.run_suites(names, seed=resolved["seed"],
-                               transforms=resolved["transforms"],
-                               inject_fault=resolved["inject_fault"])
+    report = verify.run_suites(names, resolved["seed"], resolved["transforms"],
+                               resolved["inject_fault"])
     report["inject_fault"] = bool(resolved["inject_fault"])
     text = json.dumps(report, indent=2)
     print(text)
@@ -351,8 +351,7 @@ def _load_kg_data(resolved: dict):
                  "test": resolved["test"]})
     if resolved["valid"] is not None or resolved["test"] is not None:
         raise ConfigError("--valid/--test need --train as well")
-    return (toy_kinship_kg(num_people=resolved["people"],
-                           seed=resolved["data_seed"]),
+    return (toy_kinship_kg(resolved["people"], resolved["data_seed"]),
             {"bundled_toy": {"people": resolved["people"],
                              "seed": resolved["data_seed"]}})
 
@@ -413,6 +412,11 @@ def _read_model_config(config_path: str):
         if type(stored[key]) is not kind:
             raise DataError(f"{config_path}: model config key {key!r} holds "
                             f"{stored[key]!r}, not a {kind.__name__}")
+    # older runs record the scorer's feature map, which must be the one left
+    features = stored.get("scorer_features", "concat_product")
+    if features != "concat_product":
+        raise DataError(f"{config_path}: model config key 'scorer_features' "
+                        f"holds {features!r}; only 'concat_product' is supported")
     try:
         cfg = KGModelConfig(**{f.name: stored[f.name]
                                for f in fields(KGModelConfig)}).validate()
@@ -423,7 +427,8 @@ def _read_model_config(config_path: str):
         toy = recorded["bundled_toy"]
         found = ({"people": toy.get("people"), "data_seed": toy.get("seed")}
                  if isinstance(toy, dict) else {})
-        usable = bool(found) and all(type(v) is int for v in found.values())
+        usable = bool(found) and all(type(v) is int and v >= 0
+                                     for v in found.values())
     elif "train" in recorded:
         found = {key: recorded.get(key) for key in ("train", "valid", "test")}
         usable = all(v is None or isinstance(v, str) for v in found.values())
@@ -497,6 +502,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         resolved = _resolve_config(args.command, args)
+        for key in ("seed", "data_seed"):
+            if resolved.get(key, 0) < 0:
+                raise ConfigError(f"--{key.replace('_', '-')} must be "
+                                  f"non-negative, not {resolved[key]}")
         _apply_threads(resolved["threads"])
         if resolved["f64"]:
             import numpy as np

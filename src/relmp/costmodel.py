@@ -110,7 +110,8 @@ def ffn_flops(num_nodes: int, channels: int) -> int:
 
 # Stage geometry of the reference image model on 224 x 224 inputs:
 # (nodes, channels, depth) after the 4x stem and each 2x merge, and the
-# hidden width of its feed-forward blocks in multiples of their input.
+# hidden width of its feed-forward blocks in multiples of their input, which
+# `layers.FFNParams` allocates.
 IMAGE_MODEL_STAGES = (
     (56 * 56, 96, 2),
     (28 * 28, 192, 2),
@@ -120,7 +121,7 @@ IMAGE_MODEL_STAGES = (
 FFN_EXPANSION = 4
 
 
-def sweep_relation_counts(k_max: int = 24):
+def sweep_relation_counts(k_max: int):
     """Model-level totals as the relation count grows.
 
     For K = 1..k_max, sums layer costs over IMAGE_MODEL_STAGES with

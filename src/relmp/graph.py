@@ -163,7 +163,7 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def build_line_graph(graph: RelGraph, coords: np.ndarray, num_bins: int = 8,
+def build_line_graph(graph: RelGraph, coords: np.ndarray, num_bins: int,
                      include_reverse: bool = True) -> RelGraph:
     """Directed line graph with angle-bin relations.
 
@@ -208,7 +208,7 @@ def build_line_graph(graph: RelGraph, coords: np.ndarray, num_bins: int = 8,
 # -- edge-list files -----------------------------------------------------------------
 
 
-def save_edge_list(path, graph: RelGraph, comments=()) -> None:
+def save_edge_list(path, graph: RelGraph, comments) -> None:
     """Write src<TAB>dst<TAB>rel rows; node/relation counts go in # comments."""
     with open(path, "w", encoding="utf-8") as f:
         for line in comments:

@@ -34,10 +34,11 @@ start at zero and scales at one, all in the dtype of the active
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .costmodel import FFN_EXPANSION
 from .errors import ConfigError, ContractError, ShapeError
 from .graph import RelGraph, rel_aggregate
 from .tensor import (Tensor, add, concat_cols, counting_paused,
@@ -185,13 +186,13 @@ class GRMPParams(Params):
     channels: int
     w_self: Tensor
     w_channel: Tensor
-    w_in: Tensor | None = None
-    b_in: Tensor | None = None
-    w_out: Tensor | None = None
-    b_out: Tensor | None = None
-    w_alpha: Tensor | None = None
-    b_alpha: Tensor | None = None
-    variant: GRMPVariant = field(default_factory=GRMPVariant)
+    w_in: Tensor | None
+    b_in: Tensor | None
+    w_out: Tensor | None
+    b_out: Tensor | None
+    w_alpha: Tensor | None
+    b_alpha: Tensor | None
+    variant: GRMPVariant
 
     @classmethod
     def init(cls, rng: np.random.Generator, num_relations: int, channels: int,
@@ -202,23 +203,24 @@ class GRMPParams(Params):
             raise ConfigError("bad channel count")
         variant = variant or GRMPVariant()
         variant.validate()
-        p = cls(
-            num_relations=num_relations,
-            channels=channels,
-            w_self=_param(trunc_normal(rng, (channels, channels))),
-            w_channel=_param(np.ones((1, num_relations * channels))),
-            variant=variant,
-        )
+        # seeded checkpoints depend on the draw order: w_self, w_in, w_out,
+        # w_alpha
+        w_self = _param(trunc_normal(rng, (channels, channels)))
+        w_in = b_in = w_out = b_out = w_alpha = b_alpha = None
         if variant.use_w_in:
-            p.w_in = _param(trunc_normal(rng, (channels, channels)))
-            p.b_in = _param(np.zeros(channels))
+            w_in = _param(trunc_normal(rng, (channels, channels)))
+            b_in = _param(np.zeros(channels))
         if variant.use_w_out:
-            p.w_out = _param(trunc_normal(rng, (channels, channels)))
-            p.b_out = _param(np.zeros(channels))
+            w_out = _param(trunc_normal(rng, (channels, channels)))
+            b_out = _param(np.zeros(channels))
         if variant.alpha == "learned":
-            p.w_alpha = _param(trunc_normal(rng, (channels, num_relations)))
-            p.b_alpha = _param(np.zeros(num_relations))
-        return p
+            w_alpha = _param(trunc_normal(rng, (channels, num_relations)))
+            b_alpha = _param(np.zeros(num_relations))
+        return cls(num_relations=num_relations, channels=channels,
+                   w_self=w_self,
+                   w_channel=_param(np.ones((1, num_relations * channels))),
+                   w_in=w_in, b_in=b_in, w_out=w_out, b_out=b_out,
+                   w_alpha=w_alpha, b_alpha=b_alpha, variant=variant)
 
     def tensors(self) -> dict[str, Tensor]:
         return _named(self, ("w_self", "w_channel", "w_in", "b_in",
@@ -317,18 +319,16 @@ def layer_norm(x: Tensor, params: LayerNormParams) -> Tensor:
 
 @dataclass
 class FFNParams(Params):
-    """Two-layer feed-forward with expansion factor gamma and GELU between."""
+    """Two-layer feed-forward, FFN_EXPANSION times as wide inside, with GELU
+    between."""
     w1: Tensor
     b1: Tensor
     w2: Tensor
     b2: Tensor
 
     @classmethod
-    def init(cls, rng: np.random.Generator, channels: int,
-             expansion: int = 4) -> "FFNParams":
-        if expansion < 1:
-            raise ConfigError("expansion factor must be positive")
-        hidden = channels * expansion
+    def init(cls, rng: np.random.Generator, channels: int) -> "FFNParams":
+        hidden = channels * FFN_EXPANSION
         return cls(
             w1=_param(trunc_normal(rng, (channels, hidden))),
             b1=_param(np.zeros(hidden)),
@@ -348,30 +348,24 @@ def ffn_forward(x: Tensor, params: FFNParams) -> Tensor:
 # -- virtual-node features ------------------------------------------------------------
 
 
+# side of each depthwise kernel of a context stack, in the order applied:
+# three 3x3 kernels, an accumulative receptive field of 7
+CONTEXT_KERNEL_SIZES = (3, 3, 3)
+
+
 @dataclass
 class ContextStackParams(Params):
-    """Depthwise kernels applied in sequence with GELU after each.
-
-    The default is three 3x3 kernels, an accumulative receptive field of 7.
-    The composition (kernel count and sizes) is deliberately configurable:
-    the reference description fixes only the receptive field, not the split.
-    """
+    """Depthwise kernels of CONTEXT_KERNEL_SIZES applied in sequence with
+    GELU after each."""
     kernels: list[Tensor]
 
     @classmethod
-    def init(cls, rng: np.random.Generator, channels: int,
-             sizes=(3, 3, 3)) -> "ContextStackParams":
-        for k in sizes:
-            if k % 2 == 0 or k < 1:
-                raise ConfigError("kernel sizes must be odd and positive")
+    def init(cls, rng: np.random.Generator, channels: int) -> "ContextStackParams":
         return cls(kernels=[_param(trunc_normal(rng, (k, k, channels)))
-                            for k in sizes])
+                            for k in CONTEXT_KERNEL_SIZES])
 
     def tensors(self) -> dict[str, Tensor]:
         return {f"kernel{i}": k for i, k in enumerate(self.kernels)}
-
-    def receptive_field(self) -> int:
-        return 1 + sum(k.shape[0] - 1 for k in self.kernels)
 
 
 def context_stack_features(z: Tensor, height: int, width: int,

@@ -26,14 +26,13 @@ KG scorer. Entity embeddings are refined by gated layers over the fact graph
 (training triples plus inverse duplicates); each layer adds its normalized,
 rectified output back onto the running state, and the stack ends with one more
 normalization so entity states and relation embeddings reach the scorer at
-comparable scale. A triple scores through a two-layer ReLU MLP whose input
-feature map is configurable: plain concatenation [z_h ; e_r ; z_t], or (the
-default) that concatenation extended with the elementwise product
-z_h * e_r * z_t. The product term matters: it makes every multiplicative
-bilinear scorer linearly representable, without which the MLP separates
-positives from random corruptions through marginal statistics alone and never
-learns to rank (measured: a pure-concatenation scorer plateaus at the random
-baseline on the bundled toy task while a bilinear control model does not).
+comparable scale. A triple scores through a two-layer ReLU MLP over the
+concatenation [z_h ; e_r ; z_t ; z_h * e_r * z_t]. The product term matters:
+it makes every multiplicative bilinear scorer linearly representable, without
+which the MLP separates positives from random corruptions through marginal
+statistics alone and never learns to rank (measured: a pure-concatenation
+scorer plateaus at the random baseline on the bundled toy task while a
+bilinear control model does not).
 """
 
 from __future__ import annotations
@@ -89,17 +88,17 @@ def _collect(prefix: str, tensors: dict) -> dict:
 # -- image classifier ------------------------------------------------------------------
 
 
+PATCH_SIZE = 4                              # side of the stem's pixel patches
+PATCH_DIM = PATCH_SIZE * PATCH_SIZE * 3     # features per patch of RGB pixels
+
+
 @dataclass
 class ImageModelConfig:
     """Four-stage hierarchy; channels double between stages."""
     channels: tuple = (96, 192, 384, 768)
     depths: tuple = (2, 2, 6, 2)
     k_medium: int = 12
-    ffn_expansion: int = 4
     num_classes: int = 1000
-    patch_size: int = 4
-    context_sizes: tuple = (3, 3, 3)
-    in_channels: int = 3
 
     def validate(self) -> "ImageModelConfig":
         if len(self.channels) != 4 or len(self.depths) != 4:
@@ -117,7 +116,7 @@ class ImageModelConfig:
 
     @property
     def reduction(self) -> int:
-        return self.patch_size * 2 ** (len(self.channels) - 1)
+        return PATCH_SIZE * 2 ** (len(self.channels) - 1)
 
 
 @dataclass
@@ -152,7 +151,6 @@ class ImageModelParams(Params):
     @classmethod
     def init(cls, rng: np.random.Generator, cfg: ImageModelConfig) -> "ImageModelParams":
         cfg.validate()
-        patch_dim = cfg.patch_size * cfg.patch_size * cfg.in_channels
         stages = []
         for s, (c, depth) in enumerate(zip(cfg.channels, cfg.depths)):
             blocks = []
@@ -160,15 +158,15 @@ class ImageModelParams(Params):
                 blocks.append(ImageBlockParams(
                     norm1=LayerNormParams.init(c),
                     grmp=GRMPParams.init(rng, cfg.stage_relations(s), c),
-                    context=ContextStackParams.init(rng, c, cfg.context_sizes),
+                    context=ContextStackParams.init(rng, c),
                     norm2=LayerNormParams.init(c),
-                    ffn=FFNParams.init(rng, c, cfg.ffn_expansion),
+                    ffn=FFNParams.init(rng, c),
                 ))
             stages.append(blocks)
         merges = [PatchMergeParams.init(rng, c) for c in cfg.channels[:-1]]
         c_last = cfg.channels[-1]
         return cls(
-            stem_w=_param(trunc_normal(rng, (patch_dim, cfg.channels[0]))),
+            stem_w=_param(trunc_normal(rng, (PATCH_DIM, cfg.channels[0]))),
             stem_b=_param(np.zeros(cfg.channels[0])),
             stem_norm=LayerNormParams.init(cfg.channels[0]),
             stages=stages,
@@ -191,19 +189,19 @@ class ImageModelParams(Params):
         return out
 
 
-def pixels_to_patches(pixels: np.ndarray, patch_size: int = 4) -> PatchGrid:
-    """Flatten non-overlapping patches into rows: row-major cells, then the
-    patch's own pixels row-major with channels last."""
+def pixels_to_patches(pixels: np.ndarray) -> PatchGrid:
+    """Flatten non-overlapping PATCH_SIZE patches into rows: row-major cells,
+    then the patch's own pixels row-major with channels last."""
     pixels = np.asarray(pixels)
     if pixels.ndim != 3:
         raise ShapeError("pixels must be [H, W, C]")
     h, w, c = pixels.shape
-    if h % patch_size or w % patch_size:
-        raise ConfigError(f"image sides must be divisible by {patch_size}")
-    gh, gw = h // patch_size, w // patch_size
-    feats = (pixels.reshape(gh, patch_size, gw, patch_size, c)
+    if h % PATCH_SIZE or w % PATCH_SIZE:
+        raise ConfigError(f"image sides must be divisible by {PATCH_SIZE}")
+    gh, gw = h // PATCH_SIZE, w // PATCH_SIZE
+    feats = (pixels.reshape(gh, PATCH_SIZE, gw, PATCH_SIZE, c)
              .transpose(0, 2, 1, 3, 4)
-             .reshape(gh * gw, patch_size * patch_size * c))
+             .reshape(gh * gw, PATCH_SIZE * PATCH_SIZE * c))
     return PatchGrid(gh, gw, feats)
 
 
@@ -216,15 +214,14 @@ def image_forward(x, params: ImageModelParams, cfg: ImageModelConfig) -> Tensor:
     """
     cfg.validate()
     if not isinstance(x, PatchGrid):
-        x = pixels_to_patches(x, cfg.patch_size)
-    per_stage = cfg.reduction // cfg.patch_size
+        x = pixels_to_patches(x)
+    per_stage = cfg.reduction // PATCH_SIZE
     if x.height % per_stage or x.width % per_stage:
         raise ConfigError(
             f"patch grid {x.height}x{x.width} does not support "
             f"{len(cfg.channels) - 1} halvings")
-    patch_dim = cfg.patch_size * cfg.patch_size * cfg.in_channels
-    if x.channels != patch_dim:
-        raise ShapeError(f"expected {patch_dim} features per patch")
+    if x.channels != PATCH_DIM:
+        raise ShapeError(f"expected {PATCH_DIM} features per patch")
 
     z = Tensor(x.features)
     z = linear(z, params.stem_w, params.stem_b)
@@ -347,20 +344,13 @@ class KGModelConfig:
     channels: int = 32
     scorer_hidden: int = 64
     negatives: int = 32
-    scorer_features: str = "concat_product"   # or "concat"
 
     def validate(self) -> "KGModelConfig":
         if self.num_layers < 1 or self.channels < 1:
             raise ConfigError("bad layer or channel count")
         if self.scorer_hidden < 1 or self.negatives < 1:
             raise ConfigError("bad scorer width or negative count")
-        if self.scorer_features not in ("concat", "concat_product"):
-            raise ConfigError("scorer_features must be concat or concat_product")
         return self
-
-    @property
-    def scorer_input_dim(self) -> int:
-        return (4 if self.scorer_features == "concat_product" else 3) * self.channels
 
 
 @dataclass
@@ -373,7 +363,6 @@ class KGModelParams(Params):
     scorer_b1: Tensor
     scorer_w2: Tensor
     scorer_b2: Tensor
-    scorer_features: str = "concat_product"
 
     @classmethod
     def init(cls, rng: np.random.Generator, num_entities: int,
@@ -395,7 +384,7 @@ class KGModelParams(Params):
                 setattr(p, name, _param(rng.normal(0.0, w_std, size=shape)))
             p.b_out = _param(np.ones(c))
             layers.append((p, LayerNormParams.init(c)))
-        in_dim = cfg.scorer_input_dim
+        in_dim = 4 * c      # [z_h ; e_r ; z_t ; z_h * e_r * z_t]
         return cls(
             entity_emb=_param(rng.normal(0.0, 0.5, size=(num_entities, c))),
             relation_emb=_param(rng.normal(0.0, 0.5, size=(num_relations, c))),
@@ -407,7 +396,6 @@ class KGModelParams(Params):
             scorer_w2=_param(rng.normal(0.0, float(1.0 / np.sqrt(cfg.scorer_hidden)),
                                         size=(cfg.scorer_hidden, 1))),
             scorer_b2=_param(np.zeros(1)),
-            scorer_features=cfg.scorer_features,
         )
 
     def tensors(self) -> dict:
@@ -440,8 +428,7 @@ def kg_score(entity_states: Tensor, params: KGModelParams,
              heads, rels, tails) -> Tensor:
     """Triple scores [B, 1] from the two-layer ReLU scoring MLP.
 
-    Input features per triple: [z_h ; e_r ; z_t], extended with the
-    elementwise product z_h * e_r * z_t under the default feature map.
+    Input features per triple: [z_h ; e_r ; z_t ; z_h * e_r * z_t].
     """
     heads = np.asarray(heads, dtype=np.int64)
     rels = np.asarray(rels, dtype=np.int64)
@@ -457,9 +444,6 @@ def kg_score(entity_states: Tensor, params: KGModelParams,
     zh = gather_rows(entity_states, heads)
     er = gather_rows(params.relation_emb, rels)
     zt = gather_rows(entity_states, tails)
-    parts = [zh, er, zt]
-    if params.scorer_features == "concat_product":
-        parts.append(hadamard(hadamard(zh, er), zt))
-    feats = concat_cols(parts)
+    feats = concat_cols([zh, er, zt, hadamard(hadamard(zh, er), zt)])
     hid = relu(linear(feats, params.scorer_w1, params.scorer_b1))
     return linear(hid, params.scorer_w2, params.scorer_b2)

@@ -32,9 +32,11 @@ and is not metered. The analytic layer costs exclude biases: `linear` and
 one bias sum that is not part of an op (`layers.rgconv_forward`'s
 per-relation biases).
 
-Default element type is float32. Verification paths (finite-difference
-checks, dense oracles) switch to float64 via `default_dtype`. Every op result
-is checked for NaN/Inf and raises NumericError on the first non-finite value.
+Default element type is float32. A tensor built from data takes the element
+type of the active `default_dtype` scope, whatever the data's own; verification
+paths (finite-difference checks, dense oracles) switch to float64 that way.
+Every op result is checked for NaN/Inf and raises NumericError on the first
+non-finite value.
 
 Dtype contract: an op result has the dtype of one of its inputs, so float32
 in gives float32 out and a float32 x float64 operand pair gives float64.
@@ -150,7 +152,7 @@ def _charge(kind: str, flops: int) -> None:
 
 @contextmanager
 def default_dtype(dtype):
-    """Set the element type used for tensors created without an explicit dtype."""
+    """Set the element type of every tensor created inside the scope."""
     dtype = np.dtype(dtype).type
     if dtype not in _ALLOWED_DTYPES:
         raise ConfigError(f"unsupported dtype {dtype}")
@@ -195,10 +197,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.array(data, dtype=dtype if dtype is not None else active_dtype())
-        if arr.dtype.type not in _ALLOWED_DTYPES:
-            raise ConfigError(f"unsupported dtype {arr.dtype}")
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.array(data, dtype=active_dtype())
         _check_finite(arr, "tensor construction")
         self.data = arr
         self.requires_grad = bool(requires_grad)

@@ -5,17 +5,19 @@ parameter before the adaptive update, never through the moment estimates.
 Adam is the same update with decay zero, which is how the KG task runs
 (learning rate 5e-3, batch size 16 by default).
 
-The moments live in flat float64 buffers, one pair per parameter dtype, and
-`m[name]`/`v[name]` are views into them. A step gathers the gradients of a
-group into one flat array and runs each moment and update expression once
-over it instead of once per tensor. The gradients are gathered without a
-cast, a run of same-dtype gradients at a time, and every expression keeps the
+All parameters share one dtype. The moments live in one flat float64 pair,
+and `m[name]`/`v[name]` are views into it. A step gathers the gradients into
+one flat array, without a cast, and runs each moment and update expression
+once over it instead of once per tensor. Every expression keeps the
 per-tensor operand order, so each element is rounded exactly as a loop over
-the tensors would round it.
+the tensors would round it. A gradient must have its parameter's dtype;
+`Tensor` accumulates every gradient in that dtype.
 
-With annealing on, `train_kg` runs epoch e of E at
-lr/50 + 0.5*(lr - lr/50)*(1 + cos(pi*f)), f = (e-1)/max(E-1, 1): a half-cosine
-from the base rate down to lr/50, which the last epoch meets exactly.
+A step runs at the rate that `AdamW.lr` holds at the time. With annealing
+on, `train_kg` sets it once per epoch: epoch 1 of E runs at exactly lr and
+epoch e > 1 at lr/50 + 0.5*(lr - lr/50)*(1 + cos(pi*f)), f = (e-1)/(E-1): a
+half-cosine from the base rate down to lr/50, which the last epoch meets
+exactly.
 
 `train_kg` is deterministic given its seed: initialization, shuffling, and
 negative sampling all draw from one generator, so reruns produce bit-identical
@@ -31,12 +33,11 @@ from __future__ import annotations
 
 import csv
 import math
-from itertools import groupby
 
 import numpy as np
 
 from .builders import KGDataset, TripletStore, fact_graph
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, ContractError, DataError, ShapeError
 from .metrics import query_ranks, rank_summary
 from .models import KGModelConfig, KGModelParams, kg_encode, kg_score
 from .tensor import bce_with_logits, no_grad
@@ -51,86 +52,80 @@ class AdamW:
 
     Parameters without a gradient at step time are treated as having a zero
     gradient (their moments decay but the adaptive update is zero, so with
-    zero decay they stay put). Each gradient's shape is checked before any
-    parameter moves.
+    zero decay they stay put). Each gradient's shape and dtype are checked
+    before any parameter moves.
     """
 
-    def __init__(self, params: dict, lr: float, weight_decay: float = 0.05):
+    def __init__(self, params: dict, lr: float, weight_decay: float):
         for what, value in (("learning rate", lr), ("weight decay", weight_decay)):
             if not 0 <= value < math.inf:   # false for NaN, unlike value < 0
                 raise ConfigError(f"{what} must be finite and non-negative, "
                                   f"not {value!r}")
         self.params = dict(params)
+        dtypes = {t.data.dtype for t in self.params.values()}
+        if len(dtypes) != 1:
+            raise ContractError("AdamW needs parameters of one dtype, not "
+                                f"{sorted(map(str, dtypes))}")
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        # one flat float64 moment pair per parameter dtype, in parameter
-        # order; m[name] and v[name] are views into the pair. Two scratch
-        # buffers of the same size hold the update: allocating its
-        # temporaries afresh made each step about 1.6 times as slow
-        by_dtype: dict = {}
-        for name, t in self.params.items():
-            by_dtype.setdefault(t.data.dtype, []).append(name)
-        self._groups = []
+        # one flat float64 moment pair in parameter order; m[name] and
+        # v[name] are views into it. Two scratch buffers of the same size
+        # hold the update: allocating its temporaries afresh made each step
+        # about 1.6 times as slow
+        self._bounds = np.cumsum([0] + [t.data.size for t in self.params.values()])
+        self._m, self._v = np.zeros(self._bounds[-1]), np.zeros(self._bounds[-1])
+        self._update, self._denom = np.empty_like(self._m), np.empty_like(self._m)
         self.m, self.v = {}, {}
-        for names in by_dtype.values():
-            bounds = np.cumsum([0] + [self.params[k].data.size for k in names])
-            m, v = np.zeros(bounds[-1]), np.zeros(bounds[-1])
-            for name, lo, hi in zip(names, bounds[:-1], bounds[1:]):
-                shape = self.params[name].data.shape
-                self.m[name] = m[lo:hi].reshape(shape)
-                self.v[name] = v[lo:hi].reshape(shape)
-            self._groups.append((names, bounds, m, v, np.empty_like(m),
-                                 np.empty_like(m)))
+        for (name, t), lo, hi in zip(self.params.items(), self._bounds[:-1],
+                                     self._bounds[1:]):
+            self.m[name] = self._m[lo:hi].reshape(t.data.shape)
+            self.v[name] = self._v[lo:hi].reshape(t.data.shape)
 
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.zero_grad()
 
-    def step(self, lr: float | None = None) -> None:
-        lr = self.lr if lr is None else float(lr)
+    def step(self) -> None:
+        lr = self.lr
         b1, b2 = ADAM_BETAS
-        self.step_count += 1
-        t = self.step_count
-        grads = {}
+        grads = []
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
             elif g.shape != p.data.shape:
                 raise ShapeError(f"gradient shape mismatch for {name}")
-            grads[name] = g
-        for names, bounds, m, v, update, denom in self._groups:
-            if self.weight_decay:
-                for name in names:
-                    p = self.params[name]
-                    p.data -= lr * self.weight_decay * p.data
-            # one pass per run of gradients that share a dtype, so each term
-            # is rounded in its gradient's own dtype
-            lo = 0
-            for _, run in groupby(names, key=lambda k: grads[k].dtype):
-                g = np.concatenate([grads[k].ravel() for k in run])
-                m_run, v_run = m[lo:lo + g.size], v[lo:lo + g.size]
-                lo += g.size
-                # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * (g * g),
-                # each operation rounded as in that expression
-                g_sq = g * g
-                np.multiply(1.0 - b1, g, out=g)
-                np.multiply(b1, m_run, out=m_run)
-                m_run += g
-                np.multiply(1.0 - b2, g_sq, out=g_sq)
-                np.multiply(b2, v_run, out=v_run)
-                v_run += g_sq
-            # update = lr * m_hat / (np.sqrt(v_hat) + eps)
-            np.divide(m, 1.0 - b1 ** t, out=update)
-            np.multiply(lr, update, out=update)
-            np.divide(v, 1.0 - b2 ** t, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPS
-            update /= denom
-            for name, lo, hi in zip(names, bounds[:-1], bounds[1:]):
-                p = self.params[name]
-                p.data -= update[lo:hi].reshape(p.data.shape)
+            elif g.dtype != p.data.dtype:
+                raise ContractError(f"{g.dtype} gradient for {p.data.dtype} "
+                                    f"parameter {name}")
+            grads.append(g)
+        self.step_count += 1
+        t = self.step_count
+        if self.weight_decay:
+            for p in self.params.values():
+                p.data -= lr * self.weight_decay * p.data
+        m, v, update, denom = self._m, self._v, self._update, self._denom
+        # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * (g * g), each
+        # operation rounded as in that expression, in the gradients' dtype
+        g = np.concatenate([grad.ravel() for grad in grads])
+        g_sq = g * g
+        np.multiply(1.0 - b1, g, out=g)
+        np.multiply(b1, m, out=m)
+        m += g
+        np.multiply(1.0 - b2, g_sq, out=g_sq)
+        np.multiply(b2, v, out=v)
+        v += g_sq
+        # update = lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.divide(m, 1.0 - b1 ** t, out=update)
+        np.multiply(lr, update, out=update)
+        np.divide(v, 1.0 - b2 ** t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        update /= denom
+        for p, lo, hi in zip(self.params.values(), self._bounds[:-1],
+                             self._bounds[1:]):
+            p.data -= update[lo:hi].reshape(p.data.shape)
 
 
 # -- KG link-prediction training -----------------------------------------------------------
@@ -214,6 +209,16 @@ def _corrupt(rng, batch, negatives, num_entities):
     return full, targets
 
 
+def _annealed_rate(lr: float, epoch: int, epochs: int) -> float:
+    """The rate of epoch `epoch` of `epochs`: exactly lr in the first, then a
+    half-cosine down to lr/50, which the last epoch meets exactly."""
+    if epoch == 1:
+        return float(lr)    # the formula below can miss lr by an ulp here
+    min_lr = lr / 50.0
+    f = (epoch - 1) / (epochs - 1)
+    return min_lr + 0.5 * (lr - min_lr) * (1.0 + math.cos(math.pi * f))
+
+
 def train_kg(data: KGDataset, model_cfg: KGModelConfig, epochs: int, seed: int,
              lr: float = 5e-3, batch_size: int = 16,
              anneal: bool = True) -> tuple[KGModelParams, list]:
@@ -226,8 +231,9 @@ def train_kg(data: KGDataset, model_cfg: KGModelConfig, epochs: int, seed: int,
     loss is measured end-of-epoch on one fixed corruption bundle, so it is a
     deterministic function of the parameters rather than of the sampling
     noise. With `anneal` the learning rate follows a half-cosine from `lr`
-    down to lr/50, which settles the late epochs; both choices keep the
-    smoothed loss curve monotone once training has locked in.
+    in the first epoch down to lr/50 in the last, which settles the late
+    epochs; both choices keep the smoothed loss curve monotone once training
+    has locked in.
     """
     model_cfg.validate()
     if epochs < 0 or batch_size < 1:
@@ -244,13 +250,10 @@ def train_kg(data: KGDataset, model_cfg: KGModelConfig, epochs: int, seed: int,
     neg = model_cfg.negatives
     triples = np.array(data.train.triplets, dtype=np.int64)
     probe, probe_targets = _corrupt(rng, triples, neg, n)
-    min_lr = lr / 50.0
     history = []
     for epoch in range(1, epochs + 1):
-        epoch_lr = lr
         if anneal:
-            f = (epoch - 1) / max(epochs - 1, 1)
-            epoch_lr = min_lr + 0.5 * (lr - min_lr) * (1.0 + math.cos(math.pi * f))
+            opt.lr = _annealed_rate(lr, epoch, epochs)
         order = rng.permutation(len(triples))
         for start in range(0, len(order), batch_size):
             batch = triples[order[start:start + batch_size]]
@@ -260,7 +263,7 @@ def train_kg(data: KGDataset, model_cfg: KGModelConfig, epochs: int, seed: int,
             logits = kg_score(z, params, full[:, 0], full[:, 1], full[:, 2])
             loss = bce_with_logits(logits, targets)
             loss.backward()
-            opt.step(lr=epoch_lr)
+            opt.step()
         with no_grad():
             z = kg_encode(graph, params)
             probe_loss = bce_with_logits(
@@ -295,7 +298,7 @@ VALID_FRAC = 0.1
 TEST_FRAC = 0.1
 
 
-def toy_kinship_kg(num_people: int = 100, seed: int = 0) -> KGDataset:
+def toy_kinship_kg(num_people: int, seed: int) -> KGDataset:
     """Seeded family-forest dataset with composable kinship relations.
 
     People form generations of couples with children; facts list parenthood

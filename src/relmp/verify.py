@@ -53,7 +53,7 @@ RANDOM_PARAM_STD = 0.6          # std of the random parameters the suites use
 class Check:
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
 
     def __post_init__(self):
         # comparisons against array-derived scalars produce numpy bools,
@@ -104,7 +104,7 @@ def _expected_grmp_kinds(r, d, v, c):
     return kinds
 
 
-def suite_flops_exact(seed: int = 0, inject_fault: bool = False) -> list[Check]:
+def suite_flops_exact(seed: int, inject_fault: bool) -> list[Check]:
     """With `inject_fault` every check expects the gated layer to cost one
     R*V*C more than `costmodel.grmp_flops` (a per-relation coefficient of 8
     instead of 7), so the grid, step-sum and frozen-value checks must fail."""
@@ -163,7 +163,7 @@ def suite_flops_exact(seed: int = 0, inject_fault: bool = False) -> list[Check]:
 # -- gradcheck -------------------------------------------------------------------------
 
 
-def suite_gradcheck(seed: int = 0) -> list[Check]:
+def suite_gradcheck(seed: int) -> list[Check]:
     checks = []
     for layer, forward, make_params in (
             ("rgconv", rgconv_forward, RGConvParams.init),
@@ -217,7 +217,7 @@ def _random_rigid_transform(rng, reflect: bool) -> tuple[np.ndarray, np.ndarray]
     return q, rng.uniform(-50.0, 50.0, size=3)
 
 
-def suite_e3(seed: int = 0, transforms: int = 100) -> list[Check]:
+def suite_e3(seed: int, transforms: int) -> list[Check]:
     rng = np.random.default_rng(seed)
     coords = _margined_chain(rng, E3_CHAIN_LENGTH)
     # the 20 standard amino acids
@@ -264,7 +264,7 @@ def _grmp_reference(graph: RelGraph, z: np.ndarray, p) -> np.ndarray:
                        p.w_alpha.data, p.b_alpha.data)
 
 
-def suite_oracles(seed: int = 0) -> list[Check]:
+def suite_oracles(seed: int) -> list[Check]:
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -331,14 +331,13 @@ def suite_oracles(seed: int = 0) -> list[Check]:
 # -- harness ---------------------------------------------------------------------------
 
 
-def run_suite(name: str, seed: int = 0, transforms: int = 100,
-              inject_fault: bool = False) -> dict:
+def run_suite(name: str, seed: int, transforms: int, inject_fault: bool) -> dict:
     if name == "flops-exact":
-        checks = suite_flops_exact(seed, inject_fault=inject_fault)
+        checks = suite_flops_exact(seed, inject_fault)
     elif name == "gradcheck":
         checks = suite_gradcheck(seed)
     elif name == "e3":
-        checks = suite_e3(seed, transforms=transforms)
+        checks = suite_e3(seed, transforms)
     elif name == "oracles":
         checks = suite_oracles(seed)
     else:
@@ -348,9 +347,6 @@ def run_suite(name: str, seed: int = 0, transforms: int = 100,
             "checks": [asdict(c) for c in checks]}
 
 
-def run_suites(names=SUITES, seed: int = 0, transforms: int = 100,
-               inject_fault: bool = False) -> dict:
-    suites = [run_suite(name, seed=seed, transforms=transforms,
-                        inject_fault=inject_fault)
-              for name in names]
+def run_suites(names, seed: int, transforms: int, inject_fault: bool) -> dict:
+    suites = [run_suite(name, seed, transforms, inject_fault) for name in names]
     return {"passed": all(s["passed"] for s in suites), "suites": suites}

@@ -178,9 +178,8 @@ def test_criterion_04_layer_gradients_match_finite_differences():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         graph = _random_graph(rng, v_count, r_count, 18)
-        z = Tensor(rng.normal(size=(v_count, c)), requires_grad=True,
-                   dtype=np.float64)
         with default_dtype(np.float64):
+            z = Tensor(rng.normal(size=(v_count, c)), requires_grad=True)
             rg = RGConvParams.init(rng, r_count, c)
         rg.b_stack.data[:] = rng.normal(size=rg.b_stack.data.shape) * 0.1
         rg.b_self.data[:] = rng.normal(size=rg.b_self.data.shape) * 0.1
@@ -189,9 +188,8 @@ def test_criterion_04_layer_gradients_match_finite_differences():
             [z] + list(rg.tensors().values()))
         assert worst < tolerance, f"seed {seed}: rgconv gradient error {worst}"
 
-        z2 = Tensor(rng.normal(size=(v_count, c)), requires_grad=True,
-                    dtype=np.float64)
         with default_dtype(np.float64):
+            z2 = Tensor(rng.normal(size=(v_count, c)), requires_grad=True)
             gm = GRMPParams.init(rng, r_count, c)
         gm.w_channel.data[:] = 1.0 + rng.normal(size=gm.w_channel.data.shape) * 0.2
         gm.b_in.data[:] = rng.normal(size=gm.b_in.data.shape) * 0.1
@@ -217,7 +215,8 @@ def test_criterion_05_vectorized_paths_match_bruteforce_oracles():
         capacity = v_count * v_count * r_count
         graph = _random_graph(rng, v_count, r_count,
                               int(rng.integers(1, min(capacity, 40) + 1)))
-        z = Tensor(rng.normal(size=(v_count, 8)), dtype=np.float64)
+        with default_dtype(np.float64):
+            z = Tensor(rng.normal(size=(v_count, 8)))
         slots = rel_aggregate(graph, z)
         want = aggregate_oracle(v_count, r_count, graph.edge_list(), z.data)
         assert np.abs(slots.data - want).max() <= 1e-12
@@ -510,7 +509,7 @@ def test_criterion_10_image_model_size_and_full_resolution_forward(monkeypatch):
     logits = image_forward(x, params, cfg)
     assert logits.data.shape == (1, 1000)
     assert np.all(np.isfinite(logits.data))
-    side = 224 // cfg.patch_size
+    side = 224 // models.PATCH_SIZE
     assert stage_patch_counts == [side ** 2, (side // 2) ** 2,
                                   (side // 4) ** 2, (side // 8) ** 2]
     assert stage_patch_counts == [3136, 784, 196, 49]

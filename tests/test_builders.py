@@ -374,7 +374,7 @@ def test_load_triplets_scales_to_thousands_of_rows(tmp_path):
 
 
 def test_fact_graph_adds_inverses():
-    store = TripletStore(3, 4, [(0, 0, 1), (1, 1, 2)])
+    store = TripletStore(3, 4, [(0, 0, 1), (1, 1, 2)], "train")
     graph = fact_graph(store)
     assert graph.num_nodes == 3 and graph.num_relations == 4
     assert graph.edge_list() == sorted({(0, 1, 0), (1, 0, 2),
@@ -383,17 +383,17 @@ def test_fact_graph_adds_inverses():
 
 
 def test_fact_graph_dedupes_repeated_triples():
-    once = fact_graph(TripletStore(3, 2, [(0, 0, 1)]))
-    twice = fact_graph(TripletStore(3, 2, [(0, 0, 1), (0, 0, 1)]))
+    once = fact_graph(TripletStore(3, 2, [(0, 0, 1)], "train"))
+    twice = fact_graph(TripletStore(3, 2, [(0, 0, 1), (0, 0, 1)], "train"))
     assert once.edge_list() == twice.edge_list()
 
 
 def test_triplet_store_validates_ranges():
     with pytest.raises(DataError):
-        TripletStore(2, 2, [(0, 0, 5)])
+        TripletStore(2, 2, [(0, 0, 5)], "train")
     with pytest.raises(DataError):
-        TripletStore(2, 2, [(0, 1, 1)])  # relation 1 is reserved for inverses
-    TripletStore(2, 6, [(0, 2, 1)])  # the last original relation is legal
+        TripletStore(2, 2, [(0, 1, 1)], "train")  # relation 1 is reserved for inverses
+    TripletStore(2, 6, [(0, 2, 1)], "train")  # the last original relation is legal
 
 
 def test_save_triplets_roundtrip(tmp_path):

@@ -164,6 +164,19 @@ def test_negative_k_medium_is_a_usage_error(tmp_path, grid_file, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("shape", [(0, 4, 3), (4, 0, 3), (4, 4, 0)])
+def test_patch_grid_with_a_zero_size_is_a_data_error(tmp_path, capsys, shape):
+    h, w, c = shape
+    path = tmp_path / "flat.pgrd"
+    save_patch_grid(path, PatchGrid(h, w, np.zeros((h * w, c), dtype=np.float32)))
+    out = tmp_path / "out"
+    assert main(["build-graph", "--domain", "image", "--input", str(path),
+                 "--out", str(out)]) == 3
+    assert (f"{path}: patch-grid sides and channels must be positive, "
+            f"not {h}x{w}x{c}") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_required_option_is_a_usage_error(tmp_path):
     assert main(["build-graph", "--input", "x", "--out",
                  str(tmp_path / "out")]) == 2
@@ -254,6 +267,18 @@ def test_verify_fault_injection_fails_flops_exact():
                        "per-step-formulas-sum-to-totals", "frozen-worked-values"}
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_fewer_than_one_transform_is_a_usage_error(tmp_path, capsys, count):
+    # refused before any suite runs, so no report is printed or written
+    out = tmp_path / "out"
+    assert main(["verify", "--suite", "e3", "--transforms", count,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--transforms must be positive, not {count}" in captured.err
+    assert not out.exists()
+
+
 def test_fault_injection_is_undone_when_verify_returns(capsys):
     assert main(["verify", "--suite", "flops-exact", "--inject-fault"]) == 1
     capsys.readouterr()
@@ -280,8 +305,36 @@ def test_non_finite_learning_rate_is_a_usage_error(tmp_path, capsys, rate):
     out = tmp_path / "out"
     assert main(["train-kg", "--epochs", "1", *TINY_TRAIN, "--lr", rate,
                  "--out", str(out)]) == 2
-    assert "learning rate" in capsys.readouterr().err
+    assert f"learning rate must be finite and non-negative, not {rate}" in \
+        capsys.readouterr().err
     assert not (out / "metrics.csv").exists()
+
+
+_SEEDED = {"build-graph": ["--domain", "kg", "--input", "absent.tsv"],
+           "bench-flops": [], "verify": ["--suite", "flops-exact"],
+           "train-kg": ["--epochs", "0", *TINY_TRAIN],
+           "eval": ["--model-dir", "absent"]}
+
+
+@pytest.mark.parametrize("command,flag", [
+    *((command, "--seed") for command in _SEEDED),
+    ("train-kg", "--data-seed"), ("eval", "--data-seed")])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command, flag):
+    # refused before the command body runs: nothing is read, run or written
+    out = tmp_path / "out"
+    assert main([command, *_SEEDED[command], flag, "-1",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"{flag} must be non-negative, not -1" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_scorer_features_is_not_an_option(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["train-kg", "--epochs", "0", *TINY_TRAIN, "--scorer-features",
+              "concat_product", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
 
 
 def test_train_then_eval_reproduces_the_test_metrics(tmp_path):
@@ -375,9 +428,26 @@ def test_eval_with_a_model_config_key_missing_is_a_data_error(
     assert repr(key) in capsys.readouterr().err
 
 
+def test_eval_reads_a_model_config_that_names_the_scorer_features(
+        trained_run, tmp_path):
+    # train-kg once wrote the scorer's feature map, always "concat_product"
+    # unless asked otherwise; such a run still evaluates the same
+    run = _damaged_copy(trained_run, tmp_path)
+    stored = json.loads((run / "model_config.json").read_text())
+    assert "scorer_features" not in stored
+    stored["scorer_features"] = "concat_product"
+    (run / "model_config.json").write_text(json.dumps(stored))
+    for source, out in ((trained_run, "plain"), (run, "named")):
+        assert main(["eval", "--model-dir", str(source),
+                     "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "plain" / "metrics.csv").read_bytes() == \
+        (tmp_path / "named" / "metrics.csv").read_bytes()
+
+
 @pytest.mark.parametrize("key,value", [
     ("channels", "abc"), ("num_layers", True), ("negatives", 2.5),
-    ("scorer_features", 4), ("num_entities", "30"), ("channels", 0)])
+    ("scorer_features", 4), ("scorer_features", "concat"),
+    ("num_entities", "30"), ("channels", 0)])
 def test_eval_with_a_model_config_value_of_the_wrong_kind_is_a_data_error(
         trained_run, tmp_path, capsys, key, value):
     run = _damaged_copy(trained_run, tmp_path)
@@ -396,6 +466,7 @@ def test_eval_with_a_model_config_value_of_the_wrong_kind_is_a_data_error(
     [], [{"channels": 32}], "32", {"data": []},
     {"data": {"bundled_toy": {"people": 30}}},
     {"data": {"bundled_toy": {"people": "abc", "seed": 0}}},
+    {"data": {"bundled_toy": {"people": 30, "seed": -1}}},
     {"data": {"bundled_toy": [30, 0]}}, {"data": {"train": 5}}])
 def test_eval_of_a_model_config_of_the_wrong_structure_is_a_data_error(
         trained_run, tmp_path, capsys, content):

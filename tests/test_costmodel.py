@@ -6,7 +6,7 @@ from relmp import costmodel
 from relmp.costmodel import (ffn_flops, grmp_flops, grmp_step_flops, rgconv_flops,
                              rgconv_step_flops, sweep_csv, sweep_relation_counts)
 from relmp.errors import ContractError
-from relmp.models import ImageModelConfig
+from relmp.models import PATCH_SIZE, ImageModelConfig
 
 
 class TestWorkedValues:
@@ -116,10 +116,9 @@ class TestSweep:
         # the sweep's constants describe ImageModelConfig() on 224 x 224
         # inputs: a 56 x 56 grid after the 4x stem, halved by each merge
         cfg = ImageModelConfig()
-        side = 224 // cfg.patch_size
+        side = 224 // PATCH_SIZE
         assert side == 56
         want = tuple(((side // 2 ** s) ** 2, channels, depth)
                      for s, (channels, depth)
                      in enumerate(zip(cfg.channels, cfg.depths)))
         assert costmodel.IMAGE_MODEL_STAGES == want
-        assert costmodel.FFN_EXPANSION == cfg.ffn_expansion

@@ -7,7 +7,7 @@ from relmp.errors import DataError, GraphError, ShapeError
 from relmp.graph import (RelGraph, build_line_graph, load_edge_list,
                          rel_aggregate, save_edge_list)
 from relmp.oracles import aggregate_oracle, line_graph_oracle
-from relmp.tensor import Tensor, count_flops
+from relmp.tensor import Tensor, count_flops, default_dtype
 
 
 def random_graph(rng, num_nodes, num_relations, num_edges):
@@ -88,8 +88,8 @@ class TestRelAggregate:
 
     def test_mean_normalization(self):
         g = RelGraph(4, 1, [(0, 3, 0), (1, 3, 0), (2, 3, 0)])
-        z = Tensor([[1.0], [2.0], [4.0], [0.0]], dtype=np.float64)
-        out = rel_aggregate(g, z)
+        with default_dtype(np.float64):
+            out = rel_aggregate(g, Tensor([[1.0], [2.0], [4.0], [0.0]]))
         assert np.isclose(out.data[3, 0], 7.0 / 3.0)
 
     def test_against_dense_oracle(self):
@@ -97,7 +97,8 @@ class TestRelAggregate:
         for trial in range(6):
             g = random_graph(rng, 8, 3, 30)
             z = rng.normal(size=(8, 5))
-            out = rel_aggregate(g, Tensor(z, dtype=np.float64))
+            with default_dtype(np.float64):
+                out = rel_aggregate(g, Tensor(z))
             want = aggregate_oracle(8, 3, g.edge_list(), z)
             assert np.allclose(out.data, want, rtol=1e-12, atol=1e-12)
 
@@ -109,8 +110,9 @@ class TestRelAggregate:
         relabeled = RelGraph(6, 2, [(perm[s], perm[d], r) for s, d, r in g.edge_list()])
         z_perm = np.zeros_like(z)
         z_perm[perm] = z
-        base = rel_aggregate(g, Tensor(z, dtype=np.float64)).data
-        moved = rel_aggregate(relabeled, Tensor(z_perm, dtype=np.float64)).data
+        with default_dtype(np.float64):
+            base = rel_aggregate(g, Tensor(z)).data
+            moved = rel_aggregate(relabeled, Tensor(z_perm)).data
         for v in range(6):
             for r in range(2):
                 assert np.allclose(base[v * 2 + r], moved[perm[v] * 2 + r])
@@ -127,13 +129,14 @@ class TestRelAggregate:
         from relmp.tensor import finite_difference_check, hadamard, sum_all
         rng = np.random.default_rng(13)
         g = random_graph(rng, 5, 2, 9)
-        z = Tensor(rng.normal(size=(5, 3)), requires_grad=True, dtype=np.float64)
+        with default_dtype(np.float64):
+            z = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
 
-        def loss_fn():
-            y = rel_aggregate(g, z)
-            return sum_all(hadamard(y, y))
+            def loss_fn():
+                y = rel_aggregate(g, z)
+                return sum_all(hadamard(y, y))
 
-        assert finite_difference_check(loss_fn, [z]) < 1e-6
+            assert finite_difference_check(loss_fn, [z]) < 1e-6
 
     def test_deterministic_bits_across_runs(self):
         rng = np.random.default_rng(14)
@@ -193,9 +196,10 @@ class TestRelAggregate:
         shared = RelGraph(10, 3, edges)
 
         def run(graph, dtype):
-            zt = Tensor(z, requires_grad=True, dtype=dtype)
-            y = rel_aggregate(graph, zt)
-            sum_all(hadamard(y, Tensor(gy, dtype=dtype))).backward()
+            with default_dtype(dtype):
+                zt = Tensor(z, requires_grad=True)
+                y = rel_aggregate(graph, zt)
+                sum_all(hadamard(y, Tensor(gy))).backward()
             return y.data, zt.grad
 
         for dtype, builds in ((np.float32, 1), (np.float64, 1), (np.float32, 0)):
@@ -269,7 +273,7 @@ class TestEdgeListFiles:
     def test_isolated_trailing_node_preserved(self, tmp_path):
         g = RelGraph(5, 2, [(0, 1, 0)])
         path = tmp_path / "graph.tsv"
-        save_edge_list(path, g)
+        save_edge_list(path, g, [])
         assert load_edge_list(path).num_nodes == 5
 
     def test_malformed_line_rejected(self, tmp_path):

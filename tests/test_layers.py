@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from relmp.costmodel import grmp_flops, rgconv_flops
+from relmp.costmodel import FFN_EXPANSION, grmp_flops, rgconv_flops
 from relmp.errors import ContractError, NumericError, ShapeError
 from relmp.graph import RelGraph, rel_aggregate
 from relmp import layers
@@ -52,7 +52,8 @@ class TestRGConv:
             p = RGConvParams.init(np.random.default_rng(0), 1, 2)
         p.w_stack.data = np.eye(2)
         p.w_self.data = np.eye(2)
-        z = Tensor([[1.0, 2.0], [10.0, 20.0]], dtype=np.float64)
+        with default_dtype(np.float64):
+            z = Tensor([[1.0, 2.0], [10.0, 20.0]])
         out = rgconv_forward(g, z, p)
         assert np.allclose(out.data[1], [11.0, 22.0])
         assert np.allclose(out.data[0], [1.0, 2.0])  # no in-edges: self only
@@ -63,7 +64,8 @@ class TestRGConv:
         with default_dtype(np.float64):
             p = RGConvParams.init(rng, 2, 4)
         randomize(p, rng)
-        z = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
+        with default_dtype(np.float64):
+            z = Tensor(rng.normal(size=(3, 4)))
         out = rgconv_forward(g, z, p)
         want = (z.data @ p.w_self.data + p.b_self.data
                 + p.b_stack.data.sum(axis=0))
@@ -77,7 +79,8 @@ class TestRGConv:
                 p = RGConvParams.init(rng, 3, 5)
             randomize(p, rng)
             z = rng.normal(size=(7, 5))
-            out = rgconv_forward(g, Tensor(z, dtype=np.float64), p)
+            with default_dtype(np.float64):
+                out = rgconv_forward(g, Tensor(z), p)
             want = rgconv_oracle(7, 3, g.edge_list(), z, p.w_stack.data,
                                  p.b_stack.data, p.w_self.data, p.b_self.data)
             assert np.allclose(out.data, want, rtol=1e-9, atol=1e-9)
@@ -128,7 +131,8 @@ class TestGRMP:
                 p = GRMPParams.init(rng, 3, 4, variant=variant)
             randomize(p, rng)
             z = rng.normal(size=(6, 4))
-            out = grmp_forward(g, Tensor(z, dtype=np.float64), p)
+            with default_dtype(np.float64):
+                out = grmp_forward(g, Tensor(z), p)
             want = grmp_oracle(
                 6, 3, g.edge_list(), z, p.w_self.data, p.w_channel.data,
                 w_in=None if p.w_in is None else p.w_in.data,
@@ -163,7 +167,8 @@ class TestGRMP:
             p = GRMPParams.init(rng, 2, 3)
         randomize(p, rng)
         z = rng.normal(size=(2, 3))
-        out = grmp_forward(g, Tensor(z, dtype=np.float64), p)
+        with default_dtype(np.float64):
+            out = grmp_forward(g, Tensor(z), p)
         want = (z @ p.w_self.data) * p.b_out.data
         assert np.allclose(out.data, want, rtol=1e-12, atol=1e-12)
 
@@ -204,8 +209,9 @@ class TestGRMP:
             q.w_self.data = p.w_self.data.copy()
             q.b_self.data = np.zeros(c)
             z = rng.normal(size=(7, c))
-            a = grmp_forward(g, Tensor(z, dtype=np.float64), p)
-            b = rgconv_forward(g, Tensor(z, dtype=np.float64), q)
+            with default_dtype(np.float64):
+                a = grmp_forward(g, Tensor(z), p)
+                b = rgconv_forward(g, Tensor(z), q)
             scale = np.abs(b.data).max()
             assert np.abs(a.data - b.data).max() / scale < 1e-6
 
@@ -230,8 +236,8 @@ class TestLayerGradients:
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
             g = random_graph(rng, 5, 2, 12)
-            z = Tensor(rng.normal(size=(5, 3)), requires_grad=True, dtype=np.float64)
             with default_dtype(np.float64):
+                z = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
                 p = GRMPParams.init(rng, 2, 3)
             randomize(p, rng)
             tensors = [z] + list(p.tensors().values())
@@ -318,14 +324,12 @@ class TestRelationWeighting:
 
     def test_finite_difference_float64(self):
         rng = np.random.default_rng(41)
-        wide = Tensor(rng.normal(size=(4, 3 * 2)), requires_grad=True,
-                      dtype=np.float64)
-        scores = Tensor(rng.normal(size=(4, 3)), requires_grad=True,
-                        dtype=np.float64)
-        channel = Tensor(rng.normal(size=(1, 3 * 2)), requires_grad=True,
-                         dtype=np.float64)
-        ones = Tensor(np.ones((1, 3 * 2)), dtype=np.float64)
-        upstream = Tensor(rng.normal(size=(4, 2)), dtype=np.float64)
+        with default_dtype(np.float64):
+            wide = Tensor(rng.normal(size=(4, 3 * 2)), requires_grad=True)
+            scores = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+            channel = Tensor(rng.normal(size=(1, 3 * 2)), requires_grad=True)
+            ones = Tensor(np.ones((1, 3 * 2)))
+            upstream = Tensor(rng.normal(size=(4, 2)))
         for given in (scores, None):
             for weights in (channel, ones):
                 def loss_fn():
@@ -458,11 +462,11 @@ class TestFusedLayerNorm:
 
     def test_finite_difference_float64(self):
         rng = np.random.default_rng(51)
-        x = Tensor(rng.normal(size=(4, 5)) * 2, requires_grad=True,
-                   dtype=np.float64)
-        gamma = Tensor(rng.normal(size=5), requires_grad=True, dtype=np.float64)
-        beta = Tensor(rng.normal(size=5), requires_grad=True, dtype=np.float64)
-        upstream = Tensor(rng.normal(size=(4, 5)), dtype=np.float64)
+        with default_dtype(np.float64):
+            x = Tensor(rng.normal(size=(4, 5)) * 2, requires_grad=True)
+            gamma = Tensor(rng.normal(size=5), requires_grad=True)
+            beta = Tensor(rng.normal(size=5), requires_grad=True)
+            upstream = Tensor(rng.normal(size=(4, 5)))
 
         def loss_fn():
             out = add(x, T.layer_norm(x, gamma, beta, 1e-5))
@@ -509,16 +513,19 @@ class TestBlocksAndPooling:
             p = LayerNormParams.init(8)
         p.gamma.data = rng.normal(size=8)
         p.beta.data = rng.normal(size=8)
-        out = layer_norm(Tensor(x, dtype=np.float64), p)
+        with default_dtype(np.float64):
+            out = layer_norm(Tensor(x), p)
         want = layer_norm_oracle(x, p.gamma.data, p.beta.data)
         assert np.allclose(out.data, want, rtol=1e-9, atol=1e-9)
 
     def test_ffn_shape_and_gradient(self):
         rng = np.random.default_rng(16)
         with default_dtype(np.float64):
-            p = FFNParams.init(rng, 4, expansion=4)
+            p = FFNParams.init(rng, 4)
+        assert p.w1.shape == (4, 4 * FFN_EXPANSION)
         randomize(p, rng, std=0.3)
-        x = Tensor(rng.normal(size=(5, 4)), requires_grad=True, dtype=np.float64)
+        with default_dtype(np.float64):
+            x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         out = ffn_forward(x, p)
         assert out.shape == (5, 4)
 
@@ -527,11 +534,14 @@ class TestBlocksAndPooling:
 
         assert finite_difference_check(loss_fn, [x] + list(p.tensors().values())) < 1e-5
 
-    def test_context_stack_receptive_field_and_shape(self):
+    def test_context_stack_kernels_and_shape(self):
+        # three 3x3 kernels: test_context_stack_locality checks that their
+        # receptive field is 7
         rng = np.random.default_rng(17)
         p = ContextStackParams.init(rng, 3)
-        assert p.receptive_field() == 7
-        z = Tensor(rng.normal(size=(20, 3)), dtype=np.float64)
+        assert [k.shape for k in p.kernels] == [(3, 3, 3)] * 3
+        with default_dtype(np.float64):
+            z = Tensor(rng.normal(size=(20, 3)))
         out = context_stack_features(z, 4, 5, p)
         assert out.shape == (20, 3)
 
@@ -543,12 +553,12 @@ class TestBlocksAndPooling:
         for k in p.kernels:
             k.data = k.data * (0.5 / layers.INIT_STD)
         base = np.zeros((9, 9, 1))
-        z0 = context_stack_features(Tensor(base.reshape(81, 1), dtype=np.float64),
-                                    9, 9, p).data
+        with default_dtype(np.float64):
+            z0 = context_stack_features(Tensor(base.reshape(81, 1)), 9, 9, p).data
         poked = base.copy()
         poked[0, 0, 0] = 5.0
-        z1 = context_stack_features(Tensor(poked.reshape(81, 1), dtype=np.float64),
-                                    9, 9, p).data
+        with default_dtype(np.float64):
+            z1 = context_stack_features(Tensor(poked.reshape(81, 1)), 9, 9, p).data
         diff = np.abs(z1 - z0).reshape(9, 9)
         assert diff[0, 0] != 0.0
         assert np.all(diff[4:, :] == 0.0) and np.all(diff[:, 4:] == 0.0)
@@ -561,7 +571,8 @@ class TestBlocksAndPooling:
         randomize(p, rng, std=0.4)
         p.norm.gamma.data = np.abs(p.norm.gamma.data) + 0.5
         z = rng.normal(size=(h * w, c))
-        out = patch_merging(Tensor(z, dtype=np.float64), h, w, p)
+        with default_dtype(np.float64):
+            out = patch_merging(Tensor(z), h, w, p)
         assert out.shape == ((h // 2) * (w // 2), 2 * c)
         # oracle: explicit window gather, same norm, same linear
         rows = []
@@ -587,7 +598,8 @@ class TestBlocksAndPooling:
             p = PatchMergeParams.init(rng, c)
         p.w_reduce.data = np.eye(4 * c)[:, :2 * c]
         row = rng.normal(size=c)
-        z = Tensor(np.tile(row, (4, 1)), dtype=np.float64)
+        with default_dtype(np.float64):
+            z = Tensor(np.tile(row, (4, 1)))
         out = patch_merging(z, 2, 2, p)
         assert out.shape == (1, 2 * c)
         normed = layer_norm_oracle(row[None], np.ones(c), np.zeros(c))[0]
@@ -603,7 +615,8 @@ class TestBlocksAndPooling:
         # a node with no in-edges only contributes; aggregation slots for it
         # stay zero even when it has outgoing edges
         g = RelGraph(3, 1, [(2, 0, 0), (2, 1, 0)])
-        z = Tensor(np.array([[1.0], [2.0], [7.0]]), dtype=np.float64)
+        with default_dtype(np.float64):
+            z = Tensor(np.array([[1.0], [2.0], [7.0]]))
         out = rel_aggregate(g, z)
         assert out.data[2 * 1 + 0] == 0.0
         assert out.data[0] == 7.0 and out.data[1] == 7.0

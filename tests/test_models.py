@@ -112,7 +112,7 @@ def test_image_tiny_forward_shape_and_stage_layout(monkeypatch):
 def test_image_forward_accepts_prepatched_grid():
     cfg, params, pixels = tiny_image_setup()
     direct = image_forward(pixels, params, cfg)
-    grid = pixels_to_patches(pixels, cfg.patch_size)
+    grid = pixels_to_patches(pixels)
     assert np.array_equal(image_forward(grid, params, cfg).data, direct.data)
 
 
@@ -247,7 +247,7 @@ def _toy_kg(seed=0, entities=5, relations=2):
     rng = np.random.default_rng(seed)
     triples = {(int(rng.integers(entities)), int(rng.integers(relations)),
                 int(rng.integers(entities))) for _ in range(8)}
-    store = TripletStore(entities, 2 * relations, sorted(triples))
+    store = TripletStore(entities, 2 * relations, sorted(triples), "train")
     return store, fact_graph(store)
 
 
@@ -345,7 +345,7 @@ def _protein_loss():
 
 
 def _kg_loss():
-    data = toy_kinship_kg(24)
+    data = toy_kinship_kg(24, 0)
     cfg = KGModelConfig(num_layers=2, channels=8, scorer_hidden=6)
     params = KGModelParams.init(np.random.default_rng(22), data.num_entities,
                                 data.num_relations, cfg)
@@ -444,7 +444,7 @@ def test_tape_holds_one_node_per_norm_and_no_broadcast_copies(monkeypatch):
     monkeypatch.setattr(models, "grmp_forward", grmp_spy)
     cfg, params, pixels = tiny_image_setup()
     logits = image_forward(pixels, params, cfg)
-    data = toy_kinship_kg(24)
+    data = toy_kinship_kg(24, 0)
     kg = KGModelParams.init(np.random.default_rng(23), data.num_entities,
                             data.num_relations,
                             KGModelConfig(num_layers=2, channels=8))

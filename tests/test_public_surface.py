@@ -1,4 +1,4 @@
-"""Every public name in relmp has a caller, and every option a setter.
+"""Every public name in relmp has a caller, and every option a setter and a taker.
 
 A public top-level function, public class or public method of a `relmp`
 module must be named somewhere in `src/relmp` outside the lines that define
@@ -8,13 +8,17 @@ code (names, attributes, imports) and as string constants, since `perfbench`
 wraps functions by their qualified names; docstrings and comments do not
 count. `relmp.oracles` is exempt: its references exist to be compared against.
 
-Likewise every defaulted parameter of a function or method in `src/relmp`
-must be passed, by keyword or by position, by some call in those places
-outside the function's own lines: an option that only tests set is a
-constant with extra steps. Calls are matched to definitions by name; a
-classmethod or static method only through its class (`GRMPParams.init(...)`),
-a constructor through its class name (`AdamW(...)`), and an instance method
-through any receiver (`opt.step(...)`).
+Likewise every defaulted parameter of a function or method in `src/relmp`,
+and every defaulted field of a dataclass there, must be passed, by keyword,
+by position or through `**`, by some call in those places outside the
+function's (or class's) own lines: an option that only tests set is a
+constant with extra steps. And some such call must leave it out: a default
+that every caller overrides is a required parameter in disguise. Calls are
+matched to definitions by name; a classmethod or static method only through
+its class (`GRMPParams.init(...)`), a constructor through its class name
+(`AdamW(...)`, or `cls(...)` inside the class), and an instance method
+through any receiver (`opt.step(...)`). Fields inherited from a base class
+are not followed.
 """
 
 import ast
@@ -40,8 +44,6 @@ ALLOWED = {
         "per-node reference view that graph tests compare the CSR layout to",
     ("metrics", "fmax"):
         "the protein-function metric behind the EC/GO results the README reports",
-    ("layers", "ContextStackParams.receptive_field"):
-        "the one fixed property of a context stack whose kernel split is free",
 }
 
 
@@ -148,8 +150,8 @@ def test_every_allowlist_entry_is_a_public_name_without_a_caller():
 
 # -- options ---------------------------------------------------------------------------
 
-# (module, qualified function name, parameter) -> why it keeps its default
-# although no call outside tests passes it
+# (module, qualified function or dataclass name, parameter or field) -> why it
+# keeps its default although no call outside tests passes it
 ALLOWED_OPTIONS = {
     ("cli", "main", "argv"):
         "the console script passes nothing so argparse reads sys.argv; tests "
@@ -159,6 +161,9 @@ ALLOWED_OPTIONS = {
         "can be left out",
     ("layers", "GRMPParams.init", "variant"):
         "the structural ablations that acceptance criteria 7 and 8 compare",
+    **{("layers", "GRMPVariant", name):
+       "the structural ablations that acceptance criteria 7 and 8 compare"
+       for name in ("gating", "alpha", "use_w_in", "use_w_out")},
     ("tensor", "Tensor.backward", "retain_graph"):
         "documented contract of the tape: a second sweep over one graph",
     ("tensor", "finite_difference_check", "h"):
@@ -166,13 +171,40 @@ ALLOWED_OPTIONS = {
 }
 
 
+def _is_dataclass(node):
+    return any(_last_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _dataclass_fields(node):
+    """(name, position, defaulted) of each constructor field of a dataclass."""
+    position = 0
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(item.annotation):
+            continue
+        value, defaulted = item.value, item.value is not None
+        if isinstance(value, ast.Call) and _last_name(value.func) == "field":
+            keys = {kw.arg: kw.value for kw in value.keywords}
+            init = keys.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            defaulted = bool({"default", "default_factory"} & set(keys))
+        yield item.target.id, position, defaulted
+        position += 1
+
+
 def _defaulted_options():
     """(module, qualname, param, path, first, last, position, bound, match)
-    for every defaulted parameter. `position` is the parameter's index among
-    the positional parameters (None for keyword-only), `bound` how many
-    leading ones a call binds implicitly (self or cls), and `match` how calls
-    reach the function: ("function", name), ("class", class name) for a
-    constructor, ("classattr", class, name) or ("method", name)."""
+    for every defaulted parameter and dataclass field. `position` is the
+    parameter's index among the positional parameters (None for
+    keyword-only), `bound` how many leading ones a call binds implicitly
+    (self or cls), and `match` how calls reach the function:
+    ("function", name), ("class", class name) for a constructor,
+    ("classattr", class, name) or ("method", name). A dataclass field's
+    qualname is its class's."""
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name in EXEMPT_MODULES:
             continue
@@ -180,6 +212,12 @@ def _defaulted_options():
         parent = {child: node for node in ast.walk(tree)
                   for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for name, position, defaulted in _dataclass_fields(node):
+                    if defaulted:
+                        yield (path.stem, node.name, name, path, node.lineno,
+                               node.end_lineno, position, 0,
+                               ("class", node.name))
             if not isinstance(node, ast.FunctionDef):
                 continue
             names, up = [node.name], parent[node]
@@ -226,12 +264,20 @@ def _calls():
     files = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
              + sorted((ROOT / "perfbench").glob("*.py")))
     for path in files:
-        for node in ast.walk(_parse(path)):
+        tree = _parse(path)
+        # cls(...) inside a class constructs that class
+        owner_of = {id(call): node.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef)
+                    for call in ast.walk(node) if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name) and call.func.id == "cls"}
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             keys = set()
-            if isinstance(func, ast.Name):
+            if id(node) in owner_of:
+                keys = {("class", owner_of[id(node)])}
+            elif isinstance(func, ast.Name):
                 keys = {("function", func.id), ("class", func.id)}
             elif isinstance(func, ast.Attribute):
                 keys = {("function", func.attr), ("class", func.attr),
@@ -255,17 +301,23 @@ def _sets(call, name, position, bound):
     return False
 
 
-def _unset_options():
-    """(module, qualname, param) of every defaulted parameter no call sets."""
+def _options_where(wanted):
+    """(module, qualname, param) of every defaulted parameter that no call
+    outside its own lines `wanted`-sets: wanted=True finds the options no
+    call sets, wanted=False the defaults no call takes."""
     calls = list(_calls())
-    unset = set()
+    found = set()
     for (module, qualname, name, path, first, last, position, bound,
          match) in _defaulted_options():
-        if not any(match in keys and _sets(call, name, position, bound)
+        if not any(match in keys and _sets(call, name, position, bound) == wanted
                    and not (p == path and first <= line <= last)
                    for p, line, keys, call in calls):
-            unset.add((module, qualname, name))
-    return unset
+            found.add((module, qualname, name))
+    return found
+
+
+def _unset_options():
+    return _options_where(True)
 
 
 def test_every_option_has_a_setter():
@@ -280,4 +332,30 @@ def test_every_option_allowlist_entry_is_an_option_without_a_setter():
     stale = [f"{key}: not a defaulted parameter" if key not in defined
              else f"{key}: has a setter, so needs no entry"
              for key in ALLOWED_OPTIONS if key not in unset]
+    assert not stale, stale
+
+
+# -- defaults ----------------------------------------------------------------------------
+
+# (module, qualified function or dataclass name, parameter or field) -> why it
+# keeps its default although every call outside tests passes it
+ALLOWED_DEFAULTS: dict = {}
+
+
+def _untaken_defaults():
+    return _options_where(False)
+
+
+def test_every_default_is_taken():
+    untaken = _untaken_defaults() - set(ALLOWED_DEFAULTS)
+    assert not untaken, f"defaults that every caller overrides: {sorted(untaken)}"
+
+
+def test_every_default_allowlist_entry_is_a_default_nobody_takes():
+    defined = {(module, qualname, name)
+               for module, qualname, name, *_ in _defaulted_options()}
+    untaken = _untaken_defaults()
+    stale = [f"{key}: not a defaulted parameter" if key not in defined
+             else f"{key}: some call takes its default, so needs no entry"
+             for key in ALLOWED_DEFAULTS if key not in untaken]
     assert not stale, stale

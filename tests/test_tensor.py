@@ -47,7 +47,7 @@ class TestTensorBasics:
             Tensor([np.inf])
 
     def test_nonfinite_op_result_raises(self):
-        big = Tensor([[1e30]], dtype=np.float32)
+        big = Tensor([[1e30]])
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             hadamard(big, big)  # overflows float32 to inf
 
@@ -61,9 +61,10 @@ class TestMatmul:
 
     def test_identity_associativity_exact(self):
         rng = np.random.default_rng(0)
-        a = Tensor(rng.normal(size=(4, 5)), dtype=np.float64)
-        b = Tensor(rng.normal(size=(5, 3)), dtype=np.float64)
-        eye = Tensor(np.eye(5), dtype=np.float64)
+        with default_dtype(np.float64):
+            a = Tensor(rng.normal(size=(4, 5)))
+            b = Tensor(rng.normal(size=(5, 3)))
+            eye = Tensor(np.eye(5))
         left = matmul(matmul(a, eye), b)
         right = matmul(a, matmul(eye, b))
         direct = matmul(a, b)
@@ -75,7 +76,8 @@ class TestMatmul:
         for m, k, n in [(3, 4, 5), (1, 7, 2), (6, 1, 3)]:
             a = rng.normal(size=(m, k))
             b = rng.normal(size=(k, n))
-            out = matmul(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64))
+            with default_dtype(np.float64):
+                out = matmul(Tensor(a), Tensor(b))
             assert np.allclose(out.data, matmul_oracle(a, b), rtol=1e-12, atol=1e-12)
 
     def test_counter_charge(self):
@@ -104,8 +106,7 @@ class TestLinear:
         input that a second matmul also consumes (the gated layer's input
         feeds w_in, w_alpha and w_self)."""
         r = np.random.default_rng(4)
-        z, w, b, w2 = (Tensor(r.normal(size=s), requires_grad=True,
-                              dtype=np.float32)
+        z, w, b, w2 = (Tensor(r.normal(size=s), requires_grad=True)
                        for s in [(5, 4), (4, 3), (3,), (4, 3)])
         with count_flops() as counter:
             out = op(z, w, b)
@@ -125,9 +126,10 @@ class TestLinear:
 
     def test_gradients_match_finite_differences(self):
         r = np.random.default_rng(5)
-        a, w, b = (Tensor(r.normal(size=s), requires_grad=True, dtype=np.float64)
-                   for s in [(3, 4), (4, 2), (2,)])
-        g = Tensor(r.normal(size=(3, 2)), dtype=np.float64)
+        with default_dtype(np.float64):
+            a, w, b = (Tensor(r.normal(size=s), requires_grad=True)
+                       for s in [(3, 4), (4, 2), (2,)])
+            g = Tensor(r.normal(size=(3, 2)))
 
         def loss_fn():
             return sum_all(hadamard(gelu(linear(a, w, b)), g))
@@ -231,7 +233,8 @@ class TestDepthwiseConv:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 6, 3))
         k = rng.normal(size=(3, 3, 3))
-        out = depthwise_conv2d(Tensor(x, dtype=np.float64), Tensor(k, dtype=np.float64))
+        with default_dtype(np.float64):
+            out = depthwise_conv2d(Tensor(x), Tensor(k))
         assert np.allclose(out.data, depthwise_conv_oracle(x, k), rtol=1e-12, atol=1e-12)
 
     def test_counter_charge(self):
@@ -382,7 +385,8 @@ class TestBackward:
         assert np.array_equal(first, x.grad)
 
     def test_grad_accumulates_across_uses(self):
-        x = Tensor(np.array([[2.0]]), requires_grad=True, dtype=np.float64)
+        with default_dtype(np.float64):
+            x = Tensor(np.array([[2.0]]), requires_grad=True)
         loss = sum_all(hadamard(x, x))  # d/dx x^2 = 2x
         loss.backward()
         assert np.allclose(x.grad, [[4.0]])
@@ -439,9 +443,10 @@ class TestBackward:
         worst = 0.0
         for seed in range(5):
             r = np.random.default_rng(seed)
-            a = Tensor(r.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
-            b = Tensor(r.normal(size=(4, 4)), requires_grad=True, dtype=np.float64)
-            row = Tensor(r.normal(size=(1, 4)), requires_grad=True, dtype=np.float64)
+            with default_dtype(np.float64):
+                a = Tensor(r.normal(size=(3, 4)), requires_grad=True)
+                b = Tensor(r.normal(size=(4, 4)), requires_grad=True)
+                row = Tensor(r.normal(size=(1, 4)), requires_grad=True)
 
             def loss_fn():
                 y = matmul(a, b)
@@ -455,8 +460,9 @@ class TestBackward:
 
     def test_finite_difference_conv_and_losses(self):
         r = np.random.default_rng(5)
-        x = Tensor(r.normal(size=(4, 4, 2)), requires_grad=True, dtype=np.float64)
-        k = Tensor(r.normal(size=(3, 3, 2)), requires_grad=True, dtype=np.float64)
+        with default_dtype(np.float64):
+            x = Tensor(r.normal(size=(4, 4, 2)), requires_grad=True)
+            k = Tensor(r.normal(size=(3, 3, 2)), requires_grad=True)
 
         def conv_loss():
             y = depthwise_conv2d(x, k)
@@ -464,7 +470,8 @@ class TestBackward:
 
         assert finite_difference_check(conv_loss, [x, k]) < 1e-6
 
-        logits = Tensor(r.normal(size=(3, 5)), requires_grad=True, dtype=np.float64)
+        with default_dtype(np.float64):
+            logits = Tensor(r.normal(size=(3, 5)), requires_grad=True)
         labels = np.array([0, 3, 2])
 
         def ce_loss():
@@ -472,7 +479,8 @@ class TestBackward:
 
         assert finite_difference_check(ce_loss, [logits]) < 1e-6
 
-        scores = Tensor(r.normal(size=(6, 1)), requires_grad=True, dtype=np.float64)
+        with default_dtype(np.float64):
+            scores = Tensor(r.normal(size=(6, 1)), requires_grad=True)
         targets = np.array([[1.0], [0.0], [1.0], [1.0], [0.0], [0.0]])
 
         def bce_loss():
@@ -482,7 +490,8 @@ class TestBackward:
 
     def test_gather_and_concat_gradients(self):
         r = np.random.default_rng(6)
-        x = Tensor(r.normal(size=(5, 3)), requires_grad=True, dtype=np.float64)
+        with default_dtype(np.float64):
+            x = Tensor(r.normal(size=(5, 3)), requires_grad=True)
 
         def loss_fn():
             picked = gather_rows(x, [0, 2, 2, 4])
@@ -503,10 +512,12 @@ class TestBackward:
         # the scatter product must round each row's sum exactly as np.add.at,
         # which adds the incoming rows one by one in index order from zero
         r = np.random.default_rng(len(indices))
-        x = Tensor(r.normal(size=(7, 5)), requires_grad=True, dtype=dtype)
+        with default_dtype(dtype):
+            x = Tensor(r.normal(size=(7, 5)), requires_grad=True)
         g = r.normal(size=(len(indices), 5)).astype(dtype) * 1e3
         picked = gather_rows(x, indices)
-        sum_all(hadamard(picked, Tensor(g, dtype=dtype))).backward()
+        with default_dtype(dtype):
+            sum_all(hadamard(picked, Tensor(g))).backward()
         want = np.zeros((7, 5), dtype=dtype)
         np.add.at(want, np.asarray(indices, dtype=np.int64), g)
         assert x.grad.dtype == dtype
@@ -523,12 +534,14 @@ class TestBackward:
 
 class TestLossValues:
     def test_bce_saturated_logits_stay_finite(self):
-        scores = Tensor(np.array([[60.0], [-60.0]]), dtype=np.float64)
+        with default_dtype(np.float64):
+            scores = Tensor(np.array([[60.0], [-60.0]]))
         out = bce_with_logits(scores, np.array([[0.0], [1.0]]))
         assert np.isfinite(float(out.data))
 
     def test_cross_entropy_uniform(self):
-        logits = Tensor(np.zeros((2, 4)), dtype=np.float64)
+        with default_dtype(np.float64):
+            logits = Tensor(np.zeros((2, 4)))
         out = cross_entropy_with_logits(logits, [1, 2])
         assert np.isclose(float(out.data), np.log(4.0))
 
@@ -541,7 +554,8 @@ class TestLossValues:
 
 def _ones_row(wide):
     """A constant channel-weight row of ones in the dtype of `wide`."""
-    return Tensor(np.ones((1, wide.shape[1])), dtype=wide.dtype)
+    with default_dtype(wide.dtype):
+        return Tensor(np.ones((1, wide.shape[1])))
 
 
 _DTYPE_GRAPH = RelGraph(4, 2, [(0, 1, 0), (1, 2, 0), (2, 1, 1), (3, 0, 1),
@@ -622,8 +636,9 @@ class TestDtypeContract:
         op, shapes, call = case
         rng = np.random.default_rng(0)
         low = 0.5 if op in _POSITIVE_INPUTS else -2.0
-        inputs = [Tensor(rng.uniform(low, 2.0, size=s), requires_grad=True,
-                         dtype=dtype) for s in shapes]
+        with default_dtype(dtype):
+            inputs = [Tensor(rng.uniform(low, 2.0, size=s), requires_grad=True)
+                      for s in shapes]
         out = call(*inputs)
         assert out.dtype == dtype
         handed = []
@@ -641,7 +656,7 @@ class TestDtypeContract:
 
     def test_widening_op_is_a_contract_error(self, monkeypatch):
         monkeypatch.setattr(T, "_INV_SQRT2", np.float64(T._INV_SQRT2))
-        x = Tensor(np.linspace(-2.0, 2.0, 6).reshape(2, 3), dtype=np.float32)
+        x = Tensor(np.linspace(-2.0, 2.0, 6).reshape(2, 3))
         with pytest.raises(ContractError, match="gelu") as err:
             gelu(x)
         assert "float32" in str(err.value) and "float64" in str(err.value)
@@ -649,8 +664,10 @@ class TestDtypeContract:
     def test_mixed_operands_give_the_wider_dtype(self):
         for first in (np.float32, np.float64):
             second = np.float64 if first == np.float32 else np.float32
-            a = Tensor(np.ones((2, 3)), requires_grad=True, dtype=first)
-            b = Tensor(np.ones((3, 2)), requires_grad=True, dtype=second)
+            with default_dtype(first):
+                a = Tensor(np.ones((2, 3)), requires_grad=True)
+            with default_dtype(second):
+                b = Tensor(np.ones((3, 2)), requires_grad=True)
             out = matmul(a, b)
             assert out.dtype == np.float64
             sum_all(out).backward()
@@ -659,8 +676,9 @@ class TestDtypeContract:
     def test_leaf_used_twice_with_a_wider_partner_keeps_its_dtype(self):
         # the second gradient reaching `a` is float64; adding it must not
         # widen the float32 gradient already stored
-        a = Tensor(np.ones((2, 2)), requires_grad=True, dtype=np.float32)
-        b = Tensor(np.full((2, 2), 0.5), dtype=np.float64)
+        a = Tensor(np.ones((2, 2)), requires_grad=True)
+        with default_dtype(np.float64):
+            b = Tensor(np.full((2, 2), 0.5))
         sum_all(add(matmul(a, b), matmul(b, a))).backward()
         assert a.grad.dtype == np.float32
         np.testing.assert_array_equal(a.grad, np.full((2, 2), 2.0))
@@ -670,7 +688,8 @@ class TestDtypeContract:
         x = np.linspace(-8.0, 8.0, 4001).astype(np.float32).reshape(1, -1)
         values, grads = {}, {}
         for dtype in (np.float32, np.float64):
-            t = Tensor(x, requires_grad=True, dtype=dtype)
+            with default_dtype(dtype):
+                t = Tensor(x, requires_grad=True)
             out = gelu(t)
             sum_all(out).backward()
             values[dtype], grads[dtype] = out.data, t.grad
@@ -684,10 +703,9 @@ class TestDtypeContract:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(7)
-        named = {
-            "block.w": Tensor(rng.normal(size=(3, 4)), dtype=np.float64),
-            "block.b": Tensor(rng.normal(size=4)),
-        }
+        with default_dtype(np.float64):
+            weight = Tensor(rng.normal(size=(3, 4)))
+        named = {"block.w": weight, "block.b": Tensor(rng.normal(size=4))}
         path = tmp_path / "params.bin"
         save_checkpoint(path, named)
         back = load_checkpoint(path)

@@ -3,8 +3,9 @@
 The optimizer is checked against a hand-stepped first update, a decoupling
 witness (zero gradient still shrinks the parameter, and only shrinks it), and
 a hundred-step independent reference implementation; its flat moments are
-checked bit for bit against the per-tensor loop they replaced. The rate each
-optimizer step receives is checked against the annealing endpoints exactly.
+checked bit for bit against the per-tensor loop they replaced, and parameters
+or gradients of mixed dtypes are refused. The rate each optimizer step runs
+at is checked against the annealing endpoints exactly.
 The training loop is checked for determinism, history layout, and loss
 movement on a small family-forest dataset, and bit for bit against a run with
 the old per-call forms of three hot spots.
@@ -23,10 +24,10 @@ from scipy.sparse import csr_matrix
 from relmp import graph as graph_module
 from relmp import tensor as tensor_module
 from relmp.builders import KGDataset, TripletStore, fact_graph
-from relmp.errors import ConfigError, DataError, ShapeError
+from relmp.errors import ConfigError, ContractError, DataError, ShapeError
 from relmp.metrics import query_ranks, rank_summary
 from relmp.models import KGModelConfig, KGModelParams, kg_encode, kg_score
-from relmp.tensor import Tensor
+from relmp.tensor import Tensor, default_dtype
 from relmp.training import (
     KINSHIP_RELATIONS,
     ADAM_BETAS,
@@ -37,13 +38,14 @@ from relmp.training import (
     known_tails,
     save_metric_history,
     toy_kinship_kg,
+    _annealed_rate,
     train_kg,
 )
 
 
 def _param(values):
-    return Tensor(np.asarray(values, dtype=np.float64), requires_grad=True,
-                  dtype=np.float64)
+    with default_dtype(np.float64):
+        return Tensor(values, requires_grad=True)
 
 
 # -- optimizer -----------------------------------------------------------------------------
@@ -54,7 +56,7 @@ def test_optimizer_rejects_bad_hyperparameters(bad):
     # a NaN fails every comparison, so a plain `lr < 0` check lets it through
     p = {"w": _param([1.0])}
     with pytest.raises(ConfigError, match="learning rate"):
-        AdamW(p, lr=bad)
+        AdamW(p, lr=bad, weight_decay=0.0)
     with pytest.raises(ConfigError, match="weight decay"):
         AdamW(p, lr=0.1, weight_decay=bad)
 
@@ -108,13 +110,14 @@ def test_hundred_steps_match_reference_implementation():
         np.testing.assert_allclose(params[k].data, theta[k], rtol=0, atol=1e-10)
 
 
-def test_step_accepts_a_rate_override():
+def test_step_runs_at_the_rate_lr_holds():
     p = {"w": _param([1.0])}
     opt = AdamW(p, lr=0.5, weight_decay=0.0)
     p["w"].grad = np.array([1.0])
-    opt.step(lr=0.0)
+    opt.lr = 0.0
+    opt.step()
     assert p["w"].data[0] == 1.0  # zero rate, zero decay: nothing moves
-    assert opt.lr == 0.5  # the stored default rate is untouched
+    opt.lr = 0.5
     opt.step()
     assert p["w"].data[0] != 1.0
 
@@ -137,15 +140,35 @@ def test_gradient_shape_mismatch_is_rejected():
         opt.step()
 
 
+@pytest.mark.parametrize("mixed", [True, False])
+def test_parameters_of_mixed_dtypes_or_none_are_refused(mixed):
+    p = {"a": _param([1.0]), "b": Tensor([1.0], requires_grad=True)}
+    with pytest.raises(ContractError, match="parameters of one dtype"):
+        AdamW(p if mixed else {}, lr=0.1, weight_decay=0.0)
+
+
+def test_gradient_of_another_dtype_is_refused_before_anything_moves():
+    # Tensor._accumulate casts every gradient to its parameter's dtype, so
+    # only a gradient assigned by hand can differ
+    p = {"a": _param([1.0]), "b": _param([2.0])}
+    opt = AdamW(p, lr=0.1, weight_decay=0.5)
+    p["a"].grad = np.ones(1)
+    p["b"].grad = np.ones(1, dtype=np.float32)
+    with pytest.raises(ContractError, match="float32 gradient"):
+        opt.step()
+    assert p["a"].data[0] == 1.0 and p["b"].data[0] == 2.0
+    assert opt.step_count == 0 and not opt.m["a"].any()
+
+
 # calls of the old-form references below, by name
 _REFERENCE_CALLS: Counter = Counter()
 
 
-def _per_tensor_step(opt, lr=None):
+def _per_tensor_step(opt):
     """`AdamW.step` as one loop over the tensors, each with its own moment
     arrays: the form that the flat moment buffers replaced."""
     _REFERENCE_CALLS["step"] += 1
-    lr = opt.lr if lr is None else float(lr)
+    lr = opt.lr
     b1, b2 = ADAM_BETAS
     opt.step_count += 1
     t = opt.step_count
@@ -164,41 +187,36 @@ def _per_tensor_step(opt, lr=None):
         p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def test_flat_moments_equal_the_per_tensor_loop_bitwise():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_moments_equal_the_per_tensor_loop_bitwise(dtype):
     rng = np.random.default_rng(21)
-    shapes = {"a": ((3, 4), np.float32), "b": ((5,), np.float64),
-              "c": ((2, 2, 2), np.float32), "idle": ((4,), np.float32),
-              "d": ((1, 6), np.float64), "e": ((7,), np.float32)}
-    start = {k: rng.normal(size=s).astype(d) for k, (s, d) in shapes.items()}
+    shapes = {"a": (3, 4), "b": (5,), "c": (2, 2, 2), "idle": (4,),
+              "d": (1, 6), "e": (7,)}
+    start = {k: rng.normal(size=s) for k, s in shapes.items()}
 
     def fresh():
-        params = {k: Tensor(v.copy(), requires_grad=True, dtype=v.dtype)
-                  for k, v in start.items()}
+        with default_dtype(dtype):
+            params = {k: Tensor(v, requires_grad=True) for k, v in start.items()}
         return params, AdamW(params, lr=3e-3, weight_decay=0.05)
 
     flat_params, flat = fresh()
     loop_params, loop = fresh()
-    groups = {}
-    for names, _, m, v, _, _ in flat._groups:
-        assert m.dtype == v.dtype == np.float64 and m.ndim == v.ndim == 1
-        groups[flat_params[names[0]].data.dtype] = names
-        for name in names:
-            assert flat.m[name].base is m and flat.v[name].base is v
-    assert groups == {np.dtype(np.float32): ["a", "c", "idle", "e"],
-                      np.dtype(np.float64): ["b", "d"]}
+    # every moment is a view into one flat float64 buffer per moment
+    for moments in (flat.m, flat.v):
+        assert len({id(moments[k].base) for k in shapes}) == 1
+        assert all(moments[k].base.dtype == np.float64
+                   and moments[k].base.ndim == 1 for k in shapes)
     views = ({k: flat.m[k] for k in shapes}, {k: flat.v[k] for k in shapes})
     for step in range(50):
-        for name, (shape, dtype) in shapes.items():
+        for name, shape in shapes.items():
             if name == "idle" or (name == "c" and step % 5 == 0):
                 continue    # no gradient this step
             g = (rng.normal(size=shape) * 10.0 ** rng.integers(-4, 2)).astype(dtype)
-            if name in ("a", "d") and step % 3 == 0:
-                # a gradient in the other float dtype, as a test may assign
-                g = g.astype(np.float64 if dtype == np.float32 else np.float32)
             flat_params[name].grad, loop_params[name].grad = g.copy(), g.copy()
-        rate = None if step % 4 else 1e-3 / (1 + step)
-        flat.step(lr=rate)
-        _per_tensor_step(loop, lr=rate)
+        if step % 4 == 0:
+            flat.lr = loop.lr = 1e-3 / (1 + step)
+        flat.step()
+        _per_tensor_step(loop)
         for name in shapes:
             assert flat_params[name].data.dtype == loop_params[name].data.dtype
             assert flat_params[name].data.tobytes() == loop_params[name].data.tobytes()
@@ -222,7 +240,7 @@ def test_zero_grad_clears_every_parameter():
 
 
 def test_toy_dataset_shape_and_determinism():
-    data = toy_kinship_kg()
+    data = toy_kinship_kg(100, 0)
     assert len(data.entities) == 100
     assert data.relations == list(KINSHIP_RELATIONS)
     assert data.num_relations == 12  # six relations, doubled with inverses
@@ -232,15 +250,15 @@ def test_toy_dataset_shape_and_determinism():
     for store in (data.train, data.valid, data.test):
         for h, r, t in store.triplets:
             assert 0 <= h < 100 and 0 <= t < 100 and 0 <= r < 6
-    again = toy_kinship_kg()
+    again = toy_kinship_kg(100, 0)
     assert again.train.triplets == data.train.triplets
     assert again.valid.triplets == data.valid.triplets
-    other = toy_kinship_kg(seed=3)
+    other = toy_kinship_kg(100, 3)
     assert other.train.triplets != data.train.triplets
 
 
 def test_toy_dataset_relations_are_semantically_consistent():
-    data = toy_kinship_kg()
+    data = toy_kinship_kg(100, 0)
     rel = {name: i for i, name in enumerate(KINSHIP_RELATIONS)}
     facts = set(data.train.triplets) | set(data.valid.triplets) | \
         set(data.test.triplets)
@@ -262,7 +280,7 @@ def test_toy_dataset_relations_are_semantically_consistent():
 
 
 def test_fact_graph_doubles_every_training_triple():
-    data = toy_kinship_kg()
+    data = toy_kinship_kg(100, 0)
     graph = fact_graph(data.train)
     assert graph.num_edges == 2 * len(data.train.triplets)
     assert graph.num_relations == 12
@@ -270,7 +288,7 @@ def test_fact_graph_doubles_every_training_triple():
 
 def test_toy_dataset_rejects_tiny_populations():
     with pytest.raises(ConfigError):
-        toy_kinship_kg(num_people=4)
+        toy_kinship_kg(4, 0)
 
 
 # -- training loop -------------------------------------------------------------------------
@@ -289,7 +307,8 @@ def test_training_rejects_bad_arguments():
     with pytest.raises(ConfigError):
         train_kg(data, KGModelConfig(**_TINY), epochs=1, seed=0, batch_size=0)
     empty = KGDataset(data.entities, data.relations,
-                      TripletStore(data.num_entities, data.num_relations, []),
+                      TripletStore(data.num_entities, data.num_relations, [],
+                                   "train"),
                       data.valid, data.test)
     with pytest.raises(DataError):
         train_kg(empty, KGModelConfig(**_TINY), epochs=1, seed=0)
@@ -353,7 +372,7 @@ def test_training_equals_the_per_call_references_bitwise(monkeypatch):
     # the cached aggregation operators, the flat AdamW moments and the
     # scatter product each promise the old arithmetic bit for bit; a run with
     # all three swapped back for their old forms must match byte for byte
-    data = toy_kinship_kg(24)
+    data = toy_kinship_kg(24, 0)
     cfg = KGModelConfig(num_layers=2, channels=8, scorer_hidden=8, negatives=4)
     params, history = train_kg(data, cfg, epochs=2, seed=0)
     swaps = {tensor_module.gather_rows: _gather_rows_add_at,
@@ -396,13 +415,13 @@ def test_anneal_flag_changes_the_trajectory():
 
 
 def _recorded_rates(monkeypatch):
-    """The list that collects the rate each `AdamW.step` is handed."""
+    """The list that collects the rate each `AdamW.step` runs at."""
     rates = []
     step = AdamW.step
 
-    def recording_step(self, lr=None):
-        rates.append(lr)
-        step(self, lr)
+    def recording_step(self):
+        rates.append(self.lr)
+        step(self)
 
     monkeypatch.setattr(AdamW, "step", recording_step)
     return rates
@@ -432,6 +451,19 @@ def test_unannealed_rate_holds_lr_every_step(monkeypatch):
     train_kg(data, KGModelConfig(**_TINY), epochs=epochs, seed=4, lr=lr,
              anneal=False)
     assert rates == [lr] * (epochs * steps)
+
+
+def test_first_annealed_epoch_runs_at_exactly_lr():
+    # the half-cosine at f = 0 rounds one ulp away from lr for about 2% of
+    # rates; the first epoch takes lr itself, and the last meets lr/50 exactly
+    # because 1 + cos(pi) is 0
+    rates = np.random.default_rng(0).uniform(1e-6, 1.0, size=10_000).tolist()
+    formula = [lr / 50 + 0.5 * (lr - lr / 50) * (1.0 + math.cos(0.0))
+               for lr in rates]
+    assert sum(f != lr for f, lr in zip(formula, rates)) > 100
+    for epochs in (2, 3, 30):
+        assert all(_annealed_rate(lr, 1, epochs) == lr for lr in rates)
+        assert all(_annealed_rate(lr, epochs, epochs) == lr / 50 for lr in rates)
 
 
 def test_single_epoch_anneal_runs_at_lr(monkeypatch):
