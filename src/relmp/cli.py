@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -123,6 +124,11 @@ _SPECS = {
         **_COMMON,
     },
 }
+
+# Least values of integer options, checked in `main` before the command runs
+_AT_LEAST = {"seed": 0, "data_seed": 0, "k_medium": 0, "transforms": 1,
+             "epochs": 0, "batch_size": 1, "num_layers": 1, "channels": 1,
+             "scorer_hidden": 1, "negatives": 1}
 
 _COMMAND_HELP = {
     "build-graph": "build an edge list + relation registry from an input file",
@@ -253,8 +259,6 @@ def cmd_build_graph(resolved: dict) -> int:
 
     domain, path = resolved["domain"], resolved["input"]
     k = resolved["k_medium"]
-    if k < 0:
-        raise ConfigError(f"--k-medium must be non-negative, not {k}")
     if domain == "image":
         grid = load_patch_grid(path)
         rows, names = image_patch_edges(grid, k, include_medium=k > 0)
@@ -321,9 +325,6 @@ def cmd_bench_flops(resolved: dict) -> int:
 
 
 def cmd_verify(resolved: dict) -> int:
-    if resolved["transforms"] < 1:
-        raise ConfigError(
-            f"--transforms must be positive, not {resolved['transforms']}")
     from . import verify
 
     names = verify.SUITES if resolved["suite"] == "all" else (resolved["suite"],)
@@ -357,12 +358,17 @@ def _load_kg_data(resolved: dict):
 
 
 def cmd_train_kg(resolved: dict) -> int:
-    out = _prepare_out(resolved, "train-kg")
+    _require(resolved, "train-kg", "out")
     from .models import KGModelConfig
     from .tensor import save_checkpoint
     from .training import save_metric_history, train_kg
 
+    if not 0 <= resolved["lr"] < math.inf:  # false for NaN, unlike lr < 0
+        raise ConfigError("learning rate must be finite and non-negative, "
+                          f"not {resolved['lr']!r}")
     data, data_desc = _load_kg_data(resolved)
+    # only a run whose numbers and data check out gets an output directory
+    out = _prepare_out(resolved, "train-kg")
     cfg = KGModelConfig(**{f.name: resolved[f.name] for f in fields(KGModelConfig)})
     params, history = train_kg(data, cfg, epochs=resolved["epochs"],
                                seed=resolved["seed"], lr=resolved["lr"],
@@ -441,7 +447,7 @@ def _read_model_config(config_path: str):
 
 
 def cmd_eval(resolved: dict) -> int:
-    _require(resolved, "eval", "model_dir")
+    _require(resolved, "eval", "model_dir", "out")
     import numpy as np
 
     from .builders import fact_graph
@@ -457,7 +463,6 @@ def cmd_eval(resolved: dict) -> int:
     data_keys = ("train", "valid", "test", "people", "data_seed")
     if not (resolved["_explicit"] & set(data_keys)):
         resolved.update(recorded)
-    out = _prepare_out(resolved, "eval")
     data, _ = _load_kg_data(resolved)
     if (data.num_entities, data.num_relations) != trained_on:
         raise DataError(
@@ -474,6 +479,8 @@ def cmd_eval(resolved: dict) -> int:
         if tuple(weights[name].shape) != tensor.shape:
             raise DataError(f"{ckpt_path}: shape mismatch for {name}")
         tensor.data = weights[name].astype(tensor.data.dtype)
+    # only an evaluation whose inputs check out gets an output directory
+    out = _prepare_out(resolved, "eval")
 
     store = data.valid if resolved["split"] == "valid" else data.test
     graph = fact_graph(data.train)
@@ -502,10 +509,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         resolved = _resolve_config(args.command, args)
-        for key in ("seed", "data_seed"):
-            if resolved.get(key, 0) < 0:
+        for key, least in _AT_LEAST.items():
+            if resolved.get(key, least) < least:
                 raise ConfigError(f"--{key.replace('_', '-')} must be "
-                                  f"non-negative, not {resolved[key]}")
+                                  f"{'positive' if least else 'non-negative'}"
+                                  f", not {resolved[key]}")
         _apply_threads(resolved["threads"])
         if resolved["f64"]:
             import numpy as np

@@ -1,4 +1,4 @@
-"""Evaluation metrics: filtered ranking for link prediction, Fmax for multi-label.
+"""Evaluation metrics: filtered ranking for link prediction.
 
 Ranking uses the mid-rank convention for ties: a candidate tied with t others
 gets the average of the best and worst positions it could occupy, so a query
@@ -16,9 +16,6 @@ import numpy as np
 from .errors import ContractError
 
 HITS_CUTOFFS = (1, 3, 10)
-
-# Fmax decision thresholds: 0.01, 0.02, ..., 0.99
-FMAX_THRESHOLDS = np.round(np.arange(1, 100) * 0.01, 2)
 
 
 def query_ranks(scores: np.ndarray, true_idx: np.ndarray,
@@ -81,43 +78,3 @@ def random_mrr_baseline(candidate_counts) -> float:
         harmonic = np.sum(1.0 / np.arange(1, n + 1))
         vals.append(harmonic / n)
     return float(np.mean(vals))
-
-
-# -- protein-centric Fmax --------------------------------------------------------------
-
-
-def fmax(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """Best harmonic mean of protein-centric precision and recall.
-
-    scores and labels are [num_proteins, num_tasks]; scores must already be
-    probabilities in [0, 1]. At each threshold t of FMAX_THRESHOLDS a task is
-    predicted when its score is >= t; precision averages over proteins with at
-    least one prediction, recall averages over all proteins (a protein with no
-    true labels contributes recall 0). Returns (fmax, best_threshold).
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels).astype(bool)
-    if scores.shape != labels.shape or scores.ndim != 2:
-        raise ContractError("scores and labels must both be [proteins, tasks]")
-    if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
-        raise ContractError("scores must lie in [0, 1]; apply a sigmoid first")
-    if scores.shape[0] == 0:
-        raise ContractError("need at least one protein")
-    best_f, best_t = 0.0, float(FMAX_THRESHOLDS[0])
-    n_labels = labels.sum(axis=1)
-    for t in FMAX_THRESHOLDS:
-        pred = scores >= t
-        n_pred = pred.sum(axis=1)
-        tp = (pred & labels).sum(axis=1)
-        covered = n_pred > 0
-        if not covered.any():
-            continue
-        precision = float((tp[covered] / n_pred[covered]).mean())
-        with np.errstate(invalid="ignore"):
-            rec_terms = np.where(n_labels > 0, tp / np.maximum(n_labels, 1), 0.0)
-        recall = float(rec_terms.mean())
-        if precision + recall > 0.0:
-            f = 2.0 * precision * recall / (precision + recall)
-            if f > best_f:
-                best_f, best_t = f, float(t)
-    return best_f, best_t

@@ -68,10 +68,14 @@ from .layers import (
 )
 from .tensor import (
     Tensor,
+    _charge,
+    _check_finite,
+    _result,
     add,
     concat_cols,
     concat_rows,
     gather_rows,
+    grad_enabled,
     hadamard,
     linear,
     mean_rows,
@@ -424,26 +428,67 @@ def kg_encode(graph: RelGraph, params: KGModelParams) -> Tensor:
     return layer_norm(h, params.out_norm)
 
 
+def _check_indices(entity_states: Tensor, params: KGModelParams, *columns):
+    """(head, relation, tail...) index columns as int64, checked for range."""
+    columns = [np.asarray(col, dtype=np.int64) for col in columns]
+    if columns[0].size == 0:
+        raise ContractError("no triples to score")
+    for i, col in enumerate(columns):
+        bound = (params.relation_emb if i == 1 else entity_states).shape[0]
+        if col.min() < 0 or col.max() >= bound:
+            raise IndexError(f"{'relation' if i == 1 else 'entity'} index "
+                             "out of range")
+    return columns
+
+
 def kg_score(entity_states: Tensor, params: KGModelParams,
              heads, rels, tails) -> Tensor:
     """Triple scores [B, 1] from the two-layer ReLU scoring MLP.
 
     Input features per triple: [z_h ; e_r ; z_t ; z_h * e_r * z_t].
     """
-    heads = np.asarray(heads, dtype=np.int64)
-    rels = np.asarray(rels, dtype=np.int64)
-    tails = np.asarray(tails, dtype=np.int64)
-    n = entity_states.shape[0]
-    r = params.relation_emb.shape[0]
-    if heads.size == 0:
-        raise ContractError("no triples to score")
-    if heads.min() < 0 or heads.max() >= n or tails.min() < 0 or tails.max() >= n:
-        raise IndexError("entity index out of range")
-    if rels.min() < 0 or rels.max() >= r:
-        raise IndexError("relation index out of range")
+    heads, rels, tails = _check_indices(entity_states, params, heads, rels, tails)
     zh = gather_rows(entity_states, heads)
     er = gather_rows(params.relation_emb, rels)
     zt = gather_rows(entity_states, tails)
     feats = concat_cols([zh, er, zt, hadamard(hadamard(zh, er), zt)])
     hid = relu(linear(feats, params.scorer_w1, params.scorer_b1))
     return linear(hid, params.scorer_w2, params.scorer_b2)
+
+
+def kg_score_tails(entity_states: Tensor, params: KGModelParams,
+                   heads, rels) -> Tensor:
+    """Scores [B, N] of every entity as the tail of B (head, relation)
+    queries: `kg_score` of (heads[i], rels[i], t) at (i, t), first-layer sums
+    reordered. Forward only: raises ContractError outside `no_grad`.
+
+    With W1 split into C-row blocks W_h, W_r, W_t, W_p and q = z_h * e_r, the
+    first layer of query i over every tail is [Z, 1] @ W_i, with Z the [N, C]
+    entity states and W_i = [W_t + q_i[:, None] * W_p ; z_h W_h + e_r W_r + b1].
+    Charges: hadamard B*C + B*C*H, add B*C*H, relu B*N*H and matmul
+    2*B*2C*H + 2*N*(C+1)*B*H + 2*B*N*H; biases are not charged, as in `linear`.
+    """
+    if grad_enabled():
+        raise ContractError("kg_score_tails records no tape; call it under no_grad")
+    heads, rels = _check_indices(entity_states, params, heads, rels)
+    z, w1 = entity_states.data, params.scorer_w1.data
+    (n, c), hidden, b = z.shape, w1.shape[1], heads.size
+    zh, er = z[heads], params.relation_emb.data[rels]
+    # the W_i transposed, [B, H, C+1]; each step is elementwise or a stack
+    # of per-query products, so no query's scores depend on its block
+    w_q = np.empty((b, hidden, c + 1), dtype=np.result_type(z, w1))
+    np.multiply((zh * er)[:, None, :], w1[3 * c:].T, out=w_q[:, :, :c])
+    w_q[:, :, :c] += w1[2 * c:3 * c].T
+    w_q[:, :, c] = np.matmul(np.concatenate([zh, er], axis=1)[:, None, :],
+                             w1[:2 * c])[:, 0] + params.scorer_b1.data
+    z1 = np.ones((c + 1, n), dtype=z.dtype)         # [Z, 1] transposed
+    z1[:c] = z.T
+    pre = np.matmul(w_q, z1)                        # [B, H, N]
+    _check_finite(pre, "kg_score_tails")
+    np.maximum(pre, 0, out=pre)
+    scores = np.matmul(params.scorer_w2.data.T, pre)[:, 0] + params.scorer_b2.data
+    _charge("hadamard", b * c + b * c * hidden)
+    _charge("add", b * c * hidden)
+    _charge("matmul", 2 * b * hidden * (2 * c + n * (c + 1) + n))
+    _charge("relu", b * n * hidden)
+    return _result(scores, "kg_score_tails", (entity_states, params.scorer_w1), None)

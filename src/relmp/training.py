@@ -24,9 +24,10 @@ negative sampling all draw from one generator, so reruns produce bit-identical
 metric histories on the same execution context.
 
 Forward-only passes record no gradient tape: `kg_evaluate` and the
-end-of-epoch probe loss run under `no_grad`. `kg_evaluate` scores and ranks
-the queries block by block, so its memory is bounded by one block of about
-RANK_BLOCK_ROWS scored rows rather than by queries times entities.
+end-of-epoch probe loss run under `no_grad`. `kg_evaluate` scores every tail
+of a block of queries at once (`kg_score_tails`) and ranks block by block,
+so its memory is bounded by RANK_BLOCK_ACTIVATIONS hidden scorer
+activations rather than by queries times entities.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ import numpy as np
 from .builders import KGDataset, TripletStore, fact_graph
 from .errors import ConfigError, ContractError, DataError, ShapeError
 from .metrics import query_ranks, rank_summary
-from .models import KGModelConfig, KGModelParams, kg_encode, kg_score
+from .models import (KGModelConfig, KGModelParams, kg_encode, kg_score,
+                     kg_score_tails)
 from .tensor import bce_with_logits, no_grad
 
 
@@ -131,10 +133,11 @@ class AdamW:
 # -- KG link-prediction training -----------------------------------------------------------
 
 
-# Scored (query, candidate) rows per `kg_evaluate` block. On 1000 entities,
-# blocks of 2048 rows and more ran up to twice as slow, with about 30 times
-# the minor page faults of 1024-row blocks.
-RANK_BLOCK_ROWS = 1024
+# Hidden scorer activations (queries x entities x scorer width) per
+# `kg_evaluate` block: 1 MB in float32, four queries on 1000 entities with
+# 64 hidden units. On that KG (2-vCPU x86 host, one BLAS thread), blocks of
+# half this size ranked about 15% slower and larger ones no faster.
+RANK_BLOCK_ACTIVATIONS = 1 << 18
 
 
 def known_tails(stores) -> dict:
@@ -158,10 +161,10 @@ def kg_evaluate(params: KGModelParams, graph, eval_store: TripletStore,
     optimistic-pessimistic mean rank. Also returns the per-query live
     candidate counts so callers can compute the matched random baseline.
 
-    The pass records no tape (`no_grad`) and works through the queries in
-    blocks of whole queries, about RANK_BLOCK_ROWS scored (query, candidate)
-    rows each, building each block's filter rows from `known`. Memory is
-    bounded by one block, not by the number of queries times entities, and
+    The pass records no tape (`no_grad`). It scores every tail of as many
+    queries at a time as keep the hidden scorer activations within
+    RANK_BLOCK_ACTIVATIONS, with one `kg_score_tails` call, and builds each
+    block's filter rows from `known`. Memory is bounded by one block, and
     the ranks equal those of one dense [Q, N] `query_ranks` call.
     """
     if not eval_store.triplets:
@@ -173,22 +176,20 @@ def kg_evaluate(params: KGModelParams, graph, eval_store: TripletStore,
         queries.append((h, r, t))
         queries.append((t, r + half, h))
     queries = np.array(queries, dtype=np.int64)
-    per_block = max(1, RANK_BLOCK_ROWS // n)
-    all_tails = np.arange(n, dtype=np.int64)
+    per_block = max(1, RANK_BLOCK_ACTIVATIONS // (n * params.scorer_b1.shape[0]))
     ranks, candidates = [], []
     with no_grad():
         z = kg_encode(graph, params)
         for start in range(0, len(queries), per_block):
             block = queries[start:start + per_block]
             b = len(block)
-            s = kg_score(z, params, np.repeat(block[:, 0], n),
-                         np.repeat(block[:, 1], n), np.tile(all_tails, b))
+            s = kg_score_tails(z, params, block[:, 0], block[:, 1])
             mask = np.zeros((b, n), dtype=bool)
             for i, (h, r, t) in enumerate(block.tolist()):
                 others = known.get((h, r), set()) - {t}
                 if others:
                     mask[i, sorted(others)] = True
-            ranks.append(query_ranks(s.data.reshape(b, n), block[:, 2], mask))
+            ranks.append(query_ranks(s.data, block[:, 2], mask))
             candidates.append(n - mask.sum(axis=1))
     metrics = rank_summary(np.concatenate(ranks))
     metrics["candidates"] = np.concatenate(candidates).tolist()

@@ -301,13 +301,30 @@ def test_zero_epochs_writes_baseline_metrics_only(tmp_path):
 
 @pytest.mark.parametrize("rate", ["nan", "inf"])
 def test_non_finite_learning_rate_is_a_usage_error(tmp_path, capsys, rate):
-    # rejected when the optimizer is built, before the first epoch runs
+    # rejected before the output directory is made
     out = tmp_path / "out"
     assert main(["train-kg", "--epochs", "1", *TINY_TRAIN, "--lr", rate,
                  "--out", str(out)]) == 2
     assert f"learning rate must be finite and non-negative, not {rate}" in \
         capsys.readouterr().err
-    assert not (out / "metrics.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--epochs", "-1", "--epochs must be non-negative, not -1"),
+    ("--batch-size", "0", "--batch-size must be positive, not 0"),
+    ("--num-layers", "0", "--num-layers must be positive, not 0"),
+    ("--channels", "0", "--channels must be positive, not 0"),
+    ("--scorer-hidden", "0", "--scorer-hidden must be positive, not 0"),
+    ("--negatives", "0", "--negatives must be positive, not 0"),
+    ("--people", "3", "need at least 8 people")])
+def test_train_kg_with_a_bad_number_writes_nothing(tmp_path, capsys, flag,
+                                                   value, message):
+    out = tmp_path / "out"
+    assert main(["train-kg", "--epochs", "1", *TINY_TRAIN, flag, value,
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 _SEEDED = {"build-graph": ["--domain", "kg", "--input", "absent.tsv"],
@@ -377,12 +394,15 @@ def test_eval_needs_a_model_dir(tmp_path):
     assert main(["eval", "--out", str(tmp_path / "out")]) == 2
 
 
-def test_eval_rejects_a_mismatched_dataset(tmp_path):
-    run = tmp_path / "run"
-    assert main(["train-kg", "--epochs", "0", *TINY_TRAIN,
-                 "--out", str(run)]) == 0
-    assert main(["eval", "--model-dir", str(run), "--people", "40",
-                 "--out", str(tmp_path / "out")]) == 3
+@pytest.mark.parametrize("people,code", [("3", 2), ("40", 3)])
+def test_eval_of_a_dataset_it_cannot_use_writes_nothing(trained_run, tmp_path,
+                                                        people, code):
+    # 3 people cannot make the toy dataset; 40 make one that the 30-entity
+    # checkpoint was not trained on
+    out = tmp_path / "out"
+    assert main(["eval", "--model-dir", str(trained_run), "--people", people,
+                 "--out", str(out)]) == code
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -405,6 +425,7 @@ def test_eval_of_a_checkpoint_cut_in_half_is_a_data_error(trained_run, tmp_path)
     (run / "model.ckpt").write_bytes(blob[:len(blob) // 2])
     assert main(["eval", "--model-dir", str(run),
                  "--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_of_a_checkpoint_cut_inside_its_header_is_a_data_error(

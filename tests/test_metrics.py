@@ -1,12 +1,10 @@
-"""Ranking metrics and Fmax against hand examples and brute-force sweeps."""
+"""Ranking metrics against hand examples and brute-force sweeps."""
 
 import numpy as np
 import pytest
 
 from relmp.errors import ContractError
 from relmp.metrics import (
-    FMAX_THRESHOLDS,
-    fmax,
     query_ranks,
     random_mrr_baseline,
     ranking_metrics,
@@ -105,77 +103,3 @@ def test_bad_shapes_rejected():
         query_ranks(np.zeros((2, 4)), np.array([0]))
     with pytest.raises(ContractError):
         query_ranks(np.zeros((1, 4)), np.array([0]), np.zeros((2, 4), dtype=bool))
-
-
-# -- Fmax ------------------------------------------------------------------------------
-
-
-def _fmax_oracle(scores, labels):
-    best = (0.0, FMAX_THRESHOLDS[0])
-    n_prot, _ = scores.shape
-    for t in FMAX_THRESHOLDS:
-        precisions = []
-        recalls = []
-        for i in range(n_prot):
-            pred = {j for j, s in enumerate(scores[i]) if s >= t}
-            true = {j for j, y in enumerate(labels[i]) if y}
-            if pred:
-                precisions.append(len(pred & true) / len(pred))
-            recalls.append(len(pred & true) / len(true) if true else 0.0)
-        if not precisions:
-            continue
-        p = sum(precisions) / len(precisions)
-        r = sum(recalls) / n_prot
-        if p + r > 0:
-            f = 2 * p * r / (p + r)
-            if f > best[0]:
-                best = (f, float(t))
-    return best
-
-
-def test_fmax_hand_example():
-    scores = np.array([[0.9, 0.2], [0.6, 0.4]])
-    labels = np.array([[1, 0], [0, 1]])
-    f, t = fmax(scores, labels)
-    # at thresholds in (0.2, 0.4]: precision (1 + 1/2) / 2, recall 1
-    assert f == pytest.approx(6.0 / 7.0)
-    assert t == pytest.approx(0.21)
-
-
-def test_fmax_precision_over_covered_recall_over_all():
-    # above t=0.1 protein 1 makes no prediction: it must leave precision
-    # alone but still drag recall down
-    scores = np.array([[0.9], [0.1]])
-    labels = np.array([[1], [0]])
-    f, t = fmax(scores, labels)
-    # t in (0.1, 0.9]: P = 1 (only protein 0 covered), R = (1 + 0) / 2;
-    # t <= 0.1 scores F = 0.5, strictly worse
-    assert f == pytest.approx(2 * 1.0 * 0.5 / 1.5)
-    assert t == pytest.approx(0.11)
-
-
-def test_fmax_zero_label_protein_contributes_zero_recall():
-    scores = np.array([[0.9, 0.9], [0.9, 0.9]])
-    labels = np.array([[1, 1], [0, 0]])
-    f, _ = fmax(scores, labels)
-    # P = (1 + 0) / 2, R = (1 + 0) / 2
-    assert f == pytest.approx(0.5)
-
-
-def test_fmax_matches_bruteforce_oracle():
-    rng = np.random.default_rng(14)
-    for trial in range(5):
-        n, m = int(rng.integers(3, 10)), int(rng.integers(2, 8))
-        scores = np.round(rng.random((n, m)), 2)
-        labels = rng.random((n, m)) < 0.4
-        assert fmax(scores, labels) == pytest.approx(_fmax_oracle(scores, labels))
-
-
-def test_fmax_rejects_out_of_range_scores():
-    labels = np.ones((1, 2))
-    with pytest.raises(ContractError):
-        fmax(np.array([[1.5, 0.2]]), labels)
-    with pytest.raises(ContractError):
-        fmax(np.array([[-0.1, 0.2]]), labels)
-    with pytest.raises(ContractError):
-        fmax(np.zeros((1, 3)), labels)

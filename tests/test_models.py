@@ -26,6 +26,7 @@ from relmp.models import (
     image_forward,
     kg_encode,
     kg_score,
+    kg_score_tails,
     pixels_to_patches,
     protein_forward,
 )
@@ -38,6 +39,7 @@ from relmp.tensor import (
     default_dtype,
     finite_difference_check,
     mean_rows,
+    no_grad,
     relu,
     slice_rows,
 )
@@ -287,6 +289,73 @@ def test_kg_rejects_out_of_range_indices():
         kg_score(z, params, [0], [99], [0])
     with pytest.raises(ContractError):
         kg_score(z, params, [], [], [])
+
+
+# kg_score_tails reorders the first layer's sums, so its scores match
+# kg_score's to a tolerance relative to the largest |score|, set from the
+# dtype's precision
+_TAILS_RTOL = {np.float32: 2e-6, np.float64: 1e-13}
+
+
+def _tails_setup(entities, channels, hidden, seed):
+    """Unit-scale entity states, as kg_encode leaves them, and a scorer."""
+    rng = np.random.default_rng(seed)
+    cfg = KGModelConfig(num_layers=1, channels=channels, scorer_hidden=hidden)
+    params = KGModelParams.init(rng, entities, 6, cfg)
+    return Tensor(rng.normal(size=(entities, channels))), params
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("entities,channels,hidden,seed", [
+    (5, 4, 6, 0), (37, 8, 16, 1), (300, 32, 64, 2)])
+def test_kg_score_tails_matches_kg_score(dtype, entities, channels, hidden, seed):
+    with default_dtype(dtype), no_grad():
+        z, params = _tails_setup(entities, channels, hidden, seed)
+        rng = np.random.default_rng(seed + 10)
+        heads = rng.integers(0, entities, size=7)
+        rels = rng.integers(0, 6, size=7)
+        got = kg_score_tails(z, params, heads, rels)
+        assert got.shape == (7, entities) and got.dtype == dtype
+        every = np.arange(entities)
+        want = np.stack([kg_score(z, params, np.full(entities, h),
+                                  np.full(entities, r), every).data[:, 0]
+                         for h, r in zip(heads, rels)])
+        scale = np.abs(want).max()
+        assert np.abs(got.data - want).max() <= _TAILS_RTOL[dtype] * scale
+        # blocks of 3, 3 and a partial 1: a query's scores do not depend on
+        # the other queries it is scored with
+        blocks = [kg_score_tails(z, params, heads[i:i + 3], rels[i:i + 3]).data
+                  for i in range(0, 7, 3)]
+        assert np.array_equal(np.concatenate(blocks), got.data)
+
+
+def test_kg_score_tails_charges_its_closed_form():
+    n, c, h, b = 37, 8, 16, 5
+    with no_grad():
+        z, params = _tails_setup(n, c, h, 3)
+        with count_flops() as counter:
+            kg_score_tails(z, params, np.arange(b), np.arange(b))
+    assert counter.per_op == {
+        "hadamard": b * c + b * c * h,          # q, then q * W_p
+        "add": b * c * h,                       # + W_t
+        "matmul": (2 * b * 2 * c * h            # z_h W_h + e_r W_r
+                   + 2 * n * (c + 1) * b * h    # [Z, 1] @ [W_1 .. W_B]
+                   + 2 * b * n * h),            # w2 projection
+        "relu": b * n * h,
+    }
+
+
+def test_kg_score_tails_is_forward_only_and_checks_indices():
+    z, params = _tails_setup(5, 4, 6, 4)
+    with pytest.raises(ContractError, match="no_grad"):
+        kg_score_tails(z, params, [0], [0])
+    with no_grad():
+        with pytest.raises(IndexError):
+            kg_score_tails(z, params, [5], [0])
+        with pytest.raises(IndexError):
+            kg_score_tails(z, params, [0], [6])
+        with pytest.raises(ContractError):
+            kg_score_tails(z, params, [], [])
 
 
 def test_kg_entity_embedding_gradcheck():

@@ -4,7 +4,7 @@ Under NumPy 2's scalar promotion (NEP 50) a NumPy float64 scalar turns a
 float32 array into float64, while a Python float keeps the array's dtype. A
 constant such as `np.sqrt(2.0)` stored at module level would silently widen
 every float32 op that uses it, so constants are kept as Python floats. Arrays
-(e.g. `metrics.FMAX_THRESHOLDS`) are allowed.
+are allowed.
 """
 
 import importlib

@@ -42,8 +42,6 @@ ALLOWED = {
         "per-node reference view that graph tests compare the CSR layout to",
     ("graph", "RelGraph.in_degree"):
         "per-node reference view that graph tests compare the CSR layout to",
-    ("metrics", "fmax"):
-        "the protein-function metric behind the EC/GO results the README reports",
 }
 
 

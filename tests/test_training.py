@@ -26,13 +26,13 @@ from relmp import tensor as tensor_module
 from relmp.builders import KGDataset, TripletStore, fact_graph
 from relmp.errors import ConfigError, ContractError, DataError, ShapeError
 from relmp.metrics import query_ranks, rank_summary
-from relmp.models import KGModelConfig, KGModelParams, kg_encode, kg_score
-from relmp.tensor import Tensor, default_dtype
+from relmp.models import KGModelConfig, KGModelParams, kg_encode, kg_score_tails
+from relmp.tensor import Tensor, count_flops, default_dtype, no_grad
 from relmp.training import (
     KINSHIP_RELATIONS,
     ADAM_BETAS,
     ADAM_EPS,
-    RANK_BLOCK_ROWS,
+    RANK_BLOCK_ACTIVATIONS,
     AdamW,
     kg_evaluate,
     known_tails,
@@ -492,26 +492,24 @@ def test_metric_history_roundtrips_through_csv(tmp_path):
 
 def _dense_evaluate(params, graph, store, known):
     """The dense algorithm kg_evaluate streams: every score of every query in
-    one [Q, N] matrix (scored 64 queries at a time, tape recorded), the full
-    [Q, N] filter mask, then one query_ranks call over all of it."""
+    one [Q, N] matrix (scored by kg_score_tails 64 queries at a time, a size
+    kg_evaluate does not use here), the full [Q, N] filter mask, then one
+    query_ranks call over all of it."""
     n = store.num_entities
     half = store.num_relations // 2
-    queries = [q for h, r, t in store.triplets
-               for q in ((h, r, t), (t, r + half, h))]
-    z = kg_encode(graph, params)
-    scores = np.zeros((len(queries), n))
-    for start in range(0, len(queries), 64):
-        part = queries[start:start + 64]
-        s = kg_score(z, params, np.repeat([q[0] for q in part], n),
-                     np.repeat([q[1] for q in part], n),
-                     np.tile(np.arange(n), len(part)))
-        scores[start:start + len(part)] = s.data.reshape(len(part), n)
+    queries = np.array([q for h, r, t in store.triplets
+                        for q in ((h, r, t), (t, r + half, h))])
+    with no_grad():
+        z = kg_encode(graph, params)
+        scores = np.concatenate([
+            kg_score_tails(z, params, part[:, 0], part[:, 1]).data
+            for part in np.array_split(queries, range(64, len(queries), 64))])
     mask = np.zeros((len(queries), n), dtype=bool)
-    for i, (h, r, t) in enumerate(queries):
+    for i, (h, r, t) in enumerate(queries.tolist()):
         others = known.get((h, r), set()) - {t}
         if others:
             mask[i, sorted(others)] = True
-    metrics = rank_summary(query_ranks(scores, [q[2] for q in queries], mask))
+    metrics = rank_summary(query_ranks(scores, queries[:, 2], mask))
     metrics["candidates"] = (n - mask.sum(axis=1)).tolist()
     return metrics
 
@@ -526,14 +524,43 @@ def _eval_setup(people):
 
 @pytest.mark.parametrize("people", [30, 100, 1000])
 def test_streamed_evaluation_equals_the_dense_reference(people):
-    # no n here divides the block; at 30 people the 52 queries make one
-    # block of 34 and a last, partial block of 18
-    assert RANK_BLOCK_ROWS % people
+    # at 30 people the 52 queries fit one block; at 100 the 180 queries make
+    # four blocks of 40 and a last, partial block of 20; at 1000, 434 blocks
+    # of 4
     params, graph, test, known = _eval_setup(people)
+    per_block = RANK_BLOCK_ACTIVATIONS // (people * params.scorer_b1.shape[0])
+    if people == 100:
+        assert (per_block, 2 * len(test.triplets)) == (40, 180)
     got = kg_evaluate(params, graph, test, known)
     want = _dense_evaluate(params, graph, test, known)
     assert got == want
     assert len(got["candidates"]) == 2 * len(test.triplets)
+
+
+def test_evaluation_meters_the_encoder_and_the_factored_scorer():
+    # derived by hand from the charge conventions of tensor.py:
+    # per encoder layer, the gated layer 2*E*C + 7*R*V*C + 6*V*C^2
+    # (costmodel.grmp_flops with R*dbar*V = E), layer_norm 8*V*C + 2*V, relu
+    # V*C and the residual add V*C; one more layer_norm at the end. Per
+    # query, the scorer: q = z_h*e_r C, its W_i 2*C*H (product and sum)
+    # plus 2*(2C)*H for the last row, the first layer 2*N*(C+1)*H, relu N*H
+    # and the projection 2*N*H
+    data = toy_kinship_kg(30, seed=0)
+    cfg = KGModelConfig(num_layers=2, channels=8, scorer_hidden=16)
+    params = KGModelParams.init(np.random.default_rng(5), data.num_entities,
+                                data.num_relations, cfg)
+    graph = fact_graph(data.train)
+    known = known_tails([data.train, data.valid, data.test])
+    with count_flops() as counter:
+        kg_evaluate(params, graph, data.test, known)
+    v, r, e = graph.num_nodes, graph.num_relations, graph.num_edges
+    c, h = cfg.channels, cfg.scorer_hidden
+    layer = (2 * e * c + 7 * r * v * c + 6 * v * c * c
+             + 8 * v * c + 2 * v + 2 * v * c)
+    encode = cfg.num_layers * layer + 8 * v * c + 2 * v
+    per_query = c + 2 * c * h + 4 * c * h + 2 * v * (c + 1) * h + 3 * v * h
+    queries = 2 * len(data.test.triplets)
+    assert counter.total == encode + queries * per_query
 
 
 def test_evaluation_memory_does_not_grow_with_queries():
