@@ -52,6 +52,16 @@ from leaves, which accumulate across sweeps. An interior (recorded) tensor's
 `.grad` is None after `backward()` and holds that sweep's gradient only under
 `backward(retain_graph=True)`, which also keeps the graph for another sweep.
 
+A leaf's gradient is its own array: it shares memory with no other gradient
+and no forward data, so it may be scaled in place. Closures that pass on
+their `g` or a view of it (add, reshape, slices) go through
+`Tensor._accumulate`, which copies a leaf's first gradient. Closures that
+compute a fresh array nothing else holds (the operand gradients of `matmul`
+and `linear`, `rel_aggregate`'s scatter, `relation_weighted_sum`'s three
+gradients) go through `Tensor._accumulate_owned`, which keeps it uncopied.
+No closure writes into its `g` or into forward data, so a retained graph
+sweeps to the same gradients again.
+
 Inside a `no_grad()` scope ops record nothing: a result has no parents, no
 closure and `requires_grad=False`, so a forward-only pass (evaluation, the
 end-of-epoch probe loss) keeps no tape alive. Charges and finiteness checks
@@ -232,12 +242,22 @@ class Tensor:
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             # A leaf's gradient is its own buffer: its .grad is user-visible
-            # and must not alias another tensor's gradient. An interior
-            # gradient is only read by the node's own closure and never
-            # written, so it may alias g.
+            # and must not alias another tensor's gradient or forward data.
+            # The g here may be a closure's own gradient or a view of it, so
+            # a leaf copies it (`_accumulate_owned` takes fresh arrays
+            # uncopied). An interior gradient is only read by the node's own
+            # closure and never written, so it may alias g.
             self.grad = g.astype(self.data.dtype, copy=self._backward is None)
         else:
             # a float64 partner's gradient must not widen a float32 leaf
+            self.grad = self.grad + g.astype(self.data.dtype, copy=False)
+
+    def _accumulate_owned(self, g: np.ndarray) -> None:
+        """`_accumulate` for a `g` that the calling closure has just computed
+        and that nothing else holds: a leaf takes it as its buffer uncopied."""
+        if self.grad is None:
+            self.grad = g.astype(self.data.dtype, copy=False)
+        else:
             self.grad = self.grad + g.astype(self.data.dtype, copy=False)
 
     def backward(self, retain_graph: bool = False) -> None:
@@ -429,11 +449,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate_owned(g @ b.data.T)
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate_owned(_weight_grad(a.data, g))
 
     return _result(out_data, "matmul", (a, b), backward)
+
+
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """a.T @ g, bit for bit. With one row in `a` every entry is one rounded
+    product, so the broadcast product skips BLAS's slow k=1 GEMM path; adding
+    0.0 turns its -0.0 (a zero times a negative) into the +0.0 that GEMM's
+    zero-started sum gives, and changes no other value."""
+    if a.shape[0] != 1:
+        return a.T @ g
+    out = a.T * g
+    out += 0.0
+    return out
 
 
 def linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -448,11 +480,11 @@ def linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if b.requires_grad:
-            b._accumulate(g.sum(axis=0))
+            b._accumulate_owned(g.sum(axis=0))
         if a.requires_grad:
-            a._accumulate(g @ w.data.T)
+            a._accumulate_owned(g @ w.data.T)
         if w.requires_grad:
-            w._accumulate(a.data.T @ g)
+            w._accumulate_owned(_weight_grad(a.data, g))
 
     return _result(out_data, "linear", (a, w, b), backward)
 
@@ -514,14 +546,18 @@ def relation_weighted_sum(wide: Tensor, scores: Tensor | None,
     if channel.shape != (1, r * c):
         raise ShapeError(f"relation_weighted_sum: channel weights "
                          f"{channel.shape} are not [1, {r * c}]")
-    terms = (wide.data * channel.data).reshape(v, r, c)
+    parents = (wide, channel) if scores is None else (wide, scores, channel)
+    if scores is not None and scores.shape != (v, r):
+        raise ShapeError(f"relation_weighted_sum: scores {scores.shape} "
+                         f"are not [{v}, {r}]")
+    # the products round in their operands' dtype and are stored in the
+    # result's, so scaling by the scores in place rounds as a fresh product
+    terms = np.empty((v, r, c), np.result_type(*(p.data for p in parents)))
+    np.multiply(wide.data.reshape(v, r, c), channel.data.reshape(r, c), out=terms)
     _charge("tile", r * v * c)
     _charge("hadamard", r * v * c)
     if scores is not None:
-        if scores.shape != (v, r):
-            raise ShapeError(f"relation_weighted_sum: scores {scores.shape} "
-                             f"are not [{v}, {r}]")
-        terms = terms * scores.data[:, :, None]
+        np.multiply(terms, scores.data[:, :, None], out=terms)
         _charge("tile", r * v * c)
         _charge("hadamard", r * v * c)
     out_data = terms[:, 0].copy()
@@ -531,21 +567,35 @@ def relation_weighted_sum(wide: Tensor, scores: Tensor | None,
         _charge("add", (r - 1) * v * c)
 
     # The closure names only the operand tensors: `terms` is [V, R*C]
-    # scratch and must not stay alive on the tape.
+    # scratch and must not stay alive on the tape. Backward works in at
+    # most two [V, R*C] arrays of g's dtype (the result's): `prods` holds
+    # the score gradient's products and then becomes wide's gradient, and
+    # `gw` is g spread over the relation slots, then gw * wide.
     def backward(g):
+        g_slots = g[:, None, :]
+        wide_slots = wide.data.reshape(v, r, c)
+        channel_slots = channel.data.reshape(r, c)
+        prods = None
         if scores is not None and scores.requires_grad:
-            slots = wide.data * channel.data
-            scores._accumulate((slots.reshape(v, r, c) * g[:, None, :]).sum(axis=2))
+            prods = np.empty((v, r, c), g.dtype)
+            np.multiply(wide_slots, channel_slots, out=prods)
+            np.multiply(prods, g_slots, out=prods)
+            scores._accumulate_owned(prods.sum(axis=2))
         if not (wide.requires_grad or channel.requires_grad):
             return
-        gw = np.tile(g, r) if scores is None else \
-            (g[:, None, :] * scores.data[:, :, None]).reshape(v, r * c)
+        gw = np.empty((v, r, c), g.dtype)
+        if scores is None:
+            gw[...] = g_slots
+        else:
+            np.multiply(g_slots, scores.data[:, :, None], out=gw)
         if wide.requires_grad:
-            wide._accumulate(gw * channel.data)
+            prods = np.multiply(gw, channel_slots, out=prods)
+            wide._accumulate_owned(prods.reshape(v, r * c))
         if channel.requires_grad:
-            channel._accumulate((gw * wide.data).sum(axis=0).reshape(channel.shape))
+            np.multiply(gw, wide_slots, out=gw)
+            channel._accumulate_owned(
+                gw.reshape(v, r * c).sum(axis=0).reshape(channel.shape))
 
-    parents = (wide, channel) if scores is None else (wide, scores, channel)
     return _result(out_data, "relation_weighted_sum", parents, backward)
 
 

@@ -23,7 +23,7 @@ from relmp.builders import (
     save_triplets,
 )
 from relmp.errors import ConfigError, DataError
-from relmp.oracles import knn_oracle, protein_edges_oracle
+from relmp.oracles import knn_oracle, neighbors_of, protein_edges_oracle
 
 
 # -- patch grids and their binary format ---------------------------------------------
@@ -154,13 +154,14 @@ def test_build_image_graph_stage_one_layout():
     p = 16
     assert graph.num_nodes == 2 * p + 1
     rel_global, rel_context = 4, 5
+    edges = graph.edge_list()
     for v in range(p):
-        assert graph.in_neighbors(v, rel_global).tolist() == [p]
-        assert graph.in_neighbors(v, rel_context).tolist() == [p + 1 + v]
+        assert neighbors_of(edges, v, rel_global) == [p]
+        assert neighbors_of(edges, v, rel_context) == [p + 1 + v]
     # virtual nodes never receive messages
     for node in range(p, 2 * p + 1):
         for r in range(graph.num_relations):
-            assert graph.in_neighbors(node, r).size == 0
+            assert neighbors_of(edges, node, r) == []
     # short edges: 48 on a 4x4 grid, plus 16 global and 16 context
     assert graph.num_edges == 48 + 16 + 16
 

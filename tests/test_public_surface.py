@@ -38,10 +38,6 @@ ALLOWED = {
         "writes the triplet TSV that `build-graph`, `train-kg` and `eval` read",
     ("graph", "load_edge_list"):
         "reads the edge list that `build-graph` writes",
-    ("graph", "RelGraph.in_neighbors"):
-        "per-node reference view that graph tests compare the CSR layout to",
-    ("graph", "RelGraph.in_degree"):
-        "per-node reference view that graph tests compare the CSR layout to",
 }
 
 

@@ -532,6 +532,149 @@ class TestBackward:
                 gather_rows(x, indices)
 
 
+# -- gradients handed over without a copy ------------------------------------------
+
+
+def _share_nothing(grads, held):
+    """No gradient shares memory with another, nor with an array in `held`."""
+    for i, x in enumerate(grads):
+        for y in grads[i + 1:] + held:
+            assert not np.shares_memory(x, y)
+
+
+def _swept_twice(loss, leaves):
+    """Leaf gradients of two retained sweeps; they differ if a closure wrote
+    into an array that the retained tape still holds."""
+    sweeps = []
+    for _ in range(2):
+        for t in leaves:
+            t.zero_grad()
+        loss.backward(retain_graph=True)
+        sweeps.append([None if t.grad is None else t.grad.copy() for t in leaves])
+    return sweeps
+
+
+def _relation_weighted_sum_reference(wide, scores, channel, g, r):
+    """relation_weighted_sum as raw NumPy, in the formulas and layouts that
+    the fused op must reproduce bit for bit: (output, score, slot and
+    channel gradients)."""
+    v, c = wide.shape[0], wide.shape[1] // r
+    terms = (wide * channel).reshape(v, r, c)
+    if scores is not None:
+        terms = terms * scores[:, :, None]
+    out = terms[:, 0].copy()
+    for k in range(1, r):
+        out += terms[:, k]
+    slots = wide * channel
+    g_scores = None if scores is None else \
+        (slots.reshape(v, r, c) * g[:, None, :]).sum(axis=2)
+    gw = np.tile(g, r) if scores is None else \
+        (g[:, None, :] * scores[:, :, None]).reshape(v, r * c)
+    return out, g_scores, gw * channel, (gw * wide).sum(axis=0).reshape(channel.shape)
+
+
+class TestCopyFreeBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("op", ["linear", "matmul"])
+    def test_weight_gradient_equals_the_transposed_product(self, op, rows, dtype):
+        # the zero columns make products of +0.0 and a negative, where a
+        # broadcast product gives -0.0 and a GEMM +0.0
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=(rows, 7))
+        x[:, ::3] = 0.0
+        with default_dtype(dtype):
+            a = Tensor(x, requires_grad=True)
+            w = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
+            b = Tensor(np.zeros(5), requires_grad=True)
+            gy = Tensor(rng.normal(size=(rows, 5)))
+        out = linear(a, w, b) if op == "linear" else matmul(a, w)
+        sum_all(hadamard(out, gy)).backward()
+        want = a.data.T @ gy.data
+        assert w.grad.dtype == dtype
+        assert w.grad.tobytes() == want.tobytes()
+        assert a.grad.tobytes() == (gy.data @ w.data.T).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_linear_leaf_gradients_own_their_buffers(self, rows):
+        rng = np.random.default_rng(rows)
+        a, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in [(rows, 6), (6, 3), (3,)])
+        forward = [t.data.copy() for t in (a, w, b)]
+        out = linear(a, w, b)
+        loss = sum_all(hadamard(out, Tensor(rng.normal(size=(rows, 3)))))
+        first, second = _swept_twice(loss, [a, w, b])
+        _share_nothing([a.grad, w.grad, b.grad],
+                       [out.grad, out.data, a.data, w.data, b.data])
+        for got, want in zip(first, second):
+            assert got.tobytes() == want.tobytes()
+        for t, data in zip((a, w, b), forward):
+            assert t.data.tobytes() == data.tobytes()
+
+    def test_aggregated_leaf_gradient_owns_its_buffer(self):
+        rng = np.random.default_rng(3)
+        graph = RelGraph(6, 3, [(s, d, r) for s in range(6) for d in range(6)
+                                for r in range(3) if (s + 2 * d + r) % 4 == 0])
+        z = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+        forward = z.data.copy()
+        out = rel_aggregate(graph, z)
+        loss = sum_all(hadamard(out, Tensor(rng.normal(size=(18, 5)))))
+        first, second = _swept_twice(loss, [z])
+        degrees = graph._aggregation_ops(z.dtype)[2]
+        _share_nothing([z.grad], [out.grad, out.data, z.data, degrees])
+        assert first[0].tobytes() == second[0].tobytes()
+        assert z.data.tobytes() == forward.tobytes()
+
+    @pytest.mark.parametrize("dtypes", [(np.float32,) * 3, (np.float64,) * 3,
+                                        (np.float32, np.float64, np.float32),
+                                        (np.float32, np.float32, np.float64)],
+                             ids=["float32", "float64", "float64-scores",
+                                  "float64-channel"])
+    @pytest.mark.parametrize("scored, needs", [
+        (scored, needs) for scored in (True, False)
+        for needs in (("wide", "scores", "channel"), ("wide",), ("scores",),
+                      ("channel",))
+        if scored or needs != ("scores",)],
+        ids=lambda x: ("scored" if x else "unscored") if isinstance(x, bool)
+        else "+".join(x))
+    def test_relation_weighted_sum_matches_its_raw_formulas(self, scored, needs,
+                                                            dtypes):
+        v, r, c = 5, 9, 4
+        rng = np.random.default_rng(9)
+        names = ("wide", "scores", "channel")
+        shapes = [(v, r * c), (v, r), (1, r * c)]
+        leaves = {}
+        for name, shape, dtype in zip(names, shapes, dtypes):
+            with default_dtype(dtype):
+                leaves[name] = Tensor(rng.normal(size=shape),
+                                      requires_grad=name in needs)
+        wide, scores, channel = (leaves[n] for n in names)
+        if not scored:
+            scores = None
+        forward = [t.data.copy() for t in leaves.values()]
+        out = relation_weighted_sum(wide, scores, r, channel)
+        with default_dtype(out.dtype):
+            weights = Tensor(rng.normal(size=(v, c)))
+        loss = sum_all(hadamard(out, weights))
+        used = [t for t in (wide, scores, channel) if t is not None]
+        first, second = _swept_twice(loss, used)
+        want_out, *want_grads = _relation_weighted_sum_reference(
+            wide.data, None if scores is None else scores.data, channel.data,
+            out.grad, r)
+        assert out.data.tobytes() == want_out.tobytes()
+        for t, want in zip((scores, wide, channel), want_grads):
+            if t is None or not t.requires_grad:
+                assert t is None or t.grad is None
+                continue
+            assert t.grad.tobytes() == want.astype(t.dtype).tobytes()
+        for got, again in zip(first, second):
+            assert got is None or got.tobytes() == again.tobytes()
+        _share_nothing([t.grad for t in used if t.grad is not None],
+                       [out.grad, out.data] + [t.data for t in used])
+        for t, data in zip(leaves.values(), forward):
+            assert t.data.tobytes() == data.tobytes()
+
+
 class TestLossValues:
     def test_bce_saturated_logits_stay_finite(self):
         with default_dtype(np.float64):
@@ -642,13 +785,16 @@ class TestDtypeContract:
         out = call(*inputs)
         assert out.dtype == dtype
         handed = []
-        accumulate = Tensor._accumulate
 
-        def spy(node, g):
-            handed.append((node._op, g.dtype))
-            accumulate(node, g)
+        def spying(accumulate):
+            def spy(node, g):
+                handed.append((node._op, g.dtype))
+                accumulate(node, g)
+            return spy
 
-        monkeypatch.setattr(Tensor, "_accumulate", spy)
+        # a closure hands each gradient to one of the two entry points
+        for name in ("_accumulate", "_accumulate_owned"):
+            monkeypatch.setattr(Tensor, name, spying(getattr(Tensor, name)))
         sum_all(out).backward()
         assert len(handed) >= 1 + len(inputs)
         assert all(d == dtype for _, d in handed), handed
