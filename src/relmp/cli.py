@@ -45,10 +45,6 @@ EXIT_DATA = 3
 _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-_TRUE_STATES = {"1": True, "yes": True, "true": True, "on": True,
-                "0": False, "no": False, "false": False, "off": False}
-
-
 class _Opt(NamedTuple):
     """One option: its INI/`resolved` key is the `_SPECS` key, its flag the
     key with dashes. `kind` is int, float, str, bool, or "path" (a string
@@ -168,7 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _coerce(key, kind, raw):
     if kind is bool:
-        state = _TRUE_STATES.get(str(raw).strip().lower())
+        state = configparser.ConfigParser.BOOLEAN_STATES.get(
+            str(raw).strip().lower())
         if state is None:
             raise ConfigError(f"config key {key}: not a boolean: {raw!r}")
         return state
@@ -341,20 +338,28 @@ def cmd_verify(resolved: dict) -> int:
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 
-def _load_kg_data(resolved: dict):
+def _load_kg_data(resolved: dict, split: str):
+    """(dataset, its description) for train-kg or eval. The split the
+    command reads ("train" or the evaluation split) must hold triplets, so
+    an empty one fails before the output directory is made."""
     from .builders import load_triplets
     from .training import toy_kinship_kg
 
     if resolved["train"] is not None:
-        return (load_triplets(resolved["train"], resolved["valid"],
-                              resolved["test"]),
-                {"train": resolved["train"], "valid": resolved["valid"],
-                 "test": resolved["test"]})
-    if resolved["valid"] is not None or resolved["test"] is not None:
+        data = load_triplets(resolved["train"], resolved["valid"],
+                             resolved["test"])
+        desc = {"train": resolved["train"], "valid": resolved["valid"],
+                "test": resolved["test"]}
+    elif resolved["valid"] is not None or resolved["test"] is not None:
         raise ConfigError("--valid/--test need --train as well")
-    return (toy_kinship_kg(resolved["people"], resolved["data_seed"]),
-            {"bundled_toy": {"people": resolved["people"],
-                             "seed": resolved["data_seed"]}})
+    else:
+        data = toy_kinship_kg(resolved["people"], resolved["data_seed"])
+        desc = {"bundled_toy": {"people": resolved["people"],
+                                "seed": resolved["data_seed"]}}
+    if not getattr(data, split).triplets:
+        raise DataError("empty training split" if split == "train"
+                        else "empty evaluation split")
+    return data, desc
 
 
 def cmd_train_kg(resolved: dict) -> int:
@@ -366,7 +371,7 @@ def cmd_train_kg(resolved: dict) -> int:
     if not 0 <= resolved["lr"] < math.inf:  # false for NaN, unlike lr < 0
         raise ConfigError("learning rate must be finite and non-negative, "
                           f"not {resolved['lr']!r}")
-    data, data_desc = _load_kg_data(resolved)
+    data, data_desc = _load_kg_data(resolved, "train")
     # only a run whose numbers and data check out gets an output directory
     out = _prepare_out(resolved, "train-kg")
     cfg = KGModelConfig(**{f.name: resolved[f.name] for f in fields(KGModelConfig)})
@@ -463,7 +468,7 @@ def cmd_eval(resolved: dict) -> int:
     data_keys = ("train", "valid", "test", "people", "data_seed")
     if not (resolved["_explicit"] & set(data_keys)):
         resolved.update(recorded)
-    data, _ = _load_kg_data(resolved)
+    data, _ = _load_kg_data(resolved, resolved["split"])
     if (data.num_entities, data.num_relations) != trained_on:
         raise DataError(
             f"dataset has {data.num_entities} entities / "
@@ -482,7 +487,7 @@ def cmd_eval(resolved: dict) -> int:
     # only an evaluation whose inputs check out gets an output directory
     out = _prepare_out(resolved, "eval")
 
-    store = data.valid if resolved["split"] == "valid" else data.test
+    store = getattr(data, resolved["split"])
     graph = fact_graph(data.train)
     known = known_tails([data.train, data.valid, data.test])
     metrics = kg_evaluate(params, graph, store, known)

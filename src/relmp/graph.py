@@ -153,8 +153,7 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def build_line_graph(graph: RelGraph, coords: np.ndarray, num_bins: int,
-                     include_reverse: bool = True) -> RelGraph:
+def build_line_graph(graph: RelGraph, coords: np.ndarray, num_bins: int) -> RelGraph:
     """Directed line graph with angle-bin relations.
 
     Nodes are the edges of `graph` in canonical order. For every chained pair
@@ -162,8 +161,7 @@ def build_line_graph(graph: RelGraph, coords: np.ndarray, num_bins: int,
     the angle between displacements (b - a) and (c - b) into num_bins equal
     slices of [0, pi], with bin 0 when either displacement has zero length.
     The degenerate pair of an edge with itself is skipped. Reverse pairs
-    (a -> b followed by b -> a), whose angle is pi, are included when
-    `include_reverse` is set and skipped otherwise.
+    (a -> b followed by b -> a), whose angle is pi, are included.
     """
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[0] != graph.num_nodes:
@@ -180,8 +178,6 @@ def build_line_graph(graph: RelGraph, coords: np.ndarray, num_bins: int,
     start = np.repeat(first - (np.cumsum(count) - count), count)
     e2 = by_tail[start + np.arange(e1.size)]
     keep = e1 != e2
-    if not include_reverse:
-        keep &= dst[e2] != src[e1]
     e1, e2 = e1[keep], e2[keep]
     u = coords[dst[e1]] - coords[src[e1]]
     v = coords[dst[e2]] - coords[src[e2]]

@@ -209,16 +209,14 @@ def pixels_to_patches(pixels: np.ndarray) -> PatchGrid:
     return PatchGrid(gh, gw, feats)
 
 
-def image_forward(x, params: ImageModelParams, cfg: ImageModelConfig) -> Tensor:
-    """Class logits [1, num_classes] from raw pixels or pre-cut patches.
+def image_forward(pixels, params: ImageModelParams, cfg: ImageModelConfig) -> Tensor:
+    """Class logits [1, num_classes] from an [H, W, C] pixel array.
 
-    x is either an [H, W, C] pixel array or a PatchGrid whose rows already
-    hold flattened patch pixels. Grid sides must support the full reduction
-    (x32 with defaults: x4 stem then three halvings).
+    The patch grid's sides must support the full reduction (x32 with
+    defaults: x4 stem then three halvings).
     """
     cfg.validate()
-    if not isinstance(x, PatchGrid):
-        x = pixels_to_patches(x)
+    x = pixels_to_patches(pixels)
     per_stage = cfg.reduction // PATCH_SIZE
     if x.height % per_stage or x.width % per_stage:
         raise ConfigError(

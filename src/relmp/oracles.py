@@ -124,15 +124,13 @@ def grmp_oracle(num_nodes, num_relations, edges, z, w_self, w_channel,
     return out
 
 
-def line_graph_oracle(edges, coords, num_bins=8, include_reverse=True):
+def line_graph_oracle(edges, coords, num_bins=8):
     """All chained edge pairs with angle bins, by brute force over edge pairs."""
     coords = np.asarray(coords, dtype=np.float64)
     out = []
     for i, (a, b, _) in enumerate(edges):
         for j, (s2, d2, _) in enumerate(edges):
             if i == j or s2 != b:
-                continue
-            if not include_reverse and (s2, d2) == (b, a):
                 continue
             u = coords[b] - coords[a]
             v = coords[d2] - coords[s2]

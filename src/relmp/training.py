@@ -1,9 +1,8 @@
 """The AdamW optimizer and the desk-scale KG training loop.
 
-The optimizer is AdamW with decoupled weight decay: the decay shrinks the
-parameter before the adaptive update, never through the moment estimates.
-Adam is the same update with decay zero, which is how the KG task runs
-(learning rate 5e-3, batch size 16 by default).
+The optimizer is AdamW with its decoupled weight decay fixed at zero, that
+is Adam, which is how the KG task runs (learning rate 5e-3, batch size 16 by
+default).
 
 All parameters share one dtype. The moments live in one flat float64 pair,
 and `m[name]`/`v[name]` are views into it. A step gathers the gradients into
@@ -50,26 +49,24 @@ ADAM_EPS = 1e-8             # keeps AdamW's update denominator positive
 
 
 class AdamW:
-    """Decoupled-decay Adam over a named parameter dict.
+    """AdamW with zero weight decay (Adam) over a named parameter dict.
 
     Parameters without a gradient at step time are treated as having a zero
-    gradient (their moments decay but the adaptive update is zero, so with
-    zero decay they stay put). Each gradient's shape and dtype are checked
-    before any parameter moves.
+    gradient (their moments decay but the adaptive update is zero, so they
+    stay put). Each gradient's shape and dtype are checked before any
+    parameter moves.
     """
 
-    def __init__(self, params: dict, lr: float, weight_decay: float):
-        for what, value in (("learning rate", lr), ("weight decay", weight_decay)):
-            if not 0 <= value < math.inf:   # false for NaN, unlike value < 0
-                raise ConfigError(f"{what} must be finite and non-negative, "
-                                  f"not {value!r}")
+    def __init__(self, params: dict, lr: float):
+        if not 0 <= lr < math.inf:   # false for NaN, unlike lr < 0
+            raise ConfigError("learning rate must be finite and non-negative, "
+                              f"not {lr!r}")
         self.params = dict(params)
         dtypes = {t.data.dtype for t in self.params.values()}
         if len(dtypes) != 1:
             raise ContractError("AdamW needs parameters of one dtype, not "
                                 f"{sorted(map(str, dtypes))}")
         self.lr = float(lr)
-        self.weight_decay = float(weight_decay)
         self.step_count = 0
         # one flat float64 moment pair in parameter order; m[name] and
         # v[name] are views into it. Two scratch buffers of the same size
@@ -104,9 +101,6 @@ class AdamW:
             grads.append(g)
         self.step_count += 1
         t = self.step_count
-        if self.weight_decay:
-            for p in self.params.values():
-                p.data -= lr * self.weight_decay * p.data
         m, v, update, denom = self._m, self._v, self._update, self._denom
         # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * (g * g), each
         # operation rounded as in that expression, in the gradients' dtype
@@ -245,7 +239,7 @@ def train_kg(data: KGDataset, model_cfg: KGModelConfig, epochs: int, seed: int,
     graph = fact_graph(data.train)
     params = KGModelParams.init(rng, data.num_entities, data.num_relations,
                                 model_cfg)
-    opt = AdamW(params.tensors(), lr=lr, weight_decay=0.0)
+    opt = AdamW(params.tensors(), lr=lr)
     known = known_tails([data.train, data.valid, data.test])
     n = data.num_entities
     neg = model_cfg.negatives

@@ -327,6 +327,30 @@ def test_train_kg_with_a_bad_number_writes_nothing(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+def test_empty_training_split_writes_nothing(tmp_path, capsys):
+    train = tmp_path / "empty.tsv"
+    train.write_text("# no rows\n")
+    out = tmp_path / "out"
+    assert main(["train-kg", "--train", str(train), "--epochs", "0",
+                 *TINY_TRAIN, "--out", str(out)]) == 3
+    assert "error: empty training split" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_of_an_empty_split_writes_nothing(tmp_path, capsys):
+    # a run trained with --train only has no validation triplets
+    train = tmp_path / "train.tsv"
+    train.write_text("a\tlikes\tb\nb\tlikes\tc\nc\tknows\ta\n")
+    run = tmp_path / "run"
+    assert main(["train-kg", "--train", str(train), "--epochs", "0",
+                 *TINY_TRAIN, "--out", str(run)]) == 0
+    out = tmp_path / "out"
+    assert main(["eval", "--model-dir", str(run), "--split", "valid",
+                 "--out", str(out)]) == 3
+    assert "error: empty evaluation split" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _SEEDED = {"build-graph": ["--domain", "kg", "--input", "absent.tsv"],
            "bench-flops": [], "verify": ["--suite", "flops-exact"],
            "train-kg": ["--epochs", "0", *TINY_TRAIN],

@@ -27,7 +27,6 @@ from relmp.models import (
     kg_encode,
     kg_score,
     kg_score_tails,
-    pixels_to_patches,
     protein_forward,
 )
 from relmp.tensor import (
@@ -109,13 +108,6 @@ def test_image_tiny_forward_shape_and_stage_layout(monkeypatch):
     assert len(rels[0]) == 6 and "medium" not in rels[0]
     for names in rels[1:]:
         assert len(names) == 7 and "medium" in names
-
-
-def test_image_forward_accepts_prepatched_grid():
-    cfg, params, pixels = tiny_image_setup()
-    direct = image_forward(pixels, params, cfg)
-    grid = pixels_to_patches(pixels)
-    assert np.array_equal(image_forward(grid, params, cfg).data, direct.data)
 
 
 def test_image_rejects_unsupported_resolutions():

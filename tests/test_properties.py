@@ -63,14 +63,10 @@ def test_short_edges_count_and_in_degree(height, width):
 
 
 @PROPERTY
-@given(case=lattice_graphs(), num_bins=st.integers(1, 12),
-       include_reverse=st.booleans())
-def test_line_graph_matches_oracle_on_lattice_coordinates(case, num_bins,
-                                                          include_reverse):
+@given(case=lattice_graphs(), num_bins=st.integers(1, 12))
+def test_line_graph_matches_oracle_on_lattice_coordinates(case, num_bins):
     graph, coords = case
-    line = build_line_graph(graph, coords, num_bins=num_bins,
-                            include_reverse=include_reverse)
+    line = build_line_graph(graph, coords, num_bins=num_bins)
     assert line.num_nodes == graph.num_edges
     assert sorted(line.edge_list()) == line_graph_oracle(
-        graph.edge_list(), coords, num_bins=num_bins,
-        include_reverse=include_reverse)
+        graph.edge_list(), coords, num_bins=num_bins)

@@ -150,9 +150,6 @@ ALLOWED_OPTIONS = {
     ("cli", "main", "argv"):
         "the console script passes nothing so argparse reads sys.argv; tests "
         "and embedding programs pass their own argument list",
-    ("graph", "build_line_graph", "include_reverse"):
-        "documented contract of the line graph: reverse pairs, at angle pi, "
-        "can be left out",
     ("layers", "GRMPParams.init", "variant"):
         "the structural ablations that acceptance criteria 7 and 8 compare",
     **{("layers", "GRMPVariant", name):

@@ -1,8 +1,7 @@
 """Optimizer, learning-rate annealing, and KG training-loop tests.
 
-The optimizer is checked against a hand-stepped first update, a decoupling
-witness (zero gradient still shrinks the parameter, and only shrinks it), and
-a hundred-step independent reference implementation; its flat moments are
+The optimizer is checked against a hand-stepped first update and a
+hundred-step independent reference implementation; its flat moments are
 checked bit for bit against the per-tensor loop they replaced, and parameters
 or gradients of mixed dtypes are refused. The rate each optimizer step runs
 at is checked against the annealing endpoints exactly.
@@ -54,33 +53,19 @@ def _param(values):
 @pytest.mark.parametrize("bad", [-0.01, math.nan, math.inf])
 def test_optimizer_rejects_bad_hyperparameters(bad):
     # a NaN fails every comparison, so a plain `lr < 0` check lets it through
-    p = {"w": _param([1.0])}
     with pytest.raises(ConfigError, match="learning rate"):
-        AdamW(p, lr=bad, weight_decay=0.0)
-    with pytest.raises(ConfigError, match="weight decay"):
-        AdamW(p, lr=0.1, weight_decay=bad)
+        AdamW({"w": _param([1.0])}, lr=bad)
 
 
 def test_first_step_matches_hand_computation():
     # One step from zero with unit gradient: bias correction makes the
     # update exactly lr * g / (|g| + eps).
     p = {"w": _param([0.0])}
-    opt = AdamW(p, lr=0.1, weight_decay=0.0)
+    opt = AdamW(p, lr=0.1)
     p["w"].grad = np.array([1.0])
     opt.step()
     expected = -0.1 * 1.0 / (1.0 + 1e-8)
     assert abs(p["w"].data[0] - expected) < 1e-15
-
-
-def test_weight_decay_is_decoupled_from_the_adaptive_update():
-    # With an exactly zero gradient the moments stay zero, so the only
-    # movement is the multiplicative shrink applied directly to the data.
-    p = {"w": _param([1.0, -2.0])}
-    opt = AdamW(p, lr=0.1, weight_decay=0.5)
-    p["w"].grad = np.zeros(2)
-    opt.step()
-    np.testing.assert_allclose(p["w"].data, [0.95, -1.90], rtol=0, atol=1e-15)
-    assert not opt.m["w"].any() and not opt.v["w"].any()
 
 
 def test_hundred_steps_match_reference_implementation():
@@ -88,8 +73,8 @@ def test_hundred_steps_match_reference_implementation():
     shapes = {"a": (3, 4), "b": (5,), "c": (2, 2, 2)}
     start = {k: rng.normal(size=s) for k, s in shapes.items()}
     params = {k: _param(v.copy()) for k, v in start.items()}
-    lr, b1, b2, eps, wd = 3e-3, 0.9, 0.999, 1e-8, 0.05
-    opt = AdamW(params, lr=lr, weight_decay=wd)
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    opt = AdamW(params, lr=lr)
 
     theta = {k: v.copy() for k, v in start.items()}
     m = {k: np.zeros(s) for k, s in shapes.items()}
@@ -100,7 +85,6 @@ def test_hundred_steps_match_reference_implementation():
             params[k].grad = grads[k].copy()
         opt.step()
         for k in theta:
-            theta[k] = theta[k] - lr * wd * theta[k]
             m[k] = b1 * m[k] + (1 - b1) * grads[k]
             v[k] = b2 * v[k] + (1 - b2) * grads[k] ** 2
             m_hat = m[k] / (1 - b1 ** t)
@@ -112,11 +96,11 @@ def test_hundred_steps_match_reference_implementation():
 
 def test_step_runs_at_the_rate_lr_holds():
     p = {"w": _param([1.0])}
-    opt = AdamW(p, lr=0.5, weight_decay=0.0)
+    opt = AdamW(p, lr=0.5)
     p["w"].grad = np.array([1.0])
     opt.lr = 0.0
     opt.step()
-    assert p["w"].data[0] == 1.0  # zero rate, zero decay: nothing moves
+    assert p["w"].data[0] == 1.0  # zero rate: nothing moves
     opt.lr = 0.5
     opt.step()
     assert p["w"].data[0] != 1.0
@@ -124,17 +108,14 @@ def test_step_runs_at_the_rate_lr_holds():
 
 def test_missing_gradient_is_treated_as_zero():
     p = {"w": _param([2.0])}
-    opt = AdamW(p, lr=0.1, weight_decay=0.0)
+    opt = AdamW(p, lr=0.1)
     opt.step()
     assert p["w"].data[0] == 2.0
-    decayed = AdamW({"w": _param([2.0])}, lr=0.1, weight_decay=0.5)
-    decayed.step()
-    assert decayed.params["w"].data[0] == pytest.approx(1.9)
 
 
 def test_gradient_shape_mismatch_is_rejected():
     p = {"w": _param([1.0, 2.0])}
-    opt = AdamW(p, lr=0.1, weight_decay=0.0)
+    opt = AdamW(p, lr=0.1)
     p["w"].grad = np.zeros(3)
     with pytest.raises(ShapeError):
         opt.step()
@@ -144,14 +125,14 @@ def test_gradient_shape_mismatch_is_rejected():
 def test_parameters_of_mixed_dtypes_or_none_are_refused(mixed):
     p = {"a": _param([1.0]), "b": Tensor([1.0], requires_grad=True)}
     with pytest.raises(ContractError, match="parameters of one dtype"):
-        AdamW(p if mixed else {}, lr=0.1, weight_decay=0.0)
+        AdamW(p if mixed else {}, lr=0.1)
 
 
 def test_gradient_of_another_dtype_is_refused_before_anything_moves():
     # Tensor._accumulate casts every gradient to its parameter's dtype, so
     # only a gradient assigned by hand can differ
     p = {"a": _param([1.0]), "b": _param([2.0])}
-    opt = AdamW(p, lr=0.1, weight_decay=0.5)
+    opt = AdamW(p, lr=0.1)
     p["a"].grad = np.ones(1)
     p["b"].grad = np.ones(1, dtype=np.float32)
     with pytest.raises(ContractError, match="float32 gradient"):
@@ -178,8 +159,6 @@ def _per_tensor_step(opt):
             g = np.zeros_like(p.data, dtype=np.float64)
         elif g.shape != p.data.shape:
             raise ShapeError(f"gradient shape mismatch for {name}")
-        if opt.weight_decay:
-            p.data -= lr * opt.weight_decay * p.data
         opt.m[name] = b1 * opt.m[name] + (1.0 - b1) * g
         opt.v[name] = b2 * opt.v[name] + (1.0 - b2) * (g * g)
         m_hat = opt.m[name] / (1.0 - b1 ** t)
@@ -197,7 +176,7 @@ def test_flat_moments_equal_the_per_tensor_loop_bitwise(dtype):
     def fresh():
         with default_dtype(dtype):
             params = {k: Tensor(v, requires_grad=True) for k, v in start.items()}
-        return params, AdamW(params, lr=3e-3, weight_decay=0.05)
+        return params, AdamW(params, lr=3e-3)
 
     flat_params, flat = fresh()
     loop_params, loop = fresh()
@@ -232,7 +211,7 @@ def test_zero_grad_clears_every_parameter():
     p = {"a": _param([1.0]), "b": _param([2.0])}
     for t in p.values():
         t.grad = np.ones(1)
-    AdamW(p, lr=0.1, weight_decay=0.0).zero_grad()
+    AdamW(p, lr=0.1).zero_grad()
     assert all(t.grad is None for t in p.values())
 
 
