@@ -7,9 +7,16 @@ land only inside the directory named by ``--out``.
 
 Configuration precedence is flags > config file > defaults. The config file
 is INI-style with one section per command (``[train-kg]``), keys matching the
-flag names with underscores. Whatever wins is echoed into the output
-directory as ``resolved_config.ini`` so a run can be reproduced from its
-artifacts alone.
+flag names with underscores. Values are read as written (a ``%`` is just a
+character) and must be one of the flag's choices where it has them; an
+empty value stands for None, the unset value of an option without a default.
+Whatever wins is echoed into the output directory as ``resolved_config.ini``
+so a run can be reproduced from its artifacts alone: passed back through
+``--config`` it resolves to the same values.
+
+Every command computes its results before it makes ``--out``, so a run that
+fails leaves no output directory behind; an unwritable ``--out`` is reported
+only after the work is done.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 data error
 (a malformed or unreadable input file, or an output path that cannot be
@@ -28,7 +35,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -162,7 +168,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _coerce(key, kind, raw):
+def _coerce(key, opt: _Opt, raw):
+    kind = opt.kind
+    if raw == "" and opt.default is None:  # how `_prepare_out` echoes None
+        return None
+    if opt.choices is not None and raw not in opt.choices:
+        raise ConfigError(f"config key {key}: {raw!r} is not one of "
+                          f"{', '.join(opt.choices)}")
     if kind is bool:
         state = configparser.ConfigParser.BOOLEAN_STATES.get(
             str(raw).strip().lower())
@@ -182,7 +194,7 @@ def _resolve_config(command: str, args) -> dict:
     spec = _SPECS[command]
     from_file = {}
     if args.config is not None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             found = parser.read(args.config, encoding="utf-8")
         except (configparser.Error, UnicodeDecodeError) as e:
@@ -203,7 +215,7 @@ def _resolve_config(command: str, args) -> dict:
             resolved[key] = flag
             explicit.add(key)
         elif key in from_file:
-            resolved[key] = _coerce(key, opt.kind, from_file[key])
+            resolved[key] = _coerce(key, opt, from_file[key])
             explicit.add(key)
         else:
             resolved[key] = opt.default
@@ -222,7 +234,7 @@ def _prepare_out(resolved: dict, command: str) -> str:
     _require(resolved, command, "out")
     out = resolved["out"]
     os.makedirs(out, exist_ok=True)
-    echo = configparser.ConfigParser()
+    echo = configparser.ConfigParser(interpolation=None)
     echo[command] = {k: "" if v is None else str(v)
                      for k, v in sorted(resolved.items())
                      if not k.startswith("_")}
@@ -338,10 +350,8 @@ def cmd_verify(resolved: dict) -> int:
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 
-def _load_kg_data(resolved: dict, split: str):
-    """(dataset, its description) for train-kg or eval. The split the
-    command reads ("train" or the evaluation split) must hold triplets, so
-    an empty one fails before the output directory is made."""
+def _load_kg_data(resolved: dict):
+    """(dataset, its description) for train-kg or eval."""
     from .builders import load_triplets
     from .training import toy_kinship_kg
 
@@ -356,9 +366,6 @@ def _load_kg_data(resolved: dict, split: str):
         data = toy_kinship_kg(resolved["people"], resolved["data_seed"])
         desc = {"bundled_toy": {"people": resolved["people"],
                                 "seed": resolved["data_seed"]}}
-    if not getattr(data, split).triplets:
-        raise DataError("empty training split" if split == "train"
-                        else "empty evaluation split")
     return data, desc
 
 
@@ -368,17 +375,14 @@ def cmd_train_kg(resolved: dict) -> int:
     from .tensor import save_checkpoint
     from .training import save_metric_history, train_kg
 
-    if not 0 <= resolved["lr"] < math.inf:  # false for NaN, unlike lr < 0
-        raise ConfigError("learning rate must be finite and non-negative, "
-                          f"not {resolved['lr']!r}")
-    data, data_desc = _load_kg_data(resolved, "train")
-    # only a run whose numbers and data check out gets an output directory
-    out = _prepare_out(resolved, "train-kg")
+    data, data_desc = _load_kg_data(resolved)
     cfg = KGModelConfig(**{f.name: resolved[f.name] for f in fields(KGModelConfig)})
     params, history = train_kg(data, cfg, epochs=resolved["epochs"],
                                seed=resolved["seed"], lr=resolved["lr"],
                                batch_size=resolved["batch_size"],
                                anneal=resolved["anneal"])
+    # only a run that trained gets an output directory
+    out = _prepare_out(resolved, "train-kg")
     metrics_path = os.path.join(out, "metrics.csv")
     save_metric_history(metrics_path, history)
     ckpt_path = os.path.join(out, "model.ckpt")
@@ -468,7 +472,7 @@ def cmd_eval(resolved: dict) -> int:
     data_keys = ("train", "valid", "test", "people", "data_seed")
     if not (resolved["_explicit"] & set(data_keys)):
         resolved.update(recorded)
-    data, _ = _load_kg_data(resolved, resolved["split"])
+    data, _ = _load_kg_data(resolved)
     if (data.num_entities, data.num_relations) != trained_on:
         raise DataError(
             f"dataset has {data.num_entities} entities / "
@@ -484,8 +488,6 @@ def cmd_eval(resolved: dict) -> int:
         if tuple(weights[name].shape) != tensor.shape:
             raise DataError(f"{ckpt_path}: shape mismatch for {name}")
         tensor.data = weights[name].astype(tensor.data.dtype)
-    # only an evaluation whose inputs check out gets an output directory
-    out = _prepare_out(resolved, "eval")
 
     store = getattr(data, resolved["split"])
     graph = fact_graph(data.train)
@@ -493,6 +495,8 @@ def cmd_eval(resolved: dict) -> int:
     metrics = kg_evaluate(params, graph, store, known)
     rows = [(0, resolved["split"], key, metrics[key])
             for key in ("mr", "mrr", "hits@1", "hits@3", "hits@10")]
+    # only an evaluation that ran gets an output directory
+    out = _prepare_out(resolved, "eval")
     metrics_path = os.path.join(out, "metrics.csv")
     save_metric_history(metrics_path, rows)
     for _, split, metric, value in rows:

@@ -21,9 +21,11 @@ output element, just as the formulas assume. A linear map with a bias is one
 `tensor.linear` op, which charges only its matmul; the relational
 convolution adds its biases inside `counting_paused()`. No broadcast is
 materialized: the gated layer's channel weights (step 2) and its per-node
-relation weighting and sum (step 3) are one `relation_weighted_sum` op, and
-layer norm is one `tensor.layer_norm` op. Each charges the tile, hadamard and
-other amounts of the op chain it replaces from its operand shapes.
+relation weighting and sum (step 3) are one `relation_weighted_sum` op, which
+takes `rel_aggregate`'s [V*R, C] slots as they come out and a [V, R] score
+tensor (the constant 1/R in the uniform ablation), and layer norm is one
+`tensor.layer_norm` op. Each charges the tile, hadamard and other amounts of
+the op chain it replaces from its operand shapes.
 
 Parameters are plain dataclasses of Tensors. Weight matrices right-multiply
 row-vector features: a math-convention map W acting on column vectors appears
@@ -245,7 +247,7 @@ def grmp_forward(graph: RelGraph, z: Tensor, params: GRMPParams) -> Tensor:
     shared output transform, multiplicative (or additive) self update.
     An isolated node's aggregated message is exactly the output bias.
     """
-    v_count, c = _check_features(graph, z, params.channels)
+    _check_features(graph, z, params.channels)
     r_count = graph.num_relations
     if r_count != params.num_relations:
         raise ShapeError("relation count of graph and parameters differ")
@@ -259,18 +261,17 @@ def grmp_forward(graph: RelGraph, z: Tensor, params: GRMPParams) -> Tensor:
     else:
         z_in = z
 
-    # step 2: mean aggregation on the node-major wide layout [V, R*C]
+    # step 2: mean aggregation into node-major slots [V*R, C]
     slots = rel_aggregate(graph, z_in)
-    wide = reshape(slots, (v_count, r_count * c))
 
-    # steps 2-3, one op: per-relation channel weights, then relation scores
-    # weight each slot; slots are then summed
+    # steps 2-3, one op: per-relation channel weights, then the relation
+    # scores ([V, R], learned or the constant 1/R) weight each slot; each
+    # node's slots are then summed
     if variant.alpha == "learned":
         scores = linear(z, params.w_alpha, params.b_alpha)
-        acc = relation_weighted_sum(wide, scores, r_count, params.w_channel)
     else:
-        acc = mul_scalar(relation_weighted_sum(wide, None, r_count, params.w_channel),
-                         1.0 / r_count)
+        scores = Tensor(np.full((graph.num_nodes, r_count), 1.0 / r_count))
+    acc = relation_weighted_sum(slots, scores, params.w_channel)
 
     # step 4: shared output transform
     if variant.use_w_out:

@@ -14,10 +14,10 @@ expressions to the last digit:
   1 FLOP per output element
 * tile_rows / tile_cols (broadcast materialized as an outer product with a
   ones vector): 1 FLOP per output element
-* relation_weighted_sum of [V, R*C] slots, a [1, R*C] channel-weight row and
+* relation_weighted_sum of [V*R, C] slots, a [1, R*C] channel-weight row and
   [V, R] scores: the charges of the unfused chain it replaces, read from its
   operand shapes: tile R*V*C and hadamard R*V*C for the channel weights, the
-  same again for the scores (only when they are given), add (R-1)*V*C
+  same again for the scores, add (R-1)*V*C
 * layer_norm of [n, c] with scale and shift: the charges of the 11-op chain
   it replaces (2 mean_cols, 2 tile_cols, sub, 2 hadamard, add_scalar, sqrt,
   div and a bias add), read from its input shape: mean 2nc, tile 2nc, sub nc,
@@ -523,80 +523,71 @@ def tile_cols(col: Tensor, num_cols: int) -> Tensor:
     return _result(out_data, "tile_cols", (col,), backward)
 
 
-def relation_weighted_sum(wide: Tensor, scores: Tensor | None,
-                          num_relations: int, channel: Tensor) -> Tensor:
-    """Per-node score-weighted sum of relation slots: [V, R*C] -> [V, C].
+def relation_weighted_sum(slots: Tensor, scores: Tensor,
+                          channel: Tensor) -> Tensor:
+    """Per-node score-weighted sum of relation slots: [V*R, C] -> [V, C].
 
-    Relation r occupies columns r*C..(r+1)*C of `wide`; `scores` is [V, R],
-    or None for a plain sum over relations. `channel` is a [1, R*C] row of
-    per-relation channel weights that multiplies every row of `wide` first,
-    as `hadamard(wide, tile_rows(channel, V))` would. Terms are added in
-    relation order 0..R-1, so the result rounds like a chain of `add`s over
-    the R products `hadamard(slot_r, tile_cols(score_r, C))`, and the op
-    charges what that chain would: tile and hadamard R*V*C each for the
-    channel weights and again for the scores (when given), add (R-1)*V*C.
-    The weighted slots are not kept for backward; it multiplies `wide` by
-    `channel` again.
+    `slots` is `rel_aggregate`'s node-major output: row v*R + r is node v's
+    slot for relation r. `scores` is [V, R] and `channel` a [1, R*C] row of
+    per-relation channel weights, relation r's in columns r*C..(r+1)*C. Each
+    slot is multiplied by its channel weights, then by its node's score for
+    the relation, and the R products are added in relation order 0..R-1. So
+    the result rounds like the chain that reshapes the slots to [V, R*C],
+    multiplies them by `tile_rows(channel, V)` and adds the R products
+    `hadamard(slot_r, tile_cols(score_r, C))`, and the op charges what that
+    chain would: tile and hadamard 2*R*V*C each, add (R-1)*V*C. The weighted
+    slots are not kept for backward; it multiplies `slots` by `channel` again.
     """
-    if wide.data.ndim != 2 or num_relations < 1 or wide.shape[1] % num_relations:
-        raise ShapeError(f"relation_weighted_sum: {wide.shape} is not "
-                         f"[V, {num_relations}*C]")
-    v, r = wide.shape[0], num_relations
-    c = wide.shape[1] // r
+    if scores.data.ndim != 2 or slots.data.ndim != 2 \
+            or slots.shape[0] != scores.size:
+        raise ShapeError(f"relation_weighted_sum: slots {slots.shape} are not "
+                         f"[V*R, C] for scores {scores.shape} of [V, R]")
+    (v, r), c = scores.shape, slots.shape[1]
     if channel.shape != (1, r * c):
         raise ShapeError(f"relation_weighted_sum: channel weights "
                          f"{channel.shape} are not [1, {r * c}]")
-    parents = (wide, channel) if scores is None else (wide, scores, channel)
-    if scores is not None and scores.shape != (v, r):
-        raise ShapeError(f"relation_weighted_sum: scores {scores.shape} "
-                         f"are not [{v}, {r}]")
     # the products round in their operands' dtype and are stored in the
     # result's, so scaling by the scores in place rounds as a fresh product
-    terms = np.empty((v, r, c), np.result_type(*(p.data for p in parents)))
-    np.multiply(wide.data.reshape(v, r, c), channel.data.reshape(r, c), out=terms)
-    _charge("tile", r * v * c)
-    _charge("hadamard", r * v * c)
-    if scores is not None:
-        np.multiply(terms, scores.data[:, :, None], out=terms)
-        _charge("tile", r * v * c)
-        _charge("hadamard", r * v * c)
+    terms = np.empty((v, r, c), np.result_type(slots.data, scores.data,
+                                               channel.data))
+    np.multiply(slots.data.reshape(v, r, c), channel.data.reshape(r, c),
+                out=terms)
+    np.multiply(terms, scores.data[:, :, None], out=terms)
+    _charge("tile", 2 * r * v * c)
+    _charge("hadamard", 2 * r * v * c)
     out_data = terms[:, 0].copy()
     for k in range(1, r):
         out_data += terms[:, k]
     if r > 1:
         _charge("add", (r - 1) * v * c)
 
-    # The closure names only the operand tensors: `terms` is [V, R*C]
-    # scratch and must not stay alive on the tape. Backward works in at
-    # most two [V, R*C] arrays of g's dtype (the result's): `prods` holds
-    # the score gradient's products and then becomes wide's gradient, and
-    # `gw` is g spread over the relation slots, then gw * wide.
+    # The closure names only the operand tensors: `terms` is [V, R, C]
+    # scratch and must not stay alive on the tape. Backward works in two
+    # [V, R, C] arrays of g's dtype (the result's): `prods` holds the score
+    # gradient's products and then the slots' gradient, and `gw` is g
+    # scaled by the scores, then gw * slots.
     def backward(g):
         g_slots = g[:, None, :]
-        wide_slots = wide.data.reshape(v, r, c)
+        slot_data = slots.data.reshape(v, r, c)
         channel_slots = channel.data.reshape(r, c)
-        prods = None
-        if scores is not None and scores.requires_grad:
-            prods = np.empty((v, r, c), g.dtype)
-            np.multiply(wide_slots, channel_slots, out=prods)
+        prods = np.empty((v, r, c), g.dtype)
+        if scores.requires_grad:
+            np.multiply(slot_data, channel_slots, out=prods)
             np.multiply(prods, g_slots, out=prods)
             scores._accumulate_owned(prods.sum(axis=2))
-        if not (wide.requires_grad or channel.requires_grad):
+        if not (slots.requires_grad or channel.requires_grad):
             return
-        gw = np.empty((v, r, c), g.dtype)
-        if scores is None:
-            gw[...] = g_slots
-        else:
-            np.multiply(g_slots, scores.data[:, :, None], out=gw)
-        if wide.requires_grad:
-            prods = np.multiply(gw, channel_slots, out=prods)
-            wide._accumulate_owned(prods.reshape(v, r * c))
+        gw = g_slots * scores.data[:, :, None]
+        if slots.requires_grad:
+            np.multiply(gw, channel_slots, out=prods)
+            slots._accumulate_owned(prods.reshape(v * r, c))
         if channel.requires_grad:
-            np.multiply(gw, wide_slots, out=gw)
+            np.multiply(gw, slot_data, out=gw)
             channel._accumulate_owned(
                 gw.reshape(v, r * c).sum(axis=0).reshape(channel.shape))
 
-    return _result(out_data, "relation_weighted_sum", parents, backward)
+    return _result(out_data, "relation_weighted_sum", (slots, scores, channel),
+                   backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:

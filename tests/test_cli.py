@@ -351,6 +351,17 @@ def test_eval_of_an_empty_split_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_kg_that_fails_part_way_writes_nothing(tmp_path, capsys):
+    # the results are computed before the output directory is made
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        assert main(["train-kg", "--epochs", "2", "--lr", "1e30",
+                     "--people", "20", "--num-layers", "1", "--channels", "4",
+                     "--out", str(out)]) == 2
+    assert "non-finite value produced by linear" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _SEEDED = {"build-graph": ["--domain", "kg", "--input", "absent.tsv"],
            "bench-flops": [], "verify": ["--suite", "flops-exact"],
            "train-kg": ["--epochs", "0", *TINY_TRAIN],
@@ -575,6 +586,60 @@ def test_flags_override_config_file_which_overrides_defaults(tmp_path):
     assert "epochs = 0" in resolved        # flag beat the file
     assert "people = 30" in resolved       # file beat the default
     assert "batch_size = 16" in resolved   # default survived
+
+
+@pytest.mark.parametrize("command,args,section", [
+    ("train-kg", ["--epochs", "0", *TINY_TRAIN], "out = {out}"),
+    ("bench-flops", ["--k-max", "2", "--out", "{out}"], None)],
+    ids=["config-file", "flag"])
+def test_a_percent_sign_in_a_value_is_read_as_written(tmp_path, command, args,
+                                                      section):
+    out = tmp_path / "run%1"
+    argv = [command] + [a.format(out=out) for a in args]
+    if section is not None:
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{command}]\n{section.format(out=out)}\n")
+        argv += ["--config", str(ini)]
+    assert main(argv) == 0
+    assert f"out = {out}\n" in (out / "resolved_config.ini").read_text()
+
+
+def test_a_config_value_outside_the_choices_is_a_usage_error(tmp_path,
+                                                             trained_run,
+                                                             capsys):
+    kg = tmp_path / "kg.tsv"
+    kg.write_text("a\tlikes\tb\n")
+    for command, section, argv in [
+            ("verify", "suite = %(x)s", []),
+            ("build-graph", "domain = foo", ["--input", str(kg)]),
+            ("eval", "split = train", ["--model-dir", str(trained_run)])]:
+        ini = tmp_path / f"{command}.ini"
+        ini.write_text(f"[{command}]\n{section}\n")
+        out = tmp_path / "out"
+        assert main([command, *argv, "--config", str(ini),
+                     "--out", str(out)]) == 2, command
+        value = section.split(" = ")[1]
+        assert f"config key {section.split()[0]}: {value!r} is not one of" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command,args", [
+    ("build-graph", ["--domain", "kg", "--input", "{kg}", "--f64"]),
+    ("bench-flops", ["--k-max", "3", "--seed", "4"]),
+    ("verify", ["--suite", "flops-exact", "--transforms", "2"]),
+    ("train-kg", ["--epochs", "0", *TINY_TRAIN, "--no-anneal"])])
+def test_an_echoed_config_resolves_to_the_same_values(tmp_path, command, args):
+    kg = tmp_path / "kg.tsv"
+    kg.write_text("a\tlikes\tb\nb\tknows\tc\n")
+    out = tmp_path / "run%"
+    assert main([command, *(a.format(kg=kg) for a in args),
+                 "--out", str(out)]) == 0
+    echoed = (out / "resolved_config.ini").read_text()
+    (tmp_path / "echoed.ini").write_text(echoed)
+    # rerun from the echo alone: it writes the same echo again
+    assert main([command, "--config", str(tmp_path / "echoed.ini")]) == 0
+    assert (out / "resolved_config.ini").read_text() == echoed
 
 
 def test_unknown_config_key_is_a_usage_error(tmp_path):

@@ -15,8 +15,8 @@ from relmp.oracles import grmp_oracle, layer_norm_oracle, rgconv_oracle
 from relmp import tensor as T
 from relmp.tensor import (Tensor, add, count_flops, counting_paused,
                           default_dtype, finite_difference_check, hadamard,
-                          matmul, relation_weighted_sum, slice_cols, sum_all,
-                          tile_cols, tile_rows)
+                          matmul, relation_weighted_sum, reshape, slice_cols,
+                          slice_rows, sum_all, tile_cols, tile_rows)
 
 
 def random_graph(rng, num_nodes, num_relations, num_edges):
@@ -261,32 +261,34 @@ class TestLayerGradients:
         assert worst < 1e-5, f"worst relative gradient error {worst}"
 
 
-def chained_weighted_sum(wide, scores, num_relations, channel):
+def chained_weighted_sum(slots, scores, channel):
     """Steps 2 and 3 of the gated layer as the recorded-op chain that
-    `relation_weighted_sum` replaces: `tile_rows` + `hadamard` for the channel
-    row, then slice/tile/hadamard/add per relation."""
-    wide = hadamard(wide, tile_rows(channel, wide.shape[0]))
-    c = wide.shape[1] // num_relations
+    `relation_weighted_sum` replaces: a reshape of the slots to [V, R*C],
+    `tile_rows` + `hadamard` for the channel row, then
+    slice/tile/hadamard/add per relation."""
+    (v, r), c = scores.shape, slots.shape[1]
+    wide = hadamard(reshape(slots, (v, r * c)), tile_rows(channel, v))
     acc = None
-    for r in range(num_relations):
-        term = slice_cols(wide, r * c, (r + 1) * c)
-        if scores is not None:
-            term = hadamard(term, tile_cols(slice_cols(scores, r, r + 1), c))
+    for k in range(r):
+        term = hadamard(slice_cols(wide, k * c, (k + 1) * c),
+                        tile_cols(slice_cols(scores, k, k + 1), c))
         acc = term if acc is None else add(acc, term)
     return acc
 
 
 def recorded_ops(out):
-    """Number of distinct recorded (non-leaf) tensors on the tape of `out`."""
-    seen, stack, count = set(), [out], 0
+    """The sorted op names of the distinct recorded (non-leaf) tensors on the
+    tape of `out`."""
+    seen, stack, ops = set(), [out], []
     while stack:
         t = stack.pop()
         if id(t) in seen:
             continue
         seen.add(id(t))
-        count += t._op != "leaf"
+        if t._op != "leaf":
+            ops.append(t._op)
         stack.extend(t._parents)
-    return count
+    return sorted(ops)
 
 
 class TestRelationWeighting:
@@ -323,62 +325,67 @@ class TestRelationWeighting:
                     assert np.array_equal(grad, chained[2][name]), f"{case} {name}"
 
     def test_shared_input_matches_chain_bitwise_float32(self):
-        # `wide` also feeds a second op, so its gradient is a sum whose
+        # the slots also feed a second op, so their gradient is a sum whose
         # rounding depends on the order the terms arrive in
         rng = np.random.default_rng(43)
         v, r, c = 11, 5, 24
         draws = [rng.normal(size=s).astype(np.float32)
-                 for s in [(v, c), (c, r * c), (v, r), (1, r * c), (v, c)]]
-        for scored in (True, False):
-            runs = []
-            for fn in (relation_weighted_sum, chained_weighted_sum):
-                a, w, scores, channel = (Tensor(d, requires_grad=True)
-                                         for d in draws[:4])
-                with count_flops() as counter:
-                    wide = matmul(a, w)
-                    out = fn(wide, scores if scored else None, r, channel)
-                    out = add(out, slice_cols(wide, c, 2 * c))
-                sum_all(hadamard(out, Tensor(draws[4]))).backward()
-                grads = [a.grad, w.grad, channel.grad]
-                runs.append((out.data, counter.per_op,
-                             grads + [scores.grad] if scored else grads))
-            fused, chained = runs
-            assert np.array_equal(fused[0], chained[0])
-            assert fused[1] == chained[1]
-            for got, want in zip(fused[2], chained[2]):
-                assert got.dtype == np.float32
-                assert np.array_equal(got, want)
+                 for s in [(v * r, c), (c, c), (v, r), (1, r * c), (v, c)]]
+        runs = []
+        for fn in (relation_weighted_sum, chained_weighted_sum):
+            a, w, scores, channel = (Tensor(d, requires_grad=True)
+                                     for d in draws[:4])
+            with count_flops() as counter:
+                slots = matmul(a, w)
+                out = fn(slots, scores, channel)
+                out = add(out, slice_rows(slots, v, 2 * v))
+            sum_all(hadamard(out, Tensor(draws[4]))).backward()
+            runs.append((out.data, counter.per_op,
+                         [a.grad, w.grad, channel.grad, scores.grad]))
+        fused, chained = runs
+        assert np.array_equal(fused[0], chained[0])
+        assert fused[1] == chained[1]
+        for got, want in zip(fused[2], chained[2]):
+            assert got.dtype == np.float32
+            assert np.array_equal(got, want)
 
     def test_tape_keeps_no_weighted_slots(self):
         rng = np.random.default_rng(44)
-        wide = Tensor(rng.normal(size=(6, 12)), requires_grad=True)
-        channel = Tensor(rng.normal(size=(1, 12)), requires_grad=True)
-        for scores in (Tensor(rng.normal(size=(6, 3)), requires_grad=True), None):
-            out = relation_weighted_sum(wide, scores, 3, channel)
-            held = [cell.cell_contents for cell in out._backward.__closure__]
-            assert not any(isinstance(v, np.ndarray) for v in held), held
+        slots, scores, channel = (Tensor(rng.normal(size=s), requires_grad=True)
+                                  for s in [(18, 4), (6, 3), (1, 12)])
+        out = relation_weighted_sum(slots, scores, channel)
+        held = [cell.cell_contents for cell in out._backward.__closure__]
+        assert not any(isinstance(v, np.ndarray) for v in held), held
 
     def test_rejects_mismatched_shapes(self):
-        wide = Tensor(np.ones((4, 6)))
+        slots = Tensor(np.ones((12, 2)))
+        scores = Tensor(np.ones((4, 3)))
         ones = Tensor(np.ones((1, 6)))
-        for scores, r in [(None, 4), (Tensor(np.ones((4, 2))), 3),
-                          (Tensor(np.ones((3, 3))), 3)]:
+        for bad_slots, bad_scores in [
+                (Tensor(np.ones((12, 2, 1))), scores),
+                (Tensor(np.ones((24,))), scores),
+                (Tensor(np.ones((8, 3))), scores),
+                (slots, Tensor(np.ones((4, 2)))),
+                (slots, Tensor(np.ones(12)))]:
             with pytest.raises(ShapeError):
-                relation_weighted_sum(wide, scores, r, ones)
+                relation_weighted_sum(bad_slots, bad_scores, ones)
         for channel in (Tensor(np.ones(6)), Tensor(np.ones((1, 4))),
                         Tensor(np.ones((4, 6)))):
             with pytest.raises(ShapeError):
-                relation_weighted_sum(wide, None, 3, channel)
+                relation_weighted_sum(slots, scores, channel)
 
     def test_recorded_op_count_does_not_grow_with_relations(self):
+        # one op per step: no reshape of the slots, no scaling of the sum
         rng = np.random.default_rng(42)
-        for alpha in ("learned", "uniform"):
-            counts = []
+        for alpha, scoring in (("learned", ["linear"]), ("uniform", [])):
+            want = sorted(["linear", "rel_aggregate", *scoring,
+                           "relation_weighted_sum", "linear", "matmul",
+                           "hadamard"])
             for r in (2, 12):
                 g = random_graph(rng, 8, r, 4 * r)
                 p = GRMPParams.init(rng, r, 4, variant=GRMPVariant(alpha=alpha))
-                counts.append(recorded_ops(grmp_forward(g, Tensor(np.ones((8, 4))), p)))
-            assert counts[0] == counts[1], alpha
+                ops = recorded_ops(grmp_forward(g, Tensor(np.ones((8, 4))), p))
+                assert ops == want, (alpha, r)
 
 
 def chained_layer_norm(x, gamma, beta, eps):

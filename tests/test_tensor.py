@@ -408,23 +408,20 @@ def _swept_twice(loss, leaves):
     return sweeps
 
 
-def _relation_weighted_sum_reference(wide, scores, channel, g, r):
+def _relation_weighted_sum_reference(slots, scores, channel, g):
     """relation_weighted_sum as raw NumPy, in the formulas and layouts that
     the fused op must reproduce bit for bit: (output, score, slot and
     channel gradients)."""
-    v, c = wide.shape[0], wide.shape[1] // r
-    terms = (wide * channel).reshape(v, r, c)
-    if scores is not None:
-        terms = terms * scores[:, :, None]
+    (v, r), c = scores.shape, slots.shape[1]
+    wide = slots.reshape(v, r * c)
+    terms = (wide * channel).reshape(v, r, c) * scores[:, :, None]
     out = terms[:, 0].copy()
     for k in range(1, r):
         out += terms[:, k]
-    slots = wide * channel
-    g_scores = None if scores is None else \
-        (slots.reshape(v, r, c) * g[:, None, :]).sum(axis=2)
-    gw = np.tile(g, r) if scores is None else \
-        (g[:, None, :] * scores[:, :, None]).reshape(v, r * c)
-    return out, g_scores, gw * channel, (gw * wide).sum(axis=0).reshape(channel.shape)
+    g_scores = ((wide * channel).reshape(v, r, c) * g[:, None, :]).sum(axis=2)
+    gw = (g[:, None, :] * scores[:, :, None]).reshape(v, r * c)
+    return (out, g_scores, (gw * channel).reshape(v * r, c),
+            (gw * wide).sum(axis=0).reshape(channel.shape))
 
 
 class TestCopyFreeBackward:
@@ -484,41 +481,34 @@ class TestCopyFreeBackward:
                                         (np.float32, np.float32, np.float64)],
                              ids=["float32", "float64", "float64-scores",
                                   "float64-channel"])
-    @pytest.mark.parametrize("scored, needs", [
-        (scored, needs) for scored in (True, False)
-        for needs in (("wide", "scores", "channel"), ("wide",), ("scores",),
-                      ("channel",))
-        if scored or needs != ("scores",)],
-        ids=lambda x: ("scored" if x else "unscored") if isinstance(x, bool)
-        else "+".join(x))
-    def test_relation_weighted_sum_matches_its_raw_formulas(self, scored, needs,
+    @pytest.mark.parametrize("needs", [("slots", "scores", "channel"),
+                                       ("slots",), ("scores",), ("channel",)],
+                             ids="+".join)
+    def test_relation_weighted_sum_matches_its_raw_formulas(self, needs,
                                                             dtypes):
         v, r, c = 5, 9, 4
         rng = np.random.default_rng(9)
-        names = ("wide", "scores", "channel")
-        shapes = [(v, r * c), (v, r), (1, r * c)]
+        names = ("slots", "scores", "channel")
+        shapes = [(v * r, c), (v, r), (1, r * c)]
         leaves = {}
         for name, shape, dtype in zip(names, shapes, dtypes):
             with default_dtype(dtype):
                 leaves[name] = Tensor(rng.normal(size=shape),
                                       requires_grad=name in needs)
-        wide, scores, channel = (leaves[n] for n in names)
-        if not scored:
-            scores = None
+        slots, scores, channel = (leaves[n] for n in names)
         forward = [t.data.copy() for t in leaves.values()]
-        out = relation_weighted_sum(wide, scores, r, channel)
+        out = relation_weighted_sum(slots, scores, channel)
         with default_dtype(out.dtype):
             weights = Tensor(rng.normal(size=(v, c)))
         loss = sum_all(hadamard(out, weights))
-        used = [t for t in (wide, scores, channel) if t is not None]
+        used = [slots, scores, channel]
         first, second = _swept_twice(loss, used)
         want_out, *want_grads = _relation_weighted_sum_reference(
-            wide.data, None if scores is None else scores.data, channel.data,
-            out.grad, r)
+            slots.data, scores.data, channel.data, out.grad)
         assert out.data.tobytes() == want_out.tobytes()
-        for t, want in zip((scores, wide, channel), want_grads):
-            if t is None or not t.requires_grad:
-                assert t is None or t.grad is None
+        for t, want in zip((scores, slots, channel), want_grads):
+            if not t.requires_grad:
+                assert t.grad is None
                 continue
             assert t.grad.tobytes() == want.astype(t.dtype).tobytes()
         for got, again in zip(first, second):
@@ -549,10 +539,10 @@ class TestLossValues:
 
 # -- op-contract registry ----------------------------------------------------------
 
-def _ones_row(wide):
-    """A constant channel-weight row of ones in the dtype of `wide`."""
-    with default_dtype(wide.dtype):
-        return Tensor(np.ones((1, wide.shape[1])))
+def _ones_row(like, width):
+    """A constant channel-weight row of `width` ones in the dtype of `like`."""
+    with default_dtype(like.dtype):
+        return Tensor(np.ones((1, width)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -589,24 +579,22 @@ def _binary(op):
                    form="row")]
 
 
-def _weighted_sum(scored, channel):
-    """A relation_weighted_sum case: with or without scores, and with a
-    channel-weight input or the constant ones row."""
+def _weighted_sum(channel):
+    """A relation_weighted_sum case, with a channel-weight input or the
+    constant ones row."""
     def shapes(v, r, c):
-        return [(v, r * c)] + [(v, r)] * scored + [(1, r * c)] * channel
+        return [(v * r, c), (v, r)] + [(1, r * c)] * channel
 
     def charge(v, r, c):
-        per_slot = (1 + scored) * r * v * c
-        return {"tile": per_slot, "hadamard": per_slot, "add": (r - 1) * v * c}
+        return {"tile": 2 * r * v * c, "hadamard": 2 * r * v * c,
+                "add": (r - 1) * v * c}
 
-    def call(d, wide, *rest):
-        scores = rest[0] if scored else None
-        return relation_weighted_sum(wide, scores, d.r,
-                                     rest[-1] if channel else _ones_row(wide))
+    def call(d, slots, scores, *rest):
+        return relation_weighted_sum(
+            slots, scores, rest[0] if channel else _ones_row(slots, d.r * d.c))
 
     return OpCase("relation_weighted_sum", shapes, charge, call,
-                  form=("scored" if scored else "unscored")
-                  + ("-channel" if channel else "-ones"))
+                  form="channel" if channel else "ones")
 
 
 def _layer_norm_charge(n, c):
@@ -615,8 +603,8 @@ def _layer_norm_charge(n, c):
             "hadamard": 2 * n * c, "add": n, "sqrt": n, "div": n * c}
 
 
-# every public op of tensor.py plus rel_aggregate, with the row-broadcast,
-# unscored and constant-channel forms as extra cases
+# every public op of tensor.py plus rel_aggregate, with the row-broadcast
+# and constant-channel forms as extra cases
 _OP_CASES = [
     *_binary("add"), *_binary("sub"), *_binary("hadamard"), *_binary("div"),
     OpCase("add_scalar", lambda m, n: [(m, n)], lambda m, n: {"add": m * n},
@@ -631,8 +619,7 @@ _OP_CASES = [
            lambda d, a: tile_rows(a, d.m)),
     OpCase("tile_cols", lambda m, n: [(m, 1)], lambda m, n: {"tile": m * n},
            lambda d, a: tile_cols(a, d.n)),
-    *(_weighted_sum(scored, channel) for scored in (True, False)
-      for channel in (False, True)),
+    _weighted_sum(False), _weighted_sum(True),
     # a row of 2 normalizes to ±(1, -1) up to eps, so its input gradient is
     # O(eps) and finer than central differences resolve: rows hold c + 2
     OpCase("layer_norm", lambda n, c: [(n, c + 2), (c + 2,), (c + 2,)],
