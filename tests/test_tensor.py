@@ -481,10 +481,15 @@ class TestCopyFreeBackward:
                                         (np.float32, np.float32, np.float64)],
                              ids=["float32", "float64", "float64-scores",
                                   "float64-channel"])
-    @pytest.mark.parametrize("needs", [("slots", "scores", "channel"),
-                                       ("slots",), ("scores",), ("channel",)],
-                             ids="+".join)
-    def test_relation_weighted_sum_matches_its_raw_formulas(self, needs,
+    # "uniform" scores are the uniform ablation's constant 1/R
+    @pytest.mark.parametrize("scored, needs", [
+        (scored, needs) for scored in (True, False)
+        for needs in (("slots", "scores", "channel"), ("slots",), ("scores",),
+                      ("channel",))
+        if scored or needs != ("scores",)],
+        ids=lambda x: ("scored" if x else "uniform") if isinstance(x, bool)
+        else "+".join(x))
+    def test_relation_weighted_sum_matches_its_raw_formulas(self, scored, needs,
                                                             dtypes):
         v, r, c = 5, 9, 4
         rng = np.random.default_rng(9)
@@ -492,9 +497,11 @@ class TestCopyFreeBackward:
         shapes = [(v * r, c), (v, r), (1, r * c)]
         leaves = {}
         for name, shape, dtype in zip(names, shapes, dtypes):
+            data = rng.normal(size=shape)
+            if name == "scores" and not scored:
+                data = np.full(shape, 1.0 / r)
             with default_dtype(dtype):
-                leaves[name] = Tensor(rng.normal(size=shape),
-                                      requires_grad=name in needs)
+                leaves[name] = Tensor(data, requires_grad=name in needs)
         slots, scores, channel = (leaves[n] for n in names)
         forward = [t.data.copy() for t in leaves.values()]
         out = relation_weighted_sum(slots, scores, channel)
@@ -579,22 +586,29 @@ def _binary(op):
                    form="row")]
 
 
-def _weighted_sum(channel):
-    """A relation_weighted_sum case, with a channel-weight input or the
+def _weighted_sum(scored, channel):
+    """A relation_weighted_sum case: with a scores input or the uniform
+    ablation's constant 1/R scores, and with a channel-weight input or the
     constant ones row."""
     def shapes(v, r, c):
-        return [(v * r, c), (v, r)] + [(1, r * c)] * channel
+        return [(v * r, c)] + [(v, r)] * scored + [(1, r * c)] * channel
 
     def charge(v, r, c):
         return {"tile": 2 * r * v * c, "hadamard": 2 * r * v * c,
                 "add": (r - 1) * v * c}
 
-    def call(d, slots, scores, *rest):
+    def call(d, slots, *rest):
+        if scored:
+            scores, *rest = rest
+        else:
+            with default_dtype(slots.dtype):
+                scores = Tensor(np.full((d.v, d.r), 1.0 / d.r))
         return relation_weighted_sum(
             slots, scores, rest[0] if channel else _ones_row(slots, d.r * d.c))
 
     return OpCase("relation_weighted_sum", shapes, charge, call,
-                  form="channel" if channel else "ones")
+                  form=("scored" if scored else "uniform")
+                  + ("-channel" if channel else "-ones"))
 
 
 def _layer_norm_charge(n, c):
@@ -603,8 +617,8 @@ def _layer_norm_charge(n, c):
             "hadamard": 2 * n * c, "add": n, "sqrt": n, "div": n * c}
 
 
-# every public op of tensor.py plus rel_aggregate, with the row-broadcast
-# and constant-channel forms as extra cases
+# every public op of tensor.py plus rel_aggregate, with the row-broadcast,
+# uniform-score and constant-channel forms as extra cases
 _OP_CASES = [
     *_binary("add"), *_binary("sub"), *_binary("hadamard"), *_binary("div"),
     OpCase("add_scalar", lambda m, n: [(m, n)], lambda m, n: {"add": m * n},
@@ -619,7 +633,8 @@ _OP_CASES = [
            lambda d, a: tile_rows(a, d.m)),
     OpCase("tile_cols", lambda m, n: [(m, 1)], lambda m, n: {"tile": m * n},
            lambda d, a: tile_cols(a, d.n)),
-    _weighted_sum(False), _weighted_sum(True),
+    *(_weighted_sum(scored, channel) for scored in (True, False)
+      for channel in (False, True)),
     # a row of 2 normalizes to ±(1, -1) up to eps, so its input gradient is
     # O(eps) and finer than central differences resolve: rows hold c + 2
     OpCase("layer_norm", lambda n, c: [(n, c + 2), (c + 2,), (c + 2,)],
