@@ -134,13 +134,19 @@ def image_medium_edges(grid: PatchGrid, k: int, relation: int = 0) -> np.ndarray
     # medium-range similarity is plain Euclidean distance on raw features
     feats = grid.features.astype(np.float64)
     sq = (feats * feats).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (feats @ feats.T)
-    np.maximum(d2, 0.0, out=d2)
     rows = np.arange(p) // grid.width
     cols = np.arange(p) % grid.width
     window = (rows // 2) * ((grid.width + 1) // 2) + cols // 2
-    _, src, dst = _nearest_sources(d2, window[:, None] != window, k)
-    return np.stack([src, dst, np.full_like(src, relation)], axis=1)
+    # rank 256 destination columns at a time: [P, 256] arrays, not [P, P]
+    parts = []
+    for start in range(0, p, 256):
+        cut = slice(start, start + 256)
+        d2 = sq[:, None] + sq[cut] - 2.0 * (feats @ feats[cut].T)
+        np.maximum(d2, 0.0, out=d2)
+        _, src, dst = _nearest_sources(d2, window[:, None] != window[cut], k)
+        parts.append(np.stack([src, dst + start, np.full_like(src, relation)],
+                              axis=1))
+    return np.concatenate(parts)
 
 
 def image_patch_edges(grid: PatchGrid, k_medium: int,

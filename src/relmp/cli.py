@@ -25,9 +25,10 @@ written).
 ``--threads N`` pins the BLAS pool size through environment variables. They
 must be set before numpy first loads, so this module imports the numeric
 stack lazily inside the command bodies; the pin is only effective for a fresh
-process (the normal CLI case), not when `main` is called in-process after
-numpy is already imported, which prints a warning to stderr and runs with the
-pools as they are. ``--threads 1`` makes reruns bit-identical.
+process (the normal CLI case). Called in-process after numpy is loaded, `main`
+runs with the pools as they are, with a warning on stderr if ``--threads`` was
+given. ``--threads 1`` makes reruns bit-identical; ``train-kg`` and ``eval``,
+whose metrics would otherwise depend on the core count, default to it.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ _COMMON = {
     "f64": _Opt(bool, False, "run tensors in float64"),
     "out": _Opt("path", None, "output directory"),
 }
+
+_ONE_THREAD = _Opt(int, 1, "BLAS thread cap; 1 makes reruns bit-identical on "
+                           "any core count")
 
 _KG_DATA = {
     "train": _Opt("path", None,
@@ -117,6 +121,7 @@ _SPECS = {
                                    "of annealing"),
         **_KG_DATA,
         **_COMMON,
+        "threads": _ONE_THREAD,
     },
     "eval": {
         "model_dir": _Opt("path", None,
@@ -124,6 +129,7 @@ _SPECS = {
         "split": _Opt(str, "test", "split to evaluate", ("valid", "test")),
         **_KG_DATA,
         **_COMMON,
+        "threads": _ONE_THREAD,
     },
 }
 
@@ -244,12 +250,12 @@ def _prepare_out(resolved: dict, command: str) -> str:
     return out
 
 
-def _apply_threads(count) -> None:
+def _apply_threads(count, explicit: bool = True) -> None:
     if count is None:
         return
     if count < 1:
         raise ConfigError("--threads must be a positive integer")
-    if "numpy" in sys.modules:
+    if explicit and "numpy" in sys.modules:
         print(f"warning: --threads {count} cannot take effect: numpy is already "
               "loaded in this process", file=sys.stderr)
     for var in _THREAD_ENV:
@@ -523,7 +529,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--{key.replace('_', '-')} must be "
                                   f"{'positive' if least else 'non-negative'}"
                                   f", not {resolved[key]}")
-        _apply_threads(resolved["threads"])
+        _apply_threads(resolved["threads"], "threads" in resolved["_explicit"])
         if resolved["f64"]:
             import numpy as np
 

@@ -1,4 +1,4 @@
-"""Multi-relational directed graphs and the mean-normalized aggregation op.
+"""Multi-relational directed graphs and the mean-normalized aggregation ops.
 
 A RelGraph is built from an (E, 3) int array of (src, dst, rel) rows or from a
 list of such triples; a value that int64 conversion would change (0.5, NaN,
@@ -17,9 +17,13 @@ Normalization is the in-neighborhood mean. The implementation divides the
 neighbor sum by the integer degree rather than multiplying by a rounded float
 reciprocal.
 
-The aggregation output packs one slot per (relation, node) pair in node-major
-row order: row v*R + r holds the mean over N_r(v). Node-major order makes the
-downstream "concatenate a node's relation slots" reshape a zero-copy view.
+Two ops aggregate. `rel_aggregate` returns the means in node-major row order
+(row v*R + r holds the mean over N_r(v)), so the relational convolution's
+"concatenate a node's relation slots" reshape is a zero-copy view.
+`weighted_aggregate`, the gated layer's aggregation and weighting, keeps its
+means relation-major ([R, V, C]) in the CSR product's own output, scales them
+in place and sums the relations in order 0..R-1. Its backward recomputes the
+means (same product, same division, same bits) instead of keeping them.
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ class RelGraph:
         return list(zip(self._src.tolist(), self._dst.tolist(), self._rel.tolist()))
 
     def _aggregation_ops(self, dtype):
-        """(slot matrix, its transpose, degree column) in `dtype`, built once."""
+        """(slot matrix, its transpose, [R, V, 1] degrees) in `dtype`, built once."""
         ops = self._ops.get(dtype)
         if ops is None:
             # unit weights in the features' dtype keep float32 features
@@ -102,13 +106,29 @@ class RelGraph:
             adj = csr_matrix((np.ones(self.num_edges, dtype=dtype), self._src,
                               self._indptr), shape=(size, self.num_nodes))
             # empty slots sum to zero, so dividing them by 1 leaves zero rows
-            deg = np.maximum(self._degrees, 1).reshape(-1, 1).astype(dtype)
+            deg = np.maximum(self._degrees, 1)[:, :, None].astype(dtype)
             ops = self._ops[dtype] = (adj, adj.T, deg)
         return ops
 
     def __repr__(self):
         return (f"RelGraph(nodes={self.num_nodes}, relations={self.num_relations}, "
                 f"edges={self.num_edges})")
+
+
+def _slot_means(graph: RelGraph, z: np.ndarray, out=None) -> np.ndarray:
+    """The means of features z, relation-major [R, V, C]: one CSR product,
+    then one division by the degrees into `out`, or over the sums."""
+    adj, _, deg = graph._aggregation_ops(z.dtype)
+    sums = (adj @ z).reshape(*deg.shape[:2], z.shape[1])
+    return np.divide(sums, deg, out=sums if out is None else out)
+
+
+def _means_grad(graph: RelGraph, g_rv: np.ndarray) -> np.ndarray:
+    """The features' gradient from the means' [R, V, C] gradient in their
+    dtype, which is divided in place; the CSC transpose visits the slots in
+    (rel, dst) order, i.e. edge storage order."""
+    _, adj_t, deg = graph._aggregation_ops(g_rv.dtype)
+    return adj_t @ np.divide(g_rv, deg, out=g_rv).reshape(deg.size, g_rv.shape[2])
 
 
 def rel_aggregate(graph: RelGraph, z: Tensor) -> Tensor:
@@ -124,25 +144,77 @@ def rel_aggregate(graph: RelGraph, z: Tensor) -> Tensor:
     if z.shape[0] != graph.num_nodes:
         raise ShapeError(f"feature rows {z.shape[0]} != num_nodes {graph.num_nodes}")
     v_count, r_count, c = graph.num_nodes, graph.num_relations, z.shape[1]
-    adj, adj_t, deg = graph._aggregation_ops(z.data.dtype)
-    deg_rv = deg.reshape(r_count, v_count, 1)
     # the kept output is allocated before the temporary sums, so the freed
     # sums leave no hole under it; on the 224x224 image step this order
     # peaks about 25 MB lower in RSS than the reverse
     out = np.empty((v_count, r_count, c), z.data.dtype)
-    sums = (adj @ z.data).reshape(r_count, v_count, c)
-    # rows of `sums` are (r, v)-major; one division writes the means in
-    # node-major order v*R + r
-    np.divide(sums.transpose(1, 0, 2), deg_rv.transpose(1, 0, 2), out=out)
+    # one division writes the relation-major means in node-major order v*R + r
+    _slot_means(graph, z.data, out.transpose(1, 0, 2))
     _charge("rel_aggregate", 2 * graph.num_edges * c)
 
     def backward(g):
-        g_rv = np.empty((r_count, v_count, c), np.result_type(g, deg))
-        np.divide(g.reshape(v_count, r_count, c).transpose(1, 0, 2), deg_rv, out=g_rv)
-        # the CSC transpose visits slots in (rel, dst) order, i.e. edge storage order
-        z._accumulate_owned(adj_t @ g_rv.reshape(r_count * v_count, c))
+        g_rv = g.reshape(v_count, r_count, c).transpose(1, 0, 2)
+        z._accumulate_owned(_means_grad(graph, g_rv.astype(z.data.dtype, order="C")))
 
     return _result(out.reshape(v_count * r_count, c), "rel_aggregate", (z,), backward)
+
+
+def weighted_aggregate(graph: RelGraph, z: Tensor, scores: Tensor,
+                       channel: Tensor) -> Tensor:
+    """Sum over r = 0..R-1 of (mean over N_r(v) * channel_r) * scores[v, r].
+
+    z is [V, C], `scores` [V, R] and `channel` a [1, R*C] row, relation r's
+    weights in columns r*C..(r+1)*C. The values and charges are those of
+    `rel_aggregate` followed by the chain of tiles, hadamards and adds that
+    broadcasts the weights; the tape keeps z, scores and channel only.
+    """
+    v_count, r_count = graph.num_nodes, graph.num_relations
+    c = z.shape[1] if z.data.ndim == 2 else 0
+    if (z.shape, scores.shape, channel.shape) != \
+            ((v_count, c), (v_count, r_count), (1, r_count * c)):
+        raise ShapeError(f"weighted_aggregate: features {z.shape}, scores "
+                         f"{scores.shape} and channel weights {channel.shape} are "
+                         f"not [{v_count}, C], [{v_count}, {r_count}], [1, {r_count}*C]")
+    channel_rc = channel.data.reshape(r_count, 1, c)
+    scores_rv = scores.data.T[:, :, None]
+    terms = _slot_means(graph, z.data)
+    # a product whose operands' dtype is the buffer's is taken in place;
+    # otherwise it is a fresh array in the wider dtype, as the chain's was
+    for factor in (channel_rc, scores_rv):
+        same = np.can_cast(factor.dtype, terms.dtype)
+        terms = np.multiply(terms, factor, out=terms if same else None)
+    out = terms[0].copy()
+    for k in range(1, r_count):
+        out += terms[k]
+    _charge("rel_aggregate", 2 * graph.num_edges * c)
+    _charge("tile", 2 * r_count * v_count * c)
+    _charge("hadamard", 2 * r_count * v_count * c)
+    if r_count > 1:
+        _charge("add", (r_count - 1) * v_count * c)
+
+    def backward(g):
+        # g has the result's dtype, the widest of the three operands'
+        means = _slot_means(graph, z.data)
+        work = np.empty(means.shape, g.dtype)
+        if scores.requires_grad:
+            np.multiply(means, channel_rc, out=work)
+            np.multiply(work, g, out=work)
+            scores._accumulate_owned(np.ascontiguousarray(work.sum(axis=2).T))
+        if z.requires_grad:
+            # each term's upstream gradient g * score, times its channel weights
+            np.multiply(g, scores_rv, out=work)
+            np.multiply(work, channel_rc, out=work)
+            z._accumulate_owned(
+                _means_grad(graph, work.astype(z.data.dtype, copy=False)))
+        if channel.requires_grad:
+            # node-major [V, R, C], so the sum over nodes adds them in order
+            terms = work.reshape(v_count, r_count, c)
+            np.multiply(g[:, None, :], scores.data[:, :, None], out=terms)
+            np.multiply(terms, means.transpose(1, 0, 2), out=terms)
+            channel._accumulate_owned(
+                terms.reshape(v_count, r_count * c).sum(axis=0).reshape(channel.shape))
+
+    return _result(out, "weighted_aggregate", (z, scores, channel), backward)
 
 
 # -- line graphs --------------------------------------------------------------------

@@ -20,12 +20,13 @@ analytic counts exclude them), and every broadcast is charged 1 FLOP per
 output element, just as the formulas assume. A linear map with a bias is one
 `tensor.linear` op, which charges only its matmul; the relational
 convolution adds its biases inside `counting_paused()`. No broadcast is
-materialized: the gated layer's channel weights (step 2) and its per-node
-relation weighting and sum (step 3) are one `relation_weighted_sum` op, which
-takes `rel_aggregate`'s [V*R, C] slots as they come out and a [V, R] score
-tensor (the constant 1/R in the uniform ablation), and layer norm is one
-`tensor.layer_norm` op. Each charges the tile, hadamard and other amounts of
-the op chain it replaces from its operand shapes.
+materialized: the gated layer's mean aggregation and channel weights (step
+2) and its per-node relation weighting and sum (step 3) are one
+`graph.weighted_aggregate` op, which takes the layer's features and a [V, R]
+score tensor (the constant 1/R in the uniform ablation) and keeps no [V*R, C]
+slot matrix on the tape, and layer norm is one `tensor.layer_norm` op. Each
+charges the tile, hadamard and other amounts of the op chain it replaces from
+its operand shapes.
 
 Parameters are plain dataclasses of Tensors. Weight matrices right-multiply
 row-vector features: a math-convention map W acting on column vectors appears
@@ -42,11 +43,10 @@ import numpy as np
 
 from .costmodel import FFN_EXPANSION
 from .errors import ConfigError, ContractError, ShapeError
-from .graph import RelGraph, rel_aggregate
+from .graph import RelGraph, rel_aggregate, weighted_aggregate
 from .tensor import (Tensor, add, concat_cols, counting_paused,
                      depthwise_conv2d, gather_rows, gelu, hadamard, linear,
-                     matmul, mean_rows, mul_scalar, relation_weighted_sum,
-                     reshape)
+                     matmul, mean_rows, mul_scalar, reshape)
 from .tensor import layer_norm as _layer_norm
 
 
@@ -261,17 +261,14 @@ def grmp_forward(graph: RelGraph, z: Tensor, params: GRMPParams) -> Tensor:
     else:
         z_in = z
 
-    # step 2: mean aggregation into node-major slots [V*R, C]
-    slots = rel_aggregate(graph, z_in)
-
-    # steps 2-3, one op: per-relation channel weights, then the relation
-    # scores ([V, R], learned or the constant 1/R) weight each slot; each
-    # node's slots are then summed
+    # steps 2-3, one op: mean aggregation per relation, per-relation channel
+    # weights, then the relation scores ([V, R], learned or the constant
+    # 1/R) weight each mean; each node's R weighted means are then summed
     if variant.alpha == "learned":
         scores = linear(z, params.w_alpha, params.b_alpha)
     else:
         scores = Tensor(np.full((graph.num_nodes, r_count), 1.0 / r_count))
-    acc = relation_weighted_sum(slots, scores, params.w_channel)
+    acc = weighted_aggregate(graph, z_in, scores, params.w_channel)
 
     # step 4: shared output transform
     if variant.use_w_out:

@@ -14,10 +14,6 @@ expressions to the last digit:
   1 FLOP per output element
 * tile_rows / tile_cols (broadcast materialized as an outer product with a
   ones vector): 1 FLOP per output element
-* relation_weighted_sum of [V*R, C] slots, a [1, R*C] channel-weight row and
-  [V, R] scores: the charges of the unfused chain it replaces, read from its
-  operand shapes: tile R*V*C and hadamard R*V*C for the channel weights, the
-  same again for the scores, add (R-1)*V*C
 * layer_norm of [n, c] with scale and shift: the charges of the 11-op chain
   it replaces (2 mean_cols, 2 tile_cols, sub, 2 hadamard, add_scalar, sqrt,
   div and a bias add), read from its input shape: mean 2nc, tile 2nc, sub nc,
@@ -25,6 +21,9 @@ expressions to the last digit:
 * sum over k elements: k-1 FLOPs per output element; mean: k FLOPs
 * depthwise 2D convolution with a k x k kernel on [H,W,C]: 2*H*W*C*k*k
 * reshape / slice / gather / concat: 0 FLOPs (memory movement)
+* the graph ops of graph.py: rel_aggregate 2*|E|*C; weighted_aggregate the
+  same plus the charges of the broadcast chain it replaces, read from its
+  operand shapes: tile 2*R*V*C, hadamard 2*R*V*C, add (R-1)*V*C
 
 The counter sees recorded forward ops only; the backward sweep runs raw numpy
 and is not metered. The analytic layer costs exclude biases: `linear` and
@@ -57,8 +56,9 @@ and no forward data, so it may be scaled in place. Closures that pass on
 their `g` or a view of it (add, reshape, slices) go through
 `Tensor._accumulate`, which copies a leaf's first gradient. Closures that
 compute a fresh array nothing else holds (the operand gradients of `matmul`
-and `linear`, `rel_aggregate`'s scatter, `relation_weighted_sum`'s three
-gradients) go through `Tensor._accumulate_owned`, which keeps it uncopied.
+and `linear`, the features' gradient of `rel_aggregate` and the three of
+`weighted_aggregate`) go through `Tensor._accumulate_owned`, which keeps it
+uncopied.
 No closure writes into its `g` or into forward data, so a retained graph
 sweeps to the same gradients again.
 
@@ -521,73 +521,6 @@ def tile_cols(col: Tensor, num_cols: int) -> Tensor:
         col._accumulate(g.sum(axis=1, keepdims=True))
 
     return _result(out_data, "tile_cols", (col,), backward)
-
-
-def relation_weighted_sum(slots: Tensor, scores: Tensor,
-                          channel: Tensor) -> Tensor:
-    """Per-node score-weighted sum of relation slots: [V*R, C] -> [V, C].
-
-    `slots` is `rel_aggregate`'s node-major output: row v*R + r is node v's
-    slot for relation r. `scores` is [V, R] and `channel` a [1, R*C] row of
-    per-relation channel weights, relation r's in columns r*C..(r+1)*C. Each
-    slot is multiplied by its channel weights, then by its node's score for
-    the relation, and the R products are added in relation order 0..R-1. So
-    the result rounds like the chain that reshapes the slots to [V, R*C],
-    multiplies them by `tile_rows(channel, V)` and adds the R products
-    `hadamard(slot_r, tile_cols(score_r, C))`, and the op charges what that
-    chain would: tile and hadamard 2*R*V*C each, add (R-1)*V*C. The weighted
-    slots are not kept for backward; it multiplies `slots` by `channel` again.
-    """
-    if scores.data.ndim != 2 or slots.data.ndim != 2 \
-            or slots.shape[0] != scores.size:
-        raise ShapeError(f"relation_weighted_sum: slots {slots.shape} are not "
-                         f"[V*R, C] for scores {scores.shape} of [V, R]")
-    (v, r), c = scores.shape, slots.shape[1]
-    if channel.shape != (1, r * c):
-        raise ShapeError(f"relation_weighted_sum: channel weights "
-                         f"{channel.shape} are not [1, {r * c}]")
-    # the products round in their operands' dtype and are stored in the
-    # result's, so scaling by the scores in place rounds as a fresh product
-    terms = np.empty((v, r, c), np.result_type(slots.data, scores.data,
-                                               channel.data))
-    np.multiply(slots.data.reshape(v, r, c), channel.data.reshape(r, c),
-                out=terms)
-    np.multiply(terms, scores.data[:, :, None], out=terms)
-    _charge("tile", 2 * r * v * c)
-    _charge("hadamard", 2 * r * v * c)
-    out_data = terms[:, 0].copy()
-    for k in range(1, r):
-        out_data += terms[:, k]
-    if r > 1:
-        _charge("add", (r - 1) * v * c)
-
-    # The closure names only the operand tensors: `terms` is [V, R, C]
-    # scratch and must not stay alive on the tape. Backward works in two
-    # [V, R, C] arrays of g's dtype (the result's): `prods` holds the score
-    # gradient's products and then the slots' gradient, and `gw` is g
-    # scaled by the scores, then gw * slots.
-    def backward(g):
-        g_slots = g[:, None, :]
-        slot_data = slots.data.reshape(v, r, c)
-        channel_slots = channel.data.reshape(r, c)
-        prods = np.empty((v, r, c), g.dtype)
-        if scores.requires_grad:
-            np.multiply(slot_data, channel_slots, out=prods)
-            np.multiply(prods, g_slots, out=prods)
-            scores._accumulate_owned(prods.sum(axis=2))
-        if not (slots.requires_grad or channel.requires_grad):
-            return
-        gw = g_slots * scores.data[:, :, None]
-        if slots.requires_grad:
-            np.multiply(gw, channel_slots, out=prods)
-            slots._accumulate_owned(prods.reshape(v * r, c))
-        if channel.requires_grad:
-            np.multiply(gw, slot_data, out=gw)
-            channel._accumulate_owned(
-                gw.reshape(v, r * c).sum(axis=0).reshape(channel.shape))
-
-    return _result(out_data, "relation_weighted_sum", (slots, scores, channel),
-                   backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:

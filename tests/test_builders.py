@@ -112,12 +112,19 @@ def test_medium_edges_zero_k_and_single_window():
 
 def test_medium_edges_match_bruteforce_oracle():
     rng = np.random.default_rng(11)
+    cases = []
     for trial in range(5):
         h, w = rng.integers(2, 6), rng.integers(2, 6)
-        k = int(rng.integers(1, 6))
-        grid = PatchGrid(h, w, rng.normal(size=(h * w, 4)))
-        got = sorted((s, d) for (s, d, r) in image_medium_edges(grid, k))
-        assert got == knn_oracle(grid.features, h, w, k)
+        cases.append((int(rng.integers(1, 6)),
+                      PatchGrid(h, w, rng.normal(size=(h * w, 4)))))
+    # 289 patches span two blocks of ranked destination columns; small
+    # integer features give exact distances and many ties
+    cases.append((4, PatchGrid(17, 17, rng.integers(0, 3, size=(289, 2)))))
+    for k, grid in cases:
+        edges = image_medium_edges(grid, k)
+        assert np.all(np.diff(edges[:, 1]) >= 0)   # destination-major
+        got = sorted((s, d) for (s, d, r) in edges.tolist())
+        assert got == knn_oracle(grid.features, grid.height, grid.width, k)
 
 
 def test_medium_edges_tie_break_is_ascending_index():

@@ -9,6 +9,7 @@ about whole runs.
 import csv
 import dataclasses
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -570,6 +571,37 @@ def test_threads_warns_in_process_once_numpy_is_loaded(tmp_path, chain_file,
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "warning" not in proc.stderr
+
+
+def test_kg_commands_pin_one_thread_without_a_warning(tmp_path, capsys):
+    # the default is not a request the user made: in-process it runs with the
+    # pools as they are and says nothing
+    assert main(["train-kg", "--epochs", "0", *TINY_TRAIN,
+                 "--out", str(tmp_path / "run")]) == 0
+    assert main(["eval", "--model-dir", str(tmp_path / "run"), "--people", "30",
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert "warning" not in capsys.readouterr().err
+    for run in ("run", "eval"):
+        assert "threads = 1" in (tmp_path / run / "resolved_config.ini").read_text()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+def test_default_threads_train_as_one_thread_does(tmp_path):
+    # with the BLAS pools free to use every core, the scorer's float32
+    # products round differently on this run from the second epoch on
+    env = {k: v for k, v in os.environ.items() if k not in cli._THREAD_ENV}
+    outputs = []
+    for threads in ([], ["--threads", "1"]):
+        out = tmp_path / ("one" if threads else "default")
+        proc = subprocess.run(
+            [sys.executable, "-m", "relmp", "train-kg", "--epochs", "2",
+             "--people", "60", "--num-layers", "2", *threads, "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out)
+    default, one = outputs
+    for name in ("metrics.csv", "model.ckpt"):
+        assert (default / name).read_bytes() == (one / name).read_bytes(), name
 
 
 # -- configuration -------------------------------------------------------------------------

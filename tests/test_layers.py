@@ -13,10 +13,12 @@ from relmp.layers import (ContextStackParams, FFNParams, GRMPParams, GRMPVariant
                           layer_norm, patch_merging, rgconv_forward)
 from relmp.oracles import grmp_oracle, layer_norm_oracle, rgconv_oracle
 from relmp import tensor as T
+from relmp import tensor as tensor_module
+from relmp.graph import weighted_aggregate
 from relmp.tensor import (Tensor, add, count_flops, counting_paused,
                           default_dtype, finite_difference_check, hadamard,
-                          matmul, relation_weighted_sum, reshape, slice_cols,
-                          slice_rows, sum_all, tile_cols, tile_rows)
+                          matmul, reshape, slice_cols, slice_rows, sum_all,
+                          tile_cols, tile_rows)
 
 
 def random_graph(rng, num_nodes, num_relations, num_edges):
@@ -262,9 +264,9 @@ class TestLayerGradients:
 
 
 def chained_weighted_sum(slots, scores, channel):
-    """Steps 2 and 3 of the gated layer as the recorded-op chain that
-    `relation_weighted_sum` replaces: a reshape of the slots to [V, R*C],
-    `tile_rows` + `hadamard` for the channel row, then
+    """Steps 2 and 3 of the gated layer after `rel_aggregate`, as the
+    recorded-op chain whose charges `weighted_aggregate` states: a reshape of
+    the slots to [V, R*C], `tile_rows` + `hadamard` for the channel row, then
     slice/tile/hadamard/add per relation."""
     (v, r), c = scores.shape, slots.shape[1]
     wide = hadamard(reshape(slots, (v, r * c)), tile_rows(channel, v))
@@ -274,6 +276,45 @@ def chained_weighted_sum(slots, scores, channel):
                         tile_cols(slice_cols(scores, k, k + 1), c))
         acc = term if acc is None else add(acc, term)
     return acc
+
+
+def chained_aggregate(graph, z, scores, channel):
+    """`weighted_aggregate` as `rel_aggregate` plus the recorded-op chain."""
+    return chained_weighted_sum(rel_aggregate(graph, z), scores, channel)
+
+
+def reference_weighted_sum(slots, scores, channel):
+    """The weighting of `rel_aggregate`'s [V*R, C] slots as one recorded op in
+    raw NumPy, node-major: each slot times its channel weights, then its
+    node's score, summed over relations in order. Its tape keeps the slots,
+    as the gated layer's did before one op took in the aggregation."""
+    (v, r), c = scores.shape, slots.shape[1]
+    wide = slots.data.reshape(v, r, c) * channel.data.reshape(r, c)
+    terms = wide * scores.data[:, :, None]
+    out = terms[:, 0].copy()
+    for k in range(1, r):
+        out += terms[:, k]
+    tensor_module._charge("tile", 2 * r * v * c)
+    tensor_module._charge("hadamard", 2 * r * v * c)
+    if r > 1:
+        tensor_module._charge("add", (r - 1) * v * c)
+
+    def backward(g):
+        slot_data = slots.data.reshape(v, r, c)
+        scores._accumulate((slot_data * channel.data.reshape(r, c)
+                            * g[:, None, :]).sum(axis=2))
+        gw = g[:, None, :] * scores.data[:, :, None]
+        slots._accumulate((gw * channel.data.reshape(r, c)).reshape(v * r, c))
+        channel._accumulate((gw * slot_data).reshape(v, r * c).sum(axis=0)
+                            .reshape(channel.shape))
+
+    return tensor_module._result(out, "reference_weighted_sum",
+                                 (slots, scores, channel), backward)
+
+
+def unfused_aggregate(graph, z, scores, channel):
+    """`weighted_aggregate` as `rel_aggregate` plus the raw-NumPy weighting."""
+    return reference_weighted_sum(rel_aggregate(graph, z), scores, channel)
 
 
 def recorded_ops(out):
@@ -302,9 +343,11 @@ class TestRelationWeighting:
         grads = {name: t.grad for name, t in p.tensors().items()}
         return out.data, counter.per_op, {"z": z.grad, **grads}
 
-    def test_matches_unfused_chain_bitwise_float32(self, monkeypatch):
+    @pytest.mark.parametrize("unfused", [chained_aggregate, unfused_aggregate],
+                             ids=["op-chain", "raw-numpy"])
+    def test_matches_unfused_chain_bitwise_float32(self, unfused, monkeypatch):
         rng = np.random.default_rng(40)
-        for r, c in [(1, 5), (3, 40), (12, 16), (12, 136)]:
+        for r, c in [(1, 5), (3, 40), (12, 16), (12, 136), (4, 1)]:
             for alpha in ("learned", "uniform"):
                 g = random_graph(rng, 9, r, 6 * r)
                 p = GRMPParams.init(rng, r, c, variant=GRMPVariant(alpha=alpha))
@@ -313,7 +356,7 @@ class TestRelationWeighting:
                 upstream = rng.normal(size=(9, c)).astype(np.float32)
                 fused = self.run_layer(g, z, p, upstream)
                 with monkeypatch.context() as m:
-                    m.setattr(layers, "relation_weighted_sum", chained_weighted_sum)
+                    m.setattr(layers, "weighted_aggregate", unfused)
                     chained = self.run_layer(g, z, p, upstream)
                 case = f"R={r} C={c} alpha={alpha}"
                 assert fused[0].dtype == np.float32
@@ -325,20 +368,20 @@ class TestRelationWeighting:
                     assert np.array_equal(grad, chained[2][name]), f"{case} {name}"
 
     def test_shared_input_matches_chain_bitwise_float32(self):
-        # the slots also feed a second op, so their gradient is a sum whose
+        # the features also feed a second op, so their gradient is a sum whose
         # rounding depends on the order the terms arrive in
         rng = np.random.default_rng(43)
         v, r, c = 11, 5, 24
+        g = random_graph(rng, v, r, 4 * v)
         draws = [rng.normal(size=s).astype(np.float32)
-                 for s in [(v * r, c), (c, c), (v, r), (1, r * c), (v, c)]]
+                 for s in [(v, c), (c, c), (v, r), (1, r * c), (v, c)]]
         runs = []
-        for fn in (relation_weighted_sum, chained_weighted_sum):
+        for fn in (weighted_aggregate, chained_aggregate):
             a, w, scores, channel = (Tensor(d, requires_grad=True)
                                      for d in draws[:4])
             with count_flops() as counter:
-                slots = matmul(a, w)
-                out = fn(slots, scores, channel)
-                out = add(out, slice_rows(slots, v, 2 * v))
+                z = matmul(a, w)
+                out = add(fn(g, z, scores, channel), z)
             sum_all(hadamard(out, Tensor(draws[4]))).backward()
             runs.append((out.data, counter.per_op,
                          [a.grad, w.grad, channel.grad, scores.grad]))
@@ -349,38 +392,45 @@ class TestRelationWeighting:
             assert got.dtype == np.float32
             assert np.array_equal(got, want)
 
-    def test_tape_keeps_no_weighted_slots(self):
+    def test_tape_keeps_no_slots(self):
+        # the closure holds the operands and views of their data, nothing of
+        # its own: no [V*R, C] slots and no weighted terms
         rng = np.random.default_rng(44)
-        slots, scores, channel = (Tensor(rng.normal(size=s), requires_grad=True)
-                                  for s in [(18, 4), (6, 3), (1, 12)])
-        out = relation_weighted_sum(slots, scores, channel)
+        g = random_graph(rng, 6, 3, 14)
+        z, scores, channel = (Tensor(rng.normal(size=s), requires_grad=True)
+                              for s in [(6, 4), (6, 3), (1, 12)])
+        out = weighted_aggregate(g, z, scores, channel)
         held = [cell.cell_contents for cell in out._backward.__closure__]
-        assert not any(isinstance(v, np.ndarray) for v in held), held
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert all(any(np.shares_memory(a, t.data) for t in (z, scores, channel))
+                   for a in arrays), arrays
+        assert out._parents == (z, scores, channel)
 
     def test_rejects_mismatched_shapes(self):
-        slots = Tensor(np.ones((12, 2)))
+        g = RelGraph(4, 3, [(0, 1, 0), (2, 1, 2)])
+        z = Tensor(np.ones((4, 2)))
         scores = Tensor(np.ones((4, 3)))
         ones = Tensor(np.ones((1, 6)))
-        for bad_slots, bad_scores in [
-                (Tensor(np.ones((12, 2, 1))), scores),
-                (Tensor(np.ones((24,))), scores),
-                (Tensor(np.ones((8, 3))), scores),
-                (slots, Tensor(np.ones((4, 2)))),
-                (slots, Tensor(np.ones(12)))]:
+        for bad_z, bad_scores in [
+                (Tensor(np.ones((4, 2, 1))), scores),
+                (Tensor(np.ones(8)), scores),
+                (Tensor(np.ones((3, 2))), scores),
+                (z, Tensor(np.ones((4, 2)))),
+                (z, Tensor(np.ones(12)))]:
             with pytest.raises(ShapeError):
-                relation_weighted_sum(bad_slots, bad_scores, ones)
+                weighted_aggregate(g, bad_z, bad_scores, ones)
         for channel in (Tensor(np.ones(6)), Tensor(np.ones((1, 4))),
                         Tensor(np.ones((4, 6)))):
             with pytest.raises(ShapeError):
-                relation_weighted_sum(slots, scores, channel)
+                weighted_aggregate(g, z, scores, channel)
 
     def test_recorded_op_count_does_not_grow_with_relations(self):
-        # one op per step: no reshape of the slots, no scaling of the sum
+        # one op per step: steps 2-3 are one op, with no reshape of slots and
+        # no scaling of the sum
         rng = np.random.default_rng(42)
         for alpha, scoring in (("learned", ["linear"]), ("uniform", [])):
-            want = sorted(["linear", "rel_aggregate", *scoring,
-                           "relation_weighted_sum", "linear", "matmul",
-                           "hadamard"])
+            want = sorted(["linear", *scoring, "weighted_aggregate", "linear",
+                           "matmul", "hadamard"])
             for r in (2, 12):
                 g = random_graph(rng, 8, r, 4 * r)
                 p = GRMPParams.init(rng, r, 4, variant=GRMPVariant(alpha=alpha))

@@ -1,5 +1,7 @@
 """Assembled models: image hierarchy, protein encoder, KG scorer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ from relmp.tensor import (
     slice_rows,
 )
 from relmp.training import toy_kinship_kg
-from test_layers import chained_layer_norm, chained_weighted_sum
+from test_layers import chained_layer_norm, unfused_aggregate
 from test_tensor import chained_linear
 
 TINY = dict(channels=(8, 16, 32, 64), depths=(1, 1, 1, 1), num_classes=10,
@@ -447,15 +449,15 @@ def test_model_ops_and_gradients_keep_the_active_dtype(build_loss, dtype,
 @pytest.mark.parametrize("build_loss", [_image_loss, _protein_loss, _kg_loss],
                          ids=["image", "protein", "kg"])
 def test_models_match_the_unfused_op_chains_bitwise(build_loss, monkeypatch):
-    # layer norm, the gated layer's steps 2-3 and every linear map as the op
-    # chains the fused ops replace; the residual stream makes a normalized
-    # input feed two ops
+    # layer norm, every linear map and the gated layer's steps 2-3 as the
+    # unfused forms the fused ops replace (`rel_aggregate` and a raw-NumPy
+    # weighting); the residual stream makes a normalized input feed two ops
     runs = []
     for chained in (False, True):
         with monkeypatch.context() as m:
             if chained:
                 m.setattr(layers, "_layer_norm", chained_layer_norm)
-                m.setattr(layers, "relation_weighted_sum", chained_weighted_sum)
+                m.setattr(layers, "weighted_aggregate", unfused_aggregate)
                 m.setattr(layers, "linear", chained_linear)
                 m.setattr(models, "linear", chained_linear)
             with count_flops() as counter:
@@ -525,6 +527,46 @@ def test_tape_holds_one_node_per_norm_and_no_broadcast_copies(monkeypatch):
     assert len(gated) == 4 + 2
     for graph, z, out in gated:
         v, r, c = graph.num_nodes, graph.num_relations, z.shape[1]
-        # only the aggregated slots are [V*R, C]: no op reshapes or copies them
-        wide = [t._op for t in _tape(out, stop=z) if t.size == v * r * c]
-        assert wide == ["rel_aggregate"], wide
+        assert r > 1
+        # nothing on a gated layer's tape is as wide as its [V*R, C] slots:
+        # no node, and no array a node's closure holds
+        layer = _tape(out, stop=z)
+        assert "weighted_aggregate" in [t._op for t in layer]
+        held = [cell.cell_contents for t in layer
+                for cell in t._backward.__closure__ or ()]
+        wide = [a.shape for a in [t.data for t in layer] + held
+                if isinstance(a, np.ndarray) and a.size >= v * r * c]
+        assert not wide, wide
+
+
+def test_gated_layers_keep_no_slots_alive_for_backward(monkeypatch):
+    # a protein step traced with tracemalloc: against the gated layer's steps
+    # 2-3 as `rel_aggregate` plus a raw-NumPy weighting, whose tape keeps the
+    # [V*R, C] slots, the peak is lower by at least the widest layer's slots
+    rng = np.random.default_rng(24)
+    cfg = ProteinEncoderConfig(num_layers=2, hidden=32, num_tasks=3)
+    params = ProteinEncoderParams.init(rng, cfg)
+    chain = _random_chain(rng, 64)
+    slot_bytes = []
+    real_grmp = layers.grmp_forward
+
+    def grmp_spy(graph, z, p):
+        slot_bytes.append(graph.num_relations * z.data.nbytes)
+        return real_grmp(graph, z, p)
+
+    monkeypatch.setattr(models, "grmp_forward", grmp_spy)
+    peaks = []
+    for unfused in (False, True):
+        with monkeypatch.context() as m:
+            if unfused:
+                m.setattr(layers, "weighted_aggregate", unfused_aggregate)
+            tracemalloc.start()
+            try:
+                _, logits = protein_forward(chain, params, cfg)
+                bce_with_logits(logits, [[1.0, 0.0, 1.0]]).backward()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        for t in params.tensors().values():
+            t.zero_grad()
+    assert peaks[1] - peaks[0] >= max(slot_bytes), (peaks, max(slot_bytes))

@@ -1,8 +1,9 @@
 """Tensor core: op semantics, FLOP accounting, gradients, checkpoints.
 
 `_OP_CASES` is the one op-contract registry: every public op of tensor.py
-and rel_aggregate, each checked at Hypothesis-drawn dims for its gradients,
-charge, NaN handling, dtypes, retained sweeps and no_grad behaviour.
+and the graph ops rel_aggregate and weighted_aggregate, each checked at
+Hypothesis-drawn dims for its gradients, charge, NaN handling, dtypes,
+retained sweeps and no_grad behaviour.
 """
 
 import functools
@@ -24,16 +25,16 @@ from hypothesis import strategies as st
 from relmp import tensor as T
 from relmp.errors import (ConfigError, ContractError, DataError, NumericError,
                           ShapeError)
-from relmp.graph import RelGraph, rel_aggregate
+from relmp.graph import RelGraph, rel_aggregate, weighted_aggregate
 from relmp.oracles import depthwise_conv_oracle, matmul_oracle
 from relmp.tensor import (Tensor, add, bce_with_logits, concat_cols, concat_rows,
                           count_flops, counting_paused,
                           cross_entropy_with_logits, default_dtype,
                           depthwise_conv2d, finite_difference_check, gather_rows,
                           gelu, grad_enabled, hadamard, linear, load_checkpoint,
-                          matmul, mean_cols, mean_rows, no_grad,
-                          relation_weighted_sum, relu, reshape, save_checkpoint,
-                          slice_cols, slice_rows, sum_all, tile_cols, tile_rows)
+                          matmul, mean_cols, mean_rows, no_grad, relu, reshape,
+                          save_checkpoint, slice_cols, slice_rows, sum_all,
+                          tile_cols, tile_rows)
 
 
 class TestTensorBasics:
@@ -408,19 +409,27 @@ def _swept_twice(loss, leaves):
     return sweeps
 
 
-def _relation_weighted_sum_reference(slots, scores, channel, g):
-    """relation_weighted_sum as raw NumPy, in the formulas and layouts that
-    the fused op must reproduce bit for bit: (output, score, slot and
-    channel gradients)."""
-    (v, r), c = scores.shape, slots.shape[1]
-    wide = slots.reshape(v, r * c)
+def _weighted_aggregate_reference(graph, z, scores, channel, g):
+    """weighted_aggregate as `rel_aggregate` and raw NumPy, in the formulas
+    and the node-major layout that the fused op must reproduce bit for bit:
+    (output, score, feature and channel gradients)."""
+    (v, r), c = scores.shape, z.shape[1]
+    with default_dtype(z.dtype):
+        leaf = Tensor(z, requires_grad=True)
+    slots = rel_aggregate(graph, leaf)
+    wide = slots.data.reshape(v, r * c)
     terms = (wide * channel).reshape(v, r, c) * scores[:, :, None]
     out = terms[:, 0].copy()
     for k in range(1, r):
         out += terms[:, k]
     g_scores = ((wide * channel).reshape(v, r, c) * g[:, None, :]).sum(axis=2)
     gw = (g[:, None, :] * scores[:, :, None]).reshape(v, r * c)
-    return (out, g_scores, (gw * channel).reshape(v * r, c),
+    # rel_aggregate's closure gets the slots' gradient in their dtype; the
+    # product with ones hands it on unchanged
+    with default_dtype(z.dtype):
+        g_slots = Tensor((gw * channel).reshape(v * r, c))
+    sum_all(hadamard(slots, g_slots)).backward()
+    return (out, g_scores, leaf.grad,
             (gw * wide).sum(axis=0).reshape(channel.shape))
 
 
@@ -484,17 +493,19 @@ class TestCopyFreeBackward:
     # "uniform" scores are the uniform ablation's constant 1/R
     @pytest.mark.parametrize("scored, needs", [
         (scored, needs) for scored in (True, False)
-        for needs in (("slots", "scores", "channel"), ("slots",), ("scores",),
+        for needs in (("z", "scores", "channel"), ("z",), ("scores",),
                       ("channel",))
         if scored or needs != ("scores",)],
         ids=lambda x: ("scored" if x else "uniform") if isinstance(x, bool)
         else "+".join(x))
-    def test_relation_weighted_sum_matches_its_raw_formulas(self, scored, needs,
-                                                            dtypes):
-        v, r, c = 5, 9, 4
+    @pytest.mark.parametrize("c", [4, 1])
+    def test_weighted_aggregate_matches_its_raw_formulas(self, c, scored, needs,
+                                                         dtypes):
+        v, r = 11, 9
+        graph = _graph(v, r)
         rng = np.random.default_rng(9)
-        names = ("slots", "scores", "channel")
-        shapes = [(v * r, c), (v, r), (1, r * c)]
+        names = ("z", "scores", "channel")
+        shapes = [(v, c), (v, r), (1, r * c)]
         leaves = {}
         for name, shape, dtype in zip(names, shapes, dtypes):
             data = rng.normal(size=shape)
@@ -502,18 +513,18 @@ class TestCopyFreeBackward:
                 data = np.full(shape, 1.0 / r)
             with default_dtype(dtype):
                 leaves[name] = Tensor(data, requires_grad=name in needs)
-        slots, scores, channel = (leaves[n] for n in names)
+        z, scores, channel = (leaves[n] for n in names)
         forward = [t.data.copy() for t in leaves.values()]
-        out = relation_weighted_sum(slots, scores, channel)
+        out = weighted_aggregate(graph, z, scores, channel)
         with default_dtype(out.dtype):
             weights = Tensor(rng.normal(size=(v, c)))
         loss = sum_all(hadamard(out, weights))
-        used = [slots, scores, channel]
+        used = [z, scores, channel]
         first, second = _swept_twice(loss, used)
-        want_out, *want_grads = _relation_weighted_sum_reference(
-            slots.data, scores.data, channel.data, out.grad)
+        want_out, *want_grads = _weighted_aggregate_reference(
+            graph, z.data, scores.data, channel.data, out.grad)
         assert out.data.tobytes() == want_out.tobytes()
-        for t, want in zip((scores, slots, channel), want_grads):
+        for t, want in zip((scores, z, channel), want_grads):
             if not t.requires_grad:
                 assert t.grad is None
                 continue
@@ -586,27 +597,28 @@ def _binary(op):
                    form="row")]
 
 
-def _weighted_sum(scored, channel):
-    """A relation_weighted_sum case: with a scores input or the uniform
+def _weighted_aggregate(scored, channel):
+    """A weighted_aggregate case: with a scores input or the uniform
     ablation's constant 1/R scores, and with a channel-weight input or the
     constant ones row."""
     def shapes(v, r, c):
-        return [(v * r, c)] + [(v, r)] * scored + [(1, r * c)] * channel
+        return [(v, c)] + [(v, r)] * scored + [(1, r * c)] * channel
 
     def charge(v, r, c):
-        return {"tile": 2 * r * v * c, "hadamard": 2 * r * v * c,
+        return {"rel_aggregate": 2 * _graph(v, r).num_edges * c,
+                "tile": 2 * r * v * c, "hadamard": 2 * r * v * c,
                 "add": (r - 1) * v * c}
 
-    def call(d, slots, *rest):
+    def call(d, z, *rest):
         if scored:
             scores, *rest = rest
         else:
-            with default_dtype(slots.dtype):
+            with default_dtype(z.dtype):
                 scores = Tensor(np.full((d.v, d.r), 1.0 / d.r))
-        return relation_weighted_sum(
-            slots, scores, rest[0] if channel else _ones_row(slots, d.r * d.c))
+        return weighted_aggregate(_graph(d.v, d.r), z, scores,
+                                  rest[0] if channel else _ones_row(z, d.r * d.c))
 
-    return OpCase("relation_weighted_sum", shapes, charge, call,
+    return OpCase("weighted_aggregate", shapes, charge, call,
                   form=("scored" if scored else "uniform")
                   + ("-channel" if channel else "-ones"))
 
@@ -617,7 +629,7 @@ def _layer_norm_charge(n, c):
             "hadamard": 2 * n * c, "add": n, "sqrt": n, "div": n * c}
 
 
-# every public op of tensor.py plus rel_aggregate, with the row-broadcast,
+# every public op of tensor.py plus the graph ops, with the row-broadcast,
 # uniform-score and constant-channel forms as extra cases
 _OP_CASES = [
     *_binary("add"), *_binary("sub"), *_binary("hadamard"), *_binary("div"),
@@ -633,7 +645,7 @@ _OP_CASES = [
            lambda d, a: tile_rows(a, d.m)),
     OpCase("tile_cols", lambda m, n: [(m, 1)], lambda m, n: {"tile": m * n},
            lambda d, a: tile_cols(a, d.n)),
-    *(_weighted_sum(scored, channel) for scored in (True, False)
+    *(_weighted_aggregate(scored, channel) for scored in (True, False)
       for channel in (False, True)),
     # a row of 2 normalizes to ±(1, -1) up to eps, so its input gradient is
     # O(eps) and finer than central differences resolve: rows hold c + 2
@@ -833,7 +845,7 @@ def test_every_public_op_has_a_case():
               if inspect.isfunction(f) and f.__module__ == T.__name__
               and not name.startswith("_")}
     assert public - _NOT_OPS == {case.op for case in _OP_CASES} - {
-        "rel_aggregate"}
+        "rel_aggregate", "weighted_aggregate"}
 
 
 class TestDtypeContract:

@@ -40,6 +40,7 @@ from relmp.training import (
     _annealed_rate,
     train_kg,
 )
+from test_layers import reference_weighted_sum
 
 
 def _param(values):
@@ -347,15 +348,24 @@ def _rel_aggregate_rebuilt(graph, z):
                                  (z,), backward)
 
 
+def _weighted_aggregate_rebuilt(graph, z, scores, channel):
+    """`weighted_aggregate` as the per-call `rel_aggregate` above plus the
+    raw-NumPy weighting of its slots."""
+    _REFERENCE_CALLS["weighted_aggregate"] += 1
+    return reference_weighted_sum(_rel_aggregate_rebuilt(graph, z), scores,
+                                  channel)
+
+
 def test_training_equals_the_per_call_references_bitwise(monkeypatch):
-    # the cached aggregation operators, the flat AdamW moments and the
-    # scatter product each promise the old arithmetic bit for bit; a run with
-    # all three swapped back for their old forms must match byte for byte
+    # the cached aggregation operators, the gated layer's one aggregation
+    # op, the flat AdamW moments and the scatter product each promise the old
+    # arithmetic bit for bit; a run with all of them swapped back for their
+    # old forms must match byte for byte
     data = toy_kinship_kg(24, 0)
     cfg = KGModelConfig(num_layers=2, channels=8, scorer_hidden=8, negatives=4)
     params, history = train_kg(data, cfg, epochs=2, seed=0)
     swaps = {tensor_module.gather_rows: _gather_rows_add_at,
-             graph_module.rel_aggregate: _rel_aggregate_rebuilt}
+             graph_module.weighted_aggregate: _weighted_aggregate_rebuilt}
     for module in [m for name, m in sys.modules.items() if name.startswith("relmp.")]:
         for attr, value in list(vars(module).items()):
             if callable(value) and value in swaps:
@@ -363,7 +373,8 @@ def test_training_equals_the_per_call_references_bitwise(monkeypatch):
     monkeypatch.setattr(AdamW, "step", _per_tensor_step)
     _REFERENCE_CALLS.clear()
     ref_params, ref_history = train_kg(data, cfg, epochs=2, seed=0)
-    assert set(_REFERENCE_CALLS) == {"gather_rows", "rel_aggregate", "step"}
+    assert set(_REFERENCE_CALLS) == {"gather_rows", "rel_aggregate",
+                                     "weighted_aggregate", "step"}
     assert history == ref_history
     got, want = params.tensors(), ref_params.tensors()
     assert got.keys() == want.keys()
