@@ -105,15 +105,38 @@ def image_short_edges(height: int, width: int) -> np.ndarray:
                            for rel, (src, dst) in enumerate(shifts)])
 
 
+def _sorted_sources(dist: np.ndarray, allowed: np.ndarray, count: int):
+    """Each column's first `count` rows: allowed first, nearest first, ties by
+    ascending index (lexsort is stable)."""
+    return np.lexsort((dist, ~allowed), axis=0)[:count]
+
+
 def _nearest_sources(dist: np.ndarray, allowed: np.ndarray, count: int):
     """Rank each column's allowed rows nearest first, ties by ascending index.
 
     dist[u, v] and allowed[u, v] describe source u for destination v. Returns
     (rank, src, dst) arrays over the top min(count, allowed) sources of every
     destination, destination-major and nearest first within a destination.
+
+    A partial sort picks each column's `count` nearest allowed rows, which are
+    then ranked by (distance, index). A column where an unpicked row ties the
+    count-th distance, or that has fewer than `count` finite allowed
+    distances, is ranked by a full sort instead.
     """
-    # lexsort is stable: allowed first, nearest first, ties by ascending index
-    ranked = np.lexsort((dist, ~allowed), axis=0)[:count]
+    if 0 < count < dist.shape[0]:
+        key = np.where(allowed, dist, np.inf)
+        picked = np.argpartition(key, count - 1, axis=0)[:count]
+        near = np.take_along_axis(key, picked, axis=0)
+        kth = near.max(axis=0)
+        tied = (key == kth).sum(axis=0) > (near == kth).sum(axis=0)
+        full = tied | ~np.isfinite(kth)
+        ranked = np.take_along_axis(picked, np.lexsort((picked, near), axis=0),
+                                    axis=0)
+        cols = np.flatnonzero(full)
+        if cols.size:
+            ranked[:, cols] = _sorted_sources(dist[:, cols], allowed[:, cols], count)
+    else:
+        ranked = _sorted_sources(dist, allowed, count)
     dst, rank = np.nonzero(np.take_along_axis(allowed, ranked, axis=0).T)
     return rank, ranked[rank, dst], dst
 

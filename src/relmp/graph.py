@@ -3,11 +3,19 @@
 A RelGraph is built from an (E, 3) int array of (src, dst, rel) rows or from a
 list of such triples; a value that int64 conversion would change (0.5, NaN,
 2**63) is rejected, not truncated. It stores the edges sorted by (rel, dst,
-src), which is the CSR form of the relation-major [R*V, V] slot matrix: row
-r*V + v lists the ascending sources N_r(v). Aggregation is one sparse product
-with that matrix and its backward one product with the transpose, so the
+src), which is the CSR form of the relation-major slot matrix: row r*V_dst + v
+lists the ascending sources N_r(v). Aggregation is one sparse product with
+that matrix and its backward one product with the transpose, so the
 summation order (ascending source index forward, edge storage order backward)
 is fixed and the aggregation is deterministic bit-for-bit across runs.
+
+The slot matrix has rows for the destination nodes only, v < V_dst =
+`num_dst` = 1 + the largest edge target: no node above receives an edge on
+any relation (the image graph's P + 1 virtual nodes, the protein graph's
+one), so its means are zero. The ops compute the [R, V_dst, C] means and
+write zeros in the rows above, which is what the full [R*V, V] product
+would give. FLOP charges still use V, because they state the cost of the
+unfused chain.
 
 A graph never changes after it is built, so its aggregation operators (the
 slot matrix, its transpose and the degree column) are built once per graph
@@ -21,9 +29,12 @@ Two ops aggregate. `rel_aggregate` returns the means in node-major row order
 (row v*R + r holds the mean over N_r(v)), so the relational convolution's
 "concatenate a node's relation slots" reshape is a zero-copy view.
 `weighted_aggregate`, the gated layer's aggregation and weighting, keeps its
-means relation-major ([R, V, C]) in the CSR product's own output, scales them
-in place and sums the relations in order 0..R-1. Its backward recomputes the
-means (same product, same division, same bits) instead of keeping them.
+means relation-major ([R, V_dst, C]) in the CSR product's own output, scales
+them in place and sums the relations in order 0..R-1. Its backward recomputes
+the means (same product, same division, same bits) instead of keeping them,
+node-major so that the channel gradient's sum over nodes is an outer-axis
+reduction that adds the nodes in order. Its only other [R, V_dst, C] buffer
+holds g * score, which the feature and channel gradients both read.
 """
 
 from __future__ import annotations
@@ -78,13 +89,16 @@ class RelGraph:
         self.num_nodes = num_nodes
         self.num_relations = num_relations
         self._src, self._dst, self._rel = np.ascontiguousarray(edges.T)
-        # rows r*V + v of the relation-major [R*V, V] slot matrix in CSR form:
-        # indptr[r*V + v] bounds the sources of slot (r, v) in storage order
-        counts = np.bincount(self._rel * num_nodes + self._dst,
-                             minlength=num_relations * num_nodes)
+        # no node from num_dst on receives an edge on any relation
+        self.num_dst = int(self._dst.max()) + 1 if self._dst.size else 0
+        # rows r*V_dst + v of the relation-major [R*V_dst, V] slot matrix in
+        # CSR form: indptr[r*V_dst + v] bounds the sources of slot (r, v) in
+        # storage order
+        counts = np.bincount(self._rel * self.num_dst + self._dst,
+                             minlength=num_relations * self.num_dst)
         self._indptr = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=self._indptr[1:])
-        self._degrees = counts.reshape(num_relations, num_nodes)
+        self._degrees = counts.reshape(num_relations, self.num_dst)
         self._ops: dict = {}
 
     @property
@@ -96,13 +110,14 @@ class RelGraph:
         return list(zip(self._src.tolist(), self._dst.tolist(), self._rel.tolist()))
 
     def _aggregation_ops(self, dtype):
-        """(slot matrix, its transpose, [R, V, 1] degrees) in `dtype`, built once."""
+        """(slot matrix, its transpose, [R, V_dst, 1] degrees) in `dtype`,
+        built once."""
         ops = self._ops.get(dtype)
         if ops is None:
             # unit weights in the features' dtype keep float32 features
             # float32; every product with 1 is exact, so each slot sums its
             # sources in storage order
-            size = self.num_relations * self.num_nodes
+            size = self.num_relations * self.num_dst
             adj = csr_matrix((np.ones(self.num_edges, dtype=dtype), self._src,
                               self._indptr), shape=(size, self.num_nodes))
             # empty slots sum to zero, so dividing them by 1 leaves zero rows
@@ -116,17 +131,18 @@ class RelGraph:
 
 
 def _slot_means(graph: RelGraph, z: np.ndarray, out=None) -> np.ndarray:
-    """The means of features z, relation-major [R, V, C]: one CSR product,
-    then one division by the degrees into `out`, or over the sums."""
+    """The means of features z over the destination rows, relation-major
+    [R, V_dst, C]: one CSR product, then one division by the degrees into
+    `out`, or over the sums."""
     adj, _, deg = graph._aggregation_ops(z.dtype)
     sums = (adj @ z).reshape(*deg.shape[:2], z.shape[1])
     return np.divide(sums, deg, out=sums if out is None else out)
 
 
 def _means_grad(graph: RelGraph, g_rv: np.ndarray) -> np.ndarray:
-    """The features' gradient from the means' [R, V, C] gradient in their
-    dtype, which is divided in place; the CSC transpose visits the slots in
-    (rel, dst) order, i.e. edge storage order."""
+    """The features' [V, C] gradient from the means' [R, V_dst, C] gradient
+    in their dtype, which is divided in place; the CSC transpose visits the
+    slots in (rel, dst) order, i.e. edge storage order."""
     _, adj_t, deg = graph._aggregation_ops(g_rv.dtype)
     return adj_t @ np.divide(g_rv, deg, out=g_rv).reshape(deg.size, g_rv.shape[2])
 
@@ -144,16 +160,18 @@ def rel_aggregate(graph: RelGraph, z: Tensor) -> Tensor:
     if z.shape[0] != graph.num_nodes:
         raise ShapeError(f"feature rows {z.shape[0]} != num_nodes {graph.num_nodes}")
     v_count, r_count, c = graph.num_nodes, graph.num_relations, z.shape[1]
+    v_dst = graph.num_dst
     # the kept output is allocated before the temporary sums, so the freed
     # sums leave no hole under it; on the 224x224 image step this order
     # peaks about 25 MB lower in RSS than the reverse
     out = np.empty((v_count, r_count, c), z.data.dtype)
     # one division writes the relation-major means in node-major order v*R + r
-    _slot_means(graph, z.data, out.transpose(1, 0, 2))
+    _slot_means(graph, z.data, out[:v_dst].transpose(1, 0, 2))
+    out[v_dst:] = 0
     _charge("rel_aggregate", 2 * graph.num_edges * c)
 
     def backward(g):
-        g_rv = g.reshape(v_count, r_count, c).transpose(1, 0, 2)
+        g_rv = g.reshape(v_count, r_count, c)[:v_dst].transpose(1, 0, 2)
         z._accumulate_owned(_means_grad(graph, g_rv.astype(z.data.dtype, order="C")))
 
     return _result(out.reshape(v_count * r_count, c), "rel_aggregate", (z,), backward)
@@ -166,9 +184,10 @@ def weighted_aggregate(graph: RelGraph, z: Tensor, scores: Tensor,
     z is [V, C], `scores` [V, R] and `channel` a [1, R*C] row, relation r's
     weights in columns r*C..(r+1)*C. The values and charges are those of
     `rel_aggregate` followed by the chain of tiles, hadamards and adds that
-    broadcasts the weights; the tape keeps z, scores and channel only.
+    broadcasts the weights; the tape keeps z, scores and channel only. Rows
+    from `graph.num_dst` on, which no edge reaches, are zero.
     """
-    v_count, r_count = graph.num_nodes, graph.num_relations
+    v_count, r_count, v_dst = graph.num_nodes, graph.num_relations, graph.num_dst
     c = z.shape[1] if z.data.ndim == 2 else 0
     if (z.shape, scores.shape, channel.shape) != \
             ((v_count, c), (v_count, r_count), (1, r_count * c)):
@@ -176,16 +195,17 @@ def weighted_aggregate(graph: RelGraph, z: Tensor, scores: Tensor,
                          f"{scores.shape} and channel weights {channel.shape} are "
                          f"not [{v_count}, C], [{v_count}, {r_count}], [1, {r_count}*C]")
     channel_rc = channel.data.reshape(r_count, 1, c)
-    scores_rv = scores.data.T[:, :, None]
+    scores_rv = scores.data[:v_dst].T[:, :, None]
     terms = _slot_means(graph, z.data)
     # a product whose operands' dtype is the buffer's is taken in place;
     # otherwise it is a fresh array in the wider dtype, as the chain's was
     for factor in (channel_rc, scores_rv):
         same = np.can_cast(factor.dtype, terms.dtype)
         terms = np.multiply(terms, factor, out=terms if same else None)
-    out = terms[0].copy()
+    out = np.zeros((v_count, c), terms.dtype)
+    out[:v_dst] = terms[0]
     for k in range(1, r_count):
-        out += terms[k]
+        out[:v_dst] += terms[k]
     _charge("rel_aggregate", 2 * graph.num_edges * c)
     _charge("tile", 2 * r_count * v_count * c)
     _charge("hadamard", 2 * r_count * v_count * c)
@@ -193,26 +213,33 @@ def weighted_aggregate(graph: RelGraph, z: Tensor, scores: Tensor,
         _charge("add", (r_count - 1) * v_count * c)
 
     def backward(g):
-        # g has the result's dtype, the widest of the three operands'
-        means = _slot_means(graph, z.data)
-        work = np.empty(means.shape, g.dtype)
+        # g has the result's dtype, the widest of the three operands'. Two
+        # [R, V_dst, C] buffers: the means, node-major so that the channel
+        # gradient's sum over nodes adds them in order, and `work`
+        g_dst = g[:v_dst]
+        means = np.empty((v_dst, r_count, c), z.data.dtype)
+        means_rv = _slot_means(graph, z.data, means.transpose(1, 0, 2))
+        work = np.empty(means_rv.shape, g.dtype)
         if scores.requires_grad:
-            np.multiply(means, channel_rc, out=work)
-            np.multiply(work, g, out=work)
-            scores._accumulate_owned(np.ascontiguousarray(work.sum(axis=2).T))
+            np.multiply(means_rv, channel_rc, out=work)
+            np.multiply(work, g_dst, out=work)
+            grad = np.zeros(scores.shape, g.dtype)
+            np.sum(work, axis=2, out=grad[:v_dst].T)
+            scores._accumulate_owned(grad)
+        if not (z.requires_grad or channel.requires_grad):
+            return
+        # each term's upstream gradient g * score, read by both gradients below
+        np.multiply(g_dst, scores_rv, out=work)
+        if channel.requires_grad:
+            same = means.dtype == work.dtype
+            terms = np.multiply(means, work.transpose(1, 0, 2),
+                                out=means if same else None)
+            channel._accumulate_owned(terms.reshape(v_dst, r_count * c)
+                                      .sum(axis=0).reshape(channel.shape))
         if z.requires_grad:
-            # each term's upstream gradient g * score, times its channel weights
-            np.multiply(g, scores_rv, out=work)
             np.multiply(work, channel_rc, out=work)
             z._accumulate_owned(
                 _means_grad(graph, work.astype(z.data.dtype, copy=False)))
-        if channel.requires_grad:
-            # node-major [V, R, C], so the sum over nodes adds them in order
-            terms = work.reshape(v_count, r_count, c)
-            np.multiply(g[:, None, :], scores.data[:, :, None], out=terms)
-            np.multiply(terms, means.transpose(1, 0, 2), out=terms)
-            channel._accumulate_owned(
-                terms.reshape(v_count, r_count * c).sum(axis=0).reshape(channel.shape))
 
     return _result(out, "weighted_aggregate", (z, scores, channel), backward)
 

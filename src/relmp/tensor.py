@@ -78,7 +78,6 @@ from contextlib import contextmanager
 
 import numpy as np
 from scipy.sparse import csc_matrix
-from scipy.special import erf
 
 from .errors import (ConfigError, ContractError, DataError, NumericError,
                      ShapeError)
@@ -632,7 +631,13 @@ def relu(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) GELU: x * Phi(x)."""
+    """Exact (erf-based) GELU: x * Phi(x).
+
+    `scipy.special` loads on the first call, so runs without a GELU (the KG
+    and protein models) never import it.
+    """
+    from scipy.special import erf
+
     phi = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
     out_data = a.data * phi
     _charge("gelu", a.size)

@@ -26,7 +26,9 @@ Forward-only passes record no gradient tape: `kg_evaluate` and the
 end-of-epoch probe loss run under `no_grad`. `kg_evaluate` scores every tail
 of a block of queries at once (`kg_score_tails`) and ranks block by block,
 so its memory is bounded by RANK_BLOCK_ACTIVATIONS hidden scorer
-activations rather than by queries times entities.
+activations rather than by queries times entities. The probe loss scores its
+bundle in row blocks under the same bound and takes one mean over the joined
+logits, so it equals the loss of one `kg_score` call bit for bit.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import ConfigError, ContractError, DataError, ShapeError
 from .metrics import query_ranks, rank_summary
 from .models import (KGModelConfig, KGModelParams, kg_encode, kg_score,
                      kg_score_tails)
-from .tensor import bce_with_logits, no_grad
+from .tensor import bce_with_logits, concat_rows, no_grad
 
 
 ADAM_BETAS = (0.9, 0.999)   # AdamW's moment decay rates
@@ -130,7 +132,8 @@ class AdamW:
 # Hidden scorer activations (queries x entities x scorer width) per
 # `kg_evaluate` block: 1 MB in float32, four queries on 1000 entities with
 # 64 hidden units. On that KG (2-vCPU x86 host, one BLAS thread), blocks of
-# half this size ranked about 15% slower and larger ones no faster.
+# half this size ranked about 15% slower and larger ones no faster. The
+# probe loss of `train_kg` scores its triples in blocks of the same size.
 RANK_BLOCK_ACTIVATIONS = 1 << 18
 
 
@@ -188,6 +191,23 @@ def kg_evaluate(params: KGModelParams, graph, eval_store: TripletStore,
     metrics = rank_summary(np.concatenate(ranks))
     metrics["candidates"] = np.concatenate(candidates).tolist()
     return metrics
+
+
+def _probe_loss(entity_states, params: KGModelParams, probe: np.ndarray,
+               targets: np.ndarray):
+    """Mean BCE of the (h, r, t) rows of `probe` against `targets`, under
+    `no_grad`: the loss of one `kg_score` call, bit for bit.
+
+    The n rows are scored in max(1, n // rows) even blocks, rows =
+    RANK_BLOCK_ACTIVATIONS // H with H the scorer width, so a block holds
+    rows to 2*rows - 1 triples (all n when n < rows). The joined logits are
+    averaged once. Splitting evenly keeps one-row blocks out: BLAS scores a
+    single row on its matrix-vector path, which rounds differently.
+    """
+    rows = max(1, RANK_BLOCK_ACTIVATIONS // params.scorer_b1.shape[0])
+    logits = [kg_score(entity_states, params, b[:, 0], b[:, 1], b[:, 2])
+              for b in np.array_split(probe, max(1, len(probe) // rows))]
+    return bce_with_logits(concat_rows(logits), targets)
 
 
 def _corrupt(rng, batch, negatives, num_entities):
@@ -260,11 +280,9 @@ def train_kg(data: KGDataset, model_cfg: KGModelConfig, epochs: int, seed: int,
             loss.backward()
             opt.step()
         with no_grad():
-            z = kg_encode(graph, params)
-            probe_loss = bce_with_logits(
-                kg_score(z, params, probe[:, 0], probe[:, 1], probe[:, 2]),
-                probe_targets)
-        history.append((epoch, "train", "loss", float(probe_loss.data)))
+            loss = _probe_loss(kg_encode(graph, params), params, probe,
+                               probe_targets)
+        history.append((epoch, "train", "loss", float(loss.data)))
         if data.valid.triplets:
             valid = kg_evaluate(params, graph, data.valid, known)
             history.append((epoch, "valid", "mrr", valid["mrr"]))

@@ -22,6 +22,7 @@ from relmp.builders import (
     save_protein_chain,
     save_triplets,
 )
+from relmp.builders import _nearest_sources
 from relmp.errors import ConfigError, DataError
 from relmp.oracles import knn_oracle, neighbors_of, protein_edges_oracle
 
@@ -137,6 +138,30 @@ def test_medium_edges_tie_break_is_ascending_index():
     # patch 0 lives in window {0,1,4,5}; nearest allowed are 2,3,6
     assert by_dst[0] == [2, 3, 6]
     assert by_dst[2] == [0, 1, 4]
+
+
+def _ranked_by_full_sort(dist, allowed, count):
+    """`_nearest_sources` as one stable full sort of every column."""
+    ranked = np.lexsort((dist, ~allowed), axis=0)[:count]
+    dst, rank = np.nonzero(np.take_along_axis(allowed, ranked, axis=0).T)
+    return rank, ranked[rank, dst], dst
+
+
+def test_nearest_sources_ties_at_the_kth_distance_match_a_full_sort():
+    # integer distances from integer features tie often, also at the K-th
+    # distance, where a partial sort alone may pick any of the tied rows;
+    # some columns have fewer allowed rows than K, and some none
+    rng = np.random.default_rng(21)
+    for trial in range(300):
+        rows, cols = int(rng.integers(1, 25)), int(rng.integers(1, 9))
+        feats = rng.integers(0, int(rng.integers(1, 4)), size=(rows + cols, 2))
+        dist = ((feats[:rows, None] - feats[rows:]) ** 2).sum(axis=2).astype(float)
+        allowed = rng.random((rows, cols)) < rng.random()
+        for count in {1, int(rng.integers(1, rows + 1)), rows, rows + 2}:
+            got = _nearest_sources(dist, allowed, count)
+            want = _ranked_by_full_sort(dist, allowed, count)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), (trial, count)
 
 
 def test_medium_edges_k_larger_than_candidates():

@@ -573,6 +573,23 @@ def test_threads_warns_in_process_once_numpy_is_loaded(tmp_path, chain_file,
     assert "warning" not in proc.stderr
 
 
+def test_apply_threads_pins_the_pools_before_numpy_loads():
+    # the benchmark harness calls the private `_apply_threads` with one
+    # positional argument in a fresh interpreter before NumPy is imported
+    code = "\n".join([
+        "import json, os, sys",
+        "from relmp.cli import _THREAD_ENV, _apply_threads",
+        "assert 'numpy' not in sys.modules, 'numpy loaded by relmp.cli'",
+        "_apply_threads(1)",
+        "print(json.dumps({var: os.environ.get(var) for var in _THREAD_ENV}))"])
+    env = {k: v for k, v in os.environ.items() if k not in cli._THREAD_ENV}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {var: "1" for var in cli._THREAD_ENV}
+
+
 def test_kg_commands_pin_one_thread_without_a_warning(tmp_path, capsys):
     # the default is not a request the user made: in-process it runs with the
     # pools as they are and says nothing

@@ -1,13 +1,18 @@
 """Relational graph structure, aggregation, line graphs, edge-list files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
+from relmp import tensor as tensor_module
 from relmp.errors import DataError, GraphError, ShapeError
 from relmp.graph import (RelGraph, build_line_graph, load_edge_list,
-                         rel_aggregate, save_edge_list)
+                         rel_aggregate, save_edge_list, weighted_aggregate)
 from relmp.oracles import aggregate_oracle, line_graph_oracle, neighbors_of
 from relmp.tensor import Tensor, default_dtype
+from test_layers import reference_weighted_sum
 
 
 def random_graph(rng, num_nodes, num_relations, num_edges):
@@ -201,6 +206,100 @@ class TestRelAggregate:
         g = RelGraph(3, 1, [(0, 1, 0)])
         with pytest.raises(ShapeError):
             rel_aggregate(g, Tensor(np.ones((4, 2))))
+
+
+def virtual_node_graph(p, r):
+    """2p + 1 nodes with edges into the first p only, as in the image graph:
+    patch v hears a patch and its context node p + 1 + v on every relation,
+    and the global node p on relation 0."""
+    edges = {((3 * v + k + 1) % p, v, k) for v in range(p) for k in range(r)}
+    edges |= {(p + 1 + v, v, k) for v in range(p) for k in range(r)}
+    edges |= {(p, v, 0) for v in range(p)}
+    return RelGraph(2 * p + 1, r, sorted(edges))
+
+
+def full_slot_aggregate(graph, z):
+    """`rel_aggregate` over a slot for every (relation, node) pair, the slots
+    of nodes that receive no edge included, as one recorded op."""
+    v, r, c = graph.num_nodes, graph.num_relations, z.shape[1]
+    src, dst, rel = np.array(graph.edge_list(), dtype=np.int64).reshape(-1, 3).T
+    counts = np.bincount(rel * v + dst, minlength=r * v)
+    adj = csr_matrix((np.ones(src.size, z.data.dtype), src,
+                      np.concatenate([[0], np.cumsum(counts)])), shape=(r * v, v))
+    deg = np.maximum(counts, 1).reshape(-1, 1).astype(z.data.dtype)
+    out = ((adj @ z.data) / deg).reshape(r, v, c).transpose(1, 0, 2).reshape(-1, c)
+
+    def backward(g):
+        g_rv = g.reshape(v, r, c).transpose(1, 0, 2).reshape(-1, c)
+        z._accumulate(adj.T @ (g_rv / deg))
+
+    return tensor_module._result(np.ascontiguousarray(out), "rel_aggregate",
+                                 (z,), backward)
+
+
+class TestDestinationRows:
+    """The aggregation ops compute the rows that receive an edge, below
+    `num_dst`, and write zeros in the others."""
+
+    def test_destination_rows_end_after_the_last_edge_target(self):
+        assert RelGraph(5, 2, [(4, 1, 0), (0, 2, 1)]).num_dst == 3
+        assert RelGraph(5, 2, []).num_dst == 0
+        assert virtual_node_graph(6, 3).num_dst == 6
+
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["rel_aggregate", "weighted_aggregate"])
+    def test_equals_the_full_slot_matrix(self, weighted):
+        from relmp.tensor import hadamard, sum_all
+        rng = np.random.default_rng(50)
+        g = virtual_node_graph(7, 3)
+        v, r, c = g.num_nodes, g.num_relations, 5
+        rows = v if weighted else v * r
+        draws = [rng.normal(size=s).astype(np.float32)
+                 for s in [(v, c), (v, r), (1, r * c), (rows, c)]]
+        runs = []
+        for full in (False, True):
+            z, scores, channel = (Tensor(d, requires_grad=True) for d in draws[:3])
+            aggregate = full_slot_aggregate if full else rel_aggregate
+            if not weighted:
+                out = aggregate(g, z)
+            elif full:
+                out = reference_weighted_sum(aggregate(g, z), scores, channel)
+            else:
+                out = weighted_aggregate(g, z, scores, channel)
+            sum_all(hadamard(out, Tensor(draws[3]))).backward()
+            runs.append([out.data, z.grad]
+                        + ([scores.grad, channel.grad] if weighted else []))
+        got, want = runs
+        dst_rows = g.num_dst * (1 if weighted else r)
+        assert got[0][:dst_rows].tobytes() == want[0][:dst_rows].tobytes()
+        assert np.all(got[0][dst_rows:] == 0)
+        for a, b in zip(got, want):
+            assert a.dtype == np.float32
+            assert np.array_equal(a, b)
+
+    def test_backward_scratch_covers_destination_rows_only(self):
+        # the backward's two [R, V_dst, C] buffers, not [R, V, C]: here V is
+        # 2P + 1, so two buffers over all V rows alone exceed the bound
+        p, r, c = 3000, 4, 16
+        g = virtual_node_graph(p, r)
+        v = g.num_nodes
+        rng = np.random.default_rng(51)
+        z, scores, channel = (Tensor(rng.normal(size=s), requires_grad=True)
+                              for s in [(v, c), (v, r), (1, r * c)])
+        upstream = np.ones((v, c), dtype=np.float32)
+        weighted_aggregate(g, z, scores, channel)._backward(upstream)
+        for t in (z, scores, channel):
+            t.zero_grad()
+        out = weighted_aggregate(g, z, scores, channel)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out._backward(upstream)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        item = np.dtype(np.float32).itemsize
+        assert peak < (2 * r * p * c + 2 * v * c) * item, peak
 
 
 class TestLineGraph:

@@ -9,8 +9,11 @@ retained sweeps and no_grad behaviour.
 import functools
 import inspect
 import json
+import math
 import re
 import struct
+import subprocess
+import sys
 import threading
 import weakref
 from contextlib import nullcontext
@@ -893,6 +896,31 @@ class TestDtypeContract:
             assert got[np.float32].dtype == np.float32
             err = np.abs(got[np.float32].astype(np.float64) - got[np.float64])
             assert np.all(err <= bound), (err / bound).max()
+
+
+def test_gelu_loads_scipy_special_on_first_call():
+    # a fresh interpreter: the training, model and CLI modules load no
+    # scipy.special, and the first GELU call then gives the erf formula
+    code = "\n".join([
+        "import sys",
+        "import relmp.cli, relmp.models, relmp.training",
+        "assert 'scipy.special' not in sys.modules, 'loaded on import'",
+        "import numpy as np",
+        "from relmp.tensor import Tensor, default_dtype, gelu",
+        "for dtype in (np.float32, np.float64):",
+        "    with default_dtype(dtype):",
+        "        x = Tensor(np.linspace(-6.0, 6.0, 97).reshape(1, -1))",
+        "    print(gelu(x).data.tobytes().hex())"])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.split()
+    assert len(lines) == 2, proc.stdout
+    from scipy.special import erf
+    for dtype, line in zip((np.float32, np.float64), lines):
+        x = np.linspace(-6.0, 6.0, 97).astype(dtype).reshape(1, -1)
+        want = x * (0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
+        assert bytes.fromhex(line) == want.astype(dtype).tobytes(), dtype
 
 
 class TestCheckpoint:

@@ -22,11 +22,14 @@ from scipy.sparse import csr_matrix
 
 from relmp import graph as graph_module
 from relmp import tensor as tensor_module
+from relmp import training
 from relmp.builders import KGDataset, TripletStore, fact_graph
 from relmp.errors import ConfigError, ContractError, DataError, ShapeError
 from relmp.metrics import query_ranks, rank_summary
-from relmp.models import KGModelConfig, KGModelParams, kg_encode, kg_score_tails
-from relmp.tensor import Tensor, count_flops, default_dtype, no_grad
+from relmp.models import (KGModelConfig, KGModelParams, kg_encode, kg_score,
+                          kg_score_tails)
+from relmp.tensor import (Tensor, bce_with_logits, count_flops, default_dtype,
+                          no_grad)
 from relmp.training import (
     KINSHIP_RELATIONS,
     ADAM_BETAS,
@@ -38,6 +41,7 @@ from relmp.training import (
     save_metric_history,
     toy_kinship_kg,
     _annealed_rate,
+    _probe_loss,
     train_kg,
 )
 from test_layers import reference_weighted_sum
@@ -572,3 +576,49 @@ def test_evaluation_memory_does_not_grow_with_queries():
             tracemalloc.stop()
     assert max(peaks) < 128e6, peaks
     assert abs(peaks[0] - peaks[1]) < 1e6, peaks
+
+
+def test_default_epoch_memory_stays_within_a_probe_block():
+    # the probe bundle of the 100-person KG holds 23,892 triples; scored in
+    # one call its scorer activations peaked at 36 MB, in blocks at 9 MB
+    data = toy_kinship_kg(100, seed=0)
+    tracemalloc.start()
+    try:
+        train_kg(data, KGModelConfig(), epochs=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+
+
+@pytest.mark.parametrize("blocks, extra", [(1, 0), (1, 1), (3, 0), (3, 1)])
+def test_blocked_probe_loss_equals_one_scoring_call_bitwise(monkeypatch, blocks,
+                                                            extra):
+    # blocks of 16 rows: the bundle splits into `blocks` even blocks, and an
+    # extra row joins one of them rather than standing alone
+    data = toy_kinship_kg(24, seed=0)
+    cfg = KGModelConfig(num_layers=2, channels=8, scorer_hidden=8)
+    rng = np.random.default_rng(5)
+    params = KGModelParams.init(rng, data.num_entities, data.num_relations, cfg)
+    monkeypatch.setattr(training, "RANK_BLOCK_ACTIVATIONS", 16 * cfg.scorer_hidden)
+    n = 16 * blocks + extra
+    probe = np.stack([rng.integers(0, data.num_entities, n),
+                      rng.integers(0, data.num_relations, n),
+                      rng.integers(0, data.num_entities, n)], axis=1)
+    targets = (rng.random((n, 1)) < 0.5).astype(float)
+    calls = []
+
+    def counted_score(*args):
+        calls.append(len(args[2]))
+        return kg_score(*args)
+
+    with no_grad():
+        z = kg_encode(fact_graph(data.train), params)
+        with count_flops() as want_flops:
+            want = bce_with_logits(kg_score(z, params, *probe.T), targets)
+        monkeypatch.setattr(training, "kg_score", counted_score)
+        with count_flops() as got_flops:
+            got = _probe_loss(z, params, probe, targets)
+    assert sorted(calls) == [16] * (blocks - extra) + [17] * extra
+    assert got.data.tobytes() == want.data.tobytes()
+    assert got_flops.per_op == want_flops.per_op
