@@ -2,7 +2,9 @@
 
 Three edge families, one registry convention. Every builder returns an (E, 3)
 int64 array of (src, dst, rel) rows or a RelGraph together with the ordered
-relation names, so callers can persist a stable name -> id registry.
+relation names, so callers can persist a stable name -> id registry. A
+TripletStore holds KG triples the same way, as (n, 3) int64 (head, relation,
+tail) rows, and `TripletStore.with_inverses` alone forms their inverse rows.
 Construction is pure numpy on raw arrays: graph topology is not
 differentiable and is never FLOP-counted.
 
@@ -316,19 +318,33 @@ def protein_edges(chain: ProteinChain) -> tuple[RelGraph, list[str]]:
 
 @dataclass
 class TripletStore:
-    """Indexed triples for one split; relation count includes inverses."""
+    """One split's (head, relation, tail) triples as an (n, 3) int64 array;
+    relation r + num_relations // 2 is the inverse of relation r."""
     num_entities: int
     num_relations: int          # after doubling
-    triplets: list[tuple[int, int, int]]
-    split: str
+    triplets: np.ndarray        # given as an array or as a list of triples
 
     def __post_init__(self):
-        half = self.num_relations // 2
-        for h, r, t in self.triplets:
-            if not (0 <= h < self.num_entities and 0 <= t < self.num_entities):
-                raise DataError(f"entity index out of range in ({h},{r},{t})")
-            if not (0 <= r < half):
-                raise DataError(f"relation index out of range in ({h},{r},{t})")
+        try:
+            trips = np.asarray(self.triplets, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise DataError(f"triplets must be (head, relation, tail) rows: {e}") from e
+        if trips.shape == (0,):
+            trips = trips.reshape(0, 3)
+        if trips.ndim != 2 or trips.shape[1] != 3:
+            raise DataError(f"triplets must have shape (n, 3), not {trips.shape}")
+        n, half = self.num_entities, self.num_relations // 2
+        bad = ((trips < 0) | (trips >= [n, half, n])).any(axis=1)
+        if bad.any():
+            raise DataError(f"triple {tuple(trips[bad.argmax()].tolist())} is out of range")
+        self.triplets = trips
+
+    def with_inverses(self) -> np.ndarray:
+        """(2n, 3) rows: row 2i is triple i, row 2i + 1 its inverse
+        (t, r + num_relations // 2, h)."""
+        rows = np.repeat(self.triplets, 2, axis=0)
+        rows[1::2] = self.triplets[:, ::-1] + [0, self.num_relations // 2, 0]
+        return rows
 
 
 @dataclass
@@ -383,7 +399,7 @@ def load_triplets(train_path, valid_path=None, test_path=None) -> KGDataset:
     stores = {}
     for split, rows in raw.items():
         trips = [(entities[h], relations[r], entities[t]) for h, r, t in rows]
-        stores[split] = TripletStore(len(entities), 2 * len(relations), trips, split)
+        stores[split] = TripletStore(len(entities), 2 * len(relations), trips)
     return KGDataset(entities=list(entities), relations=list(relations),
                      train=stores["train"], valid=stores["valid"],
                      test=stores["test"])
@@ -396,15 +412,11 @@ def fact_graph(train: TripletStore) -> RelGraph:
     the inverse relation. Duplicates collapse, so re-adding an inverse that is
     already present leaves the graph unchanged.
     """
-    half = train.num_relations // 2
-    h, r, t = np.asarray(train.triplets, dtype=np.int64).reshape(-1, 3).T
-    edges = np.concatenate([np.stack([h, t, r], axis=1),
-                            np.stack([t, h, r + half], axis=1)])
-    return RelGraph(train.num_entities, train.num_relations,
-                    np.unique(edges, axis=0))
+    edges = np.unique(train.with_inverses()[:, [0, 2, 1]], axis=0)
+    return RelGraph(train.num_entities, train.num_relations, edges)
 
 
 def save_triplets(path, store: TripletStore, entities, relations) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for h, r, t in store.triplets:
+        for h, r, t in store.triplets.tolist():
             f.write(f"{entities[h]}\t{relations[r]}\t{entities[t]}\n")

@@ -301,7 +301,7 @@ def cmd_build_graph(resolved: dict) -> int:
         comments = [f"domain=protein residues={chain.length}"]
     else:
         data = load_triplets(path)
-        if not data.train.triplets:
+        if not len(data.train.triplets):
             raise DataError(f"{path}: no triplets")
         graph = fact_graph(data.train)
         registry = {

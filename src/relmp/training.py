@@ -4,12 +4,12 @@ The optimizer is AdamW with its decoupled weight decay fixed at zero, that
 is Adam, which is how the KG task runs (learning rate 5e-3, batch size 16 by
 default).
 
-All parameters share one dtype. The moments live in one flat float64 pair,
-and `m[name]`/`v[name]` are views into it. A step gathers the gradients into
-one flat array, without a cast, and runs each moment and update expression
-once over it instead of once per tensor. Every expression keeps the
-per-tensor operand order, so each element is rounded exactly as a loop over
-the tensors would round it. A gradient must have its parameter's dtype;
+All parameters share one dtype. The moments live in one flat float64 pair
+in parameter order. A step gathers the gradients into one flat array,
+without a cast, and runs each moment and update expression once over it
+instead of once per tensor. Every expression keeps the per-tensor operand
+order, so each element is rounded exactly as a loop over the tensors would
+round it. A gradient must have its parameter's dtype;
 `Tensor` accumulates every gradient in that dtype.
 
 A step runs at the rate that `AdamW.lr` holds at the time. With annealing
@@ -70,18 +70,12 @@ class AdamW:
                                 f"{sorted(map(str, dtypes))}")
         self.lr = float(lr)
         self.step_count = 0
-        # one flat float64 moment pair in parameter order; m[name] and
-        # v[name] are views into it. Two scratch buffers of the same size
-        # hold the update: allocating its temporaries afresh made each step
-        # about 1.6 times as slow
+        # one flat float64 moment pair in parameter order; two scratch buffers
+        # of the same size hold the update: allocating its temporaries afresh
+        # made each step about 1.6 times as slow
         self._bounds = np.cumsum([0] + [t.data.size for t in self.params.values()])
         self._m, self._v = np.zeros(self._bounds[-1]), np.zeros(self._bounds[-1])
         self._update, self._denom = np.empty_like(self._m), np.empty_like(self._m)
-        self.m, self.v = {}, {}
-        for (name, t), lo, hi in zip(self.params.items(), self._bounds[:-1],
-                                     self._bounds[1:]):
-            self.m[name] = self._m[lo:hi].reshape(t.data.shape)
-            self.v[name] = self._v[lo:hi].reshape(t.data.shape)
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -141,10 +135,8 @@ def known_tails(stores) -> dict:
     """(head, relation) -> set of known true tails, inverses included."""
     known: dict = {}
     for store in stores:
-        half = store.num_relations // 2
-        for h, r, t in store.triplets:
+        for h, r, t in store.with_inverses().tolist():
             known.setdefault((h, r), set()).add(t)
-            known.setdefault((t, r + half), set()).add(h)
     return known
 
 
@@ -164,15 +156,10 @@ def kg_evaluate(params: KGModelParams, graph, eval_store: TripletStore,
     block's filter rows from `known`. Memory is bounded by one block, and
     the ranks equal those of one dense [Q, N] `query_ranks` call.
     """
-    if not eval_store.triplets:
+    if not len(eval_store.triplets):
         raise DataError("empty evaluation split")
     n = eval_store.num_entities
-    half = eval_store.num_relations // 2
-    queries = []
-    for h, r, t in eval_store.triplets:
-        queries.append((h, r, t))
-        queries.append((t, r + half, h))
-    queries = np.array(queries, dtype=np.int64)
+    queries = eval_store.with_inverses()
     per_block = max(1, RANK_BLOCK_ACTIVATIONS // (n * params.scorer_b1.shape[0]))
     ranks, candidates = [], []
     with no_grad():
@@ -253,7 +240,7 @@ def train_kg(data: KGDataset, model_cfg: KGModelConfig, epochs: int, seed: int,
     model_cfg.validate()
     if epochs < 0 or batch_size < 1:
         raise ConfigError("bad epoch count or batch size")
-    if not data.train.triplets:
+    if not len(data.train.triplets):
         raise DataError("empty training split")
     rng = np.random.default_rng(seed)
     graph = fact_graph(data.train)
@@ -263,7 +250,7 @@ def train_kg(data: KGDataset, model_cfg: KGModelConfig, epochs: int, seed: int,
     known = known_tails([data.train, data.valid, data.test])
     n = data.num_entities
     neg = model_cfg.negatives
-    triples = np.array(data.train.triplets, dtype=np.int64)
+    triples = data.train.triplets
     probe, probe_targets = _corrupt(rng, triples, neg, n)
     history = []
     for epoch in range(1, epochs + 1):
@@ -283,10 +270,10 @@ def train_kg(data: KGDataset, model_cfg: KGModelConfig, epochs: int, seed: int,
             loss = _probe_loss(kg_encode(graph, params), params, probe,
                                probe_targets)
         history.append((epoch, "train", "loss", float(loss.data)))
-        if data.valid.triplets:
+        if len(data.valid.triplets):
             valid = kg_evaluate(params, graph, data.valid, known)
             history.append((epoch, "valid", "mrr", valid["mrr"]))
-    if data.test.triplets:
+    if len(data.test.triplets):
         test = kg_evaluate(params, graph, data.test, known)
         for key in ("mr", "mrr", "hits@1", "hits@3", "hits@10"):
             history.append((epochs, "test", key, test[key]))
@@ -383,7 +370,7 @@ def toy_kinship_kg(num_people: int, seed: int) -> KGDataset:
               "test": triples[n_valid:n_valid + n_test],
               "train": triples[n_valid + n_test:]}
     num_rel = 2 * len(KINSHIP_RELATIONS)
-    stores = {name: TripletStore(num_people, num_rel, rows, name)
+    stores = {name: TripletStore(num_people, num_rel, rows)
               for name, rows in splits.items()}
     return KGDataset(entities=[f"p{i}" for i in range(num_people)],
                      relations=list(KINSHIP_RELATIONS),

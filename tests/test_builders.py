@@ -360,10 +360,10 @@ def test_load_triplets_shared_vocabulary(tmp_path):
     assert data.num_entities == 4                  # d appears only in test
     assert data.relations == ["likes", "knows"]
     assert data.num_relations == 4                 # doubled for inverses
-    assert data.train.triplets == [(0, 0, 1), (1, 0, 2)]
-    assert data.valid.triplets == [(2, 1, 0)]
-    assert data.test.triplets == [(3, 0, 0)]
-    assert data.train.split == "train" and data.test.split == "test"
+    assert data.train.triplets.tolist() == [[0, 0, 1], [1, 0, 2]]
+    assert data.valid.triplets.tolist() == [[2, 1, 0]]
+    assert data.test.triplets.tolist() == [[3, 0, 0]]
+    assert data.train.triplets.dtype == np.int64
 
 
 def test_load_triplets_tolerates_blank_and_comment_lines(tmp_path):
@@ -407,7 +407,10 @@ def test_load_triplets_scales_to_thousands_of_rows(tmp_path):
 
 
 def test_fact_graph_adds_inverses():
-    store = TripletStore(3, 4, [(0, 0, 1), (1, 1, 2)], "train")
+    store = TripletStore(3, 4, [(0, 0, 1), (1, 1, 2)])
+    # each triple, then its inverse (t, r + R/2, h)
+    assert store.with_inverses().tolist() == [[0, 0, 1], [1, 2, 0],
+                                              [1, 1, 2], [2, 3, 1]]
     graph = fact_graph(store)
     assert graph.num_nodes == 3 and graph.num_relations == 4
     assert graph.edge_list() == sorted({(0, 1, 0), (1, 0, 2),
@@ -416,17 +419,28 @@ def test_fact_graph_adds_inverses():
 
 
 def test_fact_graph_dedupes_repeated_triples():
-    once = fact_graph(TripletStore(3, 2, [(0, 0, 1)], "train"))
-    twice = fact_graph(TripletStore(3, 2, [(0, 0, 1), (0, 0, 1)], "train"))
+    once = fact_graph(TripletStore(3, 2, [(0, 0, 1)]))
+    twice = fact_graph(TripletStore(3, 2, [(0, 0, 1), (0, 0, 1)]))
     assert once.edge_list() == twice.edge_list()
 
 
 def test_triplet_store_validates_ranges():
     with pytest.raises(DataError):
-        TripletStore(2, 2, [(0, 0, 5)], "train")
+        TripletStore(2, 2, [(0, 0, 5)])
     with pytest.raises(DataError):
-        TripletStore(2, 2, [(0, 1, 1)], "train")  # relation 1 is reserved for inverses
-    TripletStore(2, 6, [(0, 2, 1)], "train")  # the last original relation is legal
+        TripletStore(2, 2, [(0, 1, 1)])  # relation 1 is reserved for inverses
+    TripletStore(2, 6, [(0, 2, 1)])  # the last original relation is legal
+    assert TripletStore(2, 2, []).triplets.shape == (0, 3)
+    # the message names the first bad row
+    with pytest.raises(DataError, match=r"triple \(1, 0, 2\) is out of range"):
+        TripletStore(2, 2, [(0, 0, 1), (1, 0, 2), (-1, 0, 0)])
+    # shapes other than (n, 3) are refused, never read three numbers at a time
+    with pytest.raises(DataError, match=r"shape \(n, 3\), not \(2, 2\)"):
+        TripletStore(2, 2, np.zeros((2, 2), dtype=np.int64))
+    with pytest.raises(DataError, match=r"not \(6,\)"):
+        TripletStore(2, 2, [0, 0, 1, 1, 0, 0])
+    with pytest.raises(DataError, match="relation, tail"):
+        TripletStore(2, 2, [(0, 0, 1), (1, 0)])   # ragged rows
 
 
 def test_save_triplets_roundtrip(tmp_path):

@@ -243,7 +243,7 @@ def _toy_kg(seed=0, entities=5, relations=2):
     rng = np.random.default_rng(seed)
     triples = {(int(rng.integers(entities)), int(rng.integers(relations)),
                 int(rng.integers(entities))) for _ in range(8)}
-    store = TripletStore(entities, 2 * relations, sorted(triples), "train")
+    store = TripletStore(entities, 2 * relations, sorted(triples))
     return store, fact_graph(store)
 
 

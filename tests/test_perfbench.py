@@ -1,22 +1,38 @@
-"""The benchmark's instrumentation still finds every name it wraps.
+"""The benchmark still runs against the code it measures.
 
 `perfbench/instrument.py` replaces relmp functions and ops by qualified name;
 a renamed or deleted function would make its metrics read 0 silently. This
-imports the module as it is and resolves each name on relmp.
+imports the module as it is and resolves each name on relmp. The KG
+workloads of `perfbench/workloads.py` are run once at each size and must
+pass their own checks against `perfbench/reference.json`, so a change of
+relmp's types or signatures that breaks them fails here too.
 """
 
+import functools
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
-INSTRUMENT = Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
+import pytest
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@functools.cache
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the module body runs
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_wrapped_name_resolves_on_relmp():
-    spec = importlib.util.spec_from_file_location("perfbench_instrument",
-                                                  INSTRUMENT)
-    instrument = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(instrument)
+    instrument = _load("instrument")
     missing = []
     for module, qualname in instrument.TRACED + instrument.OPS:
         owner = importlib.import_module(f"relmp.{module}")
@@ -25,3 +41,14 @@ def test_every_wrapped_name_resolves_on_relmp():
         if not callable(owner):
             missing.append(f"{module}.{qualname}")
     assert not missing
+
+
+@pytest.mark.parametrize("size", ["smoke", "full"])
+@pytest.mark.parametrize("workload", ["kg_train", "kg_eval"])
+def test_kg_workloads_pass_their_checks(workload, size):
+    reference = json.loads((BENCH_DIR / "reference.json").read_text(
+        encoding="utf-8"))[size][workload]
+    wl = _load("workloads").WORKLOADS[workload](size == "smoke")
+    state = wl.setup(reference["seed"])
+    it = wl.iterate(state, None)
+    assert it.failures + wl.check(state, it, reference) == []
