@@ -326,9 +326,15 @@ class TripletStore:
 
     def __post_init__(self):
         try:
-            trips = np.asarray(self.triplets, dtype=np.int64)
+            given = np.asarray(self.triplets)
+            with np.errstate(invalid="ignore"):
+                trips = given.astype(np.int64, copy=False)
         except (TypeError, ValueError, OverflowError) as e:
             raise DataError(f"triplets must be (head, relation, tail) rows: {e}") from e
+        inexact = trips != given
+        if inexact.any():
+            value = given[inexact][0].item()
+            raise DataError(f"triple value {value!r} is not an integer in int64 range")
         if trips.shape == (0,):
             trips = trips.reshape(0, 3)
         if trips.ndim != 2 or trips.shape[1] != 3:

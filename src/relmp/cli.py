@@ -493,7 +493,13 @@ def cmd_eval(resolved: dict) -> int:
     for name, tensor in tensors.items():
         if tuple(weights[name].shape) != tensor.shape:
             raise DataError(f"{ckpt_path}: shape mismatch for {name}")
-        tensor.data = weights[name].astype(tensor.data.dtype)
+        # NaN, Inf or a float64 value past the parameter dtype's range
+        with np.errstate(over="ignore"):
+            value = weights[name].astype(tensor.data.dtype)
+        if not np.isfinite(value).all():
+            raise DataError(f"{ckpt_path}: {name} holds a value that is not "
+                            f"finite as {value.dtype}")
+        tensor.data = value
 
     store = getattr(data, resolved["split"])
     graph = fact_graph(data.train)

@@ -168,10 +168,11 @@ def rel_aggregate(graph: RelGraph, z: Tensor) -> Tensor:
     _slot_means(graph, z.data, out[:v_dst].transpose(1, 0, 2))
     out[v_dst:] = 0
     _charge("rel_aggregate", 2 * graph.num_edges * c)
+    node, dtype = z._node, z.dtype
 
     def backward(g):
         g_rv = g.reshape(v_count, r_count, c)[:v_dst].transpose(1, 0, 2)
-        z._accumulate_owned(_means_grad(graph, g_rv.astype(z.data.dtype, order="C")))
+        node._accumulate_owned(_means_grad(graph, g_rv.astype(dtype, order="C")))
 
     return _result(out.reshape(v_count * r_count, c), "rel_aggregate", (z,), backward)
 
@@ -183,8 +184,8 @@ def weighted_aggregate(graph: RelGraph, z: Tensor, scores: Tensor,
     z is [V, C], `scores` [V, R] and `channel` a [1, R*C] row, relation r's
     weights in columns r*C..(r+1)*C. The values and charges are those of
     `rel_aggregate` followed by the chain of tiles, hadamards and adds that
-    broadcasts the weights; the tape keeps z, scores and channel only. Rows
-    from `graph.num_dst` on, which no edge reaches, are zero.
+    broadcasts the weights; the tape keeps the data of z, scores and channel
+    only. Rows from `graph.num_dst` on, which no edge reaches, are zero.
     """
     v_count, r_count, v_dst = graph.num_nodes, graph.num_relations, graph.num_dst
     c = z.shape[1] if z.data.ndim == 2 else 0
@@ -210,35 +211,36 @@ def weighted_aggregate(graph: RelGraph, z: Tensor, scores: Tensor,
     _charge("hadamard", 2 * r_count * v_count * c)
     if r_count > 1:
         _charge("add", (r_count - 1) * v_count * c)
+    nz, nscores, nchannel, z_data = z._node, scores._node, channel._node, z.data
 
     def backward(g):
         # g has the result's dtype, the widest of the three operands'. Two
         # [R, V_dst, C] buffers: the means, node-major so that the channel
         # gradient's sum over nodes adds them in order, and `work`
         g_dst = g[:v_dst]
-        means = np.empty((v_dst, r_count, c), z.data.dtype)
-        means_rv = _slot_means(graph, z.data, means.transpose(1, 0, 2))
+        means = np.empty((v_dst, r_count, c), z_data.dtype)
+        means_rv = _slot_means(graph, z_data, means.transpose(1, 0, 2))
         work = np.empty(means_rv.shape, g.dtype)
-        if scores.requires_grad:
+        if nscores is not None:
             np.multiply(means_rv, channel_rc, out=work)
             np.multiply(work, g_dst, out=work)
-            grad = np.zeros(scores.shape, g.dtype)
+            grad = np.zeros((v_count, r_count), g.dtype)
             np.sum(work, axis=2, out=grad[:v_dst].T)
-            scores._accumulate_owned(grad)
-        if not (z.requires_grad or channel.requires_grad):
+            nscores._accumulate_owned(grad)
+        if nz is None and nchannel is None:
             return
         # each term's upstream gradient g * score, read by both gradients below
         np.multiply(g_dst, scores_rv, out=work)
-        if channel.requires_grad:
+        if nchannel is not None:
             same = means.dtype == work.dtype
             terms = np.multiply(means, work.transpose(1, 0, 2),
                                 out=means if same else None)
-            channel._accumulate_owned(terms.reshape(v_dst, r_count * c)
-                                      .sum(axis=0).reshape(channel.shape))
-        if z.requires_grad:
+            nchannel._accumulate_owned(terms.reshape(v_dst, r_count * c)
+                                       .sum(axis=0).reshape(1, r_count * c))
+        if nz is not None:
             np.multiply(work, channel_rc, out=work)
-            z._accumulate_owned(
-                _means_grad(graph, work.astype(z.data.dtype, copy=False)))
+            nz._accumulate_owned(
+                _means_grad(graph, work.astype(z_data.dtype, copy=False)))
 
     return _result(out, "weighted_aggregate", (z, scores, channel), backward)
 

@@ -44,28 +44,42 @@ that matches none of them. Constants that ops multiply by are Python floats:
 under NumPy 2's scalar promotion (NEP 50) a NumPy float64 scalar turns a
 float32 array into float64, and a Python float does not.
 
-The backward sweep frees the tape as it consumes it: each recorded node drops
-its closure, its parents and its gradient once the closure has run, so a
-node's forward data can be released before the sweep ends. Read gradients
-from leaves, which accumulate across sweeps. An interior (recorded) tensor's
-`.grad` is None after `backward()` and holds that sweep's gradient only under
-`backward(retain_graph=True)`, which also keeps the graph for another sweep.
+The tape is made of nodes, not tensors. A tensor that requires a gradient
+has a node: a leaf's has no parents, and an op result's holds the op name,
+its parents' nodes, its backward closure and its per-sweep gradient. A
+closure captures the parent nodes it adds into and only the arrays its
+formula reads: x for relu, gelu (and phi), log and the operands of hadamard,
+div, matmul, depthwise_conv2d and the losses; `linear` keeps a and w,
+`layer_norm` x, the row means and std and gamma; sigmoid, exp and sqrt keep
+their own output; add, sub, the scalar ops, tiles, reductions, reshapes,
+slices, gathers, concats and `rel_aggregate` keep no data. An op output
+that no backward step reads is therefore freed as soon as the caller drops
+its tensor, not when the sweep reaches it.
+
+The backward sweep frees the tape as it consumes it: each node drops its
+closure, its parents and its gradient once the closure has run, so the
+arrays only that closure kept are released before the sweep ends. Read
+gradients from leaves, which accumulate across sweeps. An interior
+(recorded) tensor's `.grad` is None after `backward()` and holds that
+sweep's gradient only under `backward(retain_graph=True)`, which also keeps
+the graph for another sweep.
 
 A leaf's gradient is its own array: it shares memory with no other gradient
 and no forward data, so it may be scaled in place. Closures that pass on
 their `g` or a view of it (add, reshape, slices) go through
-`Tensor._accumulate`, which copies a leaf's first gradient. Closures that
+`_Node._accumulate`, which copies a leaf's first gradient. Closures that
 compute a fresh array nothing else holds (the operand gradients of `matmul`
 and `linear`, the features' gradient of `rel_aggregate` and the three of
-`weighted_aggregate`) go through `Tensor._accumulate_owned`, which keeps it
-uncopied.
+`weighted_aggregate`) go through `_Node._accumulate_owned`, which keeps it
+uncopied. `Tensor._accumulate` and `Tensor._accumulate_owned` hand a
+gradient to the tensor's node, for closures written against tensors.
 No closure writes into its `g` or into forward data, so a retained graph
 sweeps to the same gradients again.
 
-Inside a `no_grad()` scope ops record nothing: a result has no parents, no
-closure and `requires_grad=False`, so a forward-only pass (evaluation, the
-end-of-epoch probe loss) keeps no tape alive. Charges and finiteness checks
-are the same inside and outside the scope.
+Inside a `no_grad()` scope ops record nothing: a result has no node and
+`requires_grad=False`, so a forward-only pass (evaluation, the end-of-epoch
+probe loss) keeps no tape alive. Charges and finiteness checks are the same
+inside and outside the scope.
 """
 
 from __future__ import annotations
@@ -197,24 +211,62 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NumericError(f"non-finite value produced by {op}")
 
 
+class _Node:
+    """One entry of the gradient tape.
+
+    A node holds its op's name, the nodes of the inputs that take a gradient
+    from it (`parents`), its backward closure and the gradient summed into it
+    during a sweep. It holds no Tensor and no forward data: a closure keeps
+    the parent nodes it adds into and only the arrays its formula reads. A
+    leaf that requires a gradient has a node with no parents and no closure,
+    whose `grad` accumulates across sweeps.
+    """
+
+    __slots__ = ("op", "dtype", "parents", "backward", "grad")
+
+    def __init__(self, op, dtype, parents=(), backward=None):
+        self.op = op
+        self.dtype = dtype
+        self.parents = parents
+        self.backward = backward
+        self.grad = None
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            # A leaf's gradient is its own buffer: its .grad is user-visible
+            # and must not alias another tensor's gradient or forward data.
+            # The g here may be a closure's own gradient or a view of it, so
+            # a leaf copies it (`_accumulate_owned` takes fresh arrays
+            # uncopied). An interior gradient is only read by the node's own
+            # closure and never written, so it may alias g.
+            self.grad = g.astype(self.dtype, copy=self.backward is None)
+        else:
+            # a float64 partner's gradient must not widen a float32 leaf
+            self.grad = self.grad + g.astype(self.dtype, copy=False)
+
+    def _accumulate_owned(self, g: np.ndarray) -> None:
+        """`_accumulate` for a `g` that the calling closure has just computed
+        and that nothing else holds: a leaf takes it as its buffer uncopied."""
+        if self.grad is None:
+            self.grad = g.astype(self.dtype, copy=False)
+        else:
+            self.grad = self.grad + g.astype(self.dtype, copy=False)
+
+
 class Tensor:
-    """A numpy array with an optional gradient tape entry.
+    """A numpy array and, when it requires a gradient, its tape node.
 
     The flat buffer is row-major; `size(shape) == data.size` always holds.
     Results of every operation are finite or the op raises NumericError.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=active_dtype())
         _check_finite(arr, "tensor construction")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._parents: tuple = ()
-        self._backward = None
-        self._op = "leaf"
+        self._node = _Node("leaf", arr.dtype) if requires_grad else None
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -230,34 +282,40 @@ class Tensor:
     def size(self):
         return self.data.size
 
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        if self._node is None:
+            raise ContractError("a tensor that requires no gradient has no .grad")
+        self._node.grad = value
+
     def zero_grad(self) -> None:
-        self.grad = None
+        if self._node is not None:
+            self._node.grad = None
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, op={self._op})"
+        op = "untracked" if self._node is None else self._node.op
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, op={op})"
 
     # -- graph plumbing ---------------------------------------------------------
 
+    # The ops' closures add into nodes; these entry points serve closures
+    # written against tensors. A tensor that requires no gradient drops g.
+
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # A leaf's gradient is its own buffer: its .grad is user-visible
-            # and must not alias another tensor's gradient or forward data.
-            # The g here may be a closure's own gradient or a view of it, so
-            # a leaf copies it (`_accumulate_owned` takes fresh arrays
-            # uncopied). An interior gradient is only read by the node's own
-            # closure and never written, so it may alias g.
-            self.grad = g.astype(self.data.dtype, copy=self._backward is None)
-        else:
-            # a float64 partner's gradient must not widen a float32 leaf
-            self.grad = self.grad + g.astype(self.data.dtype, copy=False)
+        if self._node is not None:
+            self._node._accumulate(g)
 
     def _accumulate_owned(self, g: np.ndarray) -> None:
-        """`_accumulate` for a `g` that the calling closure has just computed
-        and that nothing else holds: a leaf takes it as its buffer uncopied."""
-        if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=False)
-        else:
-            self.grad = self.grad + g.astype(self.data.dtype, copy=False)
+        if self._node is not None:
+            self._node._accumulate_owned(g)
 
     def backward(self, retain_graph: bool = False) -> None:
         """Reverse sweep from a scalar, adding d(self)/d(leaf) to each leaf's grad.
@@ -270,14 +328,15 @@ class Tensor:
         """
         if self.size != 1:
             raise ContractError("backward requires a scalar (size-1) tensor")
-        if not self.requires_grad:
+        root = self._node
+        if root is None:
             raise ContractError("backward on a tensor with no recorded graph")
-        if self._op != "leaf" and self._backward is None and not self._parents:
+        if root.op != "leaf" and root.backward is None and not root.parents:
             raise ContractError("recorded graph already consumed; "
                                 "pass retain_graph=True to reuse it")
-        order: list[Tensor] = []
+        order: list[_Node] = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -287,46 +346,44 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+            for p in node.parents:
+                if id(p) not in seen:
                     stack.append((p, False))
         # interior grads are per-sweep scratch; only leaves accumulate across calls
         for node in order:
-            if node._backward is not None:
+            if node.backward is not None:
                 node.grad = None
-        self._accumulate(np.ones_like(self.data))
+        root._accumulate(np.ones_like(self.data))
         # Popping drops the list's reference, so a consumed node and the
-        # forward data its consumers captured are freed during the sweep.
+        # forward data its closure kept are freed during the sweep.
         while order:
             node = order.pop()
-            if node._backward is None:
+            if node.backward is None:
                 continue
-            node._backward(node.grad)
+            node.backward(node.grad)
             if not retain_graph:
                 node.grad = None
-                node._backward = None
-                node._parents = ()
+                node.backward = None
+                node.parents = ()
 
 
 def _result(data, op, parents, backward):
+    """The Tensor of an op's output `data`. It gets a node when recording is
+    on and a parent requires a gradient; the node's parents are those
+    parents' nodes, in order."""
     _check_finite(data, op)
     if data.dtype != parents[0].data.dtype:
         dtypes = sorted({str(p.data.dtype) for p in parents})
         if str(data.dtype) not in dtypes:
             raise ContractError(f"{op}: result dtype {data.dtype} matches none "
                                 f"of its input dtypes ({', '.join(dtypes)})")
-    req = grad_enabled() and any(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = req
-    out.grad = None
-    out._op = op
-    if req:
-        out._parents = tuple(parents)
-        out._backward = backward
-    else:
-        out._parents = ()
-        out._backward = None
+    out._node = None
+    if grad_enabled():
+        nodes = tuple([p._node for p in parents if p._node is not None])
+        if nodes:
+            out._node = _Node(op, data.dtype, nodes, backward)
     return out
 
 
@@ -348,13 +405,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     mode = _binary_shapes(a, b, "add")
     out_data = a.data + b.data if mode == "same" else a.data + b.data.reshape(1, -1)
     _charge("add", out_data.size)
+    na, nb, b_shape = a._node, b._node, b.shape
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            gb = g if mode == "same" else g.sum(axis=0).reshape(b.shape)
-            b._accumulate(gb)
+        if na is not None:
+            na._accumulate(g)
+        if nb is not None:
+            gb = g if mode == "same" else g.sum(axis=0).reshape(b_shape)
+            nb._accumulate(gb)
 
     return _result(out_data, "add", (a, b), backward)
 
@@ -363,13 +421,14 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     mode = _binary_shapes(a, b, "sub")
     out_data = a.data - b.data if mode == "same" else a.data - b.data.reshape(1, -1)
     _charge("sub", out_data.size)
+    na, nb, b_shape = a._node, b._node, b.shape
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            gb = -g if mode == "same" else -g.sum(axis=0).reshape(b.shape)
-            b._accumulate(gb)
+        if na is not None:
+            na._accumulate(g)
+        if nb is not None:
+            gb = -g if mode == "same" else -g.sum(axis=0).reshape(b_shape)
+            nb._accumulate(gb)
 
     return _result(out_data, "sub", (a, b), backward)
 
@@ -380,15 +439,16 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     b_view = b.data if mode == "same" else b.data.reshape(1, -1)
     out_data = a.data * b_view
     _charge("hadamard", out_data.size)
+    na, nb, a_data, b_shape = a._node, b._node, a.data, b.shape
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * b_view)
-        if b.requires_grad:
-            gb = g * a.data
+        if na is not None:
+            na._accumulate(g * b_view)
+        if nb is not None:
+            gb = g * a_data
             if mode == "row":
-                gb = gb.sum(axis=0).reshape(b.shape)
-            b._accumulate(gb)
+                gb = gb.sum(axis=0).reshape(b_shape)
+            nb._accumulate(gb)
 
     return _result(out_data, "hadamard", (a, b), backward)
 
@@ -398,15 +458,16 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     b_view = b.data if mode == "same" else b.data.reshape(1, -1)
     out_data = a.data / b_view
     _charge("div", out_data.size)
+    na, nb, a_data, b_shape = a._node, b._node, a.data, b.shape
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / b_view)
-        if b.requires_grad:
-            gb = -g * a.data / (b_view * b_view)
+        if na is not None:
+            na._accumulate(g / b_view)
+        if nb is not None:
+            gb = -g * a_data / (b_view * b_view)
             if mode == "row":
-                gb = gb.sum(axis=0).reshape(b.shape)
-            b._accumulate(gb)
+                gb = gb.sum(axis=0).reshape(b_shape)
+            nb._accumulate(gb)
 
     return _result(out_data, "div", (a, b), backward)
 
@@ -414,9 +475,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 def add_scalar(a: Tensor, c: float) -> Tensor:
     out_data = a.data + c
     _charge("add", out_data.size)
+    node = a._node
 
     def backward(g):
-        a._accumulate(g)
+        node._accumulate(g)
 
     return _result(out_data, "add_scalar", (a,), backward)
 
@@ -424,9 +486,10 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
 def mul_scalar(a: Tensor, c: float) -> Tensor:
     out_data = a.data * c
     _charge("hadamard", out_data.size)
+    node = a._node
 
     def backward(g):
-        a._accumulate(g * c)
+        node._accumulate(g * c)
 
     return _result(out_data, "mul_scalar", (a,), backward)
 
@@ -445,12 +508,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     m, k, n = _matmul_dims(a, b, "matmul")
     out_data = a.data @ b.data
     _charge("matmul", 2 * m * n * k)
+    na, nb, a_data, b_data = a._node, b._node, a.data, b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate_owned(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate_owned(_weight_grad(a.data, g))
+        if na is not None:
+            na._accumulate_owned(g @ b_data.T)
+        if nb is not None:
+            nb._accumulate_owned(_weight_grad(a_data, g))
 
     return _result(out_data, "matmul", (a, b), backward)
 
@@ -476,14 +540,15 @@ def linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: bias {b.shape} is not [{n}]")
     out_data = a.data @ w.data + b.data
     _charge("matmul", 2 * m * n * k)
+    na, nw, nb, a_data, w_data = a._node, w._node, b._node, a.data, w.data
 
     def backward(g):
-        if b.requires_grad:
-            b._accumulate_owned(g.sum(axis=0))
-        if a.requires_grad:
-            a._accumulate_owned(g @ w.data.T)
-        if w.requires_grad:
-            w._accumulate_owned(_weight_grad(a.data, g))
+        if nb is not None:
+            nb._accumulate_owned(g.sum(axis=0))
+        if na is not None:
+            na._accumulate_owned(g @ w_data.T)
+        if nw is not None:
+            nw._accumulate_owned(_weight_grad(a_data, g))
 
     return _result(out_data, "linear", (a, w, b), backward)
 
@@ -502,9 +567,10 @@ def tile_rows(row: Tensor, num_rows: int) -> Tensor:
         raise ShapeError(f"tile_rows expects a row vector, got {row.shape}")
     out_data = np.repeat(base, num_rows, axis=0)
     _charge("tile", out_data.size)
+    node, shape = row._node, row.shape
 
     def backward(g):
-        row._accumulate(g.sum(axis=0).reshape(row.shape))
+        node._accumulate(g.sum(axis=0).reshape(shape))
 
     return _result(out_data, "tile_rows", (row,), backward)
 
@@ -515,9 +581,10 @@ def tile_cols(col: Tensor, num_cols: int) -> Tensor:
         raise ShapeError(f"tile_cols expects an [n,1] column, got {col.shape}")
     out_data = np.repeat(col.data, num_cols, axis=1)
     _charge("tile", out_data.size)
+    node = col._node
 
     def backward(g):
-        col._accumulate(g.sum(axis=1, keepdims=True))
+        node._accumulate(g.sum(axis=1, keepdims=True))
 
     return _result(out_data, "tile_cols", (col,), backward)
 
@@ -529,9 +596,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     mean_cols, add_scalar, sqrt, tile_cols, div, hadamard(gamma) and
     add(beta). The forward does the chain's arithmetic; the backward replays
     the chain's gradient steps in its order, so values and gradients round as
-    the chain's did. Only x, the row means and the row std stay on the tape;
-    the backward rebuilds the centered and normalized rows. `gamma` and `beta`
-    are [c].
+    the chain's did. Only x, the row means, the row std and gamma stay on
+    the tape; the backward rebuilds the centered and normalized rows.
+    `gamma` and `beta` are [c].
     """
     if x.data.ndim != 2:
         raise ShapeError("layer_norm expects [rows, C]")
@@ -554,14 +621,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     _charge("add", n)
     _charge("sqrt", n)
     _charge("div", x.size)
+    nx, ngamma, nbeta = x._node, gamma._node, beta._node
+    x_data, shape = x.data, x.shape
 
     def backward(g):
-        centered = x.data - mu
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=0))
-        if gamma.requires_grad:
-            gamma._accumulate((g * (centered / std)).sum(axis=0))
-        if not x.requires_grad:
+        centered = x_data - mu
+        if nbeta is not None:
+            nbeta._accumulate(g.sum(axis=0))
+        if ngamma is not None:
+            ngamma._accumulate((g * (centered / std)).sum(axis=0))
+        if nx is None:
             return
         gn = g * gamma_row
         g_std = (-gn * centered / (std * std)).sum(axis=1, keepdims=True)
@@ -569,9 +638,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
         # the square's two operands each pass a term into centered
         sq_term = g_sq * centered
         g_centered = gn / std + sq_term + sq_term
-        x._accumulate(g_centered)
+        nx._accumulate(g_centered)
         g_mu = (-g_centered).sum(axis=1, keepdims=True)
-        x._accumulate(np.broadcast_to(g_mu / c, x.shape))
+        nx._accumulate(np.broadcast_to(g_mu / c, shape))
 
     return _result(out_data, "layer_norm", (x, gamma, beta), backward)
 
@@ -582,9 +651,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
     out_data = np.array(a.data.sum(), dtype=a.data.dtype)
     _charge("sum", max(a.size - 1, 0))
+    node, shape = a._node, a.shape
 
     def backward(g):
-        a._accumulate(np.broadcast_to(g, a.shape).copy())
+        node._accumulate(np.broadcast_to(g, shape).copy())
 
     return _result(out_data, "sum_all", (a,), backward)
 
@@ -596,9 +666,10 @@ def mean_rows(a: Tensor) -> Tensor:
     n = a.shape[0]
     out_data = a.data.mean(axis=0, keepdims=True)
     _charge("mean", a.size)
+    node = a._node
 
     def backward(g):
-        a._accumulate(np.repeat(g / n, n, axis=0))
+        node._accumulate(np.repeat(g / n, n, axis=0))
 
     return _result(out_data, "mean_rows", (a,), backward)
 
@@ -610,9 +681,10 @@ def mean_cols(a: Tensor) -> Tensor:
     c = a.shape[1]
     out_data = a.data.mean(axis=1, keepdims=True)
     _charge("mean", a.size)
+    node = a._node
 
     def backward(g):
-        a._accumulate(np.repeat(g / c, c, axis=1))
+        node._accumulate(np.repeat(g / c, c, axis=1))
 
     return _result(out_data, "mean_cols", (a,), backward)
 
@@ -623,9 +695,10 @@ def mean_cols(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0)
     _charge("relu", a.size)
+    node, a_data = a._node, a.data
 
     def backward(g):
-        a._accumulate(g * (a.data > 0))
+        node._accumulate(g * (a_data > 0))
 
     return _result(out_data, "relu", (a,), backward)
 
@@ -641,10 +714,11 @@ def gelu(a: Tensor) -> Tensor:
     phi = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
     out_data = a.data * phi
     _charge("gelu", a.size)
+    node, a_data = a._node, a.data
 
     def backward(g):
-        dens = _INV_SQRT2PI * np.exp(-0.5 * a.data * a.data)
-        a._accumulate(g * (phi + a.data * dens))
+        dens = _INV_SQRT2PI * np.exp(-0.5 * a_data * a_data)
+        node._accumulate(g * (phi + a_data * dens))
 
     return _result(out_data, "gelu", (a,), backward)
 
@@ -659,9 +733,10 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid(a: Tensor) -> Tensor:
     out_data = _stable_sigmoid(a.data)
     _charge("sigmoid", a.size)
+    node = a._node
 
     def backward(g):
-        a._accumulate(g * out_data * (1.0 - out_data))
+        node._accumulate(g * out_data * (1.0 - out_data))
 
     return _result(out_data, "sigmoid", (a,), backward)
 
@@ -669,9 +744,10 @@ def sigmoid(a: Tensor) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
     _charge("exp", a.size)
+    node = a._node
 
     def backward(g):
-        a._accumulate(g * out_data)
+        node._accumulate(g * out_data)
 
     return _result(out_data, "exp", (a,), backward)
 
@@ -679,9 +755,10 @@ def exp(a: Tensor) -> Tensor:
 def log(a: Tensor) -> Tensor:
     out_data = np.log(a.data)
     _charge("log", a.size)
+    node, a_data = a._node, a.data
 
     def backward(g):
-        a._accumulate(g / a.data)
+        node._accumulate(g / a_data)
 
     return _result(out_data, "log", (a,), backward)
 
@@ -689,9 +766,10 @@ def log(a: Tensor) -> Tensor:
 def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
     _charge("sqrt", a.size)
+    node = a._node
 
     def backward(g):
-        a._accumulate(g * 0.5 / out_data)
+        node._accumulate(g * 0.5 / out_data)
 
     return _result(out_data, "sqrt", (a,), backward)
 
@@ -701,9 +779,10 @@ def sqrt(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     out_data = a.data.reshape(shape)
+    node, a_shape = a._node, a.shape
 
     def backward(g):
-        a._accumulate(g.reshape(a.shape))
+        node._accumulate(g.reshape(a_shape))
 
     return _result(out_data, "reshape", (a,), backward)
 
@@ -714,11 +793,12 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start <= stop <= a.shape[0]):
         raise IndexError(f"row slice [{start}:{stop}] out of range for {a.shape}")
     out_data = a.data[start:stop].copy()
+    node, shape, dtype = a._node, a.shape, a.dtype
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         full[start:stop] = g
-        a._accumulate(full)
+        node._accumulate(full)
 
     return _result(out_data, "slice_rows", (a,), backward)
 
@@ -729,11 +809,12 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start <= stop <= a.shape[1]):
         raise IndexError(f"column slice [{start}:{stop}] out of range for {a.shape}")
     out_data = a.data[:, start:stop].copy()
+    node, shape, dtype = a._node, a.shape, a.dtype
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         full[:, start:stop] = g
-        a._accumulate(full)
+        node._accumulate(full)
 
     return _result(out_data, "slice_cols", (a,), backward)
 
@@ -753,11 +834,12 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError("gather_rows index out of range")
     out_data = a.data[idx]
+    node, rows = a._node, a.shape[0]
 
     def backward(g):
         scatter = csc_matrix((np.ones(idx.size, dtype=g.dtype), idx,
-                              np.arange(idx.size + 1)), shape=(a.shape[0], idx.size))
-        a._accumulate(scatter @ g)
+                              np.arange(idx.size + 1)), shape=(rows, idx.size))
+        node._accumulate(scatter @ g)
 
     return _result(out_data, "gather_rows", (a,), backward)
 
@@ -770,13 +852,13 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
         if p.data.ndim != 2 or p.shape[1] != cols:
             raise ShapeError("concat_rows: column counts differ")
     out_data = np.concatenate([p.data for p in parts], axis=0)
-    sizes = [p.shape[0] for p in parts]
+    nodes = [(p._node, p.shape[0]) for p in parts]
 
     def backward(g):
         at = 0
-        for p, n in zip(parts, sizes):
-            if p.requires_grad:
-                p._accumulate(g[at:at + n])
+        for node, n in nodes:
+            if node is not None:
+                node._accumulate(g[at:at + n])
             at += n
 
     return _result(out_data, "concat_rows", tuple(parts), backward)
@@ -790,13 +872,13 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
         if p.data.ndim != 2 or p.shape[0] != rows:
             raise ShapeError("concat_cols: row counts differ")
     out_data = np.concatenate([p.data for p in parts], axis=1)
-    sizes = [p.shape[1] for p in parts]
+    nodes = [(p._node, p.shape[1]) for p in parts]
 
     def backward(g):
         at = 0
-        for p, n in zip(parts, sizes):
-            if p.requires_grad:
-                p._accumulate(g[:, at:at + n])
+        for node, n in nodes:
+            if node is not None:
+                node._accumulate(g[:, at:at + n])
             at += n
 
     return _result(out_data, "concat_cols", tuple(parts), backward)
@@ -838,20 +920,22 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
 
     # The closure re-pads x.data instead of capturing xp, so the tape does
     # not keep a second, padded copy of every convolution input alive.
+    nx, nk, x_data, k_data = x._node, kernel._node, x.data, kernel.data
+
     def backward(g):
-        if x.requires_grad:
-            gp = np.zeros(padded_shape, dtype=x.data.dtype)
+        if nx is not None:
+            gp = np.zeros(padded_shape, dtype=x_data.dtype)
             for di in range(k):
                 for dj in range(k):
-                    gp[di:di + h, dj:dj + w] += g * kernel.data[di, dj]
-            x._accumulate(gp[pad:pad + h, pad:pad + w])
-        if kernel.requires_grad:
-            xp = padded(x.data)
-            gk = np.zeros_like(kernel.data)
+                    gp[di:di + h, dj:dj + w] += g * k_data[di, dj]
+            nx._accumulate(gp[pad:pad + h, pad:pad + w])
+        if nk is not None:
+            xp = padded(x_data)
+            gk = np.zeros_like(k_data)
             for di in range(k):
                 for dj in range(k):
                     gk[di, dj] = (xp[di:di + h, dj:dj + w] * g).sum(axis=(0, 1))
-            kernel._accumulate(gk)
+            nk._accumulate(gk)
 
     return _result(out_data, "depthwise_conv2d", (x, kernel), backward)
 
@@ -882,12 +966,13 @@ def cross_entropy_with_logits(logits: Tensor, labels) -> Tensor:
     losses = lse - z[np.arange(n), idx]
     out_data = np.array(losses.mean(), dtype=z.dtype)
     _charge("cross_entropy", 5 * logits.size)
+    node = logits._node
 
     def backward(g):
         soft = np.exp(z - zmax)
         soft /= soft.sum(axis=1, keepdims=True)
         soft[np.arange(n), idx] -= 1.0
-        logits._accumulate(g * soft / n)
+        node._accumulate(g * soft / n)
 
     return _result(out_data, "cross_entropy", (logits,), backward)
 
@@ -902,9 +987,10 @@ def bce_with_logits(scores: Tensor, targets) -> Tensor:
     losses = np.maximum(x, 0) - x * y + np.log1p(np.exp(-np.abs(x)))
     out_data = np.array(losses.mean(), dtype=x.dtype)
     _charge("bce", 4 * scores.size)
+    node, size = scores._node, scores.size
 
     def backward(g):
-        scores._accumulate(g * (_stable_sigmoid(x) - y) / scores.size)
+        node._accumulate(g * (_stable_sigmoid(x) - y) / size)
 
     return _result(out_data, "bce", (scores,), backward)
 

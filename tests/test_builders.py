@@ -441,6 +441,16 @@ def test_triplet_store_validates_ranges():
         TripletStore(2, 2, [0, 0, 1, 1, 0, 0])
     with pytest.raises(DataError, match="relation, tail"):
         TripletStore(2, 2, [(0, 0, 1), (1, 0)])   # ragged rows
+    # a value that int64 conversion would change is refused, not truncated
+    for bad, value in [([(0.5, 0, 1.9)], "0.5"), ([(0, 0, 1.9)], "1.9"),
+                       ([(0, 0, np.nan)], "nan"), ([(2.0 ** 63, 0, 0)], r"9\.2"),
+                       (np.array([[0, 0, 2 ** 63]], dtype=np.uint64), str(2 ** 63)),
+                       ([("1", "0", "1")], "'1'")]:
+        with pytest.raises(DataError, match=f"triple value {value}.* is not an "
+                                            "integer in int64 range"):
+            TripletStore(3, 2, bad)
+    # integral floats are exact and kept
+    assert TripletStore(3, 2, [(1.0, 0, 2.0)]).triplets.tolist() == [[1, 0, 2]]
 
 
 def test_save_triplets_roundtrip(tmp_path):

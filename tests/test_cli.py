@@ -25,6 +25,7 @@ from relmp.builders import (LONG_RELATIONS, PatchGrid, ProteinChain,
 from relmp.cli import main
 from relmp.costmodel import grmp_flops
 from relmp.models import KGModelConfig
+from relmp.tensor import load_checkpoint, save_checkpoint
 
 TINY_TRAIN = ["--people", "30", "--num-layers", "2", "--channels", "8",
               "--scorer-hidden", "16", "--negatives", "4"]
@@ -471,6 +472,25 @@ def test_eval_of_a_checkpoint_cut_inside_its_header_is_a_data_error(
     (run / "model.ckpt").write_bytes(blob[:6])
     assert main(["eval", "--model-dir", str(run),
                  "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39],
+                         ids=["nan", "inf", "-inf", "float64-overflow"])
+def test_eval_of_a_checkpoint_with_a_non_finite_weight_is_a_data_error(
+        trained_run, tmp_path, capsys, bad):
+    # 1e39 is finite in a float64 entry and overflows the float32 parameter
+    run = _damaged_copy(trained_run, tmp_path)
+    path = run / "model.ckpt"
+    weights = load_checkpoint(path)
+    name = next(iter(weights))
+    entry = weights[name].astype(np.float64 if bad == 1e39 else np.float32)
+    entry.reshape(-1)[0] = bad
+    save_checkpoint(path, {**weights, name: entry})
+    assert main(["eval", "--model-dir", str(run),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and name in err and "not finite" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(KGModelConfig)])

@@ -287,14 +287,14 @@ class TestDestinationRows:
         z, scores, channel = (Tensor(rng.normal(size=s), requires_grad=True)
                               for s in [(v, c), (v, r), (1, r * c)])
         upstream = np.ones((v, c), dtype=np.float32)
-        weighted_aggregate(g, z, scores, channel)._backward(upstream)
+        weighted_aggregate(g, z, scores, channel)._node.backward(upstream)
         for t in (z, scores, channel):
             t.zero_grad()
         out = weighted_aggregate(g, z, scores, channel)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out._backward(upstream)
+            out._node.backward(upstream)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

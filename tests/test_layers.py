@@ -318,17 +318,17 @@ def unfused_aggregate(graph, z, scores, channel):
 
 
 def recorded_ops(out):
-    """The sorted op names of the distinct recorded (non-leaf) tensors on the
+    """The sorted op names of the distinct recorded (non-leaf) nodes on the
     tape of `out`."""
-    seen, stack, ops = set(), [out], []
+    seen, stack, ops = set(), [out._node], []
     while stack:
-        t = stack.pop()
-        if id(t) in seen:
+        node = stack.pop()
+        if id(node) in seen:
             continue
-        seen.add(id(t))
-        if t._op != "leaf":
-            ops.append(t._op)
-        stack.extend(t._parents)
+        seen.add(id(node))
+        if node.op != "leaf":
+            ops.append(node.op)
+        stack.extend(node.parents)
     return sorted(ops)
 
 
@@ -393,18 +393,18 @@ class TestRelationWeighting:
             assert np.array_equal(got, want)
 
     def test_tape_keeps_no_slots(self):
-        # the closure holds the operands and views of their data, nothing of
-        # its own: no [V*R, C] slots and no weighted terms
+        # the closure holds the operands' nodes and views of their data,
+        # nothing of its own: no [V*R, C] slots and no weighted terms
         rng = np.random.default_rng(44)
         g = random_graph(rng, 6, 3, 14)
         z, scores, channel = (Tensor(rng.normal(size=s), requires_grad=True)
                               for s in [(6, 4), (6, 3), (1, 12)])
         out = weighted_aggregate(g, z, scores, channel)
-        held = [cell.cell_contents for cell in out._backward.__closure__]
+        held = [cell.cell_contents for cell in out._node.backward.__closure__]
         arrays = [a for a in held if isinstance(a, np.ndarray)]
         assert all(any(np.shares_memory(a, t.data) for t in (z, scores, channel))
                    for a in arrays), arrays
-        assert out._parents == (z, scores, channel)
+        assert out._node.parents == (z._node, scores._node, channel._node)
 
     def test_rejects_mismatched_shapes(self):
         g = RelGraph(4, 3, [(0, 1, 0), (2, 1, 2)])
@@ -504,10 +504,13 @@ class TestFusedLayerNorm:
         n, c = 6, 8
         x = Tensor(np.random.default_rng(52).normal(size=(n, c)),
                    requires_grad=True)
-        out = layer_norm(x, LayerNormParams.init(c))
-        held = [cell.cell_contents for cell in out._backward.__closure__]
+        params = LayerNormParams.init(c)
+        out = layer_norm(x, params)
+        held = [cell.cell_contents for cell in out._node.backward.__closure__]
         arrays = [v for v in held if isinstance(v, np.ndarray)]
-        assert sorted(v.shape for v in arrays) == [(1, c), (n, 1), (n, 1)]
+        assert sorted(v.shape for v in arrays) == [(1, c), (n, 1), (n, 1), (n, c)]
+        assert any(v is x.data for v in arrays)
+        assert any(np.shares_memory(v, params.gamma.data) for v in arrays)
 
     def test_rejects_bad_shapes(self):
         p = LayerNormParams.init(4)

@@ -474,23 +474,29 @@ def test_models_match_the_unfused_op_chains_bitwise(build_loss, monkeypatch):
 
 
 def _tape(root, stop=None):
-    """Every recorded (non-leaf) tensor that `root` depends on, not looking
-    past `stop`."""
-    seen, stack, nodes = {id(stop)}, [root], []
+    """Every recorded (non-leaf) node that `root` depends on, not looking
+    past the node of `stop`."""
+    seen = {id(None if stop is None else stop._node)}
+    stack, nodes = [root._node], []
     while stack:
-        t = stack.pop()
-        if id(t) in seen:
+        node = stack.pop()
+        if id(node) in seen:
             continue
-        seen.add(id(t))
-        if t._op != "leaf":
-            nodes.append(t)
-        stack.extend(t._parents)
+        seen.add(id(node))
+        if node.op != "leaf":
+            nodes.append(node)
+        stack.extend(node.parents)
     return nodes
 
 
 def test_tape_holds_one_node_per_norm_and_no_broadcast_copies(monkeypatch):
-    norms, gated = [], []
+    norms, gated, outputs = [], [], []
     real_norm, real_grmp = layers.layer_norm, layers.grmp_forward
+    real_result = tensor_module._result
+
+    def result_spy(data, op, parents, backward):
+        outputs.append(data)
+        return real_result(data, op, parents, backward)
 
     def norm_spy(x, p, *args):
         out = real_norm(x, p, *args)
@@ -498,10 +504,13 @@ def test_tape_holds_one_node_per_norm_and_no_broadcast_copies(monkeypatch):
         return out
 
     def grmp_spy(graph, z, p):
+        start = len(outputs)
         out = real_grmp(graph, z, p)
-        gated.append((graph, z, out))
+        gated.append((graph, z, out, outputs[start:]))
         return out
 
+    monkeypatch.setattr(tensor_module, "_result", result_spy)
+    monkeypatch.setattr(graph_module, "_result", result_spy)
     for module in (models, layers):  # patch_merging calls the layers name
         monkeypatch.setattr(module, "layer_norm", norm_spy)
     monkeypatch.setattr(models, "grmp_forward", grmp_spy)
@@ -514,28 +523,32 @@ def test_tape_holds_one_node_per_norm_and_no_broadcast_copies(monkeypatch):
     states = kg_encode(fact_graph(data.train), kg)
 
     nodes = _tape(logits) + _tape(states)
-    ops = [t._op for t in nodes]
+    ops = [node.op for node in nodes]
     assert "tile_rows" not in ops and "tile_cols" not in ops
     # every bias rides inside its linear map: no add takes a [n] bias (a
     # residual add may still take a patch-merging matmul)
     assert "linear" in ops
-    assert not [t for t in nodes
-                if t._op == "add" and any(p.data.ndim == 1 for p in t._parents)]
+    biases = {id(t._node) for p in (params, kg) for t in p.tensors().values()
+              if t.data.ndim == 1}
+    assert not [node for node in nodes if node.op == "add"
+                and any(id(p) in biases for p in node.parents)]
     assert len(norms) == 13 + 3 and ops.count("layer_norm") == len(norms)
     for x, out in norms:
-        assert out._op == "layer_norm" and out._parents[0] is x
+        assert out._node.op == "layer_norm" and out._node.parents[0] is x._node
     assert len(gated) == 4 + 2
-    for graph, z, out in gated:
+    weights = {id(t.data) for p in (params, kg) for t in p.tensors().values()}
+    for graph, z, out, made in gated:
         v, r, c = graph.num_nodes, graph.num_relations, z.shape[1]
         assert r > 1
         # nothing on a gated layer's tape is as wide as its [V*R, C] slots:
-        # no node, and no array a node's closure holds
+        # no op output, and no array a node's closure holds besides weights
         layer = _tape(out, stop=z)
-        assert "weighted_aggregate" in [t._op for t in layer]
-        held = [cell.cell_contents for t in layer
-                for cell in t._backward.__closure__ or ()]
-        wide = [a.shape for a in [t.data for t in layer] + held
-                if isinstance(a, np.ndarray) and a.size >= v * r * c]
+        assert "weighted_aggregate" in [node.op for node in layer]
+        held = [cell.cell_contents for node in layer
+                for cell in node.backward.__closure__ or ()]
+        wide = [a.shape for a in made + held
+                if isinstance(a, np.ndarray) and a.size >= v * r * c
+                and id(a) not in weights]
         assert not wide, wide
 
 

@@ -2,10 +2,13 @@
 
 `perfbench/instrument.py` replaces relmp functions and ops by qualified name;
 a renamed or deleted function would make its metrics read 0 silently. This
-imports the module as it is and resolves each name on relmp. The KG
-workloads of `perfbench/workloads.py` are run once at each size and must
-pass their own checks against `perfbench/reference.json`, so a change of
-relmp's types or signatures that breaks them fails here too.
+imports the module as it is and resolves each name on relmp. Each workload
+of `perfbench/workloads.py` is run once at each size and must pass its own
+checks against `perfbench/reference.json`, so a change of relmp's types or
+signatures that breaks them fails here too. The image and protein workloads
+run as `perfbench/run.py` runs them: under a `Scopes` root counter, which
+the image check compares with the pinned forward FLOPs, and with the
+`GrmpProbe` installed, whose per-call costs must equal the cost model's.
 """
 
 import functools
@@ -52,3 +55,20 @@ def test_kg_workloads_pass_their_checks(workload, size):
     state = wl.setup(reference["seed"])
     it = wl.iterate(state, None)
     assert it.failures + wl.check(state, it, reference) == []
+
+
+@pytest.mark.parametrize("size", ["smoke", "full"])
+@pytest.mark.parametrize("workload", ["image_step", "protein_encode"])
+def test_model_workloads_pass_their_checks_under_the_probe(workload, size):
+    instrument, workloads = _load("instrument"), _load("workloads")
+    reference = json.loads((BENCH_DIR / "reference.json").read_text(
+        encoding="utf-8"))[size][workload]
+    wl = workloads.WORKLOADS[workload](size == "smoke")
+    state = wl.setup(0)
+    scopes = instrument.Scopes()
+    probe = instrument.GrmpProbe(scopes)
+    with probe.install():
+        with scopes.root() as root:
+            it = wl.iterate(state, root)
+        failures = it.failures + wl.check(state, it, reference)
+    assert failures + workloads.check_grmp_calls(probe.calls) == []

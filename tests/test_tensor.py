@@ -3,7 +3,7 @@
 `_OP_CASES` is the one op-contract registry: every public op of tensor.py
 and the graph ops rel_aggregate and weighted_aggregate, each checked at
 Hypothesis-drawn dims for its gradients, charge, NaN handling, dtypes,
-retained sweeps and no_grad behaviour.
+retained sweeps, no_grad behaviour and which inputs its tape keeps alive.
 """
 
 import functools
@@ -224,7 +224,7 @@ class TestDepthwiseConv:
     def test_backward_keeps_no_padded_copy(self):
         x = Tensor(np.ones((4, 5, 2)), requires_grad=True)
         out = depthwise_conv2d(x, Tensor(np.ones((3, 3, 2)), requires_grad=True))
-        held = [c.cell_contents for c in out._backward.__closure__]
+        held = [c.cell_contents for c in out._node.backward.__closure__]
         assert not any(isinstance(v, np.ndarray) and v.shape == (6, 7, 2)
                        for v in held)
 
@@ -580,24 +580,28 @@ class OpCase(NamedTuple):
     the tensor.py module docstring (and rel_aggregate's own) states them. `call(d, *inputs)` runs the
     op with the drawn dims as attributes of `d`; by default it is the op on
     the inputs. `recorded` is the op name a result records, when it is not
-    `op`. `form` tells apart the cases of one op."""
+    `op`. `form` tells apart the cases of one op. `reads` lists the inputs,
+    by position, whose data the op's backward reads."""
     op: str
     shapes: Callable
     charge: Callable
     call: Callable | None = None
     form: str = ""
     recorded: str | None = None
+    reads: tuple = ()
 
 
-def _elementwise(op, kind):
-    return OpCase(op, lambda m, n: [(m, n)], lambda m, n: {kind: m * n})
+def _elementwise(op, kind, reads=()):
+    return OpCase(op, lambda m, n: [(m, n)], lambda m, n: {kind: m * n},
+                  reads=reads)
 
 
-def _binary(op):
+def _binary(op, reads=()):
     """The same-shape and the row-broadcast form of a binary op."""
-    return [OpCase(op, lambda m, n: [(m, n), (m, n)], lambda m, n: {op: m * n}),
+    return [OpCase(op, lambda m, n: [(m, n), (m, n)], lambda m, n: {op: m * n},
+                   reads=reads),
             OpCase(op, lambda m, n: [(m, n), (n,)], lambda m, n: {op: m * n},
-                   form="row")]
+                   form="row", reads=reads)]
 
 
 def _weighted_aggregate(scored, channel):
@@ -623,7 +627,8 @@ def _weighted_aggregate(scored, channel):
 
     return OpCase("weighted_aggregate", shapes, charge, call,
                   form=("scored" if scored else "uniform")
-                  + ("-channel" if channel else "-ones"))
+                  + ("-channel" if channel else "-ones"),
+                  reads=tuple(range(1 + scored + channel)))
 
 
 def _layer_norm_charge(n, c):
@@ -635,15 +640,16 @@ def _layer_norm_charge(n, c):
 # every public op of tensor.py plus the graph ops, with the row-broadcast,
 # uniform-score and constant-channel forms as extra cases
 _OP_CASES = [
-    *_binary("add"), *_binary("sub"), *_binary("hadamard"), *_binary("div"),
+    *_binary("add"), *_binary("sub"), *_binary("hadamard", reads=(0, 1)),
+    *_binary("div", reads=(0, 1)),
     OpCase("add_scalar", lambda m, n: [(m, n)], lambda m, n: {"add": m * n},
            lambda d, a: T.add_scalar(a, 0.5)),
     OpCase("mul_scalar", lambda m, n: [(m, n)], lambda m, n: {"hadamard": m * n},
            lambda d, a: T.mul_scalar(a, 1.5)),
     OpCase("matmul", lambda m, k, n: [(m, k), (k, n)],
-           lambda m, k, n: {"matmul": 2 * m * n * k}),
+           lambda m, k, n: {"matmul": 2 * m * n * k}, reads=(0, 1)),
     OpCase("linear", lambda m, k, n: [(m, k), (k, n), (n,)],
-           lambda m, k, n: {"matmul": 2 * m * n * k}),
+           lambda m, k, n: {"matmul": 2 * m * n * k}, reads=(0, 1)),
     OpCase("tile_rows", lambda m, n: [(n,)], lambda m, n: {"tile": m * n},
            lambda d, a: tile_rows(a, d.m)),
     OpCase("tile_cols", lambda m, n: [(m, 1)], lambda m, n: {"tile": m * n},
@@ -654,11 +660,13 @@ _OP_CASES = [
     # O(eps) and finer than central differences resolve: rows hold c + 2
     OpCase("layer_norm", lambda n, c: [(n, c + 2), (c + 2,), (c + 2,)],
            lambda n, c: _layer_norm_charge(n, c + 2),
-           lambda d, x, gamma, beta: T.layer_norm(x, gamma, beta, 1e-5)),
+           lambda d, x, gamma, beta: T.layer_norm(x, gamma, beta, 1e-5),
+           reads=(0, 1)),
     OpCase("sum_all", lambda m, n: [(m, n)], lambda m, n: {"sum": m * n - 1}),
     _elementwise("mean_rows", "mean"), _elementwise("mean_cols", "mean"),
-    *(_elementwise(op, op) for op in ("relu", "gelu", "sigmoid", "exp", "log",
-                                      "sqrt")),
+    # sigmoid, exp and sqrt read their own output instead of their input
+    *(_elementwise(op, op, reads=(0,)) for op in ("relu", "gelu", "log")),
+    *(_elementwise(op, op) for op in ("sigmoid", "exp", "sqrt")),
     OpCase("reshape", lambda m, n: [(m, n)], lambda m, n: {},
            lambda d, a: reshape(a, (d.n, d.m))),
     OpCase("slice_rows", lambda m, n: [(m + 1, n)], lambda m, n: {},
@@ -675,14 +683,14 @@ _OP_CASES = [
     OpCase("depthwise_conv2d",
            lambda h, w, c, j: [(h, w, c), (2 * j - 1, 2 * j - 1, c)],
            lambda h, w, c, j: {"depthwise_conv2d":
-                               2 * h * w * c * (2 * j - 1) ** 2}),
+                               2 * h * w * c * (2 * j - 1) ** 2}, reads=(0, 1)),
     OpCase("cross_entropy_with_logits", lambda m, k: [(m, k)],
            lambda m, k: {"cross_entropy": 5 * m * k},
            lambda d, a: cross_entropy_with_logits(a, np.arange(d.m) % d.k),
-           recorded="cross_entropy"),
+           recorded="cross_entropy", reads=(0,)),
     OpCase("bce_with_logits", lambda m: [(m, 1)], lambda m: {"bce": 4 * m},
            lambda d, a: bce_with_logits(a, (np.arange(d.m) % 2).reshape(-1, 1)),
-           recorded="bce"),
+           recorded="bce", reads=(0,)),
     OpCase("rel_aggregate", lambda v, r, c: [(v, c)],
            lambda v, r, c: {"rel_aggregate": 2 * _graph(v, r).num_edges * c},
            lambda d, z: rel_aggregate(_graph(d.v, d.r), z)),
@@ -794,14 +802,14 @@ def test_result_and_gradients_keep_the_input_dtype(case, dtype, data):
 
     def spying(accumulate):
         def spy(node, g):
-            handed.append((node._op, g.dtype))
+            handed.append((node.op, g.dtype))
             accumulate(node, g)
         return spy
 
     # a closure hands each gradient to one of the two entry points
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_accumulate", "_accumulate_owned"):
-            patch.setattr(Tensor, name, spying(getattr(Tensor, name)))
+            patch.setattr(T._Node, name, spying(getattr(T._Node, name)))
         sum_all(out).backward()
     assert len(handed) >= 1 + len(inputs)
     assert all(d == dtype for _, d in handed), handed
@@ -829,7 +837,7 @@ def test_retained_sweeps_repeat_and_leave_inputs(case, data):
 @given(data=st.data())
 def test_no_grad_matches_the_tape_and_records_nothing(case, data):
     """6. Inside no_grad the values and charges are the same, and the result
-    records no parents and no closure."""
+    records no tape node."""
     dims = data.draw(_dims(case))
     inputs = _inputs(case, dims)
     with count_flops() as taped:
@@ -840,7 +848,56 @@ def test_no_grad_matches_the_tape_and_records_nothing(case, data):
     assert untaped.per_op == taped.per_op
     assert got.data.tobytes() == want.data.tobytes()
     assert not got.requires_grad
-    assert got._parents == () and got._backward is None
+    assert got._node is None
+
+
+def _closure_contents(fn):
+    """Everything the cells of closure `fn` hold, looking into the closures
+    and the lists and tuples it holds (not into tape nodes)."""
+    stack = [cell.cell_contents for cell in fn.__closure__ or ()]
+    while stack:
+        value = stack.pop()
+        yield value
+        if inspect.isfunction(value):
+            stack.extend(cell.cell_contents for cell in value.__closure__ or ())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+
+
+def _tape_nodes(out):
+    seen, stack = {}, [out._node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
+    return list(seen.values())
+
+
+@_EACH_CASE
+@CONTRACT
+@given(data=st.data())
+def test_tape_keeps_only_the_inputs_backward_reads(case, data):
+    """7. No closure on the tape holds a Tensor. A recorded input whose data
+    the op's backward does not read is freed once the caller drops it; one
+    that it reads, or that the result views, stays alive for the sweep."""
+    dims = data.draw(_dims(case))
+    leaves = _inputs(case, dims)
+    # recorded inputs from a scaling by 1, whose backward reads nothing
+    inputs = [T.mul_scalar(t, 1.0) for t in leaves]
+    out = _apply(case, dims, inputs)
+    for node in _tape_nodes(out):
+        if node.backward is not None:
+            held = [v for v in _closure_contents(node.backward)
+                    if isinstance(v, Tensor)]
+            assert not held, (node.op, held)
+    want = [i in case.reads or np.shares_memory(t.data, out.data)
+            for i, t in enumerate(inputs)]
+    alive = [weakref.ref(t.data) for t in inputs]
+    del inputs
+    assert [ref() is not None for ref in alive] == want
+    _projected(out).backward()
+    assert all(t.grad is not None for t in leaves)
 
 
 def test_every_public_op_has_a_case():
