@@ -229,6 +229,15 @@ class ProteinChain:
             raise DataError("sequence length and coordinate rows differ")
         if not np.all(np.isfinite(self.coords)):
             raise DataError("coordinates must be finite")
+        if self.coords.size:
+            # the squared span bounds every pairwise squared distance
+            # `protein_edges` forms, so a finite bound keeps them finite
+            with np.errstate(over="ignore"):
+                span = self.coords.max(axis=0) - self.coords.min(axis=0)
+                reach = (span * span).sum()
+            if not np.isfinite(reach):
+                raise DataError("coordinates span too far: squared distances "
+                                "overflow float64")
         for ch in self.sequence:
             if ch not in AMINO_ACIDS:
                 raise DataError(f"unknown amino-acid code {ch!r}")

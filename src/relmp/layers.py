@@ -54,12 +54,24 @@ INIT_STD = 0.02     # std of every truncated-normal weight draw
 
 
 def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Normal draws at INIT_STD, redrawn outside two standard deviations."""
+    """Normal draws at INIT_STD, redrawn outside two standard deviations.
+
+    Draw contract: `rng.normal(0.0, INIT_STD)` of the whole shape, then one
+    call per round for exactly as many values as are still out of range,
+    written to those positions in ascending C-order index order. These are
+    the calls, sizes and order of a loop that rescans the whole array after
+    each round, so a seeded generator gives the same values and is left in
+    the same state. Only the first scan covers the whole array; each later
+    round tests only the positions it redrew.
+    """
     vals = rng.normal(0.0, INIT_STD, size=shape)
-    bad = np.abs(vals) > 2 * INIT_STD
-    while bad.any():
-        vals[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
-        bad = np.abs(vals) > 2 * INIT_STD
+    bound = 2 * INIT_STD
+    flat = vals.reshape(-1)
+    idx = np.flatnonzero((flat > bound) | (flat < -bound))
+    while idx.size:
+        redraw = rng.normal(0.0, INIT_STD, size=idx.size)
+        flat[idx] = redraw
+        idx = idx[(redraw > bound) | (redraw < -bound)]
     return vals
 
 

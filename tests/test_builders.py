@@ -1,5 +1,7 @@
 """Domain graph builders: patch grids, protein chains, triplet stores."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,17 @@ def test_protein_chain_validation():
         ProteinChain("AA", np.zeros((3, 3)))
     with pytest.raises(DataError):
         ProteinChain("AA", np.full((2, 3), np.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # finite, but a squared distance overflows: in a square, in a
+        # difference, in the sum of squares
+        for first, last in [([1e200, 0, 0], [0, 3, 0]),
+                            ([1e308, 0, 0], [-1e308, 3, 0]),
+                            ([1e154, 1e154, 1e154], [0, 3, 0])]:
+            with pytest.raises(DataError, match="overflow float64"):
+                ProteinChain("AGA", np.array([first, [0, 0, 0], last], float))
+        wide = ProteinChain("AGA", np.array([[1e150, 0, 0], [0, 0, 0], [0, 3, 0]]))
+        assert protein_edges(wide)[0].num_edges == 14
     chain = _collinear_chain()
     hot = chain.one_hot()
     assert hot.shape == (3, len(AMINO_ACIDS))

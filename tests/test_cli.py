@@ -158,6 +158,17 @@ def test_missing_input_file_is_a_data_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_chain_whose_distances_overflow_is_a_data_error(tmp_path, capsys):
+    chain = tmp_path / "far.txt"
+    chain.write_text("0 A 1e200 0 0\n1 G 0 0 0\n2 A 0 3 0\n")
+    out = tmp_path / "out"
+    assert main(["build-graph", "--domain", "protein", "--input", str(chain),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(chain) in err and "overflow float64" in err
+    assert not out.exists()
+
+
 def test_negative_k_medium_is_a_usage_error(tmp_path, grid_file, capsys):
     out = tmp_path / "out"
     assert main(["build-graph", "--domain", "image", "--input", str(grid_file),

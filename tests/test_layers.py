@@ -638,3 +638,47 @@ class TestBlocksAndPooling:
         out = rel_aggregate(g, z)
         assert out.data[2 * 1 + 0] == 0.0
         assert out.data[0] == 7.0 and out.data[1] == 7.0
+
+
+# -- weight draws ------------------------------------------------------------------------
+
+
+def reference_trunc_normal(rng, shape, rounds=None):
+    """Mask-and-redraw loop that rescans the whole array each round: the
+    draw `layers.trunc_normal` must reproduce value for value. `rounds`, a
+    list, collects the size of each redraw."""
+    vals = rng.normal(0.0, layers.INIT_STD, size=shape)
+    bad = np.abs(vals) > 2 * layers.INIT_STD
+    while bad.any():
+        if rounds is not None:
+            rounds.append(int(bad.sum()))
+        vals[bad] = rng.normal(0.0, layers.INIT_STD, size=int(bad.sum()))
+        bad = np.abs(vals) > 2 * layers.INIT_STD
+    return vals
+
+
+class TestTruncNormal:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("shape", [(0, 5), (1,), (7, 3), (96, 96)])
+    def test_matches_the_rescanning_loop(self, shape, seed):
+        want_rng = np.random.default_rng(seed)
+        got_rng = np.random.default_rng(seed)
+        want = reference_trunc_normal(want_rng, shape)
+        got = layers.trunc_normal(got_rng, shape)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert np.all(np.abs(got) <= 2 * layers.INIT_STD)
+
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    def test_matches_the_rescanning_loop_over_many_rounds(self, seed):
+        # at these seeds a [2048, 2048] draw takes five redraw rounds, the
+        # last of them one or two values wide
+        want_rng = np.random.default_rng(seed)
+        got_rng = np.random.default_rng(seed)
+        rounds = []
+        want = reference_trunc_normal(want_rng, (2048, 2048), rounds)
+        assert len(rounds) >= 5, rounds
+        got = layers.trunc_normal(got_rng, (2048, 2048))
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state

@@ -1,5 +1,6 @@
 """Assembled models: image hierarchy, protein encoder, KG scorer."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -45,7 +46,8 @@ from relmp.tensor import (
     slice_rows,
 )
 from relmp.training import toy_kinship_kg
-from test_layers import chained_layer_norm, unfused_aggregate
+from test_layers import (chained_layer_norm, reference_trunc_normal,
+                         unfused_aggregate)
 from test_tensor import chained_linear
 
 TINY = dict(channels=(8, 16, 32, 64), depths=(1, 1, 1, 1), num_classes=10,
@@ -158,6 +160,40 @@ def test_image_stem_gradcheck_against_finite_differences():
 
         err = finite_difference_check(loss, [params.stem_w], h=1e-5)
         assert err < 1e-4, err
+
+
+def _default_init(model):
+    rng = np.random.default_rng(0)
+    if model == "image":
+        params = ImageModelParams.init(rng, ImageModelConfig())
+    elif model == "protein":
+        params = ProteinEncoderParams.init(rng, ProteinEncoderConfig())
+    else:
+        data = toy_kinship_kg(100, 0)
+        params = KGModelParams.init(rng, data.num_entities,
+                                    data.num_relations, KGModelConfig())
+    # digests, not copies: a float64 image model holds 210 MB
+    tensors = {name: (t.data.dtype, t.shape,
+                      hashlib.sha256(t.data.tobytes()).hexdigest())
+               for name, t in params.tensors().items()}
+    return tensors, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("model", ["image", "protein", "kg"])
+def test_default_inits_match_the_rescanning_weight_draw(model, dtype,
+                                                         monkeypatch):
+    # every tensor of a seeded default model, and the generator after it,
+    # are those of the mask-and-redraw loop that rescans the whole array
+    with default_dtype(dtype):
+        got = _default_init(model)
+        monkeypatch.setattr(layers, "trunc_normal", reference_trunc_normal)
+        monkeypatch.setattr(models, "trunc_normal", reference_trunc_normal)
+        want = _default_init(model)
+    assert list(got[0]) == list(want[0])
+    differ = [name for name in want[0] if got[0][name] != want[0][name]]
+    assert not differ, differ
+    assert got[1] == want[1]
 
 
 # -- protein encoder -----------------------------------------------------------------------
