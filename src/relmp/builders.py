@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph import RelGraph, _text_lines
+from .graph import RelGraph, _text_lines, triple_rows
 
 SHORT_RELATIONS = ("up", "down", "left", "right")
 LONG_RELATIONS = ("long_global", "long_context")
@@ -334,25 +334,9 @@ class TripletStore:
     triplets: np.ndarray        # given as an array or as a list of triples
 
     def __post_init__(self):
-        try:
-            given = np.asarray(self.triplets)
-            with np.errstate(invalid="ignore"):
-                trips = given.astype(np.int64, copy=False)
-        except (TypeError, ValueError, OverflowError) as e:
-            raise DataError(f"triplets must be (head, relation, tail) rows: {e}") from e
-        inexact = trips != given
-        if inexact.any():
-            value = given[inexact][0].item()
-            raise DataError(f"triple value {value!r} is not an integer in int64 range")
-        if trips.shape == (0,):
-            trips = trips.reshape(0, 3)
-        if trips.ndim != 2 or trips.shape[1] != 3:
-            raise DataError(f"triplets must have shape (n, 3), not {trips.shape}")
         n, half = self.num_entities, self.num_relations // 2
-        bad = ((trips < 0) | (trips >= [n, half, n])).any(axis=1)
-        if bad.any():
-            raise DataError(f"triple {tuple(trips[bad.argmax()].tolist())} is out of range")
-        self.triplets = trips
+        self.triplets = triple_rows(self.triplets, (n, half, n), DataError,
+                                    "triple", "triplets", "(head, relation, tail)")
 
     def with_inverses(self) -> np.ndarray:
         """(2n, 3) rows: row 2i is triple i, row 2i + 1 its inverse

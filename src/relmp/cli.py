@@ -18,9 +18,9 @@ Every command computes its results before it makes ``--out``, so a run that
 fails leaves no output directory behind; an unwritable ``--out`` is reported
 only after the work is done.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 data error
-(a malformed or unreadable input file, or an output path that cannot be
-written).
+Exit codes: 0 success, 1 verification failure, 2 usage error or any other
+deliberate failure (a `RelmpError`), 3 data error (a malformed or unreadable
+input file, or an output path that cannot be written).
 
 ``--threads N`` pins the BLAS pool size through environment variables. They
 must be set before numpy first loads, so this module imports the numeric
@@ -41,8 +41,7 @@ import sys
 from dataclasses import asdict, fields
 from typing import NamedTuple
 
-from .errors import (ConfigError, ContractError, DataError, GraphError,
-                     NumericError, ShapeError)
+from .errors import ConfigError, DataError, RelmpError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -547,8 +546,7 @@ def main(argv=None) -> int:
         # an unreadable or unwritable file is bad data, not a failed check
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (ConfigError, ContractError, GraphError, NumericError,
-            ShapeError) as e:
+    except RelmpError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

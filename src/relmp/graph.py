@@ -2,7 +2,8 @@
 
 A RelGraph is built from an (E, 3) int array of (src, dst, rel) rows or from a
 list of such triples; a value that int64 conversion would change (0.5, NaN,
-2**63) is rejected, not truncated. It stores the edges sorted by (rel, dst,
+2**63) is rejected, not truncated (`triple_rows`, which the KG triple store
+shares). It stores the edges sorted by (rel, dst,
 src), which is the CSR form of the relation-major slot matrix: row r*V_dst + v
 lists the ascending sources N_r(v). Aggregation is one sparse product with
 that matrix and its backward one product with the transpose, so the
@@ -48,6 +49,32 @@ from .errors import DataError, GraphError, ShapeError
 from .tensor import Tensor, _charge, _result
 
 
+def triple_rows(rows, bounds, error, noun, plural, fields):
+    """`rows`, an (n, 3) array or a sequence of triples, as an (n, 3) int64
+    array whose column j holds values in [0, bounds[j]); an empty input gives
+    (0, 3). A value that int64 conversion would change, any other shape and
+    a row out of range raise `error`; its messages call one row `noun`,
+    several `plural`, and name the columns `fields`."""
+    try:
+        given = np.asarray(rows)
+        with np.errstate(invalid="ignore"):
+            rows = given.astype(np.int64, copy=False)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise error(f"{plural} must be {fields} rows: {e}") from e
+    inexact = rows != given
+    if inexact.any():
+        value = given[inexact][0].item()
+        raise error(f"{noun} value {value!r} is not an integer in int64 range")
+    if rows.shape == (0,):
+        rows = rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise error(f"{plural} must have shape (n, 3), not {rows.shape}")
+    bad = ((rows < 0) | (rows >= bounds)).any(axis=1)
+    if bad.any():
+        raise error(f"{noun} {tuple(rows[bad.argmax()].tolist())} is out of range")
+    return rows
+
+
 class RelGraph:
     """Immutable multi-relational directed graph.
 
@@ -64,24 +91,8 @@ class RelGraph:
     def __init__(self, num_nodes: int, num_relations: int, edges):
         if num_nodes < 0 or num_relations < 0:
             raise GraphError("node and relation counts must be non-negative")
-        try:
-            given = np.asarray(edges)
-            with np.errstate(invalid="ignore"):
-                edges = given.astype(np.int64, copy=False)
-        except (TypeError, ValueError, OverflowError) as e:
-            raise GraphError(f"edges must be (src, dst, rel) triples: {e}") from e
-        inexact = edges != given
-        if inexact.any():
-            value = given[inexact][0].item()
-            raise GraphError(f"edge value {value!r} is not an integer in int64 range")
-        if edges.shape == (0,):
-            edges = edges.reshape(0, 3)
-        if edges.ndim != 2 or edges.shape[1] != 3:
-            raise GraphError(f"edges must have shape (E, 3), not {edges.shape}")
-        bad = ((edges < 0) | (edges >= [num_nodes, num_nodes, num_relations])).any(axis=1)
-        if bad.any():
-            edge = tuple(edges[bad.argmax()].tolist())
-            raise GraphError(f"edge {edge} references a node or relation out of range")
+        edges = triple_rows(edges, (num_nodes, num_nodes, num_relations),
+                            GraphError, "edge", "edges", "(src, dst, rel)")
         edges = edges[np.lexsort(edges.T)]   # last key primary: (rel, dst, src)
         repeated = (edges[1:] == edges[:-1]).all(axis=1)
         if repeated.any():

@@ -71,10 +71,9 @@ their `g` or a view of it (add, reshape, slices) go through
 compute a fresh array nothing else holds (the operand gradients of `matmul`
 and `linear`, the features' gradient of `rel_aggregate` and the three of
 `weighted_aggregate`) go through `_Node._accumulate_owned`, which keeps it
-uncopied. `Tensor._accumulate` and `Tensor._accumulate_owned` hand a
-gradient to the tensor's node, for closures written against tensors.
-No closure writes into its `g` or into forward data, so a retained graph
-sweeps to the same gradients again.
+uncopied. Closures add into nodes, never into tensors: an input whose node
+is None takes no gradient. No closure writes into its `g` or into forward
+data, so a retained graph sweeps to the same gradients again.
 
 Inside a `no_grad()` scope ops record nothing: a result has no node and
 `requires_grad=False`, so a forward-only pass (evaluation, the end-of-epoch
@@ -305,17 +304,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, op={op})"
 
     # -- graph plumbing ---------------------------------------------------------
-
-    # The ops' closures add into nodes; these entry points serve closures
-    # written against tensors. A tensor that requires no gradient drops g.
-
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self._node is not None:
-            self._node._accumulate(g)
-
-    def _accumulate_owned(self, g: np.ndarray) -> None:
-        if self._node is not None:
-            self._node._accumulate_owned(g)
 
     def backward(self, retain_graph: bool = False) -> None:
         """Reverse sweep from a scalar, adding d(self)/d(leaf) to each leaf's grad.

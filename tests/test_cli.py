@@ -24,6 +24,7 @@ from relmp.builders import (LONG_RELATIONS, PatchGrid, ProteinChain,
                             save_patch_grid, save_protein_chain)
 from relmp.cli import main
 from relmp.costmodel import grmp_flops
+from relmp.errors import DataError, RelmpError
 from relmp.models import KGModelConfig
 from relmp.tensor import load_checkpoint, save_checkpoint
 
@@ -766,6 +767,23 @@ def test_unreadable_file_is_a_data_error(case, tmp_path, capsys):
         assert err.startswith(f"error: {args['input']}:2: not UTF-8 text")
     if case != "out_is_a_file":
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("error", RelmpError.__subclasses__(),
+                         ids=lambda error: error.__name__)
+def test_every_deliberate_failure_maps_to_an_exit_code(error, tmp_path, capsys,
+                                                       monkeypatch):
+    # a data error exits 3 and every other subclass, a new one included, 2,
+    # with one line on stderr and no traceback
+    def body(resolved):
+        raise error("injected")
+
+    monkeypatch.setitem(cli._COMMANDS, "bench-flops", body)
+    out = tmp_path / "out"
+    assert main(["bench-flops", "--out", str(out)]) == (3 if error is DataError
+                                                         else 2)
+    assert capsys.readouterr().err == "error: injected\n"
+    assert not out.exists()
 
 
 # -- the option table ----------------------------------------------------------------------

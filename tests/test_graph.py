@@ -228,10 +228,11 @@ def full_slot_aggregate(graph, z):
                       np.concatenate([[0], np.cumsum(counts)])), shape=(r * v, v))
     deg = np.maximum(counts, 1).reshape(-1, 1).astype(z.data.dtype)
     out = ((adj @ z.data) / deg).reshape(r, v, c).transpose(1, 0, 2).reshape(-1, c)
+    nz = z._node
 
     def backward(g):
         g_rv = g.reshape(v, r, c).transpose(1, 0, 2).reshape(-1, c)
-        z._accumulate(adj.T @ (g_rv / deg))
+        nz._accumulate(adj.T @ (g_rv / deg))
 
     return tensor_module._result(np.ascontiguousarray(out), "rel_aggregate",
                                  (z,), backward)

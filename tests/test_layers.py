@@ -289,8 +289,9 @@ def reference_weighted_sum(slots, scores, channel):
     node's score, summed over relations in order. Its tape keeps the slots,
     as the gated layer's did before one op took in the aggregation."""
     (v, r), c = scores.shape, slots.shape[1]
-    wide = slots.data.reshape(v, r, c) * channel.data.reshape(r, c)
-    terms = wide * scores.data[:, :, None]
+    slot_data = slots.data.reshape(v, r, c)
+    score_data, channel_data = scores.data, channel.data.reshape(r, c)
+    terms = slot_data * channel_data * score_data[:, :, None]
     out = terms[:, 0].copy()
     for k in range(1, r):
         out += terms[:, k]
@@ -298,15 +299,19 @@ def reference_weighted_sum(slots, scores, channel):
     tensor_module._charge("hadamard", 2 * r * v * c)
     if r > 1:
         tensor_module._charge("add", (r - 1) * v * c)
+    nslots, nscores, nchannel = slots._node, scores._node, channel._node
+    channel_shape = channel.shape
 
     def backward(g):
-        slot_data = slots.data.reshape(v, r, c)
-        scores._accumulate((slot_data * channel.data.reshape(r, c)
-                            * g[:, None, :]).sum(axis=2))
-        gw = g[:, None, :] * scores.data[:, :, None]
-        slots._accumulate((gw * channel.data.reshape(r, c)).reshape(v * r, c))
-        channel._accumulate((gw * slot_data).reshape(v, r * c).sum(axis=0)
-                            .reshape(channel.shape))
+        if nscores is not None:
+            nscores._accumulate((slot_data * channel_data
+                                 * g[:, None, :]).sum(axis=2))
+        gw = g[:, None, :] * score_data[:, :, None]
+        if nslots is not None:
+            nslots._accumulate((gw * channel_data).reshape(v * r, c))
+        if nchannel is not None:
+            nchannel._accumulate((gw * slot_data).reshape(v, r * c).sum(axis=0)
+                                 .reshape(channel_shape))
 
     return tensor_module._result(out, "reference_weighted_sum",
                                  (slots, scores, channel), backward)

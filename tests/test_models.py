@@ -37,13 +37,14 @@ from relmp.tensor import (
     bce_with_logits,
     concat_rows,
     count_flops,
-    cross_entropy_with_logits,
     default_dtype,
     finite_difference_check,
+    hadamard,
     mean_rows,
     no_grad,
     relu,
     slice_rows,
+    sum_all,
 )
 from relmp.training import toy_kinship_kg
 from test_layers import (chained_layer_norm, reference_trunc_normal,
@@ -144,6 +145,12 @@ def _scale_draws(params, std):
             t.data = t.data * (std / layers.INIT_STD)
 
 
+def _readout(num_classes):
+    """A fixed seeded linear read-out of one image's logits, whose
+    `sum_all(hadamard(logits, readout))` serves as a scalar loss."""
+    return Tensor(np.random.default_rng(5).normal(size=(1, num_classes)))
+
+
 def test_image_stem_gradcheck_against_finite_differences():
     with default_dtype(np.float64):
         cfg = ImageModelConfig(channels=(4, 8, 16, 32), depths=(1, 1, 1, 1),
@@ -152,11 +159,10 @@ def test_image_stem_gradcheck_against_finite_differences():
         params = ImageModelParams.init(rng, cfg)
         _scale_draws(params, 0.1)
         pixels = rng.random((32, 32, 3))
-        labels = np.array([2])
+        readout = _readout(cfg.num_classes)
 
         def loss():
-            return cross_entropy_with_logits(
-                image_forward(pixels, params, cfg), labels)
+            return sum_all(hadamard(image_forward(pixels, params, cfg), readout))
 
         err = finite_difference_check(loss, [params.stem_w], h=1e-5)
         assert err < 1e-4, err
@@ -432,7 +438,8 @@ def test_line_graph_edge_forward_smoke():
 
 def _image_loss():
     cfg, params, pixels = tiny_image_setup()
-    return cross_entropy_with_logits(image_forward(pixels, params, cfg), [3]), params
+    logits = image_forward(pixels, params, cfg)
+    return sum_all(hadamard(logits, _readout(cfg.num_classes))), params
 
 
 def _protein_loss():

@@ -8,6 +8,12 @@ code (names, attributes, imports) and as string constants, since `perfbench`
 wraps functions by their qualified names; docstrings and comments do not
 count. `relmp.oracles` is exempt: its references exist to be compared against.
 
+The package module `relmp/__init__.py` is surface too: every name it binds at
+top level (an import, an assignment, a function or a class), dunders aside,
+must be reached through the package in those places, as `relmp.NAME`,
+`from relmp import NAME` or, inside `src/relmp`, `from . import NAME`. A
+re-export that every caller imports from its submodule has no user.
+
 Likewise every defaulted parameter of a function or method in `src/relmp`,
 and every defaulted field of a dataclass there, must be passed, by keyword,
 by position or through `**`, by some call in those places outside the
@@ -99,12 +105,15 @@ def _surface():
     return modules
 
 
+def _caller_files():
+    return (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+            + sorted((ROOT / "perfbench").glob("*.py")))
+
+
 def _callers():
     """identifier -> [(file, line)] over src/relmp, demos/ and perfbench/."""
-    files = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
-             + sorted((ROOT / "perfbench").glob("*.py")))
     seen = {}
-    for path in files:
+    for path in _caller_files():
         for name, line in _references(_parse(path)):
             seen.setdefault(name, []).append((path, line))
     return seen
@@ -140,6 +149,48 @@ def test_every_allowlist_entry_is_a_public_name_without_a_caller():
                for p, line in callers.get(name, ())):
             stale.append(f"{key}: has a caller, so needs no entry")
     assert not stale, stale
+
+
+def _package_bindings(tree):
+    """Every non-dunder name bound at the top level of `tree`."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names
+                    if not (n.startswith("__") and n.endswith("__")))
+
+
+def _package_references():
+    """Names reached through the package over src/relmp, demos/ and
+    perfbench/: `relmp.NAME`, `from relmp import NAME` and, in src/relmp,
+    `from . import NAME`."""
+    reached = set()
+    for path in _caller_files():
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.level, node.module) == (0, "relmp")
+                    or (path.parent == PACKAGE
+                        and (node.level, node.module) == (1, None))):
+                reached.update(a.name for a in node.names)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id == "relmp"):
+                reached.add(node.attr)
+    return reached
+
+
+def test_every_package_level_name_has_a_caller():
+    reached = _package_references()
+    unused = [name for name in _package_bindings(_parse(PACKAGE / "__init__.py"))
+              if name not in reached]
+    assert not unused, f"names bound in relmp/__init__.py with no caller: {unused}"
 
 
 # -- options ---------------------------------------------------------------------------
@@ -252,9 +303,7 @@ def _last_name(node):
 def _calls():
     """(path, line, keys, call) for every call in src/relmp, demos/ and
     perfbench/; `keys` are the `match` values the call can reach."""
-    files = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
-             + sorted((ROOT / "perfbench").glob("*.py")))
-    for path in files:
+    for path in _caller_files():
         tree = _parse(path)
         # cls(...) inside a class constructs that class
         owner_of = {id(call): node.name for node in ast.walk(tree)

@@ -324,7 +324,7 @@ class TestBackward:
         def probe_backward(g):
             # runs last: every node recorded after the probe is consumed by now
             assert released() is None, "a consumed node's data is still alive"
-            x._accumulate(g)
+            x._node._accumulate(g)
 
         probe = T._result(x.data * 1.0, "probe", (x,), probe_backward)
         mid = relu(T.mul_scalar(probe, 2.0))

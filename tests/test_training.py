@@ -134,8 +134,8 @@ def test_parameters_of_mixed_dtypes_or_none_are_refused(mixed):
 
 
 def test_gradient_of_another_dtype_is_refused_before_anything_moves():
-    # Tensor._accumulate casts every gradient to its parameter's dtype, so
-    # only a gradient assigned by hand can differ
+    # the tape casts every gradient to its node's dtype, so only a gradient
+    # assigned by hand can differ
     p = {"a": _param([1.0]), "b": _param([2.0])}
     opt = AdamW(p, lr=0.1)
     p["a"].grad = np.ones(1)
@@ -323,11 +323,12 @@ def _gather_rows_add_at(a, indices):
     """`gather_rows` whose backward scatter-adds with np.add.at."""
     idx = np.asarray(indices, dtype=np.int64)
     _REFERENCE_CALLS["gather_rows"] += 1
+    na, shape, dtype = a._node, a.shape, a.dtype
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         np.add.at(full, idx, g)
-        a._accumulate(full)
+        na._accumulate(full)
 
     return tensor_module._result(a.data[idx], "gather_rows", (a,), backward)
 
@@ -347,10 +348,11 @@ def _rel_aggregate_rebuilt(graph, z):
     out[:, :v_dst] = ((adj @ z.data) / deg).reshape(r_count, v_dst, c)
     out = out.transpose(1, 0, 2).reshape(-1, c)
     tensor_module._charge("rel_aggregate", 2 * graph.num_edges * c)
+    nz = z._node
 
     def backward(g):
         g_rv = g.reshape(v_count, r_count, c)[:v_dst].transpose(1, 0, 2)
-        z._accumulate(adj.T @ (g_rv.reshape(-1, c) / deg))
+        nz._accumulate(adj.T @ (g_rv.reshape(-1, c) / deg))
 
     return tensor_module._result(np.ascontiguousarray(out), "rel_aggregate",
                                  (z,), backward)
