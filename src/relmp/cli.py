@@ -93,11 +93,11 @@ _SPECS = {
         "input": _Opt("path", None, "input file for the domain"),
         "k_medium": _Opt(int, 0,
                          "K for image medium-range neighbors; 0 adds none"),
-        **_COMMON,
+        "threads": _COMMON["threads"], "out": _COMMON["out"],
     },
     "bench-flops": {
         "k_max": _Opt(int, 24, "sweep K = 1..k_max"),
-        **_COMMON,
+        "out": _COMMON["out"],
     },
     "verify": {
         "suite": _Opt(str, "all", "suite to run",
@@ -127,8 +127,7 @@ _SPECS = {
                           "directory holding model.ckpt + model_config.json"),
         "split": _Opt(str, "test", "split to evaluate", ("valid", "test")),
         **_KG_DATA,
-        **_COMMON,
-        "threads": _ONE_THREAD,
+        "f64": _COMMON["f64"], "out": _COMMON["out"], "threads": _ONE_THREAD,
     },
 }
 
@@ -534,8 +533,9 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--{key.replace('_', '-')} must be "
                                   f"{'positive' if least else 'non-negative'}"
                                   f", not {resolved[key]}")
-        _apply_threads(resolved["threads"], "threads" in resolved["_explicit"])
-        if resolved["f64"]:
+        _apply_threads(resolved.get("threads"),
+                       "threads" in resolved["_explicit"])
+        if resolved.get("f64"):
             import numpy as np
 
             from .tensor import default_dtype

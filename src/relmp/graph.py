@@ -179,11 +179,12 @@ def rel_aggregate(graph: RelGraph, z: Tensor) -> Tensor:
     _slot_means(graph, z.data, out[:v_dst].transpose(1, 0, 2))
     out[v_dst:] = 0
     _charge("rel_aggregate", 2 * graph.num_edges * c)
-    node, dtype = z._node, z.dtype
+    node = z._node
 
     def backward(g):
         g_rv = g.reshape(v_count, r_count, c)[:v_dst].transpose(1, 0, 2)
-        node._accumulate_owned(_means_grad(graph, g_rv.astype(dtype, order="C")))
+        # a copy, which _means_grad divides in place, also for one relation
+        node._accumulate_owned(_means_grad(graph, g_rv.copy()))
 
     return _result(out.reshape(v_count * r_count, c), "rel_aggregate", (z,), backward)
 
@@ -207,12 +208,10 @@ def weighted_aggregate(graph: RelGraph, z: Tensor, scores: Tensor,
                          f"not [{v_count}, C], [{v_count}, {r_count}], [1, {r_count}*C]")
     channel_rc = channel.data.reshape(r_count, 1, c)
     scores_rv = scores.data[:v_dst].T[:, :, None]
+    # the means are scaled in place, by the channel weights, then the scores
     terms = _slot_means(graph, z.data)
-    # a product whose operands' dtype is the buffer's is taken in place;
-    # otherwise it is a fresh array in the wider dtype, as the chain's was
-    for factor in (channel_rc, scores_rv):
-        same = np.can_cast(factor.dtype, terms.dtype)
-        terms = np.multiply(terms, factor, out=terms if same else None)
+    terms *= channel_rc
+    terms *= scores_rv
     out = np.zeros((v_count, c), terms.dtype)
     out[:v_dst] = terms[0]
     for k in range(1, r_count):
@@ -225,11 +224,10 @@ def weighted_aggregate(graph: RelGraph, z: Tensor, scores: Tensor,
     nz, nscores, nchannel, z_data = z._node, scores._node, channel._node, z.data
 
     def backward(g):
-        # g has the result's dtype, the widest of the three operands'. Two
-        # [R, V_dst, C] buffers: the means, node-major so that the channel
-        # gradient's sum over nodes adds them in order, and `work`
+        # two [R, V_dst, C] buffers: the means, node-major so that the
+        # channel gradient's sum over nodes adds them in order, and `work`
         g_dst = g[:v_dst]
-        means = np.empty((v_dst, r_count, c), z_data.dtype)
+        means = np.empty((v_dst, r_count, c), g.dtype)
         means_rv = _slot_means(graph, z_data, means.transpose(1, 0, 2))
         work = np.empty(means_rv.shape, g.dtype)
         if nscores is not None:
@@ -243,15 +241,12 @@ def weighted_aggregate(graph: RelGraph, z: Tensor, scores: Tensor,
         # each term's upstream gradient g * score, read by both gradients below
         np.multiply(g_dst, scores_rv, out=work)
         if nchannel is not None:
-            same = means.dtype == work.dtype
-            terms = np.multiply(means, work.transpose(1, 0, 2),
-                                out=means if same else None)
-            nchannel._accumulate_owned(terms.reshape(v_dst, r_count * c)
+            means *= work.transpose(1, 0, 2)
+            nchannel._accumulate_owned(means.reshape(v_dst, r_count * c)
                                        .sum(axis=0).reshape(1, r_count * c))
         if nz is not None:
             np.multiply(work, channel_rc, out=work)
-            nz._accumulate_owned(
-                _means_grad(graph, work.astype(z_data.dtype, copy=False)))
+            nz._accumulate_owned(_means_grad(graph, work))
 
     return _result(out, "weighted_aggregate", (z, scores, channel), backward)
 

@@ -43,7 +43,9 @@ import numpy as np
 
 from .builders import (
     AMINO_ACIDS,
+    LONG_RELATIONS,
     PROTEIN_RELATIONS,
+    SHORT_RELATIONS,
     PatchGrid,
     ProteinChain,
     build_image_graph,
@@ -115,8 +117,8 @@ class ImageModelConfig:
         return self
 
     def stage_relations(self, stage: int) -> int:
-        # short (4) + long (2), plus medium everywhere except the first stage
-        return 6 if stage == 0 else 7
+        # short + long, plus medium everywhere except the first stage
+        return len(SHORT_RELATIONS) + len(LONG_RELATIONS) + (stage > 0)
 
     @property
     def reduction(self) -> int:
@@ -474,7 +476,7 @@ def kg_score_tails(entity_states: Tensor, params: KGModelParams,
     zh, er = z[heads], params.relation_emb.data[rels]
     # the W_i transposed, [B, H, C+1]; each step is elementwise or a stack
     # of per-query products, so no query's scores depend on its block
-    w_q = np.empty((b, hidden, c + 1), dtype=np.result_type(z, w1))
+    w_q = np.empty((b, hidden, c + 1), dtype=z.dtype)
     np.multiply((zh * er)[:, None, :], w1[3 * c:].T, out=w_q[:, :, :c])
     w_q[:, :, :c] += w1[2 * c:3 * c].T
     w_q[:, :, c] = np.matmul(np.concatenate([zh, er], axis=1)[:, None, :],

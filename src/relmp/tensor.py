@@ -37,12 +37,13 @@ paths (finite-difference checks, dense oracles) switch to float64 that way.
 Every op result is checked for NaN/Inf and raises NumericError on the first
 non-finite value.
 
-Dtype contract: an op result has the dtype of one of its inputs, so float32
-in gives float32 out and a float32 x float64 operand pair gives float64.
-`_result` raises ContractError, naming the op and the dtypes, for a result
-that matches none of them. Constants that ops multiply by are Python floats:
-under NumPy 2's scalar promotion (NEP 50) a NumPy float64 scalar turns a
-float32 array into float64, and a Python float does not.
+Dtype contract: every operand of an op has its result's dtype, so an op
+takes and gives one dtype and no gradient needs a cast back to its input's.
+`_result` raises ContractError, naming the op and both dtypes, for operands
+of two dtypes and for a result that an op widened. Constants that ops
+multiply by are Python floats: under NumPy 2's scalar promotion (NEP 50) a
+NumPy float64 scalar turns a float32 array into float64, and a Python float
+does not.
 
 The tape is made of nodes, not tensors. A tensor that requires a gradient
 has a node: a leaf's has no parents, and an op result's holds the op name,
@@ -100,19 +101,18 @@ _ALLOWED_DTYPES = (np.float32, np.float64)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-_state = threading.local()
+
+class _ThreadState(threading.local):
+    """Each thread's scopes, set up on its first use: the active-counter
+    stack, the default-dtype stack and whether ops record a tape."""
+
+    def __init__(self):
+        self.counters = []
+        self.dtypes = [np.float32]
+        self.grad_enabled = True
 
 
-def _counter_stack():
-    if not hasattr(_state, "counters"):
-        _state.counters = []
-    return _state.counters
-
-
-def _dtype_stack():
-    if not hasattr(_state, "dtypes"):
-        _state.dtypes = [np.float32]
-    return _state.dtypes
+_state = _ThreadState()
 
 
 class OpCounter:
@@ -147,7 +147,7 @@ class OpCounter:
 def count_flops(counter: OpCounter | None = None):
     """Install `counter` (or a fresh one) as the active FLOP sink."""
     counter = counter if counter is not None else OpCounter()
-    stack = _counter_stack()
+    stack = _state.counters
     stack.append(counter)
     try:
         yield counter
@@ -158,7 +158,7 @@ def count_flops(counter: OpCounter | None = None):
 @contextmanager
 def counting_paused():
     """Suspend FLOP accounting inside the scope; recording still happens."""
-    stack = _counter_stack()
+    stack = _state.counters
     stack.append(None)
     try:
         yield
@@ -167,7 +167,7 @@ def counting_paused():
 
 
 def _charge(kind: str, flops: int) -> None:
-    stack = _counter_stack()
+    stack = _state.counters
     if stack and stack[-1] is not None:
         stack[-1].add(kind, flops)
 
@@ -178,7 +178,7 @@ def default_dtype(dtype):
     dtype = np.dtype(dtype).type
     if dtype not in _ALLOWED_DTYPES:
         raise ConfigError(f"unsupported dtype {dtype}")
-    stack = _dtype_stack()
+    stack = _state.dtypes
     stack.append(dtype)
     try:
         yield
@@ -187,7 +187,7 @@ def default_dtype(dtype):
 
 
 def active_dtype():
-    return _dtype_stack()[-1]
+    return _state.dtypes[-1]
 
 
 @contextmanager
@@ -202,7 +202,7 @@ def no_grad():
 
 
 def grad_enabled() -> bool:
-    return getattr(_state, "grad_enabled", True)
+    return _state.grad_enabled
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -221,11 +221,10 @@ class _Node:
     whose `grad` accumulates across sweeps.
     """
 
-    __slots__ = ("op", "dtype", "parents", "backward", "grad")
+    __slots__ = ("op", "parents", "backward", "grad")
 
-    def __init__(self, op, dtype, parents=(), backward=None):
+    def __init__(self, op, parents=(), backward=None):
         self.op = op
-        self.dtype = dtype
         self.parents = parents
         self.backward = backward
         self.grad = None
@@ -238,18 +237,14 @@ class _Node:
             # a leaf copies it (`_accumulate_owned` takes fresh arrays
             # uncopied). An interior gradient is only read by the node's own
             # closure and never written, so it may alias g.
-            self.grad = g.astype(self.dtype, copy=self.backward is None)
+            self.grad = g.copy() if self.backward is None else g
         else:
-            # a float64 partner's gradient must not widen a float32 leaf
-            self.grad = self.grad + g.astype(self.dtype, copy=False)
+            self.grad = self.grad + g
 
     def _accumulate_owned(self, g: np.ndarray) -> None:
         """`_accumulate` for a `g` that the calling closure has just computed
         and that nothing else holds: a leaf takes it as its buffer uncopied."""
-        if self.grad is None:
-            self.grad = g.astype(self.dtype, copy=False)
-        else:
-            self.grad = self.grad + g.astype(self.dtype, copy=False)
+        self.grad = g if self.grad is None else self.grad + g
 
 
 class Tensor:
@@ -265,7 +260,7 @@ class Tensor:
         arr = np.array(data, dtype=active_dtype())
         _check_finite(arr, "tensor construction")
         self.data = arr
-        self._node = _Node("leaf", arr.dtype) if requires_grad else None
+        self._node = _Node("leaf") if requires_grad else None
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -358,20 +353,19 @@ class Tensor:
 def _result(data, op, parents, backward):
     """The Tensor of an op's output `data`. It gets a node when recording is
     on and a parent requires a gradient; the node's parents are those
-    parents' nodes, in order."""
+    parents' nodes, in order. Every parent must have the result's dtype."""
     _check_finite(data, op)
-    if data.dtype != parents[0].data.dtype:
-        dtypes = sorted({str(p.data.dtype) for p in parents})
-        if str(data.dtype) not in dtypes:
-            raise ContractError(f"{op}: result dtype {data.dtype} matches none "
-                                f"of its input dtypes ({', '.join(dtypes)})")
+    for p in parents:
+        if p.data.dtype != data.dtype:
+            raise ContractError(f"{op}: a {p.data.dtype} operand for a "
+                                f"{data.dtype} result")
     out = Tensor.__new__(Tensor)
     out.data = data
     out._node = None
     if grad_enabled():
         nodes = tuple([p._node for p in parents if p._node is not None])
         if nodes:
-            out._node = _Node(op, data.dtype, nodes, backward)
+            out._node = _Node(op, nodes, backward)
     return out
 
 

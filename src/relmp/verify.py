@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import costmodel
-from .builders import (AMINO_ACIDS, RADIUS, PatchGrid, ProteinChain,
-                       image_medium_edges, protein_edges)
+from .builders import (AMINO_ACIDS, PROTEIN_RELATIONS, RADIUS, PatchGrid,
+                       ProteinChain, image_medium_edges, protein_edges)
 from .errors import ContractError
 from .graph import RelGraph, build_line_graph, rel_aggregate
 from .layers import (GRMPParams, RGConvParams, grmp_forward, rgconv_forward)
@@ -310,9 +310,9 @@ def suite_oracles(seed: int) -> list[Check]:
 
     coords = rng.normal(scale=4.5, size=(30, 3))
     graph, _ = protein_edges(ProteinChain("A" * 30, coords))
-    rel = {"medium_near": 6, "medium_far": 7}
-    got_near = {(s, d) for s, d, r in graph.edge_list() if r == rel["medium_near"]}
-    got_far = {(s, d) for s, d, r in graph.edge_list() if r == rel["medium_far"]}
+    near, far = map(PROTEIN_RELATIONS.index, ("medium_near", "medium_far"))
+    got_near = {(s, d) for s, d, r in graph.edge_list() if r == near}
+    got_far = {(s, d) for s, d, r in graph.edge_list() if r == far}
     want = protein_edges_oracle(coords)
     want_near, want_far = set(want["medium_a"]), set(want["medium_b"])
     checks.append(Check("protein-medium-edges-match-brute-force",

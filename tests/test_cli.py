@@ -376,14 +376,14 @@ def test_train_kg_that_fails_part_way_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-_SEEDED = {"build-graph": ["--domain", "kg", "--input", "absent.tsv"],
-           "bench-flops": [], "verify": ["--suite", "flops-exact"],
+# the commands with a --seed or --data-seed, with the arguments each needs
+_SEEDED = {"verify": ["--suite", "flops-exact"],
            "train-kg": ["--epochs", "0", *TINY_TRAIN],
            "eval": ["--model-dir", "absent"]}
 
 
 @pytest.mark.parametrize("command,flag", [
-    *((command, "--seed") for command in _SEEDED),
+    ("verify", "--seed"), ("train-kg", "--seed"),
     ("train-kg", "--data-seed"), ("eval", "--data-seed")])
 def test_negative_seed_is_a_usage_error(tmp_path, capsys, command, flag):
     # refused before the command body runs: nothing is read, run or written
@@ -706,8 +706,8 @@ def test_a_config_value_outside_the_choices_is_a_usage_error(tmp_path,
 
 
 @pytest.mark.parametrize("command,args", [
-    ("build-graph", ["--domain", "kg", "--input", "{kg}", "--f64"]),
-    ("bench-flops", ["--k-max", "3", "--seed", "4"]),
+    ("build-graph", ["--domain", "kg", "--input", "{kg}", "--threads", "1"]),
+    ("bench-flops", ["--k-max", "3"]),
     ("verify", ["--suite", "flops-exact", "--transforms", "2"]),
     ("train-kg", ["--epochs", "0", *TINY_TRAIN, "--no-anneal"])])
 def test_an_echoed_config_resolves_to_the_same_values(tmp_path, command, args):
@@ -728,6 +728,25 @@ def test_unknown_config_key_is_a_usage_error(tmp_path):
     ini.write_text("[train-kg]\nlearning_rate = 0.1\n")
     assert main(["train-kg", "--config", str(ini),
                  "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("command,key", [
+    ("build-graph", "seed"), ("build-graph", "f64"), ("bench-flops", "seed"),
+    ("bench-flops", "f64"), ("bench-flops", "threads"), ("eval", "seed")])
+def test_an_option_the_command_does_not_read_is_refused(tmp_path, capsys,
+                                                        command, key):
+    # neither a flag nor an INI key: these commands never read the value
+    assert key not in cli._SPECS[command]
+    flag = f"--{key}" if key == "f64" else f"--{key}=1"
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag])
+    assert exc.value.code == 2
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{command}]\n{key} = 1\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(ini), "--out", str(out)]) == 2
+    assert f"unknown keys in [{command}]: ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_is_a_data_error(tmp_path):
@@ -751,7 +770,7 @@ def test_unreadable_file_is_a_data_error(case, tmp_path, capsys):
     elif case.startswith("config"):
         ini = tmp_path / "run.ini"
         ini.write_bytes(b"seed = 3\n" if case == "config_without_section"
-                        else b"[build-graph]\nseed = \xff\n")
+                        else b"[build-graph]\nk_medium = \xff\n")
         args["config"] = ini
     elif case == "input_is_a_directory":
         args["input"] = tmp_path

@@ -15,10 +15,8 @@ from relmp.oracles import grmp_oracle, layer_norm_oracle, rgconv_oracle
 from relmp import tensor as T
 from relmp import tensor as tensor_module
 from relmp.graph import weighted_aggregate
-from relmp.tensor import (Tensor, add, count_flops, counting_paused,
-                          default_dtype, finite_difference_check, hadamard,
-                          matmul, reshape, slice_cols, slice_rows, sum_all,
-                          tile_cols, tile_rows)
+from relmp.tensor import (Tensor, add, count_flops, default_dtype,
+                          finite_difference_check, hadamard, matmul, sum_all)
 
 
 def random_graph(rng, num_nodes, num_relations, num_edges):
@@ -263,26 +261,6 @@ class TestLayerGradients:
         assert worst < 1e-5, f"worst relative gradient error {worst}"
 
 
-def chained_weighted_sum(slots, scores, channel):
-    """Steps 2 and 3 of the gated layer after `rel_aggregate`, as the
-    recorded-op chain whose charges `weighted_aggregate` states: a reshape of
-    the slots to [V, R*C], `tile_rows` + `hadamard` for the channel row, then
-    slice/tile/hadamard/add per relation."""
-    (v, r), c = scores.shape, slots.shape[1]
-    wide = hadamard(reshape(slots, (v, r * c)), tile_rows(channel, v))
-    acc = None
-    for k in range(r):
-        term = hadamard(slice_cols(wide, k * c, (k + 1) * c),
-                        tile_cols(slice_cols(scores, k, k + 1), c))
-        acc = term if acc is None else add(acc, term)
-    return acc
-
-
-def chained_aggregate(graph, z, scores, channel):
-    """`weighted_aggregate` as `rel_aggregate` plus the recorded-op chain."""
-    return chained_weighted_sum(rel_aggregate(graph, z), scores, channel)
-
-
 def reference_weighted_sum(slots, scores, channel):
     """The weighting of `rel_aggregate`'s [V*R, C] slots as one recorded op in
     raw NumPy, node-major: each slot times its channel weights, then its
@@ -348,8 +326,7 @@ class TestRelationWeighting:
         grads = {name: t.grad for name, t in p.tensors().items()}
         return out.data, counter.per_op, {"z": z.grad, **grads}
 
-    @pytest.mark.parametrize("unfused", [chained_aggregate, unfused_aggregate],
-                             ids=["op-chain", "raw-numpy"])
+    @pytest.mark.parametrize("unfused", [unfused_aggregate], ids=["raw-numpy"])
     def test_matches_unfused_chain_bitwise_float32(self, unfused, monkeypatch):
         rng = np.random.default_rng(40)
         for r, c in [(1, 5), (3, 40), (12, 16), (12, 136), (4, 1)]:
@@ -381,7 +358,7 @@ class TestRelationWeighting:
         draws = [rng.normal(size=s).astype(np.float32)
                  for s in [(v, c), (c, c), (v, r), (1, r * c), (v, c)]]
         runs = []
-        for fn in (weighted_aggregate, chained_aggregate):
+        for fn in (weighted_aggregate, unfused_aggregate):
             a, w, scores, channel = (Tensor(d, requires_grad=True)
                                      for d in draws[:4])
             with count_flops() as counter:
@@ -444,16 +421,51 @@ class TestRelationWeighting:
 
 
 def chained_layer_norm(x, gamma, beta, eps):
-    """Layer norm as the 11 recorded ops that `tensor.layer_norm` replaces."""
-    c = x.shape[1]
-    mu = T.mean_cols(x)
-    centered = T.sub(x, tile_cols(mu, c))
-    var = T.mean_cols(hadamard(centered, centered))
-    std = T.sqrt(T.add_scalar(var, eps))
-    normed = T.div(centered, tile_cols(std, c))
-    scaled = hadamard(normed, gamma)
-    with counting_paused():
-        return add(scaled, beta)
+    """Layer norm as one recorded raw-NumPy op that charges, checks and
+    rounds each step as the 11-op chain `tensor.layer_norm` replaces (its
+    docstring lists them). The tiles are materialized, each step charges and
+    checks what its op did (the add of beta uncharged), and the backward
+    applies each op's gradient formula in the order a tape sweep of the chain
+    visits them."""
+    n, c = x.shape
+    gamma_row, beta_row = gamma.data.reshape(1, c), beta.data.reshape(1, c)
+
+    def step(kind, value, flops=None):
+        # a mean charges its input's size, every other step its output's
+        tensor_module._charge(kind, value.size if flops is None else flops)
+        tensor_module._check_finite(value, kind)
+        return value
+
+    mu = step("mean", x.data.mean(axis=1, keepdims=True), n * c)
+    centered = step("sub", x.data - step("tile", np.repeat(mu, c, axis=1)))
+    sq = step("hadamard", centered * centered)
+    var = step("mean", sq.mean(axis=1, keepdims=True), n * c)
+    std = step("sqrt", np.sqrt(step("add", var + eps)))
+    tiled_std = step("tile", np.repeat(std, c, axis=1))
+    normed = step("div", centered / tiled_std)
+    out = step("hadamard", normed * gamma_row) + beta_row
+    nx, ngamma, nbeta = x._node, gamma._node, beta._node
+
+    def backward(g):
+        if nbeta is not None:
+            nbeta._accumulate(g.sum(axis=0))
+        g_normed = g * gamma_row
+        if ngamma is not None:
+            ngamma._accumulate((g * normed).sum(axis=0))
+        g_centered = g_normed / tiled_std
+        g_std = (-g_normed * centered / (tiled_std * tiled_std)).sum(
+            axis=1, keepdims=True)
+        g_sq = np.repeat(g_std * 0.5 / std / c, c, axis=1)
+        # the square's operands, in order
+        g_centered = g_centered + g_sq * centered
+        g_centered = g_centered + g_sq * centered
+        if nx is not None:
+            nx._accumulate(g_centered)
+            g_mu = (-g_centered).sum(axis=1, keepdims=True)
+            nx._accumulate(np.repeat(g_mu / c, c, axis=1))
+
+    return tensor_module._result(out, "chained_layer_norm", (x, gamma, beta),
+                                 backward)
 
 
 class TestFusedLayerNorm:
@@ -561,10 +573,10 @@ class TestBlocksAndPooling:
         # three 3x3 kernels: test_context_stack_locality checks that their
         # receptive field is 7
         rng = np.random.default_rng(17)
-        p = ContextStackParams.init(rng, 3)
-        assert [k.shape for k in p.kernels] == [(3, 3, 3)] * 3
         with default_dtype(np.float64):
+            p = ContextStackParams.init(rng, 3)
             z = Tensor(rng.normal(size=(20, 3)))
+        assert [k.shape for k in p.kernels] == [(3, 3, 3)] * 3
         out = context_stack_features(z, 4, 5, p)
         assert out.shape == (20, 3)
 
@@ -572,15 +584,14 @@ class TestBlocksAndPooling:
         # with receptive field 7, a pixel farther than 3 steps away in any
         # direction cannot influence a cell
         rng = np.random.default_rng(18)
-        p = ContextStackParams.init(rng, 1)
-        for k in p.kernels:
-            k.data = k.data * (0.5 / layers.INIT_STD)
         base = np.zeros((9, 9, 1))
-        with default_dtype(np.float64):
-            z0 = context_stack_features(Tensor(base.reshape(81, 1)), 9, 9, p).data
         poked = base.copy()
         poked[0, 0, 0] = 5.0
         with default_dtype(np.float64):
+            p = ContextStackParams.init(rng, 1)
+            for k in p.kernels:
+                k.data = k.data * (0.5 / layers.INIT_STD)
+            z0 = context_stack_features(Tensor(base.reshape(81, 1)), 9, 9, p).data
             z1 = context_stack_features(Tensor(poked.reshape(81, 1)), 9, 9, p).data
         diff = np.abs(z1 - z0).reshape(9, 9)
         assert diff[0, 0] != 0.0

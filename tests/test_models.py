@@ -46,7 +46,7 @@ from relmp.tensor import (
     slice_rows,
     sum_all,
 )
-from relmp.training import toy_kinship_kg
+from relmp.training import AdamW, toy_kinship_kg
 from test_layers import (chained_layer_norm, reference_trunc_normal,
                          unfused_aggregate)
 from test_tensor import chained_linear
@@ -478,12 +478,20 @@ def test_model_ops_and_gradients_keep_the_active_dtype(build_loss, dtype,
     monkeypatch.setattr(graph_module, "_result", spy)
     with default_dtype(dtype):
         loss, params = build_loss()
+        leaves = {id(p) for node in _tape(loss) for p in node.parents
+                  if p.op == "leaf"}
         loss.backward()
     assert recorded and all(d == dtype for _, d in recorded), \
         sorted({op for op, d in recorded if d != dtype})
-    wrong = sorted(name for name, t in params.tensors().items()
+    tensors = params.tensors()
+    # the parameters are the tape's only leaves, and no op casts a gradient
+    # to its leaf's dtype: each has it because no op mixes dtypes
+    assert leaves == {id(t._node) for t in tensors.values()}
+    wrong = sorted(name for name, t in tensors.items()
                    if t.grad is None or t.grad.dtype != dtype)
     assert not wrong, wrong
+    # AdamW refuses a gradient whose dtype is not its parameter's
+    AdamW(tensors, lr=1e-3).step()
 
 
 # -- fused ops: the tape holds one node each, and the numbers of the chains -----------------

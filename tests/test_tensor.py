@@ -488,11 +488,8 @@ class TestCopyFreeBackward:
         assert first[0].tobytes() == second[0].tobytes()
         assert z.data.tobytes() == forward.tobytes()
 
-    @pytest.mark.parametrize("dtypes", [(np.float32,) * 3, (np.float64,) * 3,
-                                        (np.float32, np.float64, np.float32),
-                                        (np.float32, np.float32, np.float64)],
-                             ids=["float32", "float64", "float64-scores",
-                                  "float64-channel"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
     # "uniform" scores are the uniform ablation's constant 1/R
     @pytest.mark.parametrize("scored, needs", [
         (scored, needs) for scored in (True, False)
@@ -503,14 +500,14 @@ class TestCopyFreeBackward:
         else "+".join(x))
     @pytest.mark.parametrize("c", [4, 1])
     def test_weighted_aggregate_matches_its_raw_formulas(self, c, scored, needs,
-                                                         dtypes):
+                                                         dtype):
         v, r = 11, 9
         graph = _graph(v, r)
         rng = np.random.default_rng(9)
         names = ("z", "scores", "channel")
         shapes = [(v, c), (v, r), (1, r * c)]
         leaves = {}
-        for name, shape, dtype in zip(names, shapes, dtypes):
+        for name, shape in zip(names, shapes):
             data = rng.normal(size=shape)
             if name == "scores" and not scored:
                 data = np.full(shape, 1.0 / r)
@@ -519,7 +516,7 @@ class TestCopyFreeBackward:
         z, scores, channel = (leaves[n] for n in names)
         forward = [t.data.copy() for t in leaves.values()]
         out = weighted_aggregate(graph, z, scores, channel)
-        with default_dtype(out.dtype):
+        with default_dtype(dtype):
             weights = Tensor(rng.normal(size=(v, c)))
         loss = sum_all(hadamard(out, weights))
         used = [z, scores, channel]
@@ -531,7 +528,8 @@ class TestCopyFreeBackward:
             if not t.requires_grad:
                 assert t.grad is None
                 continue
-            assert t.grad.tobytes() == want.astype(t.dtype).tobytes()
+            assert t.grad.dtype == want.dtype == dtype
+            assert t.grad.tobytes() == want.tobytes()
         for got, again in zip(first, second):
             assert got is None or got.tobytes() == again.tobytes()
         _share_nothing([t.grad for t in used if t.grad is not None],
@@ -908,6 +906,17 @@ def test_every_public_op_has_a_case():
         "rel_aggregate", "weighted_aggregate"}
 
 
+def _fixed_dims(case):
+    return dict.fromkeys(inspect.signature(case.shapes).parameters, 2)
+
+
+# each operand position of the cases whose op takes two or more tensors
+_OPERAND_POSITIONS = [
+    pytest.param(case, wide, id=f"{_case_id(case)}-{wide}")
+    for case in _OP_CASES for wide in range(len(case.shapes(**_fixed_dims(case))))
+    if len(case.shapes(**_fixed_dims(case))) > 1]
+
+
 class TestDtypeContract:
     def test_widening_op_is_a_contract_error(self, monkeypatch):
         monkeypatch.setattr(T, "_INV_SQRT2", np.float64(T._INV_SQRT2))
@@ -916,27 +925,17 @@ class TestDtypeContract:
             gelu(x)
         assert "float32" in str(err.value) and "float64" in str(err.value)
 
-    def test_mixed_operands_give_the_wider_dtype(self):
-        for first in (np.float32, np.float64):
-            second = np.float64 if first == np.float32 else np.float32
-            with default_dtype(first):
-                a = Tensor(np.ones((2, 3)), requires_grad=True)
-            with default_dtype(second):
-                b = Tensor(np.ones((3, 2)), requires_grad=True)
-            out = matmul(a, b)
-            assert out.dtype == np.float64
-            sum_all(out).backward()
-            assert a.grad.dtype == first and b.grad.dtype == second
-
-    def test_leaf_used_twice_with_a_wider_partner_keeps_its_dtype(self):
-        # the second gradient reaching `a` is float64; adding it must not
-        # widen the float32 gradient already stored
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
+    @pytest.mark.parametrize("case, wide", _OPERAND_POSITIONS)
+    def test_operands_of_two_dtypes_are_a_contract_error(self, case, wide):
+        # float64 in operand position `wide`, float32 in the others
+        dims = _fixed_dims(case)
+        inputs = _inputs(case, dims, np.float32)
         with default_dtype(np.float64):
-            b = Tensor(np.full((2, 2), 0.5))
-        sum_all(add(matmul(a, b), matmul(b, a))).backward()
-        assert a.grad.dtype == np.float32
-        np.testing.assert_array_equal(a.grad, np.full((2, 2), 2.0))
+            inputs[wide] = Tensor(inputs[wide].data, requires_grad=True)
+        name = re.escape(case.recorded or case.op)
+        with pytest.raises(ContractError, match=f"^{name}: ") as err:
+            _apply(case, dims, inputs)
+        assert "float32" in str(err.value) and "float64" in str(err.value)
 
     def test_float32_gelu_tracks_float64(self):
         # compared at the same float32-representable points
