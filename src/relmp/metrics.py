@@ -24,9 +24,11 @@ def query_ranks(scores: np.ndarray, true_idx: np.ndarray,
 
     scores is [Q, N] (higher is better), true_idx is [Q], and filter_mask is
     an optional boolean [Q, N] marking candidates to drop before ranking; the
-    true candidate itself is always kept even if marked.
+    true candidate itself is always kept even if marked. Scores are compared
+    in their own dtype: float32 scores rank exactly as their (exact, order-
+    preserving) float64 casts would.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(scores)
     true_idx = np.asarray(true_idx)
     if scores.ndim != 2 or true_idx.shape != (scores.shape[0],):
         raise ContractError("scores must be [Q, N] with one true index per query")

@@ -23,12 +23,14 @@ negative sampling all draw from one generator, so reruns produce bit-identical
 metric histories on the same execution context.
 
 Forward-only passes record no gradient tape: `kg_evaluate` and the
-end-of-epoch probe loss run under `no_grad`. `kg_evaluate` scores every tail
-of a block of queries at once (`kg_score_tails`) and ranks block by block,
-so its memory is bounded by RANK_BLOCK_ACTIVATIONS hidden scorer
-activations rather than by queries times entities. The probe loss scores its
-bundle in row blocks under the same bound and takes one mean over the joined
-logits, so it equals the loss of one `kg_score` call bit for bit.
+end-of-epoch probe loss run under `no_grad`. `kg_evaluate` ranks its queries
+in groups: one `kg_score_tails` call scores every tail of a group, one
+filter mask and one `query_ranks` call rank it. The scorer holds at most
+`models.RANK_BLOCK_ACTIVATIONS` hidden activations at a time and a group's
+[G, N] rows a quarter as many values, so memory is bounded by that constant
+rather than by queries times entities. The probe loss scores its bundle in
+row blocks under the same bound and takes one mean over the joined logits,
+so it equals the loss of one `kg_score` call bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import math
 
 import numpy as np
 
+from . import models
 from .builders import KGDataset, TripletStore, fact_graph
 from .errors import ConfigError, ContractError, DataError, ShapeError
 from .metrics import query_ranks, rank_summary
@@ -123,14 +126,6 @@ class AdamW:
 # -- KG link-prediction training -----------------------------------------------------------
 
 
-# Hidden scorer activations (queries x entities x scorer width) per
-# `kg_evaluate` block: 1 MB in float32, four queries on 1000 entities with
-# 64 hidden units. On that KG (2-vCPU x86 host, one BLAS thread), blocks of
-# half this size ranked about 15% slower and larger ones no faster. The
-# probe loss of `train_kg` scores its triples in blocks of the same size.
-RANK_BLOCK_ACTIVATIONS = 1 << 18
-
-
 def known_tails(stores) -> dict:
     """(head, relation) -> set of known true tails, inverses included."""
     known: dict = {}
@@ -150,30 +145,34 @@ def kg_evaluate(params: KGModelParams, graph, eval_store: TripletStore,
     optimistic-pessimistic mean rank. Also returns the per-query live
     candidate counts so callers can compute the matched random baseline.
 
-    The pass records no tape (`no_grad`). It scores every tail of as many
-    queries at a time as keep the hidden scorer activations within
-    RANK_BLOCK_ACTIVATIONS, with one `kg_score_tails` call, and builds each
-    block's filter rows from `known`. Memory is bounded by one block, and
-    the ranks equal those of one dense [Q, N] `query_ranks` call.
+    The pass records no tape (`no_grad`). It ranks the queries in groups of
+    whole `kg_score_tails` sub-blocks: as many as keep a group's [G, N] rows
+    within RANK_BLOCK_ACTIVATIONS / 4 values, and at least one. Each group
+    takes one `kg_score_tails` call, one filter mask built from `known` and
+    one `query_ranks` call. Memory is bounded by one group and one scoring
+    sub-block, and the ranks equal those of one dense [Q, N] `query_ranks`
+    call.
     """
     if not len(eval_store.triplets):
         raise DataError("empty evaluation split")
     n = eval_store.num_entities
     queries = eval_store.with_inverses()
-    per_block = max(1, RANK_BLOCK_ACTIVATIONS // (n * params.scorer_b1.shape[0]))
+    activations = models.RANK_BLOCK_ACTIVATIONS
+    per_block = max(1, activations // (n * params.scorer_b1.shape[0]))
+    per_group = per_block * max(1, activations // (4 * n * per_block))
     ranks, candidates = [], []
     with no_grad():
         z = kg_encode(graph, params)
-        for start in range(0, len(queries), per_block):
-            block = queries[start:start + per_block]
-            b = len(block)
-            s = kg_score_tails(z, params, block[:, 0], block[:, 1])
-            mask = np.zeros((b, n), dtype=bool)
-            for i, (h, r, t) in enumerate(block.tolist()):
-                others = known.get((h, r), set()) - {t}
-                if others:
-                    mask[i, sorted(others)] = True
-            ranks.append(query_ranks(s.data, block[:, 2], mask))
+        for start in range(0, len(queries), per_group):
+            group = queries[start:start + per_group]
+            rows = np.arange(len(group))
+            s = kg_score_tails(z, params, group[:, 0], group[:, 1])
+            answers = [known.get((h, r), ()) for h, r in group[:, :2].tolist()]
+            mask = np.zeros((len(group), n), dtype=bool)
+            mask[np.repeat(rows, [len(a) for a in answers]),
+                 [t for a in answers for t in a]] = True
+            mask[rows, group[:, 2]] = False     # the query's own answer stays
+            ranks.append(query_ranks(s.data, group[:, 2], mask))
             candidates.append(n - mask.sum(axis=1))
     metrics = rank_summary(np.concatenate(ranks))
     metrics["candidates"] = np.concatenate(candidates).tolist()
@@ -191,7 +190,7 @@ def _probe_loss(entity_states, params: KGModelParams, probe: np.ndarray,
     averaged once. Splitting evenly keeps one-row blocks out: BLAS scores a
     single row on its matrix-vector path, which rounds differently.
     """
-    rows = max(1, RANK_BLOCK_ACTIVATIONS // params.scorer_b1.shape[0])
+    rows = max(1, models.RANK_BLOCK_ACTIVATIONS // params.scorer_b1.shape[0])
     logits = [kg_score(entity_states, params, b[:, 0], b[:, 1], b[:, 2])
               for b in np.array_split(probe, max(1, len(probe) // rows))]
     return bce_with_logits(concat_rows(logits), targets)

@@ -96,6 +96,28 @@ def test_random_baseline_harmonic():
         random_mrr_baseline([0])
 
 
+def test_float32_scores_rank_as_their_float64_casts():
+    # the cast to float64 is exact and keeps the order, so comparing in
+    # float32 decides every > and == as the cast would; a coarse grid makes
+    # ties, and the mask covers tied candidates and some true answers
+    rng = np.random.default_rng(9)
+    q, n = 40, 30
+    scores = (np.round(rng.normal(size=(q, n)) * 2) / 3).astype(np.float32)
+    true_idx = rng.integers(0, n, size=q)
+    rows = np.arange(q)
+    ties = scores == scores[rows, true_idx][:, None]
+    assert (ties.sum(axis=1) > 1).sum() >= q // 2
+    mask = rng.random((q, n)) < 0.3
+    mask[::4] |= ties[::4]                  # every tie filtered
+    mask[rows[::3], true_idx[::3]] = True   # the true answer filtered
+    got = query_ranks(scores, true_idx, mask)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, query_ranks(scores.astype(np.float64),
+                                           true_idx, mask))
+    assert np.array_equal(got[:4], [_rank_oracle(scores[i], int(true_idx[i]),
+                                                 ~mask[i]) for i in range(4)])
+
+
 def test_bad_shapes_rejected():
     with pytest.raises(ContractError):
         query_ranks(np.zeros(4), np.array([0]))

@@ -365,6 +365,48 @@ def test_kg_score_tails_matches_kg_score(dtype, entities, channels, hidden, seed
         assert np.array_equal(np.concatenate(blocks), got.data)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("entities,block,queries", [
+    (37, 1, 5),         # one-query sub-blocks
+    (37, 3, 7),         # sub-blocks of 3, 3 and a partial 1
+    (1, 4, 6),          # one entity; sub-blocks of 4 and a partial 2
+    (300, 64, 9)])      # every query in one sub-block
+def test_kg_score_tails_equals_one_query_calls_bitwise(monkeypatch, dtype,
+                                                       entities, block, queries):
+    hidden = 16
+    monkeypatch.setattr(models, "RANK_BLOCK_ACTIVATIONS",
+                        block * entities * hidden)
+    with default_dtype(dtype), no_grad():
+        z, params = _tails_setup(entities, 8, hidden, 5)
+        rng = np.random.default_rng(6)
+        heads = rng.integers(0, entities, size=queries)
+        rels = rng.integers(0, 6, size=queries)
+        got = kg_score_tails(z, params, heads, rels).data
+        want = np.concatenate([kg_score_tails(z, params, [h], [r]).data
+                               for h, r in zip(heads, rels)])
+    assert got.dtype == want.dtype == dtype
+    assert got.shape == (queries, entities)
+    assert got.tobytes() == want.tobytes()
+
+
+_SCORER_ARRAYS = ("relation_emb", "scorer_w1", "scorer_b1", "scorer_w2",
+                  "scorer_b2")
+
+
+@pytest.mark.parametrize("name", _SCORER_ARRAYS)
+def test_kg_score_tails_refuses_a_parameter_of_another_dtype(name):
+    # a float64 parameter among float32 states and weights was once narrowed
+    # into float32 scores without a word
+    with default_dtype(np.float32), no_grad():
+        z, params = _tails_setup(5, 4, 6, 7)
+        with default_dtype(np.float64):
+            setattr(params, name, Tensor(getattr(params, name).data))
+        with pytest.raises(ContractError,
+                           match="kg_score_tails: a float64 operand for a "
+                                 "float32 result"):
+            kg_score_tails(z, params, [0, 1], [0, 1])
+
+
 def test_kg_score_tails_charges_its_closed_form():
     n, c, h, b = 37, 8, 16, 5
     with no_grad():

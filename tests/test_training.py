@@ -22,19 +22,18 @@ from scipy.sparse import csr_matrix
 
 from relmp import graph as graph_module
 from relmp import tensor as tensor_module
-from relmp import training
+from relmp import models, training
 from relmp.builders import KGDataset, TripletStore, fact_graph
 from relmp.errors import ConfigError, ContractError, DataError, ShapeError
 from relmp.metrics import query_ranks, rank_summary
-from relmp.models import (KGModelConfig, KGModelParams, kg_encode, kg_score,
-                          kg_score_tails)
+from relmp.models import (RANK_BLOCK_ACTIVATIONS, KGModelConfig, KGModelParams,
+                          kg_encode, kg_score, kg_score_tails)
 from relmp.tensor import (Tensor, bce_with_logits, count_flops, default_dtype,
                           no_grad)
 from relmp.training import (
     KINSHIP_RELATIONS,
     ADAM_BETAS,
     ADAM_EPS,
-    RANK_BLOCK_ACTIVATIONS,
     AdamW,
     kg_evaluate,
     known_tails,
@@ -500,7 +499,7 @@ def test_metric_history_roundtrips_through_csv(tmp_path):
 
 def _dense_evaluate(params, graph, store, known):
     """The dense algorithm kg_evaluate streams: every score of every query in
-    one [Q, N] matrix (scored by kg_score_tails 64 queries at a time, a size
+    one [Q, N] matrix (scored by kg_score_tails 50 queries at a time, a size
     kg_evaluate does not use here), the full [Q, N] filter mask, then one
     query_ranks call over all of it."""
     n = store.num_entities
@@ -511,7 +510,7 @@ def _dense_evaluate(params, graph, store, known):
         z = kg_encode(graph, params)
         scores = np.concatenate([
             kg_score_tails(z, params, part[:, 0], part[:, 1]).data
-            for part in np.array_split(queries, range(64, len(queries), 64))])
+            for part in np.array_split(queries, range(50, len(queries), 50))])
     mask = np.zeros((len(queries), n), dtype=bool)
     for i, (h, r, t) in enumerate(queries.tolist()):
         others = known.get((h, r), set()) - {t}
@@ -532,17 +531,39 @@ def _eval_setup(people):
 
 @pytest.mark.parametrize("people", [30, 100, 1000])
 def test_streamed_evaluation_equals_the_dense_reference(people):
-    # at 30 people the 52 queries fit one block; at 100 the 180 queries make
-    # four blocks of 40 and a last, partial block of 20; at 1000, 434 blocks
-    # of 4
+    # at 30 people the 52 queries are one group of one sub-block; at 100 the
+    # 180 queries are one group of four sub-blocks of 40 and a partial one
+    # of 20; at 1000, 27 groups of 64 queries and a last one of 8, scored in
+    # sub-blocks of 4
     params, graph, test, known = _eval_setup(people)
     per_block = RANK_BLOCK_ACTIVATIONS // (people * params.scorer_b1.shape[0])
     if people == 100:
         assert (per_block, 2 * len(test.triplets)) == (40, 180)
+    if people == 1000:
+        assert per_block == 4
     got = kg_evaluate(params, graph, test, known)
     want = _dense_evaluate(params, graph, test, known)
     assert got == want
     assert len(got["candidates"]) == 2 * len(test.triplets)
+
+
+def test_partial_last_group_and_sub_block_equal_the_dense_reference(monkeypatch):
+    # sub-blocks of 3 queries and groups of 16 of them (48 queries): the 52
+    # queries of the 30-person KG make one full group and a last group of 4,
+    # scored as a full sub-block and a partial one of 1
+    params, graph, test, known = _eval_setup(30)
+    entities, hidden = test.num_entities, params.scorer_b1.shape[0]
+    monkeypatch.setattr(models, "RANK_BLOCK_ACTIVATIONS", 3 * entities * hidden)
+    calls = []
+
+    def counted_tails(z, params, heads, rels):
+        calls.append(len(heads))
+        return kg_score_tails(z, params, heads, rels)
+
+    monkeypatch.setattr(training, "kg_score_tails", counted_tails)
+    got = kg_evaluate(params, graph, test, known)
+    assert calls == [48, 4]
+    assert got == _dense_evaluate(params, graph, test, known)
 
 
 def test_evaluation_meters_the_encoder_and_the_factored_scorer():
@@ -614,7 +635,7 @@ def test_blocked_probe_loss_equals_one_scoring_call_bitwise(monkeypatch, blocks,
     cfg = KGModelConfig(num_layers=2, channels=8, scorer_hidden=8)
     rng = np.random.default_rng(5)
     params = KGModelParams.init(rng, data.num_entities, data.num_relations, cfg)
-    monkeypatch.setattr(training, "RANK_BLOCK_ACTIVATIONS", 16 * cfg.scorer_hidden)
+    monkeypatch.setattr(models, "RANK_BLOCK_ACTIVATIONS", 16 * cfg.scorer_hidden)
     n = 16 * blocks + extra
     probe = np.stack([rng.integers(0, data.num_entities, n),
                       rng.integers(0, data.num_relations, n),
