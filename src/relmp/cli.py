@@ -53,10 +53,10 @@ _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 class _Opt(NamedTuple):
     """One option: its INI/`resolved` key is the `_SPECS` key, its flag the
-    key with dashes. `kind` is int, float, str, bool, or "path" (a string
-    that may stay None). A bool option is a store-const flag that flips its
-    default: `--key` when the default is False, `--no-key` when it is True."""
-    kind: object
+    key with dashes. `kind` is int, float, str or bool. A bool option is a
+    store-const flag that flips its default: `--key` when the default is
+    False, `--no-key` when it is True."""
+    kind: type
     default: object
     help: str
     choices: tuple | None = None
@@ -67,17 +67,17 @@ _COMMON = {
     "threads": _Opt(int, None,
                     "BLAS thread cap; 1 guarantees bit-identical reruns"),
     "f64": _Opt(bool, False, "run tensors in float64"),
-    "out": _Opt("path", None, "output directory"),
+    "out": _Opt(str, None, "output directory"),
 }
 
 _ONE_THREAD = _Opt(int, 1, "BLAS thread cap; 1 makes reruns bit-identical on "
                            "any core count")
 
 _KG_DATA = {
-    "train": _Opt("path", None,
+    "train": _Opt(str, None,
                   "training triplet TSV (default: bundled toy dataset)"),
-    "valid": _Opt("path", None, "validation triplet TSV"),
-    "test": _Opt("path", None, "test triplet TSV"),
+    "valid": _Opt(str, None, "validation triplet TSV"),
+    "test": _Opt(str, None, "test triplet TSV"),
     "people": _Opt(int, 100, "bundled toy dataset size"),
     "data_seed": _Opt(int, 0, "bundled toy dataset seed"),
 }
@@ -90,7 +90,7 @@ _KG_DATA = {
 _SPECS = {
     "build-graph": {
         "domain": _Opt(str, None, "input domain", ("image", "protein", "kg")),
-        "input": _Opt("path", None, "input file for the domain"),
+        "input": _Opt(str, None, "input file for the domain"),
         "k_medium": _Opt(int, 0,
                          "K for image medium-range neighbors; 0 adds none"),
         "threads": _COMMON["threads"], "out": _COMMON["out"],
@@ -123,7 +123,7 @@ _SPECS = {
         "threads": _ONE_THREAD,
     },
     "eval": {
-        "model_dir": _Opt("path", None,
+        "model_dir": _Opt(str, None,
                           "directory holding model.ckpt + model_config.json"),
         "split": _Opt(str, "test", "split to evaluate", ("valid", "test")),
         **_KG_DATA,
@@ -185,8 +185,6 @@ def _coerce(key, opt: _Opt, raw):
         if state is None:
             raise ConfigError(f"config key {key}: not a boolean: {raw!r}")
         return state
-    if kind == "path":
-        return str(raw)
     try:
         return kind(raw)
     except ValueError as e:

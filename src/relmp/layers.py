@@ -28,7 +28,8 @@ slot matrix on the tape, and layer norm is one `tensor.layer_norm` op. Each
 charges the tile, hadamard and other amounts of the op chain it replaces from
 its operand shapes.
 
-Parameters are plain dataclasses of Tensors. Weight matrices right-multiply
+Parameters are plain dataclasses of Tensors, and a layer reads its width,
+relation count and structure from them. Weight matrices right-multiply
 row-vector features: a math-convention map W acting on column vectors appears
 here as its transpose. Weights and kernels are drawn by `trunc_normal`, biases
 start at zero and scales at one, all in the dtype of the active
@@ -106,10 +107,9 @@ class RGConvParams(Params):
     `w_stack` rows r*C..(r+1)*C hold relation r's matrix. Each relation matrix
     carries a bias (applied once per node after the stacked transform, which is
     equivalent to applying it inside the mean since the weights sum to one),
-    and the self transform carries its own.
+    and the self transform carries its own. C is the width of `w_self` and R
+    the row count of `b_stack`.
     """
-    num_relations: int
-    channels: int
     w_stack: Tensor
     b_stack: Tensor   # [R, C], row r is relation r's bias
     w_self: Tensor
@@ -121,8 +121,6 @@ class RGConvParams(Params):
         if num_relations < 0 or channels < 1:
             raise ConfigError("bad relation or channel count")
         return cls(
-            num_relations=num_relations,
-            channels=channels,
             w_stack=_param(trunc_normal(rng, (num_relations * channels, channels))),
             b_stack=_param(np.zeros((num_relations, channels))),
             w_self=_param(trunc_normal(rng, (channels, channels))),
@@ -139,9 +137,9 @@ def rgconv_forward(graph: RelGraph, z: Tensor, params: RGConvParams) -> Tensor:
     z is [V, C]; the result is [V, C]. An empty graph degenerates to the self
     transform plus biases.
     """
-    v_count, c = _check_features(graph, z, params.channels)
-    r_count = graph.num_relations
-    if r_count != params.num_relations:
+    v_count, c = _check_features(graph, z, params.w_self.shape[0])
+    r_count = params.b_stack.shape[0]
+    if graph.num_relations != r_count:
         raise ShapeError("relation count of graph and parameters differ")
     # step 1: mean-pooled slots, node-major [V*R, C]
     slots = rel_aggregate(graph, z)
@@ -168,7 +166,8 @@ def rgconv_forward(graph: RelGraph, z: Tensor, params: RGConvParams) -> Tensor:
 
 @dataclass
 class GRMPVariant:
-    """Structural switches for the gated layer.
+    """Structural switches for the gated layer: `GRMPParams.init` keeps the
+    gating mode and allocates only the tensors the others call for.
 
     gating: "multiplicative" (default) or "additive" self update.
     alpha: "learned" per-node relation scores or "uniform" (constant 1/R).
@@ -194,10 +193,10 @@ class GRMPParams(Params):
     w_channel is the concatenated per-relation channel-weight vector [1, R*C]
     (relation r occupies columns r*C..(r+1)*C); it carries no bias. w_alpha
     maps node features to R unnormalized relation scores. Only w_in, w_out and
-    w_alpha carry biases; the self transform has none.
+    w_alpha carry biases; the self transform has none. C is the width of
+    `w_self` and R*C that of `w_channel`. A layer without w_in or w_out skips
+    that transform, and one without w_alpha scores every relation 1/R.
     """
-    num_relations: int
-    channels: int
     w_self: Tensor
     w_channel: Tensor
     w_in: Tensor | None
@@ -206,7 +205,7 @@ class GRMPParams(Params):
     b_out: Tensor | None
     w_alpha: Tensor | None
     b_alpha: Tensor | None
-    variant: GRMPVariant
+    gating: str
 
     @classmethod
     def init(cls, rng: np.random.Generator, num_relations: int, channels: int,
@@ -230,11 +229,10 @@ class GRMPParams(Params):
         if variant.alpha == "learned":
             w_alpha = _param(trunc_normal(rng, (channels, num_relations)))
             b_alpha = _param(np.zeros(num_relations))
-        return cls(num_relations=num_relations, channels=channels,
-                   w_self=w_self,
+        return cls(w_self=w_self,
                    w_channel=_param(np.ones((1, num_relations * channels))),
                    w_in=w_in, b_in=b_in, w_out=w_out, b_out=b_out,
-                   w_alpha=w_alpha, b_alpha=b_alpha, variant=variant)
+                   w_alpha=w_alpha, b_alpha=b_alpha, gating=variant.gating)
 
     def tensors(self) -> dict[str, Tensor]:
         return _named(self, ("w_self", "w_channel", "w_in", "b_in",
@@ -259,38 +257,30 @@ def grmp_forward(graph: RelGraph, z: Tensor, params: GRMPParams) -> Tensor:
     shared output transform, multiplicative (or additive) self update.
     An isolated node's aggregated message is exactly the output bias.
     """
-    _check_features(graph, z, params.channels)
-    r_count = graph.num_relations
-    if r_count != params.num_relations:
+    _, c = _check_features(graph, z, params.w_self.shape[0])
+    r_count = params.w_channel.shape[1] // c
+    if graph.num_relations != r_count:
         raise ShapeError("relation count of graph and parameters differ")
-    if r_count < 1:
-        raise ContractError("gated layer requires at least one relation")
-    variant = params.variant
 
     # step 1: shared input transform
-    if variant.use_w_in:
-        z_in = linear(z, params.w_in, params.b_in)
-    else:
-        z_in = z
+    z_in = z if params.w_in is None else linear(z, params.w_in, params.b_in)
 
     # steps 2-3, one op: mean aggregation per relation, per-relation channel
     # weights, then the relation scores ([V, R], learned or the constant
     # 1/R) weight each mean; each node's R weighted means are then summed
-    if variant.alpha == "learned":
-        scores = linear(z, params.w_alpha, params.b_alpha)
-    else:
+    if params.w_alpha is None:
         scores = Tensor(np.full((graph.num_nodes, r_count), 1.0 / r_count))
+    else:
+        scores = linear(z, params.w_alpha, params.b_alpha)
     acc = weighted_aggregate(graph, z_in, scores, params.w_channel)
 
     # step 4: shared output transform
-    if variant.use_w_out:
-        aggregated = linear(acc, params.w_out, params.b_out)
-    else:
-        aggregated = acc
+    aggregated = (acc if params.w_out is None
+                  else linear(acc, params.w_out, params.b_out))
 
     # step 5: self transform and gate
     self_part = matmul(z, params.w_self)
-    if variant.gating == "multiplicative":
+    if params.gating == "multiplicative":
         return hadamard(self_part, aggregated)
     return add(self_part, aggregated)
 

@@ -25,12 +25,14 @@ metric histories on the same execution context.
 Forward-only passes record no gradient tape: `kg_evaluate` and the
 end-of-epoch probe loss run under `no_grad`. `kg_evaluate` ranks its queries
 in groups: one `kg_score_tails` call scores every tail of a group, one
-filter mask and one `query_ranks` call rank it. The scorer holds at most
-`models.RANK_BLOCK_ACTIVATIONS` hidden activations at a time and a group's
-[G, N] rows a quarter as many values, so memory is bounded by that constant
-rather than by queries times entities. The probe loss scores its bundle in
-row blocks under the same bound and takes one mean over the joined logits,
-so it equals the loss of one `kg_score` call bit for bit.
+filter mask and one `query_ranks` call rank it. The mask is the group's rows
+of one boolean sparse matrix of known answers, built by `known_tails`. The
+scorer holds at most `models.RANK_BLOCK_ACTIVATIONS` hidden activations at a
+time and a group's [G, N] rows a quarter as many values, so memory is
+bounded by that constant rather than by queries times entities. The probe
+loss scores its bundle in row blocks under the same bound and takes one mean
+over the joined logits, so it equals the loss of one `kg_score` call bit for
+bit.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import csv
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from . import models
 from .builders import KGDataset, TripletStore, fact_graph
@@ -126,17 +129,19 @@ class AdamW:
 # -- KG link-prediction training -----------------------------------------------------------
 
 
-def known_tails(stores) -> dict:
-    """(head, relation) -> set of known true tails, inverses included."""
-    known: dict = {}
-    for store in stores:
-        for h, r, t in store.with_inverses().tolist():
-            known.setdefault((h, r), set()).add(t)
-    return known
+def known_tails(stores) -> csr_matrix:
+    """Boolean [N*R, N] CSR matrix of the `with_inverses()` rows of every
+    store (N entities, R relations with inverses): row h*R + r marks each
+    known tail t of (h, r, ?)."""
+    n, r = stores[0].num_entities, stores[0].num_relations
+    rows = np.concatenate([store.with_inverses() for store in stores])
+    return csr_matrix((np.ones(len(rows), dtype=bool),
+                       (rows[:, 0] * r + rows[:, 1], rows[:, 2])),
+                      shape=(n * r, n))
 
 
 def kg_evaluate(params: KGModelParams, graph, eval_store: TripletStore,
-                known: dict) -> dict:
+                known: csr_matrix) -> dict:
     """Filtered ranking over both query directions of every triple.
 
     Each triple is asked twice: predict the tail of (h, r, ?) and the head of
@@ -148,14 +153,17 @@ def kg_evaluate(params: KGModelParams, graph, eval_store: TripletStore,
     The pass records no tape (`no_grad`). It ranks the queries in groups of
     whole `kg_score_tails` sub-blocks: as many as keep a group's [G, N] rows
     within RANK_BLOCK_ACTIVATIONS / 4 values, and at least one. Each group
-    takes one `kg_score_tails` call, one filter mask built from `known` and
-    one `query_ranks` call. Memory is bounded by one group and one scoring
-    sub-block, and the ranks equal those of one dense [Q, N] `query_ranks`
-    call.
+    takes one `kg_score_tails` call, one filter mask read as the group's rows
+    of `known` (the matrix of `known_tails`) and one `query_ranks` call.
+    Memory is bounded by one group and one scoring sub-block, and the ranks
+    equal those of one dense [Q, N] `query_ranks` call.
     """
     if not len(eval_store.triplets):
         raise DataError("empty evaluation split")
-    n = eval_store.num_entities
+    n, r = eval_store.num_entities, eval_store.num_relations
+    if known.shape != (n * r, n):
+        raise ShapeError(f"known-answer matrix {known.shape} does not match "
+                         f"{n} entities and {r} relations")
     queries = eval_store.with_inverses()
     activations = models.RANK_BLOCK_ACTIVATIONS
     per_block = max(1, activations // (n * params.scorer_b1.shape[0]))
@@ -167,10 +175,7 @@ def kg_evaluate(params: KGModelParams, graph, eval_store: TripletStore,
             group = queries[start:start + per_group]
             rows = np.arange(len(group))
             s = kg_score_tails(z, params, group[:, 0], group[:, 1])
-            answers = [known.get((h, r), ()) for h, r in group[:, :2].tolist()]
-            mask = np.zeros((len(group), n), dtype=bool)
-            mask[np.repeat(rows, [len(a) for a in answers]),
-                 [t for a in answers for t in a]] = True
+            mask = known[group[:, 0] * r + group[:, 1]].toarray()
             mask[rows, group[:, 2]] = False     # the query's own answer stays
             ranks.append(query_ranks(s.data, group[:, 2], mask))
             candidates.append(n - mask.sum(axis=1))

@@ -1,5 +1,7 @@
 """Layer semantics against loop oracles, exact FLOP counts, gradients."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -114,18 +116,14 @@ class TestRGConv:
 
 
 class TestGRMP:
-    def variants(self):
-        yield GRMPVariant()
-        yield GRMPVariant(gating="additive")
-        yield GRMPVariant(alpha="uniform")
-        yield GRMPVariant(use_w_in=False)
-        yield GRMPVariant(use_w_out=False)
-        yield GRMPVariant(gating="additive", alpha="uniform", use_w_in=False,
-                          use_w_out=False)
-
     def test_against_loop_oracle_all_variants(self):
+        # all 16 structures: every gating, alpha and transform combination
         rng = np.random.default_rng(7)
-        for variant in self.variants():
+        for gating, alpha, use_w_in, use_w_out in product(
+                ("multiplicative", "additive"), ("learned", "uniform"),
+                (True, False), (True, False)):
+            variant = GRMPVariant(gating=gating, alpha=alpha,
+                                  use_w_in=use_w_in, use_w_out=use_w_out)
             g = random_graph(rng, 6, 3, 20)
             with default_dtype(np.float64):
                 p = GRMPParams.init(rng, 3, 4, variant=variant)
@@ -141,7 +139,7 @@ class TestGRMP:
                 b_out=None if p.b_out is None else p.b_out.data,
                 w_alpha=None if p.w_alpha is None else p.w_alpha.data,
                 b_alpha=None if p.b_alpha is None else p.b_alpha.data,
-                gating=variant.gating, alpha=variant.alpha)
+                gating=gating, alpha=alpha)
             assert np.allclose(out.data, want, rtol=1e-9, atol=1e-9), str(variant)
 
     def test_against_loop_oracle_float32(self):

@@ -35,6 +35,7 @@ from relmp.models import (
 from relmp.tensor import (
     Tensor,
     bce_with_logits,
+    concat_cols,
     concat_rows,
     count_flops,
     default_dtype,
@@ -269,6 +270,69 @@ def test_protein_representation_rigid_motion_invariant():
                              chain.coords @ q.T + rng.normal(size=3) * 30.0)
         rep, _ = protein_forward(moved, params, cfg)
         assert np.abs(rep.data - base.data).max() <= 1e-5 * max(scale, 1.0)
+
+
+def test_protein_encoder_directional_gradients_match_central_differences(
+        monkeypatch):
+    # one seeded unit direction u per parameter tensor: <grad, u> against
+    # (f(theta + eps*u) - f(theta - eps*u)) / (2*eps), where f is a seeded
+    # linear read-out of the representation and the logits. Each forward
+    # rounds f to within a few float64 ulps of the magnitude of its terms,
+    # so the quotient carries round-off of order EPS64 * magnitude / eps.
+    # eps = sqrt(EPS64) leaves truncation, of order eps^2 = EPS64 times the
+    # third derivative, far below that. On six seeds the errors reached 2.1
+    # units of EPS64 * magnitude / eps; the bound allows 64.
+    eps64 = np.finfo(np.float64).eps
+    step = np.sqrt(eps64)
+    with default_dtype(np.float64):
+        cfg = ProteinEncoderConfig(num_layers=2, hidden=8, num_tasks=2)
+        rng = np.random.default_rng(17)
+        params = ProteinEncoderParams.init(rng, cfg)
+        _scale_draws(params, 0.5)
+        # constant inits (unit channel weights and scales, zero biases)
+        # would hide a gradient that drops or misplaces their factor
+        for t in params.tensors().values():
+            t.data = t.data + rng.normal(0.0, 0.1, size=t.shape)
+        chain = _random_chain(rng, 12)
+        readout = Tensor(rng.normal(size=(1, cfg.representation_dim
+                                          + cfg.num_tasks)))
+    relu_inputs = []
+
+    def recorded_relu(x):
+        relu_inputs.append(x.data.copy())
+        return relu(x)
+
+    monkeypatch.setattr(models, "relu", recorded_relu)
+
+    def forward():
+        relu_inputs.clear()
+        with default_dtype(np.float64):
+            rep, logits = protein_forward(chain, params, cfg)
+        terms = hadamard(concat_cols([rep, logits]), readout)
+        return sum_all(terms), float(np.abs(terms.data).sum())
+
+    loss, magnitude = forward()
+    kinks = [np.sign(x) for x in relu_inputs]
+    assert all(k.all() for k in kinks)          # no ReLU input sits at 0
+    loss.backward()
+    tol = 64 * eps64 * magnitude / step
+    directions = np.random.default_rng(18)
+    for name, t in params.tensors().items():
+        u = directions.normal(size=t.shape)
+        u /= np.linalg.norm(u)
+        analytic = float(np.sum(t.grad * u))
+        base = t.data
+        sides = []
+        with no_grad():
+            for sign in (1.0, -1.0):
+                t.data = base + sign * step * u
+                sides.append(float(forward()[0].data))
+                # f is smooth on the segment only if no ReLU input crosses 0
+                assert all(np.array_equal(np.sign(x), k)
+                           for x, k in zip(relu_inputs, kinks)), name
+        t.data = base
+        numeric = (sides[0] - sides[1]) / (2 * step)
+        assert abs(analytic - numeric) <= tol, (name, analytic, numeric, tol)
 
 
 def test_protein_rejects_bad_config():

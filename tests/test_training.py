@@ -497,13 +497,20 @@ def test_metric_history_roundtrips_through_csv(tmp_path):
 # -- filtered evaluation -------------------------------------------------------------------
 
 
-def _dense_evaluate(params, graph, store, known):
-    """The dense algorithm kg_evaluate streams: every score of every query in
-    one [Q, N] matrix (scored by kg_score_tails 50 queries at a time, a size
-    kg_evaluate does not use here), the full [Q, N] filter mask, then one
-    query_ranks call over all of it."""
+def _dense_evaluate(params, graph, data):
+    """The dense algorithm kg_evaluate streams over the test split: every
+    score of every query in one [Q, N] matrix (scored by kg_score_tails 50
+    queries at a time, a size kg_evaluate does not use here), the full
+    [Q, N] filter mask from a dict of known answers built here from the
+    splits, then one query_ranks call over all of it."""
+    store = data.test
     n = store.num_entities
     half = store.num_relations // 2
+    known = {}
+    for split in (data.train, data.valid, data.test):
+        for h, r, t in split.triplets.tolist():
+            known.setdefault((h, r), set()).add(t)
+            known.setdefault((t, r + half), set()).add(h)
     queries = np.array([q for h, r, t in store.triplets
                         for q in ((h, r, t), (t, r + half, h))])
     with no_grad():
@@ -526,7 +533,37 @@ def _eval_setup(people):
     params = KGModelParams.init(np.random.default_rng(3), data.num_entities,
                                 data.num_relations, KGModelConfig())
     known = known_tails([data.train, data.valid, data.test])
-    return params, fact_graph(data.train), data.test, known
+    return params, fact_graph(data.train), data, known
+
+
+def test_known_tails_marks_exactly_the_inverse_rows_of_every_store():
+    # 4 entities, 2 relations and their inverses; (0, 0, 1) is in two splits
+    n, r = 4, 4
+    splits = [TripletStore(n, r, [(0, 0, 1), (1, 1, 2)]),
+              TripletStore(n, r, [(0, 0, 1), (2, 0, 3)]),
+              TripletStore(n, r, [(3, 1, 0)])]
+    want = {}
+    for split in splits:
+        for h, rel, t in split.with_inverses().tolist():
+            want.setdefault((h, rel), set()).add(t)
+    known = known_tails(splits)
+    assert known.dtype == bool and known.shape == (n * r, n)
+    assert known.nnz == sum(len(tails) for tails in want.values()) == 8
+    dense = known.toarray()
+    for h in range(n):
+        for rel in range(r):
+            got = set(np.flatnonzero(dense[h * r + rel]).tolist())
+            assert got == want.get((h, rel), set()), (h, rel)
+    assert dense[0 * r + 0].tolist() == [False, True, False, False]
+    assert not dense[0 * r + 1].any()       # (0, 1, ?) has no known tail
+
+
+def test_evaluation_refuses_a_known_matrix_of_other_splits():
+    params, graph, data, known = _eval_setup(30)
+    other = toy_kinship_kg(31, seed=0)
+    with pytest.raises(ShapeError, match="known-answer matrix"):
+        kg_evaluate(params, graph, data.test,
+                    known_tails([other.train, other.valid, other.test]))
 
 
 @pytest.mark.parametrize("people", [30, 100, 1000])
@@ -535,14 +572,15 @@ def test_streamed_evaluation_equals_the_dense_reference(people):
     # 180 queries are one group of four sub-blocks of 40 and a partial one
     # of 20; at 1000, 27 groups of 64 queries and a last one of 8, scored in
     # sub-blocks of 4
-    params, graph, test, known = _eval_setup(people)
+    params, graph, data, known = _eval_setup(people)
+    test = data.test
     per_block = RANK_BLOCK_ACTIVATIONS // (people * params.scorer_b1.shape[0])
     if people == 100:
         assert (per_block, 2 * len(test.triplets)) == (40, 180)
     if people == 1000:
         assert per_block == 4
     got = kg_evaluate(params, graph, test, known)
-    want = _dense_evaluate(params, graph, test, known)
+    want = _dense_evaluate(params, graph, data)
     assert got == want
     assert len(got["candidates"]) == 2 * len(test.triplets)
 
@@ -551,7 +589,8 @@ def test_partial_last_group_and_sub_block_equal_the_dense_reference(monkeypatch)
     # sub-blocks of 3 queries and groups of 16 of them (48 queries): the 52
     # queries of the 30-person KG make one full group and a last group of 4,
     # scored as a full sub-block and a partial one of 1
-    params, graph, test, known = _eval_setup(30)
+    params, graph, data, known = _eval_setup(30)
+    test = data.test
     entities, hidden = test.num_entities, params.scorer_b1.shape[0]
     monkeypatch.setattr(models, "RANK_BLOCK_ACTIVATIONS", 3 * entities * hidden)
     calls = []
@@ -563,7 +602,7 @@ def test_partial_last_group_and_sub_block_equal_the_dense_reference(monkeypatch)
     monkeypatch.setattr(training, "kg_score_tails", counted_tails)
     got = kg_evaluate(params, graph, test, known)
     assert calls == [48, 4]
-    assert got == _dense_evaluate(params, graph, test, known)
+    assert got == _dense_evaluate(params, graph, data)
 
 
 def test_evaluation_meters_the_encoder_and_the_factored_scorer():
@@ -595,7 +634,8 @@ def test_evaluation_meters_the_encoder_and_the_factored_scorer():
 def test_evaluation_memory_does_not_grow_with_queries():
     # 15k entities: the dense path's tape held 1.13 GB at 8 test triples and
     # grew with the queries; a streamed pass is bounded by one block of rows
-    params, graph, test, known = _eval_setup(15000)
+    params, graph, data, known = _eval_setup(15000)
+    test = data.test
     # the graph builds its aggregation operators once, on first use, and
     # keeps them; build them first so that neither peak counts them
     graph._aggregation_ops(params.entity_emb.data.dtype)
