@@ -47,34 +47,42 @@ does not.
 
 The tape is made of nodes, not tensors. A tensor that requires a gradient
 has a node: a leaf's has no parents, and an op result's holds the op name,
-its parents' nodes, its backward closure and its per-sweep gradient. A
-closure captures the parent nodes it adds into and only the arrays its
+its parents' nodes, its backward closure and its per-sweep gradient.
+
+An op states its input checks, its forward, its `_charge` and its gradient
+formula: a function from the output's gradient to an input's. `_unary`
+records a one-input op with a closure that adds the formula's result into
+the input's node. `_binary` also owns a two-input op's shape check, forward
+(a NumPy function), charge (1 FLOP per output element) and the sum of a row
+operand's gradient over the rows it was broadcast across. Each axis pair
+(mean, slice, concat and tile over rows or cols) runs one body given the
+axis. No public op calls another, so a wrapper that counts an op's calls or
+output bytes by name counts each once. `matmul`, `linear` and graph.py's
+`rel_aggregate` and `weighted_aggregate` keep their own closures, since
+they hand fresh arrays to `_accumulate_owned` (the helpers' `_accumulate`
+would copy them for a leaf); so do `layer_norm` and `depthwise_conv2d`,
+whose input gradients share intermediates.
+
+A closure keeps the parent nodes it adds into and only the arrays its
 formula reads: x for relu, gelu (and phi), log and the operands of hadamard,
 div, matmul, depthwise_conv2d and the losses; `linear` keeps a and w,
 `layer_norm` x, the row means and std and gamma; sigmoid, exp and sqrt keep
-their own output; add, sub, the scalar ops, tiles, reductions, reshapes,
-slices, gathers, concats and `rel_aggregate` keep no data. An op output
-that no backward step reads is therefore freed as soon as the caller drops
-its tensor, not when the sweep reaches it.
+their own output; the rest keep no data. An op output that no backward step
+reads is freed as soon as the caller drops its tensor.
 
 The backward sweep frees the tape as it consumes it: each node drops its
-closure, its parents and its gradient once the closure has run, so the
-arrays only that closure kept are released before the sweep ends. Read
-gradients from leaves, which accumulate across sweeps. An interior
-(recorded) tensor's `.grad` is None after `backward()` and holds that
-sweep's gradient only under `backward(retain_graph=True)`, which also keeps
-the graph for another sweep.
+closure, parents and gradient once the closure has run. Read gradients from
+leaves, which accumulate across sweeps. An interior tensor's `.grad` is
+None after `backward()` and holds that sweep's gradient only under
+`backward(retain_graph=True)`, which also keeps the graph for another sweep.
 
-A leaf's gradient is its own array: it shares memory with no other gradient
-and no forward data, so it may be scaled in place. Closures that pass on
-their `g` or a view of it (add, reshape, slices) go through
-`_Node._accumulate`, which copies a leaf's first gradient. Closures that
-compute a fresh array nothing else holds (the operand gradients of `matmul`
-and `linear`, the features' gradient of `rel_aggregate` and the three of
-`weighted_aggregate`) go through `_Node._accumulate_owned`, which keeps it
-uncopied. Closures add into nodes, never into tensors: an input whose node
-is None takes no gradient. No closure writes into its `g` or into forward
-data, so a retained graph sweeps to the same gradients again.
+A leaf's gradient is its own array, shared with no other gradient or
+forward data, so it may be scaled in place: `_Node._accumulate` copies a
+leaf's first gradient, since a formula may return `g` or a view of it, and
+`_Node._accumulate_owned` keeps a fresh array uncopied. Closures add into
+nodes, never into tensors: an input whose node is None takes no gradient.
+No closure writes into its `g` or into forward data, so a retained graph
+sweeps to the same gradients again.
 
 Inside a `no_grad()` scope ops record nothing: a result has no node and
 `requires_grad=False`, so a forward-only pass (evaluation, the end-of-epoch
@@ -97,6 +105,7 @@ from .errors import (ConfigError, ContractError, DataError, NumericError,
                      ShapeError)
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
+_AXES = ("row", "column")   # what axis 0 and axis 1 of a rank-2 tensor index
 # Python floats, not NumPy scalars (see the dtype contract above)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -231,12 +240,9 @@ class _Node:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            # A leaf's gradient is its own buffer: its .grad is user-visible
-            # and must not alias another tensor's gradient or forward data.
-            # The g here may be a closure's own gradient or a view of it, so
-            # a leaf copies it (`_accumulate_owned` takes fresh arrays
-            # uncopied). An interior gradient is only read by the node's own
-            # closure and never written, so it may alias g.
+            # g may be a closure's own gradient or a view of it: a leaf
+            # copies it into its own buffer. An interior gradient is only
+            # read by the node's own closure, so it may alias g.
             self.grad = g.copy() if self.backward is None else g
         else:
             self.grad = self.grad + g
@@ -369,111 +375,80 @@ def _result(data, op, parents, backward):
     return out
 
 
-def _binary_shapes(a: Tensor, b: Tensor, op: str):
-    """Allow identical shapes, or b as a row vector broadcast over a's rows."""
-    if a.shape == b.shape:
-        return "same"
-    if a.data.ndim == 2 and b.data.ndim in (1, 2):
-        bs = b.shape if b.data.ndim == 2 else (1,) + b.shape
-        if bs == (1, a.shape[1]):
-            return "row"
-    raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+def _unary(a, op, out_data, grad):
+    """The result of one-input op `op`; `grad` maps the output's gradient to
+    a's, which a's node adds."""
+    node = a._node
+
+    def backward(g):
+        node._accumulate(grad(g))
+
+    return _result(out_data, op, (a,), backward)
+
+
+def _binary(a, b, op, forward, grad_a, grad_b):
+    """The result of two-input op `op`: `forward(a.data, b.data)`, charged
+    1 FLOP per output element to kind `op`. `grad_a` and `grad_b` map the
+    output's gradient to each operand's. b has a's shape, or is a row ([c] or
+    [1, c]) broadcast across an [n, c] a, whose gradient is summed over n."""
+    b_shape = b.shape
+    row = a.shape != b_shape
+    if row and (a.data.ndim != 2 or b_shape not in (
+            (a.shape[1],), (1, a.shape[1]))):
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b_shape}")
+    out_data = forward(a.data, b.data)
+    _charge(op, out_data.size)
+    na, nb = a._node, b._node
+
+    def backward(g):
+        if na is not None:
+            na._accumulate(grad_a(g))
+        if nb is not None:
+            gb = grad_b(g)
+            nb._accumulate(gb.sum(axis=0).reshape(b_shape) if row else gb)
+
+    return _result(out_data, op, (a, b), backward)
+
+
+def _span(axis: int, start: int, stop: int) -> tuple:
+    """The index of [start:stop) along `axis` of a rank-2 array."""
+    return (slice(None),) * axis + (slice(start, stop),)
 
 
 # -- arithmetic -------------------------------------------------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    mode = _binary_shapes(a, b, "add")
-    out_data = a.data + b.data if mode == "same" else a.data + b.data.reshape(1, -1)
-    _charge("add", out_data.size)
-    na, nb, b_shape = a._node, b._node, b.shape
-
-    def backward(g):
-        if na is not None:
-            na._accumulate(g)
-        if nb is not None:
-            gb = g if mode == "same" else g.sum(axis=0).reshape(b_shape)
-            nb._accumulate(gb)
-
-    return _result(out_data, "add", (a, b), backward)
+    return _binary(a, b, "add", np.add, lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    mode = _binary_shapes(a, b, "sub")
-    out_data = a.data - b.data if mode == "same" else a.data - b.data.reshape(1, -1)
-    _charge("sub", out_data.size)
-    na, nb, b_shape = a._node, b._node, b.shape
-
-    def backward(g):
-        if na is not None:
-            na._accumulate(g)
-        if nb is not None:
-            gb = -g if mode == "same" else -g.sum(axis=0).reshape(b_shape)
-            nb._accumulate(gb)
-
-    return _result(out_data, "sub", (a, b), backward)
+    return _binary(a, b, "sub", np.subtract, lambda g: g, lambda g: -g)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; b may be a row vector broadcast across a's rows."""
-    mode = _binary_shapes(a, b, "hadamard")
-    b_view = b.data if mode == "same" else b.data.reshape(1, -1)
-    out_data = a.data * b_view
-    _charge("hadamard", out_data.size)
-    na, nb, a_data, b_shape = a._node, b._node, a.data, b.shape
-
-    def backward(g):
-        if na is not None:
-            na._accumulate(g * b_view)
-        if nb is not None:
-            gb = g * a_data
-            if mode == "row":
-                gb = gb.sum(axis=0).reshape(b_shape)
-            nb._accumulate(gb)
-
-    return _result(out_data, "hadamard", (a, b), backward)
+    x, y = a.data, b.data
+    return _binary(a, b, "hadamard", np.multiply, lambda g: g * y,
+                   lambda g: g * x)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    mode = _binary_shapes(a, b, "div")
-    b_view = b.data if mode == "same" else b.data.reshape(1, -1)
-    out_data = a.data / b_view
-    _charge("div", out_data.size)
-    na, nb, a_data, b_shape = a._node, b._node, a.data, b.shape
-
-    def backward(g):
-        if na is not None:
-            na._accumulate(g / b_view)
-        if nb is not None:
-            gb = -g * a_data / (b_view * b_view)
-            if mode == "row":
-                gb = gb.sum(axis=0).reshape(b_shape)
-            nb._accumulate(gb)
-
-    return _result(out_data, "div", (a, b), backward)
+    x, y = a.data, b.data
+    return _binary(a, b, "div", np.divide, lambda g: g / y,
+                   lambda g: -g * x / (y * y))
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
     out_data = a.data + c
     _charge("add", out_data.size)
-    node = a._node
-
-    def backward(g):
-        node._accumulate(g)
-
-    return _result(out_data, "add_scalar", (a,), backward)
+    return _unary(a, "add_scalar", out_data, lambda g: g)
 
 
 def mul_scalar(a: Tensor, c: float) -> Tensor:
     out_data = a.data * c
     _charge("hadamard", out_data.size)
-    node = a._node
-
-    def backward(g):
-        node._accumulate(g * c)
-
-    return _result(out_data, "mul_scalar", (a,), backward)
+    return _unary(a, "mul_scalar", out_data, lambda g: g * c)
 
 
 def _matmul_dims(a: Tensor, b: Tensor, op: str):
@@ -538,37 +513,26 @@ def linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # -- broadcast materialization ------------------------------------------------
 
 
-def tile_rows(row: Tensor, num_rows: int) -> Tensor:
-    """Materialize a row vector into `num_rows` identical rows (outer product
-    with a ones column, charged 1 FLOP per output element)."""
-    if row.data.ndim == 1:
-        base = row.data.reshape(1, -1)
-    elif row.data.ndim == 2 and row.shape[0] == 1:
-        base = row.data
-    else:
-        raise ShapeError(f"tile_rows expects a row vector, got {row.shape}")
-    out_data = np.repeat(base, num_rows, axis=0)
+def _tile(v: Tensor, axis: int, k: int, op: str) -> Tensor:
+    """A row ([c] or [1, c]) as k rows, or an [n, 1] column as k columns: an
+    outer product with a ones vector, charged 1 FLOP per output element."""
+    base = v.data.reshape(1, -1) if axis == 0 and v.data.ndim == 1 else v.data
+    if base.ndim != 2 or base.shape[axis] != 1:
+        raise ShapeError(f"{op} expects a {_AXES[axis]} vector, got {v.shape}")
+    out_data = np.repeat(base, k, axis=axis)
     _charge("tile", out_data.size)
-    node, shape = row._node, row.shape
+    shape = v.shape
+    return _unary(v, op, out_data, lambda g: g.sum(axis=axis).reshape(shape))
 
-    def backward(g):
-        node._accumulate(g.sum(axis=0).reshape(shape))
 
-    return _result(out_data, "tile_rows", (row,), backward)
+def tile_rows(row: Tensor, num_rows: int) -> Tensor:
+    """Materialize a row vector into `num_rows` identical rows."""
+    return _tile(row, 0, num_rows, "tile_rows")
 
 
 def tile_cols(col: Tensor, num_cols: int) -> Tensor:
-    """Materialize a column vector into `num_cols` identical columns."""
-    if col.data.ndim != 2 or col.shape[1] != 1:
-        raise ShapeError(f"tile_cols expects an [n,1] column, got {col.shape}")
-    out_data = np.repeat(col.data, num_cols, axis=1)
-    _charge("tile", out_data.size)
-    node = col._node
-
-    def backward(g):
-        node._accumulate(g.sum(axis=1, keepdims=True))
-
-    return _result(out_data, "tile_cols", (col,), backward)
+    """Materialize an [n, 1] column into `num_cols` identical columns."""
+    return _tile(col, 1, num_cols, "tile_cols")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
@@ -633,42 +597,30 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
     out_data = np.array(a.data.sum(), dtype=a.data.dtype)
     _charge("sum", max(a.size - 1, 0))
-    node, shape = a._node, a.shape
+    shape = a.shape
+    return _unary(a, "sum_all", out_data,
+                  lambda g: np.broadcast_to(g, shape).copy())
 
-    def backward(g):
-        node._accumulate(np.broadcast_to(g, shape).copy())
 
-    return _result(out_data, "sum_all", (a,), backward)
+def _mean(a: Tensor, axis: int, op: str) -> Tensor:
+    """Means of a rank-2 tensor along `axis`, kept as a size-1 axis; k FLOPs
+    per output element for the k entries averaged."""
+    if a.data.ndim != 2:
+        raise ShapeError(f"{op} expects a rank-2 tensor")
+    k = a.shape[axis]
+    out_data = a.data.mean(axis=axis, keepdims=True)
+    _charge("mean", a.size)
+    return _unary(a, op, out_data, lambda g: np.repeat(g / k, k, axis=axis))
 
 
 def mean_rows(a: Tensor) -> Tensor:
-    """Column means: [n, c] -> [1, c]; n FLOPs per output element."""
-    if a.data.ndim != 2:
-        raise ShapeError("mean_rows expects a rank-2 tensor")
-    n = a.shape[0]
-    out_data = a.data.mean(axis=0, keepdims=True)
-    _charge("mean", a.size)
-    node = a._node
-
-    def backward(g):
-        node._accumulate(np.repeat(g / n, n, axis=0))
-
-    return _result(out_data, "mean_rows", (a,), backward)
+    """Column means: [n, c] -> [1, c]."""
+    return _mean(a, 0, "mean_rows")
 
 
 def mean_cols(a: Tensor) -> Tensor:
     """Row means: [n, c] -> [n, 1]."""
-    if a.data.ndim != 2:
-        raise ShapeError("mean_cols expects a rank-2 tensor")
-    c = a.shape[1]
-    out_data = a.data.mean(axis=1, keepdims=True)
-    _charge("mean", a.size)
-    node = a._node
-
-    def backward(g):
-        node._accumulate(np.repeat(g / c, c, axis=1))
-
-    return _result(out_data, "mean_cols", (a,), backward)
+    return _mean(a, 1, "mean_cols")
 
 
 # -- nonlinearities -----------------------------------------------------------------
@@ -677,12 +629,8 @@ def mean_cols(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0)
     _charge("relu", a.size)
-    node, a_data = a._node, a.data
-
-    def backward(g):
-        node._accumulate(g * (a_data > 0))
-
-    return _result(out_data, "relu", (a,), backward)
+    x = a.data
+    return _unary(a, "relu", out_data, lambda g: g * (x > 0))
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -693,16 +641,16 @@ def gelu(a: Tensor) -> Tensor:
     """
     from scipy.special import erf
 
-    phi = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    out_data = a.data * phi
+    x = a.data
+    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    out_data = x * phi
     _charge("gelu", a.size)
-    node, a_data = a._node, a.data
 
-    def backward(g):
-        dens = _INV_SQRT2PI * np.exp(-0.5 * a_data * a_data)
-        node._accumulate(g * (phi + a_data * dens))
+    def grad(g):
+        dens = _INV_SQRT2PI * np.exp(-0.5 * x * x)
+        return g * (phi + x * dens)
 
-    return _result(out_data, "gelu", (a,), backward)
+    return _unary(a, "gelu", out_data, grad)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -715,90 +663,62 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid(a: Tensor) -> Tensor:
     out_data = _stable_sigmoid(a.data)
     _charge("sigmoid", a.size)
-    node = a._node
-
-    def backward(g):
-        node._accumulate(g * out_data * (1.0 - out_data))
-
-    return _result(out_data, "sigmoid", (a,), backward)
+    return _unary(a, "sigmoid", out_data,
+                  lambda g: g * out_data * (1.0 - out_data))
 
 
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
     _charge("exp", a.size)
-    node = a._node
-
-    def backward(g):
-        node._accumulate(g * out_data)
-
-    return _result(out_data, "exp", (a,), backward)
+    return _unary(a, "exp", out_data, lambda g: g * out_data)
 
 
 def log(a: Tensor) -> Tensor:
     out_data = np.log(a.data)
     _charge("log", a.size)
-    node, a_data = a._node, a.data
-
-    def backward(g):
-        node._accumulate(g / a_data)
-
-    return _result(out_data, "log", (a,), backward)
+    x = a.data
+    return _unary(a, "log", out_data, lambda g: g / x)
 
 
 def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
     _charge("sqrt", a.size)
-    node = a._node
-
-    def backward(g):
-        node._accumulate(g * 0.5 / out_data)
-
-    return _result(out_data, "sqrt", (a,), backward)
+    return _unary(a, "sqrt", out_data, lambda g: g * 0.5 / out_data)
 
 
 # -- shape ops (zero cost) ---------------------------------------------------------
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out_data = a.data.reshape(shape)
-    node, a_shape = a._node, a.shape
+    a_shape = a.shape
+    return _unary(a, "reshape", a.data.reshape(shape),
+                  lambda g: g.reshape(a_shape))
 
-    def backward(g):
-        node._accumulate(g.reshape(a_shape))
 
-    return _result(out_data, "reshape", (a,), backward)
+def _slice(a: Tensor, axis: int, start: int, stop: int, op: str) -> Tensor:
+    """Entries [start:stop) along `axis` of a rank-2 tensor, copied."""
+    if a.data.ndim != 2:
+        raise ShapeError(f"{op} expects a rank-2 tensor")
+    if not (0 <= start <= stop <= a.shape[axis]):
+        raise IndexError(f"{_AXES[axis]} slice [{start}:{stop}] out of range "
+                         f"for {a.shape}")
+    span = _span(axis, start, stop)
+    shape, dtype = a.shape, a.dtype
+
+    def grad(g):
+        full = np.zeros(shape, dtype)
+        full[span] = g
+        return full
+
+    return _unary(a, op, a.data[span].copy(), grad)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError("slice_rows expects a rank-2 tensor")
-    if not (0 <= start <= stop <= a.shape[0]):
-        raise IndexError(f"row slice [{start}:{stop}] out of range for {a.shape}")
-    out_data = a.data[start:stop].copy()
-    node, shape, dtype = a._node, a.shape, a.dtype
-
-    def backward(g):
-        full = np.zeros(shape, dtype)
-        full[start:stop] = g
-        node._accumulate(full)
-
-    return _result(out_data, "slice_rows", (a,), backward)
+    return _slice(a, 0, start, stop, "slice_rows")
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError("slice_cols expects a rank-2 tensor")
-    if not (0 <= start <= stop <= a.shape[1]):
-        raise IndexError(f"column slice [{start}:{stop}] out of range for {a.shape}")
-    out_data = a.data[:, start:stop].copy()
-    node, shape, dtype = a._node, a.shape, a.dtype
-
-    def backward(g):
-        full = np.zeros(shape, dtype)
-        full[:, start:stop] = g
-        node._accumulate(full)
-
-    return _result(out_data, "slice_cols", (a,), backward)
+    return _slice(a, 1, start, stop, "slice_cols")
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -815,55 +735,42 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         raise ShapeError("gather_rows expects a rank-2 tensor and a 1-D index")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError("gather_rows index out of range")
-    out_data = a.data[idx]
-    node, rows = a._node, a.shape[0]
+    rows = a.shape[0]
 
-    def backward(g):
+    def grad(g):
         scatter = csc_matrix((np.ones(idx.size, dtype=g.dtype), idx,
                               np.arange(idx.size + 1)), shape=(rows, idx.size))
-        node._accumulate(scatter @ g)
+        return scatter @ g
 
-    return _result(out_data, "gather_rows", (a,), backward)
+    return _unary(a, "gather_rows", a.data[idx], grad)
+
+
+def _concat(parts: list[Tensor], axis: int, op: str) -> Tensor:
+    """Rank-2 tensors joined along `axis`; each takes its span of g."""
+    if not parts:
+        raise ContractError(f"{op} needs at least one tensor")
+    for p in parts:
+        if p.data.ndim != 2 or p.shape[1 - axis] != parts[0].shape[1 - axis]:
+            raise ShapeError(f"{op}: {_AXES[1 - axis]} counts differ")
+    out_data = np.concatenate([p.data for p in parts], axis=axis)
+    nodes = [(p._node, p.shape[axis]) for p in parts]
+
+    def backward(g):
+        at = 0
+        for node, n in nodes:
+            if node is not None:
+                node._accumulate(g[_span(axis, at, at + n)])
+            at += n
+
+    return _result(out_data, op, tuple(parts), backward)
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
-    if not parts:
-        raise ContractError("concat_rows needs at least one tensor")
-    cols = parts[0].shape[1]
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[1] != cols:
-            raise ShapeError("concat_rows: column counts differ")
-    out_data = np.concatenate([p.data for p in parts], axis=0)
-    nodes = [(p._node, p.shape[0]) for p in parts]
-
-    def backward(g):
-        at = 0
-        for node, n in nodes:
-            if node is not None:
-                node._accumulate(g[at:at + n])
-            at += n
-
-    return _result(out_data, "concat_rows", tuple(parts), backward)
+    return _concat(parts, 0, "concat_rows")
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
-    if not parts:
-        raise ContractError("concat_cols needs at least one tensor")
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[0] != rows:
-            raise ShapeError("concat_cols: row counts differ")
-    out_data = np.concatenate([p.data for p in parts], axis=1)
-    nodes = [(p._node, p.shape[1]) for p in parts]
-
-    def backward(g):
-        at = 0
-        for node, n in nodes:
-            if node is not None:
-                node._accumulate(g[:, at:at + n])
-            at += n
-
-    return _result(out_data, "concat_cols", tuple(parts), backward)
+    return _concat(parts, 1, "concat_cols")
 
 
 # -- depthwise convolution ------------------------------------------------------
@@ -928,6 +835,8 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
 # can be used without tripping the finiteness invariant at saturated logits.
 
 
+
+
 def cross_entropy_with_logits(logits: Tensor, labels) -> Tensor:
     """Mean softmax cross-entropy; labels are integer class indices.
 
@@ -948,15 +857,14 @@ def cross_entropy_with_logits(logits: Tensor, labels) -> Tensor:
     losses = lse - z[np.arange(n), idx]
     out_data = np.array(losses.mean(), dtype=z.dtype)
     _charge("cross_entropy", 5 * logits.size)
-    node = logits._node
 
-    def backward(g):
+    def grad(g):
         soft = np.exp(z - zmax)
         soft /= soft.sum(axis=1, keepdims=True)
         soft[np.arange(n), idx] -= 1.0
-        node._accumulate(g * soft / n)
+        return g * soft / n
 
-    return _result(out_data, "cross_entropy", (logits,), backward)
+    return _unary(logits, "cross_entropy", out_data, grad)
 
 
 def bce_with_logits(scores: Tensor, targets) -> Tensor:
@@ -965,16 +873,12 @@ def bce_with_logits(scores: Tensor, targets) -> Tensor:
     y = np.asarray(targets, dtype=scores.data.dtype)
     if y.shape != scores.shape:
         raise ShapeError("bce_with_logits: target shape differs from scores")
-    x = scores.data
+    x, size = scores.data, scores.size
     losses = np.maximum(x, 0) - x * y + np.log1p(np.exp(-np.abs(x)))
     out_data = np.array(losses.mean(), dtype=x.dtype)
-    _charge("bce", 4 * scores.size)
-    node, size = scores._node, scores.size
-
-    def backward(g):
-        node._accumulate(g * (_stable_sigmoid(x) - y) / size)
-
-    return _result(out_data, "bce", (scores,), backward)
+    _charge("bce", 4 * size)
+    return _unary(scores, "bce", out_data,
+                  lambda g: g * (_stable_sigmoid(x) - y) / size)
 
 
 # -- verification -----------------------------------------------------------------
@@ -1053,9 +957,10 @@ def save_checkpoint(path, named_tensors: dict) -> None:
 def load_checkpoint(path) -> dict:
     """Read a checkpoint written by save_checkpoint; returns name -> ndarray.
 
-    Raises DataError when the header is short or not JSON, when an entry's
-    dtype is not float32/float64, or when its bytes disagree with its shape
-    or reach past the payload.
+    Raises DataError when the header is short or not JSON, when a name
+    repeats, when an entry's shape, offset or byte count is not made of JSON
+    integers or its dtype is not float32/float64, or when its bytes disagree
+    with its shape or reach past the payload.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -1070,8 +975,15 @@ def load_checkpoint(path) -> dict:
     out = {}
     try:
         for e in json.loads(blob[8:8 + hlen].decode("utf-8"))["tensors"]:
-            name, shape = e["name"], tuple(int(n) for n in e["shape"])
-            offset, nbytes = int(e["offset"]), int(e["nbytes"])
+            name, shape, offset, nbytes = (e[k] for k in
+                                           ("name", "shape", "offset", "nbytes"))
+            if name in out:
+                raise DataError(f"{path}: {name}: entry named twice")
+            # JSON integers only: int() would truncate 2.5 and take true as 1
+            if type(shape) is not list or any(
+                    type(n) is not int for n in (*shape, offset, nbytes)):
+                raise DataError(f"{path}: {name}: shape, offset and nbytes "
+                                "must be integers")
             if e["dtype"] not in ("float32", "float64"):
                 raise DataError(f"{path}: {name}: unsupported dtype {e['dtype']!r}")
             dtype = np.dtype(e["dtype"])

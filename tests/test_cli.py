@@ -27,6 +27,7 @@ from relmp.costmodel import grmp_flops
 from relmp.errors import DataError, RelmpError
 from relmp.models import KGModelConfig
 from relmp.tensor import load_checkpoint, save_checkpoint
+from test_tensor import edit_checkpoint_header
 
 TINY_TRAIN = ["--people", "30", "--num-layers", "2", "--channels", "8",
               "--scorer-hidden", "16", "--negatives", "4"]
@@ -484,6 +485,28 @@ def test_eval_of_a_checkpoint_cut_inside_its_header_is_a_data_error(
     (run / "model.ckpt").write_bytes(blob[:6])
     assert main(["eval", "--model-dir", str(run),
                  "--out", str(tmp_path / "out")]) == 3
+
+
+def _name_the_first_entry_twice(entries):
+    entries.append(entries[0])
+
+
+def _fractional_first_dimension(entries):
+    entries[0]["shape"][0] += 0.5
+
+
+@pytest.mark.parametrize("edit", [_name_the_first_entry_twice,
+                                  _fractional_first_dimension])
+def test_eval_of_a_checkpoint_with_a_malformed_header_is_a_data_error(
+        trained_run, tmp_path, capsys, edit):
+    # both once evaluated and exited 0: the repeated entry replaced the
+    # first, and int() truncated the fractional dimension
+    run = _damaged_copy(trained_run, tmp_path)
+    edit_checkpoint_header(run / "model.ckpt", edit)
+    assert main(["eval", "--model-dir", str(run),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert str(run / "model.ckpt") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39],

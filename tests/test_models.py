@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from relmp import graph as graph_module
-from relmp import layers, models
+from relmp import builders, layers, models
 from relmp import tensor as tensor_module
 from relmp.builders import (
     ProteinChain,
     TripletStore,
     build_image_graph,
     fact_graph,
+    image_medium_edges,
     protein_edges,
 )
 from relmp.errors import ConfigError, ContractError
@@ -152,6 +153,63 @@ def _readout(num_classes):
     return Tensor(np.random.default_rng(5).normal(size=(1, num_classes)))
 
 
+def _jitter(params, rng):
+    """Seeded N(0, 0.1) noise on every tensor. Constant inits (unit channel
+    weights and scales, zero biases) would hide a gradient that drops or
+    misplaces their factor."""
+    for t in params.tensors().values():
+        t.data = t.data + rng.normal(0.0, 0.1, size=t.shape)
+
+
+def _recorded_relu_inputs(monkeypatch):
+    """The list that models.relu appends a copy of each input to from now on."""
+    inputs = []
+
+    def recorded_relu(x):
+        inputs.append(x.data.copy())
+        return relu(x)
+
+    monkeypatch.setattr(models, "relu", recorded_relu)
+    return inputs
+
+
+def check_directional_gradients(tensors, forward, directions):
+    """For one seeded unit direction u per named tensor, <grad, u> against
+    (f(theta + eps*u) - f(theta - eps*u)) / (2*eps).
+
+    `forward()` runs f in float64 and returns it as a scalar Tensor, the
+    magnitude sum|terms| of the terms it sums, and the arrays that fix its
+    regime (ReLU input signs, built edge sets). Both perturbed forwards must
+    return the same regime arrays, so f is smooth on the segment; a ReLU
+    input at 0 that the step moves changes its sign there. Each
+    forward rounds f to within a few float64 ulps of the magnitude of its
+    terms, so the quotient carries round-off of order EPS64 * magnitude / eps.
+    eps = sqrt(EPS64) leaves truncation, of order eps^2 = EPS64 times the
+    third derivative, far below that. The bound allows 64 of those units.
+    """
+    eps64 = np.finfo(np.float64).eps
+    step = np.sqrt(eps64)
+    loss, magnitude, regime = forward()
+    loss.backward()
+    tol = 64 * eps64 * magnitude / step
+    for name, t in tensors.items():
+        u = directions.normal(size=t.shape)
+        u /= np.linalg.norm(u)
+        analytic = float(np.sum(t.grad * u))
+        base = t.data
+        sides = []
+        with no_grad():
+            for sign in (1.0, -1.0):
+                t.data = base + sign * step * u
+                value, _, moved = forward()
+                assert len(moved) == len(regime) and all(
+                    np.array_equal(a, b) for a, b in zip(moved, regime)), name
+                sides.append(float(value.data))
+        t.data = base
+        numeric = (sides[0] - sides[1]) / (2 * step)
+        assert abs(analytic - numeric) <= tol, (name, analytic, numeric, tol)
+
+
 def test_image_stem_gradcheck_against_finite_differences():
     with default_dtype(np.float64):
         cfg = ImageModelConfig(channels=(4, 8, 16, 32), depths=(1, 1, 1, 1),
@@ -167,6 +225,41 @@ def test_image_stem_gradcheck_against_finite_differences():
 
         err = finite_difference_check(loss, [params.stem_w], h=1e-5)
         assert err < 1e-4, err
+
+
+def test_image_directional_gradients_match_central_differences(monkeypatch):
+    # f is a seeded linear read-out of the logits. The medium relation
+    # links each patch to its nearest patches by feature distance, so both
+    # perturbed forwards must build the unperturbed medium edges. On six
+    # seeds the errors reached 5.6 units of EPS64 * magnitude / eps.
+    with default_dtype(np.float64):
+        cfg = ImageModelConfig(channels=(4, 8, 16, 32), depths=(1, 1, 1, 1),
+                               num_classes=5, k_medium=2)
+        rng = np.random.default_rng(11)
+        params = ImageModelParams.init(rng, cfg)
+        _scale_draws(params, 0.1)
+        _jitter(params, rng)
+        pixels = rng.random((32, 32, 3))
+        readout = _readout(cfg.num_classes)
+    medium = []
+
+    def recorded_medium_edges(grid, k, relation=0):
+        medium.append(image_medium_edges(grid, k, relation))
+        return medium[-1]
+
+    monkeypatch.setattr(builders, "image_medium_edges", recorded_medium_edges)
+
+    def forward():
+        medium.clear()
+        with default_dtype(np.float64):
+            terms = hadamard(image_forward(pixels, params, cfg), readout)
+        return sum_all(terms), float(np.abs(terms.data).sum()), list(medium)
+
+    check_directional_gradients(params.tensors(), forward,
+                                np.random.default_rng(12))
+    # K = 2 sources for each of stage 1's 16 patches; stage 2's four patches
+    # share one 2x2 home window, and stage 3 has one patch
+    assert [len(edges) for edges in medium] == [2 * 16, 0, 0]
 
 
 def _default_init(model):
@@ -274,65 +367,29 @@ def test_protein_representation_rigid_motion_invariant():
 
 def test_protein_encoder_directional_gradients_match_central_differences(
         monkeypatch):
-    # one seeded unit direction u per parameter tensor: <grad, u> against
-    # (f(theta + eps*u) - f(theta - eps*u)) / (2*eps), where f is a seeded
-    # linear read-out of the representation and the logits. Each forward
-    # rounds f to within a few float64 ulps of the magnitude of its terms,
-    # so the quotient carries round-off of order EPS64 * magnitude / eps.
-    # eps = sqrt(EPS64) leaves truncation, of order eps^2 = EPS64 times the
-    # third derivative, far below that. On six seeds the errors reached 2.1
-    # units of EPS64 * magnitude / eps; the bound allows 64.
-    eps64 = np.finfo(np.float64).eps
-    step = np.sqrt(eps64)
+    # f is a seeded linear read-out of the representation and the logits.
+    # On six seeds the errors reached 2.1 units of EPS64 * magnitude / eps.
     with default_dtype(np.float64):
         cfg = ProteinEncoderConfig(num_layers=2, hidden=8, num_tasks=2)
         rng = np.random.default_rng(17)
         params = ProteinEncoderParams.init(rng, cfg)
         _scale_draws(params, 0.5)
-        # constant inits (unit channel weights and scales, zero biases)
-        # would hide a gradient that drops or misplaces their factor
-        for t in params.tensors().values():
-            t.data = t.data + rng.normal(0.0, 0.1, size=t.shape)
+        _jitter(params, rng)
         chain = _random_chain(rng, 12)
         readout = Tensor(rng.normal(size=(1, cfg.representation_dim
                                           + cfg.num_tasks)))
-    relu_inputs = []
-
-    def recorded_relu(x):
-        relu_inputs.append(x.data.copy())
-        return relu(x)
-
-    monkeypatch.setattr(models, "relu", recorded_relu)
+    relu_inputs = _recorded_relu_inputs(monkeypatch)
 
     def forward():
         relu_inputs.clear()
         with default_dtype(np.float64):
             rep, logits = protein_forward(chain, params, cfg)
         terms = hadamard(concat_cols([rep, logits]), readout)
-        return sum_all(terms), float(np.abs(terms.data).sum())
+        return (sum_all(terms), float(np.abs(terms.data).sum()),
+                [np.sign(x) for x in relu_inputs])
 
-    loss, magnitude = forward()
-    kinks = [np.sign(x) for x in relu_inputs]
-    assert all(k.all() for k in kinks)          # no ReLU input sits at 0
-    loss.backward()
-    tol = 64 * eps64 * magnitude / step
-    directions = np.random.default_rng(18)
-    for name, t in params.tensors().items():
-        u = directions.normal(size=t.shape)
-        u /= np.linalg.norm(u)
-        analytic = float(np.sum(t.grad * u))
-        base = t.data
-        sides = []
-        with no_grad():
-            for sign in (1.0, -1.0):
-                t.data = base + sign * step * u
-                sides.append(float(forward()[0].data))
-                # f is smooth on the segment only if no ReLU input crosses 0
-                assert all(np.array_equal(np.sign(x), k)
-                           for x, k in zip(relu_inputs, kinks)), name
-        t.data = base
-        numeric = (sides[0] - sides[1]) / (2 * step)
-        assert abs(analytic - numeric) <= tol, (name, analytic, numeric, tol)
+    check_directional_gradients(params.tensors(), forward,
+                                np.random.default_rng(18))
 
 
 def test_protein_rejects_bad_config():
@@ -516,6 +573,37 @@ def test_kg_entity_embedding_gradcheck():
 
         err = finite_difference_check(loss, [params.entity_emb], h=1e-6)
         assert err < 1e-4, err
+
+
+def test_kg_directional_gradients_match_central_differences(monkeypatch):
+    # the step of test_kg_entity_embedding_gradcheck: f is the BCE loss of
+    # the scored triples, the mean of max(x,0) - x*y + log1p(exp(-|x|)),
+    # whose terms give the magnitude. On six seeds the errors reached 0.6
+    # units of EPS64 * magnitude / eps.
+    with default_dtype(np.float64):
+        store, graph = _toy_kg(seed=4)
+        cfg = KGModelConfig(num_layers=2, channels=4, scorer_hidden=6)
+        rng = np.random.default_rng(5)
+        params = KGModelParams.init(rng, store.num_entities,
+                                    store.num_relations, cfg)
+        _jitter(params, rng)
+    h, r, t = store.triplets.T
+    y = np.ones((len(h), 1))
+    y[::2] = 0.0
+    relu_inputs = _recorded_relu_inputs(monkeypatch)
+
+    def forward():
+        relu_inputs.clear()
+        with default_dtype(np.float64):
+            scores = kg_score(kg_encode(graph, params), params, h, r, t)
+        x = scores.data
+        terms = np.abs(np.maximum(x, 0)) + np.abs(x * y) + np.log1p(
+            np.exp(-np.abs(x)))
+        return (bce_with_logits(scores, y), float(terms.sum()) / len(x),
+                [np.sign(v) for v in relu_inputs])
+
+    check_directional_gradients(params.tensors(), forward,
+                                np.random.default_rng(6))
 
 
 # -- edge-level message passing over the line graph -------------------------------------------

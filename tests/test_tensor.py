@@ -152,6 +152,12 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             hadamard(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 1))))
 
+    @pytest.mark.parametrize("op", [concat_rows, concat_cols])
+    def test_concat_of_a_vector_is_a_shape_error(self, op):
+        # the first part's shape was read before its rank was checked
+        with pytest.raises(ShapeError):
+            op([Tensor(np.ones(3)), Tensor(np.ones(3))])
+
     def test_tiles_materialize(self):
         out = tile_rows(Tensor([[1.0, 2.0, 3.0]]), 4)
         assert np.array_equal(out.data, [[1.0, 2.0, 3.0]] * 4)
@@ -358,6 +364,18 @@ class TestBackward:
         b = Tensor(np.ones((2, 3)), requires_grad=True)
         sum_all(add(a, b)).backward()
         assert not np.shares_memory(a.grad, b.grad)
+
+    @pytest.mark.parametrize("op", [lambda t: T.add_scalar(t, 1.0),
+                                    lambda t: reshape(t, (3, 2))],
+                             ids=["add_scalar", "reshape"])
+    def test_unary_leaf_gradient_owns_its_buffer(self, op):
+        # these formulas return g itself or a view of it: the leaf copies it,
+        # so it shares no memory with the retained interior gradient
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        out = op(a)
+        sum_all(hadamard(out, Tensor(np.full(out.shape, 2.0)))).backward(
+            retain_graph=True)
+        assert not np.shares_memory(a.grad, out.grad)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("indices", [
@@ -898,12 +916,40 @@ def test_tape_keeps_only_the_inputs_backward_reads(case, data):
     assert all(t.grad is not None for t in leaves)
 
 
+def _public_ops():
+    return {name for name, f in vars(T).items()
+            if inspect.isfunction(f) and f.__module__ == T.__name__
+            and not name.startswith("_")} - _NOT_OPS
+
+
 def test_every_public_op_has_a_case():
-    public = {name for name, f in vars(T).items()
-              if inspect.isfunction(f) and f.__module__ == T.__name__
-              and not name.startswith("_")}
-    assert public - _NOT_OPS == {case.op for case in _OP_CASES} - {
+    assert _public_ops() == {case.op for case in _OP_CASES} - {
         "rel_aggregate", "weighted_aggregate"}
+
+
+@_EACH_CASE
+def test_each_case_makes_one_public_op_call(case, monkeypatch):
+    """A tracer that wraps ops by name counts an op's output bytes once per
+    call, so no public op may call another. Every public op and the graph
+    ops are wrapped in each module that binds them, relmp's and this one."""
+    dims = _fixed_dims(case)
+    inputs = _inputs(case, dims)
+    calls = []
+    ops = {name: getattr(T, name) for name in _public_ops()}
+    ops.update(rel_aggregate=rel_aggregate,
+               weighted_aggregate=weighted_aggregate)
+    modules = [m for name, m in list(sys.modules.items()) if m is not None
+               and (name.startswith("relmp") or name == __name__)]
+    for name, fn in ops.items():
+        def logged(*args, _name=name, _fn=fn, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, logged)
+    _apply(case, dims, inputs)
+    assert calls == [case.op]
 
 
 def _fixed_dims(case):
@@ -1009,19 +1055,40 @@ class TestCheckpoint:
             with pytest.raises(DataError):
                 load_checkpoint(path)
 
+    # the last five once loaded: int() truncated 2.5 to 2 and read "16" and
+    # 16.0 as the 16 bytes of a float32 [2, 2]
     @pytest.mark.parametrize("field,value", [
         ("dtype", "int64"), ("dtype", "object"), ("offset", -4),
-        ("nbytes", 4), ("shape", [3, 2]), ("shape", "wide")])
+        ("nbytes", 4), ("shape", [3, 2]), ("shape", "wide"),
+        ("shape", [2.5, 2]), ("shape", [2.0, 2]), ("offset", 0.5),
+        ("nbytes", "16"), ("nbytes", 16.0)])
     def test_inconsistent_header_entry_is_a_data_error(self, tmp_path, field,
                                                         value):
         path = tmp_path / "params.bin"
         save_checkpoint(path, {"w": Tensor(np.ones((2, 2)))})
-        blob = path.read_bytes()
-        (hlen,) = struct.unpack_from("<I", blob, 4)
-        header = json.loads(blob[8:8 + hlen])
-        header["tensors"][0][field] = value
-        raw = json.dumps(header).encode()
-        path.write_bytes(blob[:4] + struct.pack("<I", len(raw)) + raw
-                         + blob[8 + hlen:])
+        edit_checkpoint_header(path, lambda entries: entries[0].update(
+            {field: value}))
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+    def test_header_naming_an_entry_twice_is_a_data_error(self, tmp_path):
+        # the second entry once replaced the first without complaint
+        path = tmp_path / "params.bin"
+        save_checkpoint(path, {"w": Tensor(np.ones((2, 2))),
+                               "b": Tensor(np.zeros(2))})
+        edit_checkpoint_header(path, lambda entries: entries[1].update(
+            name="w"))
+        with pytest.raises(DataError, match="w: entry named twice"):
+            load_checkpoint(path)
+
+
+def edit_checkpoint_header(path, edit):
+    """Rewrite the checkpoint at `path` with `edit` applied to its header's
+    list of entries; the payload stays as it was."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, 4)
+    header = json.loads(blob[8:8 + hlen])
+    edit(header["tensors"])
+    raw = json.dumps(header).encode()
+    path.write_bytes(blob[:4] + struct.pack("<I", len(raw)) + raw
+                     + blob[8 + hlen:])
