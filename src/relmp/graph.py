@@ -5,22 +5,24 @@ list of such triples; a value that int64 conversion would change (0.5, NaN,
 2**63) is rejected, not truncated (`triple_rows`, which the KG triple store
 shares). It stores the edges sorted by (rel, dst,
 src), which is the CSR form of the relation-major slot matrix: row r*V_dst + v
-lists the ascending sources N_r(v). Aggregation is one sparse product with
-that matrix and its backward one product with the transpose, so the
-summation order (ascending source index forward, edge storage order backward)
-is fixed and the aggregation is deterministic bit-for-bit across runs.
+lists the ascending sources N_r(v). Aggregation is a sparse product with that
+matrix and its backward a product with the transpose, both run by SciPy's
+multivector kernels (`csr_matvecs`, `csc_matvecs`) on a range of the
+matrix's rows, so the summation order (ascending source index forward, edge
+storage order backward) is fixed and the aggregation is deterministic
+bit-for-bit across runs.
 
 The slot matrix has rows for the destination nodes only, v < V_dst =
 `num_dst` = 1 + the largest edge target: no node above receives an edge on
 any relation (the image graph's P + 1 virtual nodes, the protein graph's
-one), so its means are zero. The ops compute the [R, V_dst, C] means and
+one), so its means are zero. The ops compute the means of those rows and
 write zeros in the rows above, which is what the full [R*V, V] product
 would give. FLOP charges still use V, because they state the cost of the
 unfused chain.
 
 A graph never changes after it is built, so its aggregation operators (the
-slot matrix, its transpose and the degree column) are built once per graph
-and dtype, on first use, and reused by every later forward and backward call.
+slot matrix and the degree column) are built once per graph and dtype, on
+first use, and reused by every later forward and backward call.
 
 Normalization is the in-neighborhood mean. The implementation divides the
 neighbor sum by the integer degree rather than multiplying by a rounded float
@@ -29,13 +31,21 @@ reciprocal.
 Two ops aggregate. `rel_aggregate` returns the means in node-major row order
 (row v*R + r holds the mean over N_r(v)), so the relational convolution's
 "concatenate a node's relation slots" reshape is a zero-copy view.
-`weighted_aggregate`, the gated layer's aggregation and weighting, keeps its
-means relation-major ([R, V_dst, C]) in the CSR product's own output, scales
-them in place and sums the relations in order 0..R-1. Its backward recomputes
-the means (same product, same division, same bits) instead of keeping them,
-node-major so that the channel gradient's sum over nodes is an outer-axis
-reduction that adds the nodes in order. Its only other [R, V_dst, C] buffer
-holds g * score, which the feature and channel gradients both read.
+`weighted_aggregate`, the gated layer's aggregation and weighting, never
+holds the [R, V_dst, C] means. Its forward and backward walk the relations in
+consecutive groups of at most AGGREGATE_BLOCK slot values, reusing one
+group's scratch buffers, as FlashAttention tiles attention so that the
+score matrix never exists. The forward computes a group's means in one
+buffer, scales them in place and adds them into the output, relations in
+order 0..R-1. The backward recomputes each group's means (same product,
+same division, same bits) into a second, node-major buffer, so that the
+channel gradient's sum over nodes is an outer-axis reduction that adds the
+nodes in order; the first buffer holds g * score, which the feature and
+channel gradients both read. The CSC kernel adds every group's slots into
+one feature gradient, so each source row sums its slots in edge storage
+order however the relations are grouped. Every element goes through the
+operations of the ungrouped op in the same order, so the outputs and
+gradients do not depend on the group size.
 """
 
 from __future__ import annotations
@@ -44,9 +54,15 @@ import io
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from .errors import DataError, GraphError, ShapeError
 from .tensor import Tensor, _charge, _result
+
+# The most slot values, 2**18 (1 MiB of float32, inside a core's L2 cache),
+# that `weighted_aggregate` holds in one scratch buffer: it walks the
+# relations in consecutive groups of at most this many slot values.
+AGGREGATE_BLOCK = 2 ** 18
 
 
 def triple_rows(rows, bounds, error, noun, plural, fields):
@@ -121,8 +137,7 @@ class RelGraph:
         return list(zip(self._src.tolist(), self._dst.tolist(), self._rel.tolist()))
 
     def _aggregation_ops(self, dtype):
-        """(slot matrix, its transpose, [R, V_dst, 1] degrees) in `dtype`,
-        built once."""
+        """(slot matrix, [R, V_dst, 1] degrees) in `dtype`, built once."""
         ops = self._ops.get(dtype)
         if ops is None:
             # unit weights in the features' dtype keep float32 features
@@ -133,7 +148,7 @@ class RelGraph:
                               self._indptr), shape=(size, self.num_nodes))
             # empty slots sum to zero, so dividing them by 1 leaves zero rows
             deg = np.maximum(self._degrees, 1)[:, :, None].astype(dtype)
-            ops = self._ops[dtype] = (adj, adj.T, deg)
+            ops = self._ops[dtype] = (adj, deg)
         return ops
 
     def __repr__(self):
@@ -141,21 +156,57 @@ class RelGraph:
                 f"edges={self.num_edges})")
 
 
-def _slot_means(graph: RelGraph, z: np.ndarray, out=None) -> np.ndarray:
-    """The means of features z over the destination rows, relation-major
-    [R, V_dst, C]: one CSR product, then one division by the degrees into
-    `out`, or over the sums."""
-    adj, _, deg = graph._aggregation_ops(z.dtype)
-    sums = (adj @ z).reshape(*deg.shape[:2], z.shape[1])
-    return np.divide(sums, deg, out=sums if out is None else out)
+def _relation_groups(r_count: int, slot_values: int) -> list:
+    """Consecutive relation ranges [r0, r1) that cover 0..r_count-1 and hold
+    at most AGGREGATE_BLOCK slot values each, at `slot_values` (V_dst*C) per
+    relation; a relation that alone holds more is a group by itself."""
+    step = max(1, AGGREGATE_BLOCK // max(slot_values, 1))
+    return [(r0, min(r0 + step, r_count)) for r0 in range(0, r_count, step)]
 
 
-def _means_grad(graph: RelGraph, g_rv: np.ndarray) -> np.ndarray:
-    """The features' [V, C] gradient from the means' [R, V_dst, C] gradient
-    in their dtype, which is divided in place; the CSC transpose visits the
-    slots in (rel, dst) order, i.e. edge storage order."""
-    _, adj_t, deg = graph._aggregation_ops(g_rv.dtype)
-    return adj_t @ np.divide(g_rv, deg, out=g_rv).reshape(deg.size, g_rv.shape[2])
+def _slot_rows(graph: RelGraph, dtype, r0: int, r1: int):
+    """(indptr, indices, data) of relations r0..r1-1's rows of the slot
+    matrix in `dtype`. The indptr slice is not rebased: it indexes the whole
+    matrix's indices and data, which the kernels read in place."""
+    adj, _ = graph._aggregation_ops(dtype)
+    v_dst = graph.num_dst
+    return adj.indptr[r0 * v_dst:r1 * v_dst + 1], adj.indices, adj.data
+
+
+def _group_sums(graph: RelGraph, z: np.ndarray, r0: int, r1: int,
+                scratch: np.ndarray) -> np.ndarray:
+    """Relations r0..r1-1's neighbor sums of features z [V, C], relation-major
+    [r1 - r0, V_dst, C], in the front of the flat array `scratch`. The CSR
+    kernel adds into its output, which is zeroed first; each slot adds its
+    sources in storage order."""
+    rows, c = (r1 - r0) * graph.num_dst, z.shape[1]
+    sums = scratch[:rows * c]
+    sums[...] = 0
+    csr_matvecs(rows, graph.num_nodes, c, *_slot_rows(graph, z.dtype, r0, r1),
+                z.ravel(), sums)
+    return sums.reshape(r1 - r0, graph.num_dst, c)
+
+
+def _add_group_grads(graph: RelGraph, g: np.ndarray, r0: int, r1: int,
+                     out: np.ndarray) -> None:
+    """Add the transposed product of g, the C-contiguous [r1 - r0, V_dst, C]
+    gradient of relations r0..r1-1's slot sums, into `out`, the C-contiguous
+    [V, C] feature gradient. The CSC kernel visits the slots in (rel, dst)
+    order, so groups added in relation order give every source row the sum
+    of its slots in edge storage order, however the relations are grouped."""
+    csc_matvecs(graph.num_nodes, g.shape[0] * g.shape[1], g.shape[2],
+                *_slot_rows(graph, g.dtype, r0, r1), g.ravel(), out.ravel())
+
+
+def _sum_over_nodes(x: np.ndarray) -> np.ndarray:
+    """The column sums of x [V_dst, k], each adding the rows in order
+    v = 0, 1, ... onto 0, as NumPy's reduction over the outer axis does for
+    k > 1. NumPy sums a lone column pairwise, so that one is a running sum
+    instead, whose last value differs only in giving -0.0 for a column of
+    -0.0, which the + 0.0 turns into the reduction's 0.0."""
+    if x.shape[1] != 1 or not x.shape[0]:
+        return x.sum(axis=0)
+    return np.cumsum(x, axis=0)[-1] + 0.0
 
 
 def rel_aggregate(graph: RelGraph, z: Tensor) -> Tensor:
@@ -171,20 +222,25 @@ def rel_aggregate(graph: RelGraph, z: Tensor) -> Tensor:
     if z.shape[0] != graph.num_nodes:
         raise ShapeError(f"feature rows {z.shape[0]} != num_nodes {graph.num_nodes}")
     v_count, r_count, c = graph.num_nodes, graph.num_relations, z.shape[1]
-    v_dst = graph.num_dst
+    v_dst, dtype = graph.num_dst, z.data.dtype
+    _, deg = graph._aggregation_ops(dtype)
     # the kept output is allocated before the temporary sums, so the freed
     # sums leave no hole under it to raise the peak RSS
-    out = np.empty((v_count, r_count, c), z.data.dtype)
+    out = np.empty((v_count, r_count, c), dtype)
+    sums = _group_sums(graph, z.data, 0, r_count, np.empty(deg.size * c, dtype))
     # one division writes the relation-major means in node-major order v*R + r
-    _slot_means(graph, z.data, out[:v_dst].transpose(1, 0, 2))
+    np.divide(sums, deg, out=out[:v_dst].transpose(1, 0, 2))
     out[v_dst:] = 0
     _charge("rel_aggregate", 2 * graph.num_edges * c)
     node = z._node
 
     def backward(g):
+        _, deg = graph._aggregation_ops(g.dtype)
         g_rv = g.reshape(v_count, r_count, c)[:v_dst].transpose(1, 0, 2)
-        # a copy, which _means_grad divides in place, also for one relation
-        node._accumulate_owned(_means_grad(graph, g_rv.copy()))
+        g_rv = np.divide(g_rv, deg, out=np.empty(g_rv.shape, g.dtype))
+        grad = np.zeros((v_count, c), g.dtype)
+        _add_group_grads(graph, g_rv, 0, r_count, grad)
+        node._accumulate_owned(grad)
 
     return _result(out.reshape(v_count * r_count, c), "rel_aggregate", (z,), backward)
 
@@ -198,6 +254,8 @@ def weighted_aggregate(graph: RelGraph, z: Tensor, scores: Tensor,
     `rel_aggregate` followed by the chain of tiles, hadamards and adds that
     broadcasts the weights; the tape keeps the data of z, scores and channel
     only. Rows from `graph.num_dst` on, which no edge reaches, are zero.
+    Forward and backward hold one group of relations' slot values at a time,
+    at most AGGREGATE_BLOCK of them (or one relation's), in reused buffers.
     """
     v_count, r_count, v_dst = graph.num_nodes, graph.num_relations, graph.num_dst
     c = z.shape[1] if z.data.ndim == 2 else 0
@@ -206,16 +264,26 @@ def weighted_aggregate(graph: RelGraph, z: Tensor, scores: Tensor,
         raise ShapeError(f"weighted_aggregate: features {z.shape}, scores "
                          f"{scores.shape} and channel weights {channel.shape} are "
                          f"not [{v_count}, C], [{v_count}, {r_count}], [1, {r_count}*C]")
+    dtype = z.data.dtype
+    _, deg = graph._aggregation_ops(dtype)
     channel_rc = channel.data.reshape(r_count, 1, c)
     scores_rv = scores.data[:v_dst].T[:, :, None]
-    # the means are scaled in place, by the channel weights, then the scores
-    terms = _slot_means(graph, z.data)
-    terms *= channel_rc
-    terms *= scores_rv
-    out = np.zeros((v_count, c), terms.dtype)
-    out[:v_dst] = terms[0]
-    for k in range(1, r_count):
-        out[:v_dst] += terms[k]
+    groups = _relation_groups(r_count, v_dst * c)
+    # the first group is the largest
+    scratch_size = (groups[0][1] if groups else 0) * v_dst * c
+    out = np.zeros((v_count, c), dtype)
+    scratch = np.empty(scratch_size, dtype)
+    for r0, r1 in groups:
+        # the means, scaled in place by the channel weights, then the scores
+        terms = _group_sums(graph, z.data, r0, r1, scratch)
+        np.divide(terms, deg[r0:r1], out=terms)
+        terms *= channel_rc[r0:r1]
+        terms *= scores_rv[r0:r1]
+        for r, term in enumerate(terms, r0):
+            if r:
+                out[:v_dst] += term
+            else:
+                out[:v_dst] = term
     _charge("rel_aggregate", 2 * graph.num_edges * c)
     _charge("tile", 2 * r_count * v_count * c)
     _charge("hadamard", 2 * r_count * v_count * c)
@@ -224,29 +292,40 @@ def weighted_aggregate(graph: RelGraph, z: Tensor, scores: Tensor,
     nz, nscores, nchannel, z_data = z._node, scores._node, channel._node, z.data
 
     def backward(g):
-        # two [R, V_dst, C] buffers: the means, node-major so that the
-        # channel gradient's sum over nodes adds them in order, and `work`
-        g_dst = g[:v_dst]
-        means = np.empty((v_dst, r_count, c), g.dtype)
-        means_rv = _slot_means(graph, z_data, means.transpose(1, 0, 2))
-        work = np.empty(means_rv.shape, g.dtype)
-        if nscores is not None:
-            np.multiply(means_rv, channel_rc, out=work)
-            np.multiply(work, g_dst, out=work)
-            grad = np.zeros((v_count, r_count), g.dtype)
-            np.sum(work, axis=2, out=grad[:v_dst].T)
-            nscores._accumulate_owned(grad)
-        if nz is None and nchannel is None:
-            return
-        # each term's upstream gradient g * score, read by both gradients below
-        np.multiply(g_dst, scores_rv, out=work)
-        if nchannel is not None:
-            means *= work.transpose(1, 0, 2)
-            nchannel._accumulate_owned(means.reshape(v_dst, r_count * c)
-                                       .sum(axis=0).reshape(1, r_count * c))
-        if nz is not None:
-            np.multiply(work, channel_rc, out=work)
-            nz._accumulate_owned(_means_grad(graph, work))
+        g_dst, (_, deg) = g[:v_dst], graph._aggregation_ops(g.dtype)
+        grad_scores = None if nscores is None else np.zeros((v_count, r_count), g.dtype)
+        grad_channel = None if nchannel is None else np.empty((1, r_count * c), g.dtype)
+        grad_z = None if nz is None else np.zeros((v_count, c), g.dtype)
+        # one group's scratch: `work`, relation-major, and the recomputed
+        # means, node-major so that the channel gradient's sum over nodes is
+        # an outer-axis reduction
+        work_buf, means_buf = np.empty((2, scratch_size), g.dtype)
+        for r0, r1 in groups:
+            n, deg_k, channel_k = r1 - r0, deg[r0:r1], channel_rc[r0:r1]
+            work = _group_sums(graph, z_data, r0, r1, work_buf)
+            means = means_buf[:n * v_dst * c].reshape(v_dst, n, c)
+            means_rv = np.divide(work, deg_k, out=means.transpose(1, 0, 2))
+            if nscores is not None:
+                np.multiply(means_rv, channel_k, out=work)
+                np.multiply(work, g_dst, out=work)
+                np.sum(work, axis=2, out=grad_scores[:v_dst, r0:r1].T)
+            if nz is None and nchannel is None:
+                continue
+            # each term's upstream gradient g * score, read by both gradients below
+            work = np.multiply(g_dst, scores_rv[r0:r1],
+                               out=work_buf[:n * v_dst * c].reshape(n, v_dst, c))
+            if nchannel is not None:
+                means *= work.transpose(1, 0, 2)
+                grad_channel[0, r0 * c:r1 * c] = _sum_over_nodes(
+                    means.reshape(v_dst, n * c))
+            if nz is not None:
+                np.multiply(work, channel_k, out=work)
+                np.divide(work, deg_k, out=work)
+                _add_group_grads(graph, work, r0, r1, grad_z)
+        for node, grad in ((nscores, grad_scores), (nchannel, grad_channel),
+                           (nz, grad_z)):
+            if node is not None:
+                node._accumulate_owned(grad)
 
     return _result(out, "weighted_aggregate", (z, scores, channel), backward)
 

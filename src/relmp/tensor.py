@@ -23,7 +23,9 @@ expressions to the last digit:
 * reshape / slice / gather / concat: 0 FLOPs (memory movement)
 * the graph ops of graph.py: rel_aggregate 2*|E|*C; weighted_aggregate the
   same plus the charges of the broadcast chain it replaces, read from its
-  operand shapes: tile 2*R*V*C, hadamard 2*R*V*C, add (R-1)*V*C
+  operand shapes: tile 2*R*V*C, hadamard 2*R*V*C, add (R-1)*V*C. These are
+  the unfused chain's costs: weighted_aggregate streams its relations in
+  groups and never forms the [R, V, C] tiles and products it is charged for
 
 The counter sees recorded forward ops only; the backward sweep runs raw numpy
 and is not metered. The analytic layer costs exclude biases: `linear` and

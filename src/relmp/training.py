@@ -45,7 +45,8 @@ from scipy.sparse import csr_matrix
 
 from . import models
 from .builders import KGDataset, TripletStore, fact_graph
-from .errors import ConfigError, ContractError, DataError, ShapeError
+from .errors import (ConfigError, ContractError, DataError, NumericError,
+                     ShapeError)
 from .metrics import query_ranks, rank_summary
 from .models import (KGModelConfig, KGModelParams, kg_encode, kg_score,
                      kg_score_tails)
@@ -61,8 +62,8 @@ class AdamW:
 
     Parameters without a gradient at step time are treated as having a zero
     gradient (their moments decay but the adaptive update is zero, so they
-    stay put). Each gradient's shape and dtype are checked before any
-    parameter moves.
+    stay put). Each gradient's shape, dtype and finiteness are checked
+    before any parameter or moment moves.
     """
 
     def __init__(self, params: dict, lr: float):
@@ -101,12 +102,16 @@ class AdamW:
                 raise ContractError(f"{g.dtype} gradient for {p.data.dtype} "
                                     f"parameter {name}")
             grads.append(g)
+        g = np.concatenate([grad.ravel() for grad in grads])
+        finite = np.isfinite(g)
+        if not finite.all():
+            first = np.searchsorted(self._bounds, finite.argmin(), side="right") - 1
+            raise NumericError(f"non-finite gradient for {list(self.params)[first]}")
         self.step_count += 1
         t = self.step_count
         m, v, update, denom = self._m, self._v, self._update, self._denom
         # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * (g * g), each
         # operation rounded as in that expression, in the gradients' dtype
-        g = np.concatenate([grad.ravel() for grad in grads])
         g_sq = g * g
         np.multiply(1.0 - b1, g, out=g)
         np.multiply(b1, m, out=m)

@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 TENSOR = "src/relmp/tensor.py"
+GRAPH = "src/relmp/graph.py"
 
 
 class Mutant(NamedTuple):
@@ -47,6 +48,11 @@ def _cases(test, *cases):
 
 def _grads(*cases):
     return _cases("test_gradients_match_finite_differences", *cases)
+
+
+def _raw_formulas(*cases):
+    return _cases("TestCopyFreeBackward::"
+                  "test_weighted_aggregate_matches_its_raw_formulas", *cases)
 
 
 MUTANTS = [
@@ -103,12 +109,38 @@ MUTANTS = [
            _cases("test_each_case_makes_one_public_op_call", "mean_cols")),
     # constant unit channel weights hid this one from model-level checks
     # until every tensor got jitter
-    Mutant("score-gradient-drops-channel-weights", "src/relmp/graph.py",
-           "np.multiply(means_rv, channel_rc, out=work)",
+    Mutant("score-gradient-drops-channel-weights", GRAPH,
+           "np.multiply(means_rv, channel_k, out=work)",
            "work[...] = means_rv",
            tuple(f"tests/test_models.py::test_{model}_directional_gradients_"
                  "match_central_differences"
                  for model in ("image", "protein_encoder", "kg"))),
+    # the raw-formula test splits its 9 relations into groups of 1, 2 and 4
+    Mutant("group-sums-drop-row-offset", GRAPH,
+           "adj.indptr[r0 * v_dst:r1 * v_dst + 1]",
+           "adj.indptr[:(r1 - r0) * v_dst + 1]",
+           _raw_formulas("groups-of-1-4-scored-z+scores+channel-float32",
+                         "groups-of-2-1-uniform-z-float64",
+                         "groups-of-4-4-scored-channel-float32")),
+    Mutant("group-sums-not-zeroed", GRAPH, "    sums[...] = 0\n", "",
+           _raw_formulas("groups-of-2-4-scored-z+scores+channel-float32",
+                         "groups-of-4-1-scored-scores-float64")),
+    Mutant("feature-gradient-groups-reversed", GRAPH,
+           "        for r0, r1 in groups:\n",
+           "        for r0, r1 in groups[::-1]:\n",
+           _raw_formulas("groups-of-1-4-scored-z-float32",
+                         "groups-of-2-4-uniform-z+scores+channel-float32")),
+    Mutant("channel-gradient-sums-one-column-pairwise", GRAPH,
+           "if x.shape[1] != 1 or not x.shape[0]:", "if True:",
+           _raw_formulas("groups-of-1-1-scored-channel-float32",
+                         "groups-of-4-1-uniform-z+scores+channel-float32")),
+    Mutant("weighted-aggregate-halves-tile-charge", GRAPH,
+           '_charge("tile", 2 * r_count * v_count * c)',
+           '_charge("tile", r_count * v_count * c)',
+           ("tests/test_tensor.py::test_charge_equals_the_formula["
+            "weighted_aggregate-scored-channel]",
+            "tests/test_acceptance.py::"
+            "test_criterion_02_grmp_flop_model_and_step_breakdown_exact")),
     Mutant("checkpoint-keeps-duplicates", TENSOR,
            "            if name in out:\n", "            if False:\n",
            ("tests/test_tensor.py::TestCheckpoint::"

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relmp import graph as graph_module
 from relmp import tensor as T
 from relmp.errors import (ConfigError, ContractError, DataError, NumericError,
                           ShapeError)
@@ -501,7 +502,7 @@ class TestCopyFreeBackward:
         out = rel_aggregate(graph, z)
         loss = sum_all(hadamard(out, Tensor(rng.normal(size=(18, 5)))))
         first, second = _swept_twice(loss, [z])
-        degrees = graph._aggregation_ops(z.dtype)[2]
+        degrees = graph._aggregation_ops(z.dtype)[1]
         _share_nothing([z.grad], [out.grad, out.data, z.data, degrees])
         assert first[0].tobytes() == second[0].tobytes()
         assert z.data.tobytes() == forward.tobytes()
@@ -517,10 +518,21 @@ class TestCopyFreeBackward:
         ids=lambda x: ("scored" if x else "uniform") if isinstance(x, bool)
         else "+".join(x))
     @pytest.mark.parametrize("c", [4, 1])
-    def test_weighted_aggregate_matches_its_raw_formulas(self, c, scored, needs,
-                                                         dtype):
+    # groups of 1, 2 and 4 of the 9 relations (the last group of 4 holds one),
+    # or the default block, which holds all 9
+    @pytest.mark.parametrize("group", [None, 1, 2, 4],
+                             ids=lambda n: f"groups-of-{n or 'all'}")
+    def test_weighted_aggregate_matches_its_raw_formulas(self, group, c, scored,
+                                                         needs, dtype, monkeypatch):
         v, r = 11, 9
         graph = _graph(v, r)
+        if group:
+            monkeypatch.setattr(graph_module, "AGGREGATE_BLOCK",
+                                group * graph.num_dst * c)
+        sizes = [r1 - r0 for r0, r1 in
+                 graph_module._relation_groups(r, graph.num_dst * c)]
+        assert sizes == {None: [9], 1: [1] * 9, 2: [2, 2, 2, 2, 1],
+                         4: [4, 4, 1]}[group]
         rng = np.random.default_rng(9)
         names = ("z", "scores", "channel")
         shapes = [(v, c), (v, r), (1, r * c)]

@@ -3,7 +3,7 @@
 The optimizer is checked against a hand-stepped first update and a
 hundred-step independent reference implementation; its flat moments are
 checked bit for bit against the per-tensor loop they replaced, and parameters
-or gradients of mixed dtypes are refused. The rate each optimizer step runs
+or gradients of mixed dtypes, and non-finite gradients, are refused. The rate each optimizer step runs
 at is checked against the annealing endpoints exactly.
 The training loop is checked for determinism, history layout, and loss
 movement on a small family-forest dataset, and bit for bit against a run with
@@ -24,12 +24,13 @@ from relmp import graph as graph_module
 from relmp import tensor as tensor_module
 from relmp import models, training
 from relmp.builders import KGDataset, TripletStore, fact_graph
-from relmp.errors import ConfigError, ContractError, DataError, ShapeError
+from relmp.errors import (ConfigError, ContractError, DataError, NumericError,
+                          ShapeError)
 from relmp.metrics import query_ranks, rank_summary
 from relmp.models import (RANK_BLOCK_ACTIVATIONS, KGModelConfig, KGModelParams,
                           kg_encode, kg_score, kg_score_tails)
 from relmp.tensor import (Tensor, bce_with_logits, count_flops, default_dtype,
-                          no_grad)
+                          hadamard, no_grad, sum_all)
 from relmp.training import (
     KINSHIP_RELATIONS,
     ADAM_BETAS,
@@ -143,6 +144,27 @@ def test_gradient_of_another_dtype_is_refused_before_anything_moves():
         opt.step()
     assert p["a"].data[0] == 1.0 and p["b"].data[0] == 2.0
     assert opt.step_count == 0 and not opt._m.any()
+
+
+def test_non_finite_gradient_is_refused_before_anything_moves():
+    # a finite float32 forward, a * b * b = 1e30, whose gradient for a,
+    # b * b = 1e60, overflows to inf; before the check one step wrote NaN into a
+    with default_dtype(np.float32):
+        p = {"b": Tensor([1e30], requires_grad=True),
+             "a": Tensor([1e-30], requires_grad=True)}
+    loss = sum_all(hadamard(hadamard(p["a"], p["b"]), p["b"]))
+    assert np.isfinite(loss.data).all()
+    with np.errstate(over="ignore"):
+        loss.backward()
+    assert np.isinf(p["a"].grad).all() and np.isfinite(p["b"].grad).all()
+    opt = AdamW(p, lr=0.1)
+    with pytest.raises(NumericError, match="non-finite gradient for a$"):
+        opt.step()
+    assert p["a"].data[0] == np.float32(1e-30) and p["b"].data[0] == np.float32(1e30)
+    assert opt.step_count == 0 and not opt._m.any() and not opt._v.any()
+    p["a"].grad[0], p["b"].grad[0] = 0.0, np.nan
+    with pytest.raises(NumericError, match="non-finite gradient for b$"):
+        opt.step()
 
 
 # calls of the old-form references below, by name
